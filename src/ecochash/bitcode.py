@@ -193,25 +193,13 @@ def hamming_masked(query: PackedCode, cw: TernaryCodeword) -> int:
 
 def codes_to_words(values: Sequence[int], width: int) -> np.ndarray:
     """Stack packed-bit integers into an (n, words) uint64 matrix."""
-    n_words = max(1, -(-width // WORD_BITS)) if width else 1
-    out = np.zeros((len(values), n_words), dtype=np.uint64)
-    word_mask = (1 << WORD_BITS) - 1
-    for i, bits in enumerate(values):
-        for w in range(n_words):
-            out[i, w] = (bits >> (WORD_BITS * w)) & word_mask
-    return out
+    n_bytes = 8 * max(1, -(-width // WORD_BITS))
+    keep = (1 << (8 * n_bytes)) - 1
+    raw = bytearray().join((v & keep).to_bytes(n_bytes, "little") for v in values)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(values), n_bytes // 8)
 
 
 def popcount_words(words: np.ndarray) -> np.ndarray:
     """Per-row popcount of a uint64 word matrix."""
     return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
-
-def bulk_hamming_masked(query: PackedCode, values: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Masked Hamming distance from one query to many packed rows.
-
-    ``values`` and ``masks`` are (n, words) uint64 matrices as produced by
-    codes_to_words, already padded to the query width.
-    """
-    q = codes_to_words([query.bits], query.length)[0]
-    return popcount_words((values ^ q) & masks)

@@ -140,9 +140,9 @@ def _cmd_index(args) -> int:
     storage.save_index(index, args.index_out)
     if skipped:
         print(f"skipped {skipped} unlabeled rows", file=sys.stderr)
-    n_cw = sum(1 for e in index.entries if e.mode == MODE_CODEWORD)
     print("entries,codeword_entries,phi_entries,width")
-    print(f"{len(index)},{n_cw},{len(index) - n_cw},{bundle.model.width}")
+    print(f"{len(index)},{len(index) - index.phi_count},{index.phi_count},"
+          f"{bundle.model.width}")
     return 0
 
 
@@ -170,22 +170,12 @@ def _cmd_eval(args) -> int:
     ids, labels, X = storage.read_features(args.queries)
     if all(y is None for y in labels):
         raise ValueError(f"{args.queries} has no labeled rows to evaluate against")
-    entry_labels = np.asarray(
-        [e.label for e in index.entries], dtype=object)
-    base = np.arange(len(entry_labels))
-    aps = []
-    skipped = 0
-    for i in range(len(ids)):
-        if labels[i] is None:
-            skipped += 1
-            continue
-        x = _transform(bundle.normalizer, X[i])
-        dists = index.all_distances(bundle.model, x)
-        order = np.lexsort((base, dists))
-        try:
-            aps.append(evaluation.average_precision(entry_labels[order] == labels[i]))
-        except UndefinedAPError:
-            skipped += 1
+    labeled = [i for i, y in enumerate(labels) if y is not None]
+    # A query without a relevant entry has no AP and counts as skipped.
+    aps = [evaluation.average_precision(rel) for rel in evaluation.ranked_relevance(
+        index, bundle.model, (_transform(bundle.normalizer, X[i]) for i in labeled),
+        [labels[i] for i in labeled]) if rel.any()]
+    skipped = len(ids) - len(aps)
     if not aps:
         raise UndefinedAPError(
             f"none of the {len(ids)} queries had a relevant indexed entry")

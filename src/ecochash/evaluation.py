@@ -56,24 +56,24 @@ def mean_average_precision(relevance_lists) -> float:
     return float(np.mean(aps))
 
 
+def ranked_relevance(index: HashIndex, model: HashModel, queries, query_labels):
+    """Per query, the relevance flags of the index's ranking, in rank order.
+
+    Rankings use the index's own tie-breaking (insertion order). Unlabeled
+    entries are never relevant.
+    """
+    entry_labels = np.asarray(index.labels, dtype=object)
+    for x, y in zip(queries, query_labels):
+        yield entry_labels[index.rank(model, x)[0]] == y
+
+
 def retrieval_map(index: HashIndex, model: HashModel, queries,
                   query_labels) -> float:
     """mAP of an index under the current model.
 
-    Rankings use the index's own tie-breaking (insertion order). Unlabeled
-    entries are never relevant; queries whose class has no indexed member
-    are skipped.
+    Queries whose class has no indexed member are skipped.
     """
-    entry_labels = np.asarray(
-        [e.label if e.label is not None else None for e in index.entries],
-        dtype=object)
-    base = np.arange(len(entry_labels))
-    rel_lists = []
-    for x, y in zip(queries, query_labels):
-        dists = index.all_distances(model, x)
-        order = np.lexsort((base, dists))
-        rel_lists.append(entry_labels[order] == y)
-    return mean_average_precision(rel_lists)
+    return mean_average_precision(ranked_relevance(index, model, queries, query_labels))
 
 
 def make_gaussian_classes(n_classes: int, d: int, n_samples: int,

@@ -6,6 +6,14 @@ vector so that only the bits of a touched cycle need recomputing when the
 hash functions move. Every recomputed-and-stored bit is counted in the
 ledger whether or not its value flipped, since the maintenance cost of an
 index is the recomputation itself; flips are tallied separately.
+
+Entries are stored as row-aligned arrays that grow by doubling: ``ids``
+and ``labels`` lists, ``(n, words)`` little-endian uint64 value and mask
+matrices (word w of a row holds code positions [64w, 64w+64)), and the
+code length of each row. Phi rows also keep their augmented features
+``[x; 1]`` in a matrix of their own, next to the entry row of each, so an
+update recomputes a cycle's columns for every phi row with one matrix
+product.
 """
 
 from __future__ import annotations
@@ -14,14 +22,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitcode import (PackedCode, TernaryCodeword, bulk_hamming_masked,
-                      codes_to_words, hamming_masked)
+from .bitcode import (WORD_BITS, PackedCode, TernaryCodeword, codes_to_words,
+                      hamming_masked, popcount_words)
 from .ecoc import EcocMatrix, Label
 from .errors import ConsistencyError, DimensionError, DuplicateIdError
-from .learner import HashModel, StepReport, augment, phi
+from .learner import HashModel, StepReport, phi
 
 MODE_CODEWORD = "codeword"
 MODE_PHI = "phi"
+
+_WORD = np.dtype("<u8")
 
 
 @dataclass
@@ -42,6 +52,8 @@ class UpdateLedger:
 
 @dataclass
 class IndexEntry:
+    """A copy of one indexed entry, as ``HashIndex.entries`` hands it out."""
+
     id: int
     mode: str
     code: TernaryCodeword
@@ -49,36 +61,122 @@ class IndexEntry:
     features: np.ndarray | None = None
 
 
+def n_words(length: int) -> int:
+    """64-bit words needed to hold ``length`` code positions."""
+    return -(-length // WORD_BITS)
+
+
+def _doubled(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` with twice the rows (at least one), the new ones zero."""
+    out = np.zeros((max(1, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
+    out[:len(a)] = a
+    return out
+
+
 class HashIndex:
     """In-memory index over packed codes with exact bit-update accounting."""
 
     def __init__(self) -> None:
-        self.entries: list[IndexEntry] = []
         self.ledger = UpdateLedger()
-        self._by_id: dict[int, IndexEntry] = {}
-        self._phi_entries: list[IndexEntry] = []
+        self._ids: list[int] = []
+        self._labels: list[Label | None] = []
+        self._id_set: set[int] = set()
+        self._values = np.zeros((0, 1), dtype=_WORD)
+        self._masks = np.zeros((0, 1), dtype=_WORD)
+        self._lengths = np.zeros(0, dtype=np.int64)
+        self._feats = np.zeros((0, 0))
+        self._phi_rows = np.zeros(0, dtype=np.int64)
+        self._n_phi = 0
         self._phi_width: int | None = None
-        self._phi_mat: np.ndarray | None = None
-        self._max_len = 0
-        self._rev = 0
-        self._dist_cache: tuple[int, int, np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._ids)
 
     @property
     def phi_count(self) -> int:
-        return len(self._phi_entries)
+        return self._n_phi
 
-    def _register(self, entry: IndexEntry) -> None:
-        if entry.id in self._by_id:
-            raise DuplicateIdError(f"id {entry.id} is already indexed")
-        self.entries.append(entry)
-        self._by_id[entry.id] = entry
-        if entry.mode == MODE_PHI:
-            self._phi_entries.append(entry)
-        self._max_len = max(self._max_len, entry.code.length)
-        self._rev += 1
+    @property
+    def labels(self) -> list[Label | None]:
+        """Each entry's label, None where it has none, in insertion order."""
+        return list(self._labels)
+
+    def _widen(self, length: int) -> None:
+        extra = n_words(length) - self._values.shape[1]
+        if extra > 0:
+            self._values = np.pad(self._values, ((0, 0), (0, extra)))
+            self._masks = np.pad(self._masks, ((0, 0), (0, extra)))
+
+    def add_row(self, id: int, label: Label | None, length: int, values: int,
+                mask: int, features: np.ndarray | None = None) -> None:
+        """Append one entry given as its code's value and mask bits.
+
+        ``features`` is given for, and only for, a phi entry, whose mask
+        must be full; every phi entry must share one width and one feature
+        length. Both insert methods and the index loader add entries
+        through here, so this is where the index's invariants are checked.
+        """
+        id = int(id)
+        if id in self._id_set:
+            raise DuplicateIdError(f"id {id} is already indexed")
+        if (values | mask) >> length or values & ~mask:
+            raise ValueError(f"entry {id} has bits beyond length {length} or outside its mask")
+        if features is not None:
+            if mask != (1 << length) - 1:
+                raise ValueError(f"phi entry {id} has inactive positions")
+            if self._phi_width is not None and self._phi_width != length:
+                raise ConsistencyError(
+                    f"existing entries have width {self._phi_width}, new entry has {length}")
+            if self._n_phi and len(features) + 1 != self._feats.shape[1]:
+                raise DimensionError(
+                    f"feature length {len(features)} does not match "
+                    f"{self._feats.shape[1] - 1} of the existing phi entries")
+        n = len(self._ids)
+        self._widen(length)
+        if n == len(self._lengths):
+            self._values, self._masks, self._lengths = map(
+                _doubled, (self._values, self._masks, self._lengths))
+        self._values[n], self._masks[n] = codes_to_words(
+            [values, mask], WORD_BITS * self._values.shape[1])
+        self._lengths[n] = length
+        if features is not None:
+            if not self._n_phi:
+                self._feats = np.zeros((len(self._phi_rows), len(features) + 1))
+            if self._n_phi == len(self._phi_rows):
+                self._feats, self._phi_rows = map(_doubled, (self._feats, self._phi_rows))
+            self._feats[self._n_phi, :-1] = features
+            self._feats[self._n_phi, -1] = 1.0
+            self._phi_rows[self._n_phi] = n
+            self._n_phi += 1
+            self._phi_width = length
+        self._ids.append(id)
+        self._labels.append(label)
+        self._id_set.add(id)
+
+    def rows(self):
+        """Each entry as the arguments ``add_row`` takes, in insertion order.
+
+        Feature rows are views into the index, valid until it next changes.
+        """
+        feats = dict(zip(self._phi_rows[:self._n_phi].tolist(),
+                         self._feats[:self._n_phi, :-1]))
+        for i, (id, label) in enumerate(zip(self._ids, self._labels)):
+            yield (id, label, int(self._lengths[i]),
+                   int.from_bytes(self._values[i].tobytes(), "little"),
+                   int.from_bytes(self._masks[i].tobytes(), "little"), feats.get(i))
+
+    @property
+    def entries(self) -> list[IndexEntry]:
+        """A snapshot of every entry in insertion order.
+
+        The snapshot is built on each access; changing it leaves the index
+        as it is.
+        """
+        return [IndexEntry(id, MODE_CODEWORD if f is None else MODE_PHI,
+                           TernaryCodeword(length, PackedCode(length, values),
+                                           PackedCode(length, mask)),
+                           label, None if f is None else f.copy())
+                for id, label, length, values, mask, f in self.rows()]
 
     def insert_labeled(self, id: int, y: Label, matrix: EcocMatrix) -> None:
         """Index an instance under its label's codeword.
@@ -87,7 +185,7 @@ class HashIndex:
         functions move.
         """
         code = matrix.find(y)
-        self._register(IndexEntry(id=int(id), mode=MODE_CODEWORD, code=code, label=y))
+        self.add_row(id, y, code.length, code.values.bits, code.mask.bits)
 
     def insert_unlabeled(self, id: int, x: np.ndarray, model: HashModel,
                          label: Label | None = None) -> None:
@@ -100,50 +198,37 @@ class HashIndex:
         """
         if model.width < 1:
             raise ValueError("model has no hash functions")
-        if self._phi_width is not None and self._phi_width != model.width:
-            raise ConsistencyError(
-                f"existing entries have width {self._phi_width}, model has {model.width}")
         code = phi(model, x)
-        cw = TernaryCodeword(code.length, code,
-                             PackedCode(code.length, (1 << code.length) - 1))
-        entry = IndexEntry(id=int(id), mode=MODE_PHI, code=cw, label=label,
-                           features=np.asarray(x, dtype=np.float64).copy())
-        self._register(entry)
-        self._phi_width = model.width
+        self.add_row(id, label, code.length, code.bits, (1 << code.length) - 1, x)
 
-    def _phi_feature_matrix(self) -> np.ndarray:
-        # Features are immutable once inserted, so only membership growth
-        # invalidates the cache.
-        if self._phi_mat is None or self._phi_mat.shape[0] != len(self._phi_entries):
-            self._phi_mat = np.stack([augment(e.features) for e in self._phi_entries])
-        return self._phi_mat
+    def _recompute(self, model: HashModel, spans: list[tuple[int, int]]) -> int:
+        """Recompute the columns [lo, hi) of ``spans`` in every phi row; returns the bits.
 
-    def _splice_columns(self, model: HashModel, lo: int, hi: int,
-                        new_width: int) -> tuple[int, int]:
-        """Recompute columns [lo, hi) of every phi entry; returns (bits, flips).
-
-        ``new_width`` extends entries whose stored code is narrower; flips
-        are counted only over positions that existed before.
+        Rows come out at the model's width. Flips are counted only over the
+        positions rows had before the call, so growing a code is not charged
+        as flipping it. Both counts go to the ledger.
         """
-        n = len(self._phi_entries)
-        scores = self._phi_feature_matrix() @ model.weights[lo:hi].T
-        rows = scores >= 0.0
-        span = hi - lo
-        field_mask = ((1 << span) - 1) << lo
-        flips = 0
-        for i, e in enumerate(self._phi_entries):
-            packed = np.packbits(rows[i], bitorder="little").tobytes()
-            new_field = int.from_bytes(packed, "little") << lo
-            old_bits = e.code.values.bits
-            old_len = e.code.length
-            new_bits = (old_bits & ~field_mask) | new_field
-            changed = (old_bits ^ new_bits) & ((1 << old_len) - 1)
-            flips += changed.bit_count()
-            e.code = TernaryCodeword(new_width, PackedCode(new_width, new_bits),
-                                     PackedCode(new_width, (1 << new_width) - 1))
-        self._max_len = max(self._max_len, new_width)
-        self._rev += 1
-        return n * span, flips
+        n = self._n_phi
+        if not n or not spans:
+            self.ledger.record(model.iteration, 0, 0, 0)
+            return 0
+        rows = self._phi_rows[:n]
+        self._widen(model.width)
+        old = self._values[rows]
+        bits = np.unpackbits(old.view(np.uint8), axis=1, bitorder="little")
+        for lo, hi in spans:
+            bits[:, lo:hi] = self._feats[:n] @ model.weights[lo:hi].T >= 0.0
+        new = np.packbits(bits, axis=1, bitorder="little").view(_WORD)
+        before, ones = codes_to_words([(1 << self._phi_width) - 1, (1 << model.width) - 1],
+                                      WORD_BITS * new.shape[1])
+        flips = int(popcount_words((old ^ new) & before).sum())
+        self._values[rows] = new
+        self._masks[rows] = ones
+        self._lengths[rows] = model.width
+        self._phi_width = model.width
+        n_bits = n * sum(hi - lo for lo, hi in spans)
+        self.ledger.record(model.iteration, n_bits, flips, n)
+        return n_bits
 
     def apply_model_update(self, report: StepReport, model: HashModel) -> int:
         """Eagerly propagate one training step into every phi-mode entry.
@@ -156,17 +241,11 @@ class HashIndex:
         if hi > model.width:
             raise ConsistencyError(
                 f"report touches columns up to {hi} but model width is {model.width}")
-        if not self._phi_entries:
-            self.ledger.record(model.iteration, 0, 0, 0)
-            return 0
         expected = model.width - (hi - lo) if report.new_cycle_started else model.width
-        if self._phi_width != expected:
+        if self._n_phi and self._phi_width != expected:
             raise ConsistencyError(
                 f"stale report: entries have width {self._phi_width}, expected {expected}")
-        bits, flips = self._splice_columns(model, lo, hi, model.width)
-        self._phi_width = model.width
-        self.ledger.record(model.iteration, bits, flips, len(self._phi_entries))
-        return bits
+        return self._recompute(model, [(lo, hi)])
 
     def refresh(self, model: HashModel, cycles=()) -> int:
         """Batched propagation: recompute the given cycles' columns once.
@@ -177,9 +256,6 @@ class HashIndex:
         since the last refresh are always caught up, so afterwards every
         entry sits at the model's width.
         """
-        if not self._phi_entries:
-            self.ledger.record(model.iteration, 0, 0, 0)
-            return 0
         old_width = self._phi_width or 0
         if old_width > model.width:
             raise ConsistencyError(
@@ -189,51 +265,36 @@ class HashIndex:
         todo = sorted(set(cycles))
         if todo and not 1 <= todo[0] <= todo[-1] <= total_cycles:
             raise ValueError(f"cycle list {todo} out of range [1, {total_cycles}]")
-        seen = set(todo)
-        todo.extend(j for j in range(old_width // k + 1, total_cycles + 1)
-                    if j not in seen)
-        todo.sort()
-        bits = 0
-        flips = 0
-        for j in todo:
-            b, f = self._splice_columns(model, (j - 1) * k, j * k, model.width)
-            bits += b
-            flips += f
-        if todo:
-            self._phi_width = model.width
-        self.ledger.record(model.iteration, bits, flips,
-                           len(self._phi_entries) if todo else 0)
-        return bits
-
-    def _code_matrices(self, width: int) -> tuple[np.ndarray, np.ndarray]:
-        if self._dist_cache is not None:
-            rev, w, values, masks = self._dist_cache
-            if rev == self._rev and w == width:
-                return values, masks
-        values = codes_to_words([e.code.values.bits for e in self.entries], width)
-        masks = codes_to_words([e.code.mask.bits for e in self.entries], width)
-        self._dist_cache = (self._rev, width, values, masks)
-        return values, masks
-
-    def _check_widths(self, width: int) -> None:
-        # Entries narrower than the query are fine: their missing columns
-        # read as inactive, exactly as if their codeword had been padded.
-        # A wider entry means the caller queried with an outdated model.
-        if self._max_len > width:
-            raise ConsistencyError(
-                f"an entry is wider ({self._max_len}) than the query ({width})")
+        todo = sorted(set(todo).union(range(old_width // k + 1, total_cycles + 1)))
+        return self._recompute(model, [((j - 1) * k, j * k) for j in todo])
 
     def all_distances(self, model: HashModel, x_q: np.ndarray) -> np.ndarray:
         """Masked Hamming distance from phi(model, x_q) to every entry.
 
         Returned in entry insertion order, as an integer array. Entries
         narrower than the current width count their missing columns as
-        inactive.
+        inactive; an entry wider than the query means the caller queried
+        with an outdated model, which is an error.
         """
         q = phi(model, x_q)
-        self._check_widths(q.length)
-        values, masks = self._code_matrices(q.length)
-        return bulk_hamming_masked(q, values, masks)
+        n = len(self)
+        if n and self._lengths[:n].max() > q.length:
+            raise ConsistencyError(
+                f"an entry is wider ({self._lengths[:n].max()}) than the query ({q.length})")
+        # No entry is wider than the query, so the index has no more words
+        # than the query and every mask is clear past the query's words.
+        words = self._values.shape[1]
+        qw = codes_to_words([q.bits], q.length)[0, :words]
+        return popcount_words((self._values[:n] ^ qw) & self._masks[:n])
+
+    def rank(self, model: HashModel, x_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Entry rows by masked Hamming distance to phi(model, x_q), and the distances.
+
+        Ties break by insertion order. The distances are in insertion
+        order, as ``all_distances`` returns them.
+        """
+        dists = self.all_distances(model, x_q)
+        return np.argsort(dists, kind="stable"), dists
 
     def query(self, model: HashModel, x_q: np.ndarray,
               top_n: int | None = None) -> list[tuple[int, int]]:
@@ -242,13 +303,10 @@ class HashIndex:
         Ties break by insertion order. Returns (id, distance) pairs,
         truncated to top_n when given.
         """
-        if not self.entries:
-            return []
-        dists = self.all_distances(model, x_q)
-        order = np.lexsort((np.arange(len(dists)), dists))
+        order, dists = self.rank(model, x_q)
         if top_n is not None:
             order = order[:top_n]
-        return [(self.entries[i].id, int(dists[i])) for i in order]
+        return [(self._ids[i], d) for i, d in zip(order.tolist(), dists[order].tolist())]
 
     def query_by_codeword(self, matrix: EcocMatrix, model: HashModel,
                           x_q: np.ndarray) -> list[tuple[Label, int, tuple[int, ...]]]:
@@ -263,9 +321,10 @@ class HashIndex:
             raise ConsistencyError(
                 f"matrix width {matrix.width} does not match query width {q.length}")
         members: dict[Label, list[int]] = {y: [] for y in matrix.labels}
-        for e in self.entries:
-            if e.mode == MODE_CODEWORD and e.label in members:
-                members[e.label].append(e.id)
+        phi_rows = set(self._phi_rows[:self._n_phi].tolist())
+        for row, (id, y) in enumerate(zip(self._ids, self._labels)):
+            if row not in phi_rows and y in members:
+                members[y].append(id)
         ranked = sorted(
             ((hamming_masked(q, matrix.find(y)), pos, y)
              for pos, y in enumerate(matrix.labels)),

@@ -15,17 +15,18 @@ both encodings of the same data train identically.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .bitcode import PackedCode, TernaryCodeword
+from .bitcode import PackedCode
 from .codebook import Codebook
 from .ecoc import EcocMatrix
-from .errors import FormatError
-from .index import MODE_CODEWORD, MODE_PHI, HashIndex, IndexEntry
+from .errors import ConsistencyError, FormatError
+from .index import MODE_CODEWORD, MODE_PHI, HashIndex, n_words
 from .learner import FeatureNormalizer, HashModel
 
 MODEL_MAGIC = b"ECOCHMDL"
@@ -65,25 +66,33 @@ class _Writer:
         self.f.write(b)
 
     def code(self, c: PackedCode) -> None:
-        words = c.to_words()
-        self.u32(c.length)
-        self.u32(len(words))
-        for w in words:
-            self.u64(w)
+        self.words(c.length, c.bits)
+
+    def words(self, length: int, bits: int) -> None:
+        """A code as its length, its word count and its little-endian words."""
+        n = n_words(length)
+        self.u32(length)
+        self.u32(n)
+        self.f.write(bits.to_bytes(8 * n, "little"))
 
     def array(self, a: np.ndarray, dtype: str) -> None:
         self.f.write(np.ascontiguousarray(a, dtype=dtype).tobytes())
 
 
 class _Reader:
-    def __init__(self, f) -> None:
-        self.f = f
+    """Reads fields from a file's bytes, never past their end."""
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self.pos = 0
+        self.end = len(data)
 
     def raw(self, n: int) -> bytes:
-        b = self.f.read(n)
-        if len(b) != n:
-            raise FormatError(f"truncated file: wanted {n} bytes, got {len(b)}")
-        return b
+        pos = self.pos
+        if n > self.end - pos:
+            raise FormatError(f"truncated file: wanted {n} bytes, got {self.end - pos}")
+        self.pos = pos + n
+        return self.data[pos:pos + n]
 
     def u8(self) -> int:
         return struct.unpack("<B", self.raw(1))[0]
@@ -100,17 +109,34 @@ class _Reader:
     def f64(self) -> float:
         return struct.unpack("<d", self.raw(8))[0]
 
+    def count(self, item_bytes: int, wide: bool = False) -> int:
+        """A u32 (u64 if ``wide``) count of items no smaller than ``item_bytes``."""
+        n = self.u64() if wide else self.u32()
+        if n * item_bytes > self.end - self.pos:
+            raise FormatError(f"count {n} overruns the {self.end - self.pos} bytes left")
+        return n
+
     def text(self) -> str:
-        return self.raw(self.u32()).decode("utf-8")
+        try:
+            return self.raw(self.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"text field is not UTF-8: {exc}") from None
 
     def code(self) -> PackedCode:
         length = self.u32()
         n = self.u32()
         return PackedCode.from_words(length, [self.u64() for _ in range(n)])
 
+    def words(self) -> tuple[int, int]:
+        """A code's length and bits, stored in exactly ceil(length/64) words."""
+        length = self.u32()
+        n = self.count(8)
+        if n != n_words(length):
+            raise FormatError(f"{n} words for a code of length {length}")
+        return length, int.from_bytes(self.raw(8 * n), "little")
+
     def array(self, shape: tuple[int, ...], dtype: str) -> np.ndarray:
-        n = int(np.prod(shape)) if shape else 1
-        b = self.raw(n * np.dtype(dtype).itemsize)
+        b = self.raw(math.prod(shape) * np.dtype(dtype).itemsize)
         return np.frombuffer(b, dtype=dtype).reshape(shape).copy()
 
 
@@ -176,7 +202,7 @@ def save_model(bundle: ModelBundle, path) -> None:
 
 def load_model(path) -> ModelBundle:
     with open(path, "rb") as f:
-        r = _Reader(f)
+        r = _Reader(f.read())
         _check_header(r, MODEL_MAGIC, "model")
         k = r.u32()
         rho = r.u32()
@@ -220,23 +246,23 @@ def save_index(index: HashIndex, path) -> None:
         w = _Writer(f)
         w.raw(INDEX_MAGIC)
         w.u32(FORMAT_VERSION)
-        w.u32(len(index.entries))
-        for e in index.entries:
-            w.u64(e.id)
-            w.u8(_MODE_TO_TAG[e.mode])
-            if e.label is None:
+        w.u32(len(index))
+        for id, label, length, values, mask, features in index.rows():
+            w.u64(id)
+            w.u8(_MODE_TO_TAG[MODE_CODEWORD if features is None else MODE_PHI])
+            if label is None:
                 w.u8(0)
             else:
                 w.u8(1)
-                w.text(e.label)
-            w.code(e.code.values)
-            w.code(e.code.mask)
-            if e.features is None:
+                w.text(label)
+            w.words(length, values)
+            w.words(length, mask)
+            if features is None:
                 w.u8(0)
             else:
                 w.u8(1)
-                w.u32(len(e.features))
-                w.array(e.features, "<f8")
+                w.u32(len(features))
+                w.array(features, "<f8")
         led = index.ledger
         w.u64(led.bit_updates_total)
         w.u64(led.flipped_bits_total)
@@ -247,42 +273,39 @@ def save_index(index: HashIndex, path) -> None:
             w.u64(bits)
 
 
+# The smallest entry record: id, mode, label flag, two empty codes, feature flag.
+_MIN_ENTRY_BYTES = 8 + 1 + 1 + 8 + 8 + 1
+
+
 def load_index(path) -> HashIndex:
-    index = HashIndex()
     with open(path, "rb") as f:
-        r = _Reader(f)
-        _check_header(r, INDEX_MAGIC, "index")
-        n = r.u32()
-        for _ in range(n):
-            id = r.u64()
-            tag = r.u8()
-            if tag not in _TAG_TO_MODE:
-                raise FormatError(f"unknown entry mode tag {tag}")
-            mode = _TAG_TO_MODE[tag]
-            label = r.text() if r.u8() else None
-            values = r.code()
-            mask = r.code()
-            if values.length != mask.length:
-                raise FormatError("entry value/mask lengths disagree")
-            features = None
-            if r.u8():
-                features = r.array((r.u32(),), "<f8")
-            if mode == MODE_PHI and features is None:
-                raise FormatError(f"phi entry {id} is missing its features")
-            code = TernaryCodeword(values.length, values, mask)
-            index._register(IndexEntry(id=id, mode=mode, code=code,
-                                       label=label, features=features))
-        led = index.ledger
-        led.bit_updates_total = r.u64()
-        led.flipped_bits_total = r.u64()
-        led.entries_touched_total = r.u64()
-        count = r.u64()
-        led.per_iteration = [(r.u64(), r.u64()) for _ in range(count)]
-    widths = {e.code.length for e in index.entries if e.mode == MODE_PHI}
-    if len(widths) > 1:
-        raise FormatError(f"phi entries disagree on width: {sorted(widths)}")
-    if widths:
-        index._phi_width = widths.pop()
+        r = _Reader(f.read())
+    _check_header(r, INDEX_MAGIC, "index")
+    index = HashIndex()
+    for _ in range(r.count(_MIN_ENTRY_BYTES)):
+        id = r.u64()
+        tag = r.u8()
+        if tag not in _TAG_TO_MODE:
+            raise FormatError(f"unknown entry mode tag {tag}")
+        label = r.text() if r.u8() else None
+        length, values = r.words()
+        mask_length, mask = r.words()
+        if mask_length != length:
+            raise FormatError("entry value/mask lengths disagree")
+        features = r.array((r.count(8),), "<f8") if r.u8() else None
+        if (_TAG_TO_MODE[tag] == MODE_PHI) != (features is not None):
+            raise FormatError(f"entry {id}: only phi entries have features, and all do")
+        try:
+            index.add_row(id, label, length, values, mask, features)
+        except (ValueError, ConsistencyError) as exc:
+            raise FormatError(f"bad index entry: {exc}") from None
+    led = index.ledger
+    led.bit_updates_total = r.u64()
+    led.flipped_bits_total = r.u64()
+    led.entries_touched_total = r.u64()
+    led.per_iteration = [(r.u64(), r.u64()) for _ in range(r.count(16, wide=True))]
+    if r.pos != r.end:
+        raise FormatError(f"{r.end - r.pos} trailing bytes after the index")
     return index
 
 
@@ -366,7 +389,7 @@ def read_features(path):
 
 def _read_features_binary(path):
     with open(path, "rb") as f:
-        r = _Reader(f)
+        r = _Reader(f.read(8))
         if r.u32() != FEATURE_MAGIC:
             raise FormatError("not a feature file: bad magic")
         d = r.u32()

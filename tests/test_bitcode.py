@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ecochash.bitcode import (PackedCode, TernaryCodeword, bulk_hamming_masked,
-                              codes_to_words, hamming, hamming_masked, pack,
-                              popcount_words, ternary, unpack)
+from ecochash.bitcode import (PackedCode, TernaryCodeword, codes_to_words,
+                              hamming, hamming_masked, pack, popcount_words,
+                              ternary, unpack)
 from ecochash.errors import DimensionError
 
 pm_one = st.sampled_from([-1, 1])
@@ -211,21 +211,6 @@ def test_words_roundtrip_wide():
     code = pack(seq)
     assert PackedCode.from_words(150, code.to_words()) == code
     assert len(code.to_words()) == 3
-
-
-def test_bulk_masked_matches_scalar_kernel():
-    rng = np.random.default_rng(11)
-    width = 130
-    q = pack([int(v) for v in rng.choice([-1, 1], size=width)])
-    cws = []
-    for _ in range(25):
-        entries = [int(v) for v in rng.choice([-1, 0, 1], size=width)]
-        cws.append(ternary(entries))
-    values = codes_to_words([c.values.bits for c in cws], width)
-    masks = codes_to_words([c.mask.bits for c in cws], width)
-    got = bulk_hamming_masked(q, values, masks)
-    want = [hamming_masked(q, c) for c in cws]
-    assert list(got) == want
 
 
 def test_popcount_words():

@@ -1,7 +1,12 @@
 """Index population in both modes, bit-update accounting, and ranking."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecochash.bitcode import hamming_masked
 from ecochash.codebook import generate
@@ -9,6 +14,7 @@ from ecochash.ecoc import new_matrix
 from ecochash.errors import ConsistencyError, DuplicateIdError, UnknownLabelError
 from ecochash.index import MODE_CODEWORD, MODE_PHI, HashIndex
 from ecochash.learner import HashModel, phi, step
+from ecochash.storage import load_index, save_index
 
 
 def small_stream(n_labels=5, k=8, rho=2, d=6, seed=0, steps=60):
@@ -168,6 +174,33 @@ def test_new_cycle_extension_not_counted_as_flip():
     assert index.ledger.flipped_bits_total == 0
 
 
+def test_refresh_counts_flips_over_widths_before_the_call():
+    matrix, cb, model, _ = small_stream(n_labels=4, k=8, rho=1)
+    rng = np.random.default_rng(5)
+    step(model, matrix, cb, rng.standard_normal(6), "c0")
+    index = HashIndex()
+    for i in range(20):
+        index.insert_unlabeled(i, rng.standard_normal(6), model)
+    report = step(model, matrix, cb, rng.standard_normal(6), "c1")
+    assert report.new_cycle_started
+    # Cycle 1's functions did not move, so recomputing it flips nothing;
+    # cycle 2 is appended after it in the same call and did not exist before.
+    assert index.refresh(model, cycles=[1]) == 20 * 16
+    assert index.ledger.flipped_bits_total == 0
+
+
+def test_entries_is_a_snapshot():
+    matrix, cb, model, stream = small_stream()
+    step(model, matrix, cb, stream[0][0], stream[0][1])
+    index = HashIndex()
+    index.insert_unlabeled(0, stream[0][0], model)
+    index.entries[0].code = matrix.find(stream[0][1])
+    index.entries[0].features[:] = 0.0
+    e = index.entries[0]
+    assert e.code.values == phi(model, stream[0][0])
+    assert np.array_equal(e.features, stream[0][0])
+
+
 def test_query_empty_index():
     model = HashModel.create(d=3, k=4, seed=0)
     assert HashIndex().query(model, np.zeros(3)) == []
@@ -314,3 +347,88 @@ def test_eager_final_state_equals_populate_after():
         late.insert_unlabeled(i, x, model)
     for a, b in zip(eager.entries, late.entries):
         assert a.code == b.code
+
+
+OPS = ("insert_labeled", "insert_unlabeled", "step", "apply", "refresh", "roundtrip")
+
+
+def naive_ranking(index, model, x):
+    q = phi(model, x)
+    rows = sorted((hamming_masked(q, e.code.pad_to(q.length)), pos, e.id)
+                  for pos, e in enumerate(index.entries))
+    return [(id_, d) for d, _, id_ in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 2**32 - 1)),
+                max_size=30))
+def test_random_interleavings_keep_index_invariants(ops):
+    # rho=1 opens a cycle per label, so widths pass 64 bits into a second word.
+    k, d = 8, 4
+    matrix = new_matrix(k, 1)
+    cb = generate(k, 64, seed=1)
+    model = HashModel.create(d=d, k=k, seed=2)
+    index = HashIndex()
+    frozen = {}  # codeword entry id -> its codeword when inserted
+    pending = set()  # cycles whose functions moved since they were last propagated
+    report = None
+    bits = flips = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, (op, seed) in enumerate(ops):
+            rng = np.random.default_rng(seed)
+            before = index.entries
+            phi_width = next((e.code.length for e in before if e.mode == MODE_PHI), None)
+            recomputed = 0
+            if op == "insert_labeled" and len(matrix):
+                y = matrix.labels[seed % len(matrix)]
+                index.insert_labeled(n, y, matrix)
+                frozen[n] = matrix.find(y)
+            elif op == "insert_unlabeled":
+                x = rng.standard_normal(d)
+                if phi_width not in (None, model.width):
+                    with pytest.raises(ConsistencyError):
+                        index.insert_unlabeled(n, x, model)
+                else:
+                    index.insert_unlabeled(n, x, model, label=f"c{seed % 12}")
+            elif op == "step":
+                report = step(model, matrix, cb, rng.standard_normal(d), f"c{seed % 12}")
+                pending.add(matrix.cycle_of_label[report.label])
+            elif op == "apply" and report is not None:
+                span = report.touched_columns
+                expected = model.width - len(span) if report.new_cycle_started else model.width
+                if phi_width not in (None, expected):
+                    with pytest.raises(ConsistencyError):
+                        index.apply_model_update(report, model)
+                else:
+                    index.apply_model_update(report, model)
+                    pending.discard(model.column_cycle(span.start))
+                    recomputed = 1
+                report = None
+            elif op == "refresh":
+                old = phi_width if phi_width is not None else model.width
+                appended = set(range(old // k + 1, model.width // k + 1))
+                index.refresh(model, cycles=sorted(pending))
+                recomputed = len(pending | appended)
+                pending.clear()
+                report = None
+            elif op == "roundtrip":
+                path = Path(tmp) / f"{n}.index"
+                save_index(index, path)
+                index = load_index(path)
+            after = index.entries
+            n_phi = sum(e.mode == MODE_PHI for e in before)
+            bits += n_phi * k * recomputed
+            flips += sum(((a.code.values.bits ^ b.code.values.bits)
+                          & ((1 << b.code.length) - 1)).bit_count()
+                         for a, b in zip(after, before) if b.mode == MODE_PHI)
+            assert index.ledger.bit_updates_total == bits
+            assert index.ledger.flipped_bits_total == flips
+            fresh = not pending and all(e.code.length == model.width
+                                        for e in after if e.mode == MODE_PHI)
+            for e in after:
+                if e.mode == MODE_CODEWORD:
+                    assert e.code == frozen[e.id]
+                elif fresh:
+                    assert e.code.values == phi(model, e.features)
+            x_q = rng.standard_normal(d)
+            assert index.query(model, x_q) == naive_ranking(index, model, x_q)

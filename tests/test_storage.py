@@ -157,6 +157,46 @@ def test_index_rejects_truncation(tmp_path):
         load_index(p)
 
 
+def test_index_rejects_trailing_bytes(tmp_path):
+    bundle, Xn, labels = trained_bundle()
+    p = tmp_path / "i.index"
+    save_index(populated_index(bundle, Xn, labels), p)
+    p.write_bytes(p.read_bytes() + b"\x00")
+    with pytest.raises(FormatError):
+        load_index(p)
+
+
+def test_index_byte_overwrites_load_or_raise_format_error(tmp_path):
+    bundle, Xn, labels = trained_bundle()
+    model = bundle.model
+    index = HashIndex()
+    index.insert_labeled(0, labels[0], bundle.matrix)
+    index.insert_unlabeled(1, Xn[1], model, label=labels[1])
+    index.insert_unlabeled(2, Xn[2], model)
+    index.insert_labeled(3, labels[3], bundle.matrix)
+    index.refresh(model, cycles=[1])
+    p = tmp_path / "i.index"
+    save_index(index, p)
+    blob = p.read_bytes()
+    assert len(blob) < 512
+    loaded = 0
+    for offset in range(len(blob)):
+        for value in (0x00, 0xFF, 0x01):
+            mutated = bytearray(blob)
+            mutated[offset] = value
+            p.write_bytes(bytes(mutated))
+            try:
+                got = load_index(p)
+            except FormatError:
+                continue
+            loaded += 1
+            # An overwritten float may be huge, so the scores may overflow.
+            with np.errstate(over="ignore", invalid="ignore"):
+                got.query(model, Xn[5])
+                got.refresh(model, cycles=[1])
+    assert loaded > len(blob)
+
+
 def feature_table():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((7, 3)).astype(np.float32)
