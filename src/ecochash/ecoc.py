@@ -3,8 +3,9 @@
 Labels arrive in cycles of ``rho``; each cycle owns ``k`` dedicated columns.
 A label observed in cycle j is assigned a k-bit core drawn from the codebook,
 active only inside columns [(j-1)k, jk). Storage keeps just the core and the
-cycle index per label; padding to the current total width happens at read
-time, so the matrix costs O(k) per label no matter how wide it grows.
+cycle index per label, so the matrix costs O(k) per label no matter how wide
+it grows. Training and indexing work on (cycle, core) directly; ``find``
+builds the full-width ternary codeword as the reference form.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ Label = str
 
 @dataclass
 class ObserveResult:
-    codeword: TernaryCodeword
     new_cycle_started: bool
     is_new_label: bool
 
@@ -62,18 +62,18 @@ class EcocMatrix:
     def __len__(self) -> int:
         return len(self.cores)
 
-    def _materialize(self, y: Label) -> TernaryCodeword:
-        j = self.cycle_of_label[y]
-        offset = (j - 1) * self.k
-        values = self.cores[y].shift(offset).pad_to(self.width)
-        mask = PackedCode(self.width, ((1 << self.k) - 1) << offset)
-        return TernaryCodeword(self.width, values, mask)
-
-    def find(self, y: Label) -> TernaryCodeword:
-        """The stored codeword of a known label, padded to the current width."""
+    def placed(self, y: Label) -> tuple[int, int]:
+        """Value and mask bits of a known label's core, placed in its cycle's columns."""
         if y not in self.cores:
             raise UnknownLabelError(f"label {y!r} has not been observed")
-        return self._materialize(y)
+        offset = (self.cycle_of_label[y] - 1) * self.k
+        return self.cores[y].bits << offset, ((1 << self.k) - 1) << offset
+
+    def find(self, y: Label) -> TernaryCodeword:
+        """The reference codeword of a known label, at the current width."""
+        values, mask = self.placed(y)
+        return TernaryCodeword(self.width, PackedCode(self.width, values),
+                               PackedCode(self.width, mask))
 
     def cycle_columns(self, j: int) -> range:
         """Half-open column range owned by cycle j (1-based)."""
@@ -90,7 +90,7 @@ class EcocMatrix:
         ``new_cycle_started`` is set.
         """
         if y in self.cores:
-            return ObserveResult(self._materialize(y), False, False)
+            return ObserveResult(False, False)
         new_cycle = self.n_in_cycle == self.rho
         if new_cycle:
             self.m += 1
@@ -98,7 +98,7 @@ class EcocMatrix:
         self.cores[y] = cb.draw()
         self.cycle_of_label[y] = self.m
         self.n_in_cycle += 1
-        return ObserveResult(self._materialize(y), new_cycle, True)
+        return ObserveResult(new_cycle, True)
 
 
 def new_matrix(k: int, rho: int) -> EcocMatrix:

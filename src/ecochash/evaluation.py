@@ -60,11 +60,14 @@ def ranked_relevance(index: HashIndex, model: HashModel, queries, query_labels):
     """Per query, the relevance flags of the index's ranking, in rank order.
 
     Rankings use the index's own tie-breaking (insertion order). Unlabeled
-    entries are never relevant.
+    entries are never relevant, not even to a query labelled None.
     """
-    entry_labels = np.asarray(index.labels, dtype=object)
+    # -1 marks unlabeled entries; -2, for a query label no entry has, matches nothing.
+    codes: dict[Label, int] = {}
+    entry_codes = np.array([-1 if y is None else codes.setdefault(y, len(codes))
+                            for y in index.labels], dtype=np.int64)
     for x, y in zip(queries, query_labels):
-        yield entry_labels[index.rank(model, x)[0]] == y
+        yield entry_codes[index.rank(model, x)[0]] == codes.get(y, -2)
 
 
 def retrieval_map(index: HashIndex, model: HashModel, queries,

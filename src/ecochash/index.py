@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitcode import (WORD_BITS, PackedCode, TernaryCodeword, codes_to_words,
-                      hamming_masked, popcount_words)
+                      popcount_words)
 from .ecoc import EcocMatrix, Label
 from .errors import ConsistencyError, DimensionError, DuplicateIdError
 from .learner import HashModel, StepReport, phi
@@ -184,8 +184,7 @@ class HashIndex:
         The stored code never changes afterwards, no matter how the hash
         functions move.
         """
-        code = matrix.find(y)
-        self.add_row(id, y, code.length, code.values.bits, code.mask.bits)
+        self.add_row(id, y, matrix.width, *matrix.placed(y))
 
     def insert_unlabeled(self, id: int, x: np.ndarray, model: HashModel,
                          label: Label | None = None) -> None:
@@ -312,9 +311,10 @@ class HashIndex:
                           x_q: np.ndarray) -> list[tuple[Label, int, tuple[int, ...]]]:
         """Rank the observed labels by codeword distance, then expand members.
 
-        Distance computations scale with the number of labels rather than the
-        number of entries. Label ties break by observation order; each
-        label's codeword-mode member ids follow insertion order.
+        A label's distance is that of its core to the query's bits in its
+        cycle, so the work scales with the labels rather than the entries.
+        Label ties break by observation order; each label's codeword-mode
+        member ids follow insertion order.
         """
         q = phi(model, x_q)
         if matrix.width != q.length:
@@ -325,8 +325,9 @@ class HashIndex:
         for row, (id, y) in enumerate(zip(self._ids, self._labels)):
             if row not in phi_rows and y in members:
                 members[y].append(id)
-        ranked = sorted(
-            ((hamming_masked(q, matrix.find(y)), pos, y)
-             for pos, y in enumerate(matrix.labels)),
-            key=lambda t: (t[0], t[1]))
-        return [(y, d, tuple(members[y])) for d, _, y in ranked]
+        k, core_mask = matrix.k, (1 << matrix.k) - 1
+        dists = {y: (((q.bits >> (matrix.cycle_of_label[y] - 1) * k) ^ core.bits)
+                     & core_mask).bit_count()
+                 for y, core in matrix.cores.items()}
+        ranked = sorted(dists.items(), key=lambda t: t[1])
+        return [(y, d, tuple(members[y])) for y, d in ranked]

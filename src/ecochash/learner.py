@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitcode import PackedCode, TernaryCodeword
+from .bitcode import PackedCode, TernaryCodeword, unpack
 from .codebook import Codebook
 from .ecoc import EcocMatrix, Label
 from .errors import ConsistencyError, DimensionError
@@ -121,11 +121,10 @@ class HashModel:
         fresh = init_functions(self.d, self.k, [self.seed, cycle])
         self.weights = np.vstack([self.weights, fresh])
 
-    def scores(self, x: np.ndarray, columns: range | None = None) -> np.ndarray:
+    def scores(self, x: np.ndarray) -> np.ndarray:
         if len(x) != self.d:
             raise DimensionError(f"feature length {len(x)} does not match d={self.d}")
-        w = self.weights if columns is None else self.weights[columns.start:columns.stop]
-        return w @ augment(x)
+        return self.weights @ augment(x)
 
 
 def phi(model: HashModel, x: np.ndarray) -> PackedCode:
@@ -138,20 +137,22 @@ def phi(model: HashModel, x: np.ndarray) -> PackedCode:
     return PackedCode(model.width, int.from_bytes(packed, "little"))
 
 
+def _margins(model: HashModel, x: np.ndarray, cw: TernaryCodeword):
+    """Active positions of cw, their +1/-1 entries c and z = -c * (w . [x;1])."""
+    if cw.length != model.width:
+        raise DimensionError(f"codeword length {cw.length} does not match width {model.width}")
+    pos = cw.active_positions()
+    c = cw.active_values()
+    return pos, c, -c * (model.weights[pos] @ augment(x))
+
+
 def surrogate_loss(model: HashModel, x: np.ndarray, cw: TernaryCodeword,
                    loss=HINGE) -> float:
     """Sum of margin losses over the codeword's active positions.
 
     Upper-bounds the masked Hamming distance between phi(model, x) and cw.
     """
-    if cw.length != model.width:
-        raise DimensionError(f"codeword length {cw.length} does not match width {model.width}")
-    pos = cw.active_positions()
-    if not len(pos):
-        return 0.0
-    c = cw.active_values()
-    s = model.weights[pos] @ augment(x)
-    return float(loss.value(-c * s).sum())
+    return float(loss.value(_margins(model, x, cw)[2]).sum())
 
 
 def gradient(model: HashModel, x: np.ndarray, cw: TernaryCodeword,
@@ -163,16 +164,10 @@ def gradient(model: HashModel, x: np.ndarray, cw: TernaryCodeword,
     -c_t * [x;1]. Inactive columns have identically zero gradient and are
     never present.
     """
-    if cw.length != model.width:
-        raise DimensionError(f"codeword length {cw.length} does not match width {model.width}")
-    pos = cw.active_positions()
-    if not len(pos):
-        return {}
-    c = cw.active_values()
+    pos, c, z = _margins(model, x, cw)
     xh = augment(x)
-    coef = loss.slope(-c * (model.weights[pos] @ xh))
     out: dict[int, np.ndarray] = {}
-    for t, ct, g in zip(pos, c, coef):
+    for t, ct, g in zip(pos, c, loss.slope(z)):
         if g != 0.0:
             out[int(t)] = (-ct * g) * xh
     return out
@@ -183,8 +178,10 @@ def step(model: HashModel, matrix: EcocMatrix, cb: Codebook,
     """One online update: observe the label, then descend on its codeword.
 
     A label that opens a new cycle first grows the model by k fresh
-    functions; the gradient then only ever touches the k columns of the
-    label's own cycle, so every other weight vector is left bitwise intact.
+    functions. The update writes only the rows of the label's cycle whose
+    loss slope is nonzero, so every other weight vector is left bitwise
+    intact; loss and update equal ``surrogate_loss`` and ``gradient`` on
+    ``matrix.find(y)`` bit for bit.
     """
     if len(x) != model.d:
         raise DimensionError(f"feature length {len(x)} does not match d={model.d}")
@@ -194,13 +191,17 @@ def step(model: HashModel, matrix: EcocMatrix, cb: Codebook,
     if model.width != matrix.width:
         raise ConsistencyError(
             f"model width {model.width} does not match matrix width {matrix.width}")
-    loss_before = surrogate_loss(model, x, obs.codeword, loss)
-    for t, g in gradient(model, x, obs.codeword, loss).items():
-        model.weights[t] -= eta * g
-    model.iteration += 1
     touched = matrix.cycle_columns(matrix.cycle_of_label[y])
+    w = model.weights[touched.start:touched.stop]
+    c = np.asarray(unpack(matrix.cores[y]), dtype=np.float64)
+    xh = augment(x)
+    z = -c * (w @ xh)
+    g = loss.slope(z)
+    nz = g != 0.0
+    w[nz] -= eta * np.outer(-c[nz] * g[nz], xh)
+    model.iteration += 1
     return StepReport(label=y, touched_columns=touched,
-                      surrogate_loss_before=loss_before,
+                      surrogate_loss_before=float(loss.value(z).sum()),
                       new_cycle_started=obs.new_cycle_started,
                       is_new_label=obs.is_new_label)
 

@@ -122,11 +122,6 @@ class _Reader:
         except UnicodeDecodeError as exc:
             raise FormatError(f"text field is not UTF-8: {exc}") from None
 
-    def code(self) -> PackedCode:
-        length = self.u32()
-        n = self.u32()
-        return PackedCode.from_words(length, [self.u64() for _ in range(n)])
-
     def words(self) -> tuple[int, int]:
         """A code's length and bits, stored in exactly ceil(length/64) words."""
         length = self.u32()
@@ -200,6 +195,18 @@ def save_model(bundle: ModelBundle, path) -> None:
             w.array(bundle.normalizer.mean, "<f8")
 
 
+# The smallest code record: its length, its word count and one word.
+_MIN_CODE_BYTES = 4 + 4 + 8
+
+
+def _read_core(r: _Reader, k: int) -> PackedCode:
+    """A k-bit code: a codebook entry or a label's core."""
+    length, bits = r.words()
+    if length != k or bits >> k:
+        raise FormatError(f"codes must have k={k} bits and none beyond, got length {length}")
+    return PackedCode(k, bits)
+
+
 def load_model(path) -> ModelBundle:
     with open(path, "rb") as f:
         r = _Reader(f.read())
@@ -212,15 +219,33 @@ def load_model(path) -> ModelBundle:
         iteration = r.u64()
         m_cycles = r.u32()
         n_in_cycle = r.u32()
+        if min(k, rho, d, m_cycles) < 1:
+            raise FormatError(f"k={k}, rho={rho}, d={d} and cycles={m_cycles} must be >= 1")
         cb_seed = r.u64()
         draws_made = r.u64()
-        pool = [r.code() for _ in range(r.u32())]
+        pool = [_read_core(r, k) for _ in range(r.count(_MIN_CODE_BYTES))]
         cores: dict[str, PackedCode] = {}
         cycle_of: dict[str, int] = {}
-        for _ in range(r.u32()):
+        in_cycle: dict[int, set[int]] = {}
+        # Each label record: its text's length word, its cycle id and its core.
+        for _ in range(r.count(4 + 4 + _MIN_CODE_BYTES)):
             y = r.text()
-            cycle_of[y] = r.u32()
-            cores[y] = r.code()
+            j = r.u32()
+            core = _read_core(r, k)
+            if y in cores:
+                raise FormatError(f"label {y!r} appears twice")
+            if not 1 <= j <= m_cycles:
+                raise FormatError(f"label {y!r} is in cycle {j}, outside [1, {m_cycles}]")
+            seen = in_cycle.setdefault(j, set())
+            if core.bits in seen:
+                raise FormatError(f"two labels of cycle {j} share a core")
+            seen.add(core.bits)
+            if len(seen) > rho:
+                raise FormatError(f"cycle {j} holds more than rho={rho} labels")
+            cycle_of[y], cores[y] = j, core
+        last = len(in_cycle.get(m_cycles, ()))
+        if last != n_in_cycle:
+            raise FormatError(f"n_in_cycle is {n_in_cycle}, but cycle {m_cycles} holds {last}")
         width = r.u32()
         weights = r.array((width, d + 1), "<f8")
         normalizer = None
@@ -230,6 +255,8 @@ def load_model(path) -> ModelBundle:
             mean = r.array((d,), "<f8")
             normalizer = FeatureNormalizer(mean=mean, count=count,
                                            convention=convention)
+    if r.pos != r.end:
+        raise FormatError(f"{r.end - r.pos} trailing bytes after the model")
     matrix = EcocMatrix(k=k, rho=rho, m=m_cycles, n_in_cycle=n_in_cycle,
                         cores=cores, cycle_of_label=cycle_of)
     model = HashModel(d=d, k=k, weights=weights, iteration=iteration, seed=seed)

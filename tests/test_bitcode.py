@@ -198,19 +198,15 @@ def test_pad_preserves_distance():
     assert hamming_masked(q_wide, cw.pad_to(5)) == d
 
 
-def test_shift_places_code_at_offset():
-    core = pack([+1, +1])
-    shifted = core.shift(3)
-    assert shifted.length == 5
-    assert unpack(shifted) == [-1, -1, -1, +1, +1]
-
-
 def test_words_roundtrip_wide():
     rng = np.random.default_rng(3)
     seq = [int(v) for v in rng.choice([-1, 1], size=150)]
     code = pack(seq)
-    assert PackedCode.from_words(150, code.to_words()) == code
-    assert len(code.to_words()) == 3
+    words = codes_to_words([code.bits], 150)
+    assert words.shape == (1, 3)
+    assert [int(w) for w in words[0]] == [(code.bits >> (64 * i)) & ((1 << 64) - 1)
+                                          for i in range(3)]
+    assert int.from_bytes(words.tobytes(), "little") == code.bits
 
 
 def test_popcount_words():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecochash.bitcode import ternary, unpack
 from ecochash.codebook import generate
 from ecochash.ecoc import EcocMatrix, new_matrix
 from ecochash.errors import UnknownLabelError
@@ -38,7 +39,7 @@ def test_first_label_fully_active():
     res = mat.observe_label(cb, "a")
     assert res.is_new_label and not res.new_cycle_started
     assert mat.n_in_cycle == 1
-    cw = res.codeword
+    cw = mat.find("a")
     assert cw.length == 4
     assert cw.active_count() == 4
     assert list(cw.active_positions()) == [0, 1, 2, 3]
@@ -53,17 +54,18 @@ def test_third_label_opens_second_cycle():
     assert res.new_cycle_started and res.is_new_label
     assert mat.m == 2
     assert mat.width == 8
-    assert list(res.codeword.active_positions()) == [4, 5, 6, 7]
+    assert list(mat.find("c").active_positions()) == [4, 5, 6, 7]
 
 
 def test_reobserve_pads_and_flags_false():
     mat, cb = fresh(4, 2)
-    first = mat.observe_label(cb, "a").codeword
+    mat.observe_label(cb, "a")
+    first = mat.find("a")
     mat.observe_label(cb, "b")
     mat.observe_label(cb, "c")
     res = mat.observe_label(cb, "a")
     assert not res.is_new_label and not res.new_cycle_started
-    cw = res.codeword
+    cw = mat.find("a")
     assert cw.length == 8
     # same active bits, just padded
     assert list(cw.active_positions()) == [0, 1, 2, 3]
@@ -78,7 +80,8 @@ def test_find_unknown_label():
 
 def test_find_matches_observe():
     mat, cb = fresh(3, 2)
-    seen = mat.observe_label(cb, "x").codeword
+    mat.observe_label(cb, "x")
+    seen = ternary(unpack(mat.cores["x"]))
     assert mat.find("x") == seen
     assert "x" in mat
     assert "y" not in mat
@@ -155,6 +158,7 @@ def test_growth_law_and_invariants(k, rho, n_labels):
         assert cw.active_count() == k
         j = mat.cycle_of_label[y]
         assert set(cw.active_positions()) == set(mat.cycle_columns(j))
+        assert cw.values.bits >> (j - 1) * k == mat.cores[y].bits
 
     # distinct labels never share an identical codeword
     rendered = {(mat.find(y).values.bits, mat.find(y).mask.bits) for y in mat.labels}

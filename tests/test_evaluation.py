@@ -229,6 +229,9 @@ def test_retrieval_map_skips_label_free_entries():
     assert 0.0 < val <= 1.0
     with pytest.raises(UndefinedAPError):
         retrieval_map(index, model, xs[:1], ["zzz"])
+    # nor does a query labelled None match the unlabeled entry
+    with pytest.raises(UndefinedAPError):
+        retrieval_map(index, model, xs[:1], [None])
 
 
 def test_experiment_validates_inputs():

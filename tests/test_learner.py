@@ -259,6 +259,35 @@ def test_step_leaves_other_cycles_bitwise_intact():
     assert np.array_equal(model.weights[0:4], frozen_a)
 
 
+def reference_step(model, matrix, cb, x, y, eta, loss):
+    """``step`` spelt out with the reference codeword, loss and gradient."""
+    obs = matrix.observe_label(cb, y)
+    if obs.new_cycle_started:
+        model.grow_cycle(matrix.m)
+    cw = matrix.find(y)
+    loss_before = surrogate_loss(model, x, cw, loss)
+    for t, g in gradient(model, x, cw, loss).items():
+        model.weights[t] -= eta * g
+    model.iteration += 1
+    return loss_before
+
+
+@pytest.mark.parametrize("loss", [HINGE, LOGISTIC])
+def test_step_equals_reference_bitwise(loss):
+    k, d = 8, 6
+    rng = np.random.default_rng(5)
+    stream = [(rng.standard_normal(d), f"y{int(rng.integers(7))}") for _ in range(150)]
+    fast, ref = [(HashModel.create(d, k, seed=2), new_matrix(k, 2), generate(k, 32, seed=4))
+                 for _ in range(2)]
+    for x, y in stream:
+        report = step(*fast, x, y, eta=0.3, loss=loss)
+        assert report.surrogate_loss_before == reference_step(*ref, x, y, 0.3, loss)
+        assert fast[0].weights.tobytes() == ref[0].weights.tobytes()
+        assert fast[0].iteration == ref[0].iteration
+    assert fast[1].m >= 3
+    assert len(fast[1]) < len(stream)
+
+
 def test_step_loss_decreases_on_separable_stream():
     rng = np.random.default_rng(2)
     matrix = new_matrix(4, 2)

@@ -92,6 +92,49 @@ def test_model_rejects_truncation(tmp_path):
             load_model(p)
 
 
+def test_model_rejects_trailing_bytes(tmp_path):
+    bundle, _, _ = trained_bundle(steps=5)
+    p = tmp_path / "m.model"
+    save_model(bundle, p)
+    p.write_bytes(p.read_bytes() + b"\x00")
+    with pytest.raises(FormatError):
+        load_model(p)
+
+
+def test_model_byte_overwrites_load_or_raise_format_error(tmp_path):
+    X, labels = make_gaussian_classes(5, 2, 20, separation=3.0, seed=1)
+    norm = FeatureNormalizer.fit(X)
+    matrix, cb = new_matrix(4, 2), generate(4, 8, seed=2)
+    model = HashModel.create(d=2, k=4, seed=3)
+    for x, y in zip(norm.transform_many(X), labels):
+        step(model, matrix, cb, x, y, eta=0.5)
+    assert matrix.m == 3 and len(cb.pool) > 0
+    p, out = tmp_path / "m.model", tmp_path / "out.model"
+    save_model(ModelBundle(k=4, rho=2, eta=0.5, seed=3, codebook=cb, matrix=matrix,
+                           model=model, normalizer=norm), p)
+    blob = p.read_bytes()
+    assert len(blob) < 1024
+    loaded = 0
+    for offset in range(len(blob)):
+        for value in (0x00, 0xFF, 0x01):
+            mutated = bytearray(blob)
+            mutated[offset] = value
+            p.write_bytes(bytes(mutated))
+            try:
+                got = load_model(p)
+            except FormatError:
+                continue
+            loaded += 1
+            x = np.ones(got.model.d)
+            fresh = ["fresh"] if got.codebook.pool else []
+            # An overwritten float may be huge, so the scores may overflow.
+            with np.errstate(all="ignore"):
+                for y in got.matrix.labels[:1] + fresh:
+                    step(got.model, got.matrix, got.codebook, x, y, eta=got.eta)
+            save_model(got, out)
+    assert loaded > len(blob)
+
+
 def populated_index(bundle, Xn, labels):
     index = HashIndex()
     for i in range(10):
