@@ -181,14 +181,3 @@ def codes_to_words(values: Sequence[int], width: int) -> np.ndarray:
     keep = (1 << (8 * n_bytes)) - 1
     raw = bytearray().join((v & keep).to_bytes(n_bytes, "little") for v in values)
     return np.frombuffer(raw, dtype="<u8").reshape(len(values), n_bytes // 8)
-
-
-def popcount_words(words: np.ndarray) -> np.ndarray:
-    """Per-row popcount of a uint64 word matrix with at least one column."""
-    # Adding the few word columns is several times faster than a reduction.
-    counts = np.bitwise_count(words)
-    out = counts[..., 0].astype(np.int64)
-    for w in range(1, counts.shape[-1]):
-        out += counts[..., w]
-    return out
-

@@ -151,11 +151,10 @@ def _cmd_query(args) -> int:
     index = storage.load_index(args.index)
     ids, _, X = storage.read_features(args.queries)
     print("query_id,rank,id,distance")
-    for i in range(len(ids)):
-        x = _transform(bundle.normalizer, X[i])
-        for rank, (id, dist) in enumerate(
-                index.query(bundle.model, x, top_n=args.top), start=1):
-            print(f"{ids[i]},{rank},{id},{dist}")
+    queries = (_transform(bundle.normalizer, x) for x in X)
+    for qid, hits in zip(ids, index.query_many(bundle.model, queries, top_n=args.top)):
+        for rank, (id, dist) in enumerate(hits, start=1):
+            print(f"{qid},{rank},{id},{dist}")
     return 0
 
 
@@ -170,12 +169,9 @@ def _cmd_eval(args) -> int:
     ids, labels, X = storage.read_features(args.queries)
     if all(y is None for y in labels):
         raise ValueError(f"{args.queries} has no labeled rows to evaluate against")
-    labeled = [i for i, y in enumerate(labels) if y is not None]
-    # A query without a relevant entry has no AP and counts as skipped.
-    aps = [evaluation.average_precision(rel) for rel in evaluation.ranked_relevance(
-        index, bundle.model, (_transform(bundle.normalizer, X[i]) for i in labeled),
-        [labels[i] for i in labeled]) if rel.any()]
-    skipped = len(ids) - len(aps)
+    # A query without a relevant entry, unlabeled ones included, counts as skipped.
+    aps, skipped = evaluation.average_precisions(evaluation.ranked_relevance(
+        index, bundle.model, (_transform(bundle.normalizer, x) for x in X), labels))
     if not aps:
         raise UndefinedAPError(
             f"none of the {len(ids)} queries had a relevant indexed entry")

@@ -42,8 +42,8 @@ def average_precision(relevance) -> float:
     return float(np.mean(hits / ranks))
 
 
-def mean_average_precision(relevance_lists) -> float:
-    """Mean AP over queries, skipping those with nothing relevant."""
+def average_precisions(relevance_lists) -> tuple[list[float], int]:
+    """AP of each query that has a relevant entry, and how many had none."""
     aps = []
     skipped = 0
     for rel in relevance_lists:
@@ -51,6 +51,12 @@ def mean_average_precision(relevance_lists) -> float:
             aps.append(average_precision(rel))
         except UndefinedAPError:
             skipped += 1
+    return aps, skipped
+
+
+def mean_average_precision(relevance_lists) -> float:
+    """Mean AP over queries, skipping those with nothing relevant."""
+    aps, skipped = average_precisions(relevance_lists)
     if not aps:
         raise UndefinedAPError(f"all {skipped} queries had zero relevant entries")
     return float(np.mean(aps))
@@ -59,15 +65,16 @@ def mean_average_precision(relevance_lists) -> float:
 def ranked_relevance(index: HashIndex, model: HashModel, queries, query_labels):
     """Per query, the relevance flags of the index's ranking, in rank order.
 
-    Rankings use the index's own tie-breaking (insertion order). Unlabeled
-    entries are never relevant, not even to a query labelled None.
+    Rankings come from ``HashIndex.rank_many`` and use the index's own
+    tie-breaking (insertion order). Unlabeled entries are never relevant,
+    not even to a query labelled None.
     """
     # -1 marks unlabeled entries; -2, for a query label no entry has, matches nothing.
     codes: dict[Label, int] = {}
     entry_codes = np.array([-1 if y is None else codes.setdefault(y, len(codes))
                             for y in index.labels], dtype=np.int64)
-    for x, y in zip(queries, query_labels):
-        yield entry_codes[index.rank(model, x)[0]] == codes.get(y, -2)
+    for (order, _), y in zip(index.rank_many(model, queries), query_labels):
+        yield entry_codes[order] == codes.get(y, -2)
 
 
 def retrieval_map(index: HashIndex, model: HashModel, queries,

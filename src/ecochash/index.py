@@ -19,11 +19,11 @@ product.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from .bitcode import (WORD_BITS, PackedCode, TernaryCodeword, codes_to_words,
-                      popcount_words)
+from .bitcode import WORD_BITS, PackedCode, TernaryCodeword, codes_to_words
 from .ecoc import EcocMatrix, Label
 from .errors import ConsistencyError, DimensionError, DuplicateIdError
 from .learner import HashModel, StepReport, phi
@@ -32,6 +32,8 @@ MODE_CODEWORD = "codeword"
 MODE_PHI = "phi"
 
 _WORD = np.dtype("<u8")
+# Distance cells per ranking block: queries * entries stays near this.
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass
@@ -88,6 +90,8 @@ class HashIndex:
         self._phi_rows = np.zeros(0, dtype=np.int64)
         self._n_phi = 0
         self._phi_width: int | None = None
+        # Codeword rows' ids by label, in insertion order.
+        self._members: dict[Label, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -149,6 +153,8 @@ class HashIndex:
             self._phi_rows[self._n_phi] = n
             self._n_phi += 1
             self._phi_width = length
+        else:
+            self._members.setdefault(label, []).append(id)
         self._ids.append(id)
         self._labels.append(label)
         self._id_set.add(id)
@@ -220,7 +226,7 @@ class HashIndex:
         new = np.packbits(bits, axis=1, bitorder="little").view(_WORD)
         before, ones = codes_to_words([(1 << self._phi_width) - 1, (1 << model.width) - 1],
                                       WORD_BITS * new.shape[1])
-        flips = int(popcount_words((old ^ new) & before).sum())
+        flips = int(np.bitwise_count((old ^ new) & before).sum())
         self._values[rows] = new
         self._masks[rows] = ones
         self._lengths[rows] = model.width
@@ -267,24 +273,56 @@ class HashIndex:
         todo = sorted(set(todo).union(range(old_width // k + 1, total_cycles + 1)))
         return self._recompute(model, [((j - 1) * k, j * k) for j in todo])
 
+    def _distances(self, model: HashModel, block) -> np.ndarray:
+        """Masked Hamming distances from each query of ``block`` to every entry.
+
+        Each query's code is ``phi``'s: its own per-vector scores, signed and
+        packed. Returns a (queries, entries) array of the narrowest unsigned
+        dtype that holds the model's width, entries in insertion order.
+        """
+        n = len(self)
+        width = model.width
+        if n and self._lengths[:n].max() > width:
+            raise ConsistencyError(
+                f"an entry is wider ({self._lengths[:n].max()}) than the query ({width})")
+        # No entry is wider than the query, so the masks are clear wherever
+        # the query's words and the index's differ: cut or pad to the index's.
+        words = self._values.shape[1]
+        scores = np.array([model.scores(x) for x in block])
+        packed = np.packbits(scores >= 0.0, axis=1, bitorder="little")[:, :8 * words]
+        q = np.zeros((len(block), words), dtype=_WORD)
+        q.view(np.uint8)[:, :packed.shape[1]] = packed
+        dists = np.zeros((len(block), n), dtype=np.min_scalar_type(width))
+        cell = np.empty((len(block), n), dtype=_WORD)
+        for w in range(words):
+            np.bitwise_xor(q[:, w, None], self._values[:n, w], out=cell)
+            np.bitwise_and(cell, self._masks[:n, w], out=cell)
+            dists += np.bitwise_count(cell)
+        return dists
+
+    def rank_many(self, model: HashModel, X):
+        """Per query row of ``X``, the entry rows by distance and the distances.
+
+        Yields ``(order, dists)`` as ``rank`` returns them, one pair per
+        query. Queries are ranked in blocks of about 2^16 distance cells, so
+        the temporaries stay small however many queries there are.
+        """
+        per_block = max(1, _BLOCK_CELLS // max(1, len(self)))
+        rows = iter(X)
+        while block := list(islice(rows, per_block)):
+            dists = self._distances(model, block)
+            yield from zip(np.argsort(dists, axis=1, kind="stable"), dists)
+
     def all_distances(self, model: HashModel, x_q: np.ndarray) -> np.ndarray:
         """Masked Hamming distance from phi(model, x_q) to every entry.
 
-        Returned in entry insertion order, as an integer array. Entries
-        narrower than the current width count their missing columns as
-        inactive; an entry wider than the query means the caller queried
-        with an outdated model, which is an error.
+        Returned in entry insertion order, in the narrowest unsigned dtype
+        that holds the model's width. Entries narrower than the current
+        width count their missing columns as inactive; an entry wider than
+        the query means the caller queried with an outdated model, which is
+        an error.
         """
-        q = phi(model, x_q)
-        n = len(self)
-        if n and self._lengths[:n].max() > q.length:
-            raise ConsistencyError(
-                f"an entry is wider ({self._lengths[:n].max()}) than the query ({q.length})")
-        # No entry is wider than the query, so the index has no more words
-        # than the query and every mask is clear past the query's words.
-        words = self._values.shape[1]
-        qw = codes_to_words([q.bits], q.length)[0, :words]
-        return popcount_words((self._values[:n] ^ qw) & self._masks[:n])
+        return self._distances(model, [x_q])[0]
 
     def rank(self, model: HashModel, x_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Entry rows by masked Hamming distance to phi(model, x_q), and the distances.
@@ -295,6 +333,12 @@ class HashIndex:
         dists = self.all_distances(model, x_q)
         return np.argsort(dists, kind="stable"), dists
 
+    def _hits(self, order: np.ndarray, dists: np.ndarray,
+              top_n: int | None) -> list[tuple[int, int]]:
+        if top_n is not None:
+            order = order[:top_n]
+        return [(self._ids[i], d) for i, d in zip(order.tolist(), dists[order].tolist())]
+
     def query(self, model: HashModel, x_q: np.ndarray,
               top_n: int | None = None) -> list[tuple[int, int]]:
         """Rank all entries by masked Hamming distance to phi(model, x_q).
@@ -302,10 +346,12 @@ class HashIndex:
         Ties break by insertion order. Returns (id, distance) pairs,
         truncated to top_n when given.
         """
-        order, dists = self.rank(model, x_q)
-        if top_n is not None:
-            order = order[:top_n]
-        return [(self._ids[i], d) for i, d in zip(order.tolist(), dists[order].tolist())]
+        return self._hits(*self.rank(model, x_q), top_n)
+
+    def query_many(self, model: HashModel, X, top_n: int | None = None):
+        """``query`` for each row of ``X``, ranked in blocks by ``rank_many``."""
+        for order, dists in self.rank_many(model, X):
+            yield self._hits(order, dists, top_n)
 
     def query_by_codeword(self, matrix: EcocMatrix, model: HashModel,
                           x_q: np.ndarray) -> list[tuple[Label, int, tuple[int, ...]]]:
@@ -320,14 +366,9 @@ class HashIndex:
         if matrix.width != q.length:
             raise ConsistencyError(
                 f"matrix width {matrix.width} does not match query width {q.length}")
-        members: dict[Label, list[int]] = {y: [] for y in matrix.labels}
-        phi_rows = set(self._phi_rows[:self._n_phi].tolist())
-        for row, (id, y) in enumerate(zip(self._ids, self._labels)):
-            if row not in phi_rows and y in members:
-                members[y].append(id)
         k, core_mask = matrix.k, (1 << matrix.k) - 1
         dists = {y: (((q.bits >> (matrix.cycle_of_label[y] - 1) * k) ^ core.bits)
                      & core_mask).bit_count()
                  for y, core in matrix.cores.items()}
         ranked = sorted(dists.items(), key=lambda t: t[1])
-        return [(y, d, tuple(members[y])) for y, d in ranked]
+        return [(y, d, tuple(self._members.get(y, ()))) for y, d in ranked]

@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ecochash.bitcode import (PackedCode, TernaryCodeword, codes_to_words,
-                              hamming, hamming_masked, pack, popcount_words,
-                              ternary, unpack)
+                              hamming, hamming_masked, pack, ternary,
+                              unpack)
 from ecochash.errors import DimensionError
 
 pm_one = st.sampled_from([-1, 1])
@@ -207,8 +207,3 @@ def test_words_roundtrip_wide():
     assert [int(w) for w in words[0]] == [(code.bits >> (64 * i)) & ((1 << 64) - 1)
                                           for i in range(3)]
     assert int.from_bytes(words.tobytes(), "little") == code.bits
-
-
-def test_popcount_words():
-    m = codes_to_words([0b1011, (1 << 100) - 1], 101)
-    assert list(popcount_words(m)) == [3, 100]

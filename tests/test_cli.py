@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ecochash.cli import SEED_ENV, main
-from ecochash.evaluation import CURVE_HEADER, make_gaussian_classes
-from ecochash.storage import write_features
+from ecochash.evaluation import CURVE_HEADER, make_gaussian_classes, retrieval_map
+from ecochash.storage import load_index, load_model, read_features, write_features
 
 
 @pytest.fixture
@@ -236,6 +236,28 @@ def test_eval_trained_model_is_accurate(run, dataset, trained, indexed):
     n, evaluated, skipped, ap = row.split(",")
     assert (n, evaluated, skipped) == ("50", "50", "0")
     assert float(ap) >= 0.95
+
+
+def test_query_and_eval_match_the_library(run, dataset, trained, tmp_path):
+    index_path = tmp_path / "phi.index"
+    run(["index", "--model", trained, "--features", dataset["db"],
+         "--mode", "phi", "--index-out", index_path])
+    ids, labels, X = read_features(dataset["query"])
+    # One unlabeled query and one whose label no entry has: both are skipped.
+    labels = [None, "nobody"] + labels[2:]
+    queries = tmp_path / "mixed.csv"
+    write_features(queries, ids, labels, X)
+    out, _ = run(["query", "--model", trained, "--index", index_path,
+                  "--queries", queries, "--top", 3])
+    eval_out, _ = run(["eval", "--model", trained, "--index", index_path,
+                       "--queries", queries])
+    bundle, index = load_model(trained), load_index(index_path)
+    xs = [bundle.normalizer.transform(x) for x in X]
+    assert out.splitlines()[1:] == [
+        f"{qid},{r},{id},{d}" for qid, x in zip(ids, xs)
+        for r, (id, d) in enumerate(index.query(bundle.model, x, top_n=3), start=1)]
+    expected = retrieval_map(index, bundle.model, xs, labels)
+    assert eval_out.splitlines()[1] == f"{len(ids)},{len(ids) - 2},2,{expected:.6f}"
 
 
 def test_eval_untrained_model_near_chance(run, dataset, tmp_path):

@@ -277,6 +277,70 @@ def test_query_allows_stale_narrow_entries():
     assert results[0][1] <= 4
 
 
+def mixed_index(n_labels=10, k=8, d=6):
+    """Phi rows and codeword rows of several widths, all narrower than the model.
+
+    rho=1 opens a cycle per label, so the model ends 88 bits wide, past one
+    64-bit word, and no entry is refreshed to that width.
+    """
+    matrix, cb, model, stream = small_stream(n_labels=n_labels, k=k, rho=1, d=d,
+                                             steps=3 * n_labels)
+    index = HashIndex()
+    for i, (x, y) in enumerate(stream):
+        step(model, matrix, cb, x, y)
+        if i == n_labels // 2:
+            for j, (xp, yp) in enumerate(stream[:12]):
+                index.insert_unlabeled(100 + j, xp, model, label=yp)
+        if i % 3 == 0 and i < 2 * n_labels - 2:
+            index.insert_labeled(i, y, matrix)
+    step(model, matrix, cb, stream[0][0], "extra")
+    return model, index, stream
+
+
+def test_rank_many_matches_naive_ranking_across_blocks(monkeypatch):
+    import ecochash.index as index_mod
+    model, index, stream = mixed_index()
+    widths = {e.code.length for e in index.entries}
+    assert len(widths) > 2 and max(widths) < model.width and model.width > 64
+    blocks = []
+    distances = HashIndex._distances
+
+    def spy(self, model, block):
+        blocks.append(len(block))
+        return distances(self, model, block)
+
+    monkeypatch.setattr(HashIndex, "_distances", spy)
+    monkeypatch.setattr(index_mod, "_BLOCK_CELLS", 2 * len(index))
+    probes = np.array([x for x, _ in stream[:7]])
+    ranked = list(index.rank_many(model, probes))
+    assert blocks == [2, 2, 2, 1]
+    assert len(ranked) == len(probes)
+    entries = index.entries
+    for x, (order, dists) in zip(probes, ranked):
+        q = phi(model, x)
+        naive = [hamming_masked(q, e.code.pad_to(q.length)) for e in entries]
+        assert dists.tolist() == naive
+        assert order.tolist() == sorted(range(len(naive)), key=lambda i: (naive[i], i))
+        assert index.query(model, x) == naive_ranking(index, model, x)
+
+
+def test_rank_many_empty_index_and_no_queries():
+    model = HashModel.create(d=3, k=4, seed=0)
+    ranked = list(HashIndex().rank_many(model, np.ones((3, 3))))
+    assert [(o.tolist(), d.tolist()) for o, d in ranked] == [([], [])] * 3
+    model, index, _ = mixed_index()
+    assert list(index.rank_many(model, np.zeros((0, model.d)))) == []
+
+
+def test_distances_hold_widths_past_uint16():
+    model = HashModel.create(d=1, k=65_600)
+    index = HashIndex()
+    index.insert_unlabeled(0, np.array([1.0]), model)
+    # Every bit differs, which a uint16 accumulator would wrap to 64.
+    assert index.all_distances(model, np.array([-1.0])).tolist() == [65_600]
+    assert index.query(model, np.array([-1.0])) == [(0, 65_600)]
+
+
 def test_query_by_codeword_single_label():
     matrix, cb, model, stream = small_stream(n_labels=1, steps=5)
     for x, y in stream:
