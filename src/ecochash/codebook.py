@@ -89,15 +89,16 @@ def generate(k: int, capacity: int, seed: int) -> Codebook:
     seen: set[int] = set()
     pool: list[PackedCode] = []
     while len(pool) < capacity:
-        bits = rng.integers(0, 2, size=k)
-        word = 0
-        for t in range(k):
-            if bits[t]:
-                word |= 1 << t
-        if word in seen or (word ^ full) in seen:
-            continue
-        seen.add(word)
-        pool.append(PackedCode(k, word))
+        # One block of candidates draws the same bits as one draw per
+        # candidate, and a block never outlasts the codes still needed.
+        block = np.packbits(rng.integers(0, 2, size=(capacity - len(pool), k)),
+                            axis=1, bitorder="little")
+        for row in block:
+            word = int.from_bytes(row, "little")
+            if word in seen or (word ^ full) in seen:
+                continue
+            seen.add(word)
+            pool.append(PackedCode(k, word))
     return Codebook(k=k, pool=pool, rng_seed=seed)
 
 

@@ -12,11 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bitcode import PackedCode, TernaryCodeword
+import numpy as np
+
+from .bitcode import PackedCode, TernaryCodeword, unpack
 from .codebook import Codebook
 from .errors import UnknownLabelError
 
 Label = str
+
+
+def _signs(core: PackedCode) -> np.ndarray:
+    """A core's +1/-1 entries as a read-only float64 vector."""
+    c = np.asarray(unpack(core), dtype=np.float64)
+    c.flags.writeable = False
+    return c
 
 
 @dataclass
@@ -32,7 +41,9 @@ class EcocMatrix:
     ``m`` counts cycles (so the total width is m*k) and ``n_in_cycle`` counts
     labels already assigned in the current cycle. The counter starts at 0 and
     a new cycle opens when it would exceed ``rho``, which makes "rho labels
-    per cycle" hold exactly.
+    per cycle" hold exactly. ``signs`` holds each label's core as a
+    read-only float64 vector of +1/-1 entries, the form training needs; it
+    is derived from ``cores`` and never saved.
     """
 
     k: int
@@ -41,12 +52,14 @@ class EcocMatrix:
     n_in_cycle: int = 0
     cores: dict[Label, PackedCode] = field(default_factory=dict)
     cycle_of_label: dict[Label, int] = field(default_factory=dict)
+    signs: dict[Label, np.ndarray] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.rho < 1:
             raise ValueError(f"rho must be >= 1, got {self.rho}")
+        self.signs = {y: _signs(core) for y, core in self.cores.items()}
 
     @property
     def width(self) -> int:
@@ -87,15 +100,18 @@ class EcocMatrix:
         When the current cycle is full, every existing row implicitly gains k
         trailing inactive columns and the new label's core lands in the fresh
         cycle. The caller must initialize k new hash functions whenever
-        ``new_cycle_started`` is set.
+        ``new_cycle_started`` is set. The core is drawn before anything
+        changes, so an exhausted codebook leaves the matrix as it was.
         """
         if y in self.cores:
             return ObserveResult(False, False)
+        core = cb.draw()
         new_cycle = self.n_in_cycle == self.rho
         if new_cycle:
             self.m += 1
             self.n_in_cycle = 0
-        self.cores[y] = cb.draw()
+        self.cores[y] = core
+        self.signs[y] = _signs(core)
         self.cycle_of_label[y] = self.m
         self.n_in_cycle += 1
         return ObserveResult(new_cycle, True)

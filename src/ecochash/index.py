@@ -8,9 +8,10 @@ ledger whether or not its value flipped, since the maintenance cost of an
 index is the recomputation itself; flips are tallied separately.
 
 Entries are stored as row-aligned arrays that grow by doubling: ``ids``
-and ``labels`` lists, ``(n, words)`` little-endian uint64 value and mask
-matrices (word w of a row holds code positions [64w, 64w+64)), and the
-code length of each row. Phi rows also keep their augmented features
+and ``labels`` lists, ``(words, n)`` little-endian uint64 value and mask
+matrices (word w of an entry holds code positions [64w, 64w+64), and each
+word is one contiguous row across the entries), and the code length of
+each entry. Phi rows also keep their augmented features
 ``[x; 1]`` in a matrix of their own, next to the entry row of each, so an
 update recomputes a cycle's columns for every phi row with one matrix
 product.
@@ -68,11 +69,11 @@ def n_words(length: int) -> int:
     return -(-length // WORD_BITS)
 
 
-def _doubled(a: np.ndarray) -> np.ndarray:
-    """A copy of ``a`` with twice the rows (at least one), the new ones zero."""
-    out = np.zeros((max(1, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
-    out[:len(a)] = a
-    return out
+def _doubled(a: np.ndarray, axis: int = 0) -> np.ndarray:
+    """A copy of ``a`` twice as long (at least 1) along ``axis``, the new part zero."""
+    pad = [(0, 0)] * a.ndim
+    pad[axis] = (0, max(1, a.shape[axis]))
+    return np.pad(a, pad)
 
 
 class HashIndex:
@@ -83,8 +84,8 @@ class HashIndex:
         self._ids: list[int] = []
         self._labels: list[Label | None] = []
         self._id_set: set[int] = set()
-        self._values = np.zeros((0, 1), dtype=_WORD)
-        self._masks = np.zeros((0, 1), dtype=_WORD)
+        self._values = np.zeros((1, 0), dtype=_WORD)
+        self._masks = np.zeros((1, 0), dtype=_WORD)
         self._lengths = np.zeros(0, dtype=np.int64)
         self._feats = np.zeros((0, 0))
         self._phi_rows = np.zeros(0, dtype=np.int64)
@@ -106,10 +107,10 @@ class HashIndex:
         return list(self._labels)
 
     def _widen(self, length: int) -> None:
-        extra = n_words(length) - self._values.shape[1]
+        extra = n_words(length) - len(self._values)
         if extra > 0:
-            self._values = np.pad(self._values, ((0, 0), (0, extra)))
-            self._masks = np.pad(self._masks, ((0, 0), (0, extra)))
+            self._values = np.pad(self._values, ((0, extra), (0, 0)))
+            self._masks = np.pad(self._masks, ((0, extra), (0, 0)))
 
     def add_row(self, id: int, label: Label | None, length: int, values: int,
                 mask: int, features: np.ndarray | None = None) -> None:
@@ -138,10 +139,11 @@ class HashIndex:
         n = len(self._ids)
         self._widen(length)
         if n == len(self._lengths):
-            self._values, self._masks, self._lengths = map(
-                _doubled, (self._values, self._masks, self._lengths))
-        self._values[n], self._masks[n] = codes_to_words(
-            [values, mask], WORD_BITS * self._values.shape[1])
+            self._values = _doubled(self._values, axis=1)
+            self._masks = _doubled(self._masks, axis=1)
+            self._lengths = _doubled(self._lengths)
+        self._values[:, n], self._masks[:, n] = codes_to_words(
+            [values, mask], WORD_BITS * len(self._values))
         self._lengths[n] = length
         if features is not None:
             if not self._n_phi:
@@ -164,12 +166,14 @@ class HashIndex:
 
         Feature rows are views into the index, valid until it next changes.
         """
+        n = len(self)
         feats = dict(zip(self._phi_rows[:self._n_phi].tolist(),
                          self._feats[:self._n_phi, :-1]))
+        values, masks = (np.ascontiguousarray(a[:, :n].T) for a in (self._values, self._masks))
         for i, (id, label) in enumerate(zip(self._ids, self._labels)):
             yield (id, label, int(self._lengths[i]),
-                   int.from_bytes(self._values[i].tobytes(), "little"),
-                   int.from_bytes(self._masks[i].tobytes(), "little"), feats.get(i))
+                   int.from_bytes(values[i].tobytes(), "little"),
+                   int.from_bytes(masks[i].tobytes(), "little"), feats.get(i))
 
     @property
     def entries(self) -> list[IndexEntry]:
@@ -219,7 +223,7 @@ class HashIndex:
             return 0
         rows = self._phi_rows[:n]
         self._widen(model.width)
-        old = self._values[rows]
+        old = np.ascontiguousarray(self._values[:, rows].T)
         bits = np.unpackbits(old.view(np.uint8), axis=1, bitorder="little")
         for lo, hi in spans:
             bits[:, lo:hi] = self._feats[:n] @ model.weights[lo:hi].T >= 0.0
@@ -227,8 +231,8 @@ class HashIndex:
         before, ones = codes_to_words([(1 << self._phi_width) - 1, (1 << model.width) - 1],
                                       WORD_BITS * new.shape[1])
         flips = int(np.bitwise_count((old ^ new) & before).sum())
-        self._values[rows] = new
-        self._masks[rows] = ones
+        self._values[:, rows] = new.T
+        self._masks[:, rows] = ones[:, None]
         self._lengths[rows] = model.width
         self._phi_width = model.width
         n_bits = n * sum(hi - lo for lo, hi in spans)
@@ -287,7 +291,7 @@ class HashIndex:
                 f"an entry is wider ({self._lengths[:n].max()}) than the query ({width})")
         # No entry is wider than the query, so the masks are clear wherever
         # the query's words and the index's differ: cut or pad to the index's.
-        words = self._values.shape[1]
+        words = len(self._values)
         scores = np.array([model.scores(x) for x in block])
         packed = np.packbits(scores >= 0.0, axis=1, bitorder="little")[:, :8 * words]
         q = np.zeros((len(block), words), dtype=_WORD)
@@ -295,8 +299,8 @@ class HashIndex:
         dists = np.zeros((len(block), n), dtype=np.min_scalar_type(width))
         cell = np.empty((len(block), n), dtype=_WORD)
         for w in range(words):
-            np.bitwise_xor(q[:, w, None], self._values[:n, w], out=cell)
-            np.bitwise_and(cell, self._masks[:n, w], out=cell)
+            np.bitwise_xor(q[:, w, None], self._values[w, :n], out=cell)
+            np.bitwise_and(cell, self._masks[w, :n], out=cell)
             dists += np.bitwise_count(cell)
         return dists
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitcode import PackedCode, TernaryCodeword, unpack
+from .bitcode import PackedCode, TernaryCodeword
 from .codebook import Codebook
 from .ecoc import EcocMatrix, Label
 from .errors import ConsistencyError, DimensionError
@@ -78,8 +78,10 @@ def init_functions(d: int, count: int, seed) -> np.ndarray:
 
 def augment(x: np.ndarray) -> np.ndarray:
     """Homogeneous form [x; 1] as float64."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.append(x, 1.0)
+    xh = np.empty(len(x) + 1)
+    xh[:-1] = x
+    xh[-1] = 1.0
+    return xh
 
 
 def predict_bit(w: np.ndarray, x: np.ndarray) -> int:
@@ -193,12 +195,11 @@ def step(model: HashModel, matrix: EcocMatrix, cb: Codebook,
             f"model width {model.width} does not match matrix width {matrix.width}")
     touched = matrix.cycle_columns(matrix.cycle_of_label[y])
     w = model.weights[touched.start:touched.stop]
-    c = np.asarray(unpack(matrix.cores[y]), dtype=np.float64)
+    c = matrix.signs[y]
     xh = augment(x)
     z = -c * (w @ xh)
     g = loss.slope(z)
-    nz = g != 0.0
-    w[nz] -= eta * np.outer(-c[nz] * g[nz], xh)
+    np.subtract(w, eta * ((-c * g)[:, None] * xh), out=w, where=(g != 0.0)[:, None])
     model.iteration += 1
     return StepReport(label=y, touched_columns=touched,
                       surrogate_loss_before=float(loss.value(z).sum()),

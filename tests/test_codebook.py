@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -32,6 +33,28 @@ def test_generate_deterministic():
     assert a.pool == b.pool
     assert len(a.pool) == 1000
     assert all(c.length == 32 for c in a.pool)
+
+
+def reference_generate(k, capacity, seed):
+    """``generate`` with one draw per candidate, packed bit by bit."""
+    rng = np.random.default_rng(seed)
+    full = (1 << k) - 1
+    seen, pool = set(), []
+    while len(pool) < capacity:
+        bits = rng.integers(0, 2, size=k)
+        word = sum(1 << t for t in range(k) if bits[t])
+        if word in seen or (word ^ full) in seen:
+            continue
+        seen.add(word)
+        pool.append(PackedCode(k, word))
+    return pool
+
+
+@pytest.mark.parametrize("k, capacity", [(1, 1), (3, 4), (7, 64), (7, 20), (32, 500),
+                                         (33, 200), (64, 300)])
+def test_generate_equals_per_candidate_reference(k, capacity):
+    for seed in (0, 5):
+        assert generate(k, capacity, seed).pool == reference_generate(k, capacity, seed)
 
 
 def test_generate_no_duplicates_or_complements():

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from ecochash.bitcode import ternary, unpack
 from ecochash.codebook import generate
 from ecochash.ecoc import EcocMatrix, new_matrix
-from ecochash.errors import UnknownLabelError
+from ecochash.errors import CodebookExhaustedError, UnknownLabelError
+from ecochash.learner import HashModel, step
 
 
 def fresh(k, rho, capacity=256, seed=0):
@@ -55,6 +57,21 @@ def test_third_label_opens_second_cycle():
     assert mat.m == 2
     assert mat.width == 8
     assert list(mat.find("c").active_positions()) == [4, 5, 6, 7]
+
+
+def test_exhausted_codebook_leaves_matrix_unchanged():
+    mat, cb = new_matrix(4, 1), generate(4, 2, seed=0)
+    model = HashModel.create(d=3, k=4, seed=0)
+    x = np.ones(3)
+    step(model, mat, cb, x, "a")
+    step(model, mat, cb, x, "b")
+    before = (mat.m, mat.n_in_cycle, mat.width)
+    with pytest.raises(CodebookExhaustedError):
+        step(model, mat, cb, x, "c")
+    assert (mat.m, mat.n_in_cycle, mat.width) == before
+    assert "c" not in mat
+    step(model, mat, cb, x, "a")
+    assert model.width == mat.width == 8
 
 
 def test_reobserve_pads_and_flags_false():

@@ -13,6 +13,7 @@ from ecochash.learner import (HINGE, LOGISTIC, FeatureNormalizer, HashModel,
                               augment, gradient, init_functions, phi,
                               predict_bit, step, surrogate_loss)
 from ecochash.bitcode import PackedCode
+from ecochash.storage import ModelBundle, load_model, save_model
 
 finite_floats = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
 
@@ -286,6 +287,39 @@ def test_step_equals_reference_bitwise(loss):
         assert fast[0].iteration == ref[0].iteration
     assert fast[1].m >= 3
     assert len(fast[1]) < len(stream)
+
+
+@pytest.mark.parametrize("loss", [HINGE, LOGISTIC])
+def test_step_resumes_bitwise_across_save_and_load(loss, tmp_path):
+    k, d, rho, eta = 8, 6, 2, 0.3
+    rng = np.random.default_rng(9)
+    stream = [(rng.standard_normal(d), f"y{int(rng.integers(9))}") for _ in range(120)]
+
+    def fresh():
+        return ModelBundle(k=k, rho=rho, eta=eta, seed=2, codebook=generate(k, 32, seed=4),
+                           matrix=new_matrix(k, rho), model=HashModel.create(d, k, seed=2))
+
+    whole = fresh()
+    for x, y in stream:
+        step(whole.model, whole.matrix, whole.codebook, x, y, eta=eta, loss=loss)
+    part = fresh()
+    path = tmp_path / "model.bin"
+    for i, (x, y) in enumerate(stream):
+        if i % 7 == 3:
+            save_model(part, path)
+            part = load_model(path)
+        step(part.model, part.matrix, part.codebook, x, y, eta=eta, loss=loss)
+    assert part.matrix.m >= 3
+    assert part.model.weights.tobytes() == whole.model.weights.tobytes()
+
+
+def test_augment_equals_append_bitwise():
+    x32 = np.random.default_rng(8).standard_normal(7).astype(np.float32)
+    for x in (x32, x32.tolist(), [1, -2, 3]):
+        want = np.append(np.asarray(x, dtype=np.float64), 1.0)
+        got = augment(x)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
 
 def test_step_loss_decreases_on_separable_stream():
