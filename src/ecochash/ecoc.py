@@ -75,18 +75,18 @@ class EcocMatrix:
     def __len__(self) -> int:
         return len(self.cores)
 
-    def placed(self, y: Label) -> tuple[int, int]:
-        """Value and mask bits of a known label's core, placed in its cycle's columns."""
+    def locate(self, y: Label) -> tuple[int, PackedCode]:
+        """The cycle and the core of a known label."""
         if y not in self.cores:
             raise UnknownLabelError(f"label {y!r} has not been observed")
-        offset = (self.cycle_of_label[y] - 1) * self.k
-        return self.cores[y].bits << offset, ((1 << self.k) - 1) << offset
+        return self.cycle_of_label[y], self.cores[y]
 
     def find(self, y: Label) -> TernaryCodeword:
         """The reference codeword of a known label, at the current width."""
-        values, mask = self.placed(y)
-        return TernaryCodeword(self.width, PackedCode(self.width, values),
-                               PackedCode(self.width, mask))
+        cycle, core = self.locate(y)
+        offset = (cycle - 1) * self.k
+        return TernaryCodeword(self.width, PackedCode(self.width, core.bits << offset),
+                               PackedCode(self.width, ((1 << self.k) - 1) << offset))
 
     def cycle_columns(self, j: int) -> range:
         """Half-open column range owned by cycle j (1-based)."""

@@ -7,14 +7,27 @@ hash functions move. Every recomputed-and-stored bit is counted in the
 ledger whether or not its value flipped, since the maintenance cost of an
 index is the recomputation itself; flips are tallied separately.
 
-Entries are stored as row-aligned arrays that grow by doubling: ``ids``
-and ``labels`` lists, ``(words, n)`` little-endian uint64 value and mask
-matrices (word w of an entry holds code positions [64w, 64w+64), and each
-word is one contiguous row across the entries), and the code length of
-each entry. Phi rows also keep their augmented features
-``[x; 1]`` in a matrix of their own, next to the entry row of each, so an
-update recomputes a cycle's columns for every phi row with one matrix
-product.
+Rows live in two blocks of arrays that grow by doubling, beside ``ids``
+and ``labels`` lists in insertion order. A row map (one flag per row)
+says which block a row is in; its slot there is its rank among that
+block's rows, since each block appends in insertion order.
+
+- The codeword block holds a row as its label's (cycle, core): the cycle,
+  the k-bit core in ceil(k/64) little-endian uint64 words, and the width
+  the row was inserted at, which is the length it is saved with. The
+  index's k is set by its first codeword row, and opening a cycle changes
+  none of these rows.
+- The phi block holds ``(words, n)`` value words (word w of a row holds
+  code positions [64w, 64w+64), and each word is one contiguous row
+  across the slots) at the one width all phi rows share. Every position
+  is active, so there are no masks. The block also keeps each row's
+  augmented features ``[x; 1]``, so an update recomputes a cycle's
+  columns for every phi row with one matrix product.
+
+A query's distance to a codeword row is the popcount of its bits in the
+row's cycle XOR the core; to a phi row, of its bits below the phi width
+XOR the row's words. ``rows`` expands codeword rows back to full-width
+value and mask bits, so saved files do not depend on this layout.
 """
 
 from __future__ import annotations
@@ -33,6 +46,7 @@ MODE_CODEWORD = "codeword"
 MODE_PHI = "phi"
 
 _WORD = np.dtype("<u8")
+_WORD_MASK = (1 << WORD_BITS) - 1
 # Distance cells per ranking block: queries * entries stays near this.
 _BLOCK_CELLS = 1 << 16
 
@@ -76,6 +90,42 @@ def _doubled(a: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.pad(a, pad)
 
 
+def _ints(words: np.ndarray, n: int) -> list[int]:
+    """The first ``n`` slots of a word-major ``(words, slots)`` block as ints."""
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.ascontiguousarray(words[:, :n].T)]
+
+
+def _packed(signs: np.ndarray, size: int) -> np.ndarray:
+    """(queries, bits) sign bits cut into blocks of ``size``, each in whole words.
+
+    Returns a (queries, blocks, ceil(size/64)) array of little-endian words;
+    bits past the end of the last block are clear.
+    """
+    queries, width = signs.shape
+    blocks = -(-width // size)
+    bits = np.zeros((queries, blocks * size), dtype=bool)
+    bits[:, :width] = signs
+    packed = np.packbits(bits.reshape(queries, blocks, size), axis=2, bitorder="little")
+    words = np.zeros((queries, blocks, 8 * n_words(size)), dtype=np.uint8)
+    words[:, :, :packed.shape[2]] = packed
+    return words.view(_WORD)
+
+
+def _hamming(qs, rows: np.ndarray, queries: int, dtype) -> np.ndarray:
+    """Per query and slot, the sum over words w of popcount(qs[w] ^ rows[w]).
+
+    ``rows`` is a word-major (words, slots) block; ``qs[w]`` holds the
+    queries' word w, one per slot or one for all slots.
+    """
+    dists = np.zeros((queries, rows.shape[1]), dtype=dtype)
+    cell = np.empty(dists.shape, dtype=_WORD)
+    for q, row in zip(qs, rows):
+        np.bitwise_xor(q, row, out=cell)
+        dists += np.bitwise_count(cell)
+    return dists
+
+
 class HashIndex:
     """In-memory index over packed codes with exact bit-update accounting."""
 
@@ -84,13 +134,20 @@ class HashIndex:
         self._ids: list[int] = []
         self._labels: list[Label | None] = []
         self._id_set: set[int] = set()
-        self._values = np.zeros((1, 0), dtype=_WORD)
-        self._masks = np.zeros((1, 0), dtype=_WORD)
-        self._lengths = np.zeros(0, dtype=np.int64)
-        self._feats = np.zeros((0, 0))
-        self._phi_rows = np.zeros(0, dtype=np.int64)
+        self._is_phi = np.zeros(0, dtype=bool)
+        # The widest row's width; a query may not be narrower.
+        self._widest = 0
+        # Codeword block: cycle, core words and insertion width per slot.
+        self._k: int | None = None
+        self._n_cw = 0
+        self._cycles = np.zeros(0, dtype=np.int64)
+        self._cores = np.zeros((0, 0), dtype=_WORD)
+        self._cw_widths = np.zeros(0, dtype=np.int64)
+        # Phi block: value words at the shared width and features per slot.
         self._n_phi = 0
         self._phi_width: int | None = None
+        self._values = np.zeros((0, 0), dtype=_WORD)
+        self._feats = np.zeros((0, 0))
         # Codeword rows' ids by label, in insertion order.
         self._members: dict[Label, list[int]] = {}
 
@@ -106,11 +163,66 @@ class HashIndex:
         """Each entry's label, None where it has none, in insertion order."""
         return list(self._labels)
 
-    def _widen(self, length: int) -> None:
-        extra = n_words(length) - len(self._values)
-        if extra > 0:
-            self._values = np.pad(self._values, ((0, extra), (0, 0)))
-            self._masks = np.pad(self._masks, ((0, extra), (0, 0)))
+    def _check_id(self, id: int) -> int:
+        id = int(id)
+        if id in self._id_set:
+            raise DuplicateIdError(f"id {id} is already indexed")
+        return id
+
+    def _append(self, id: int, label: Label | None, is_phi: bool) -> None:
+        n = len(self._ids)
+        if n == len(self._is_phi):
+            self._is_phi = _doubled(self._is_phi)
+        self._is_phi[n] = is_phi
+        self._ids.append(id)
+        self._labels.append(label)
+        self._id_set.add(id)
+
+    def _add_codeword(self, id: int, label: Label | None, cycle: int, core: int,
+                      width: int, k: int) -> None:
+        """Append a codeword row: the k-bit ``core`` on cycle ``cycle``'s columns."""
+        if self._k is None:
+            self._k = k
+            self._cores = np.zeros((n_words(k), len(self._cycles)), dtype=_WORD)
+        elif k != self._k:
+            raise ConsistencyError(f"codeword entries have k={self._k}, entry {id} has k={k}")
+        slot = self._n_cw
+        if slot == len(self._cycles):
+            self._cycles, self._cw_widths = map(_doubled, (self._cycles, self._cw_widths))
+            self._cores = _doubled(self._cores, axis=1)
+        self._cycles[slot] = cycle
+        self._cw_widths[slot] = width
+        for w in range(len(self._cores)):
+            self._cores[w, slot] = (core >> (WORD_BITS * w)) & _WORD_MASK
+        self._n_cw += 1
+        self._widest = max(self._widest, width)
+        self._members.setdefault(label, []).append(id)
+        self._append(id, label, False)
+
+    def _add_phi(self, id: int, label: Label | None, width: int, words: np.ndarray,
+                 features: np.ndarray) -> None:
+        """Append a phi row: its ``n_words(width)`` value words and its features."""
+        if self._phi_width not in (None, width):
+            raise ConsistencyError(
+                f"existing entries have width {self._phi_width}, new entry has {width}")
+        slot = self._n_phi
+        if slot and len(features) + 1 != self._feats.shape[1]:
+            raise DimensionError(
+                f"feature length {len(features)} does not match "
+                f"{self._feats.shape[1] - 1} of the existing phi entries")
+        if not slot:
+            self._values = np.zeros((len(words), len(self._feats)), dtype=_WORD)
+            self._feats = np.zeros((len(self._feats), len(features) + 1))
+        if slot == len(self._feats):
+            self._feats = _doubled(self._feats)
+            self._values = _doubled(self._values, axis=1)
+        self._values[:, slot] = words
+        self._feats[slot, :-1] = features
+        self._feats[slot, -1] = 1.0
+        self._n_phi += 1
+        self._phi_width = width
+        self._widest = max(self._widest, width)
+        self._append(id, label, True)
 
     def add_row(self, id: int, label: Label | None, length: int, values: int,
                 mask: int, features: np.ndarray | None = None) -> None:
@@ -118,62 +230,47 @@ class HashIndex:
 
         ``features`` is given for, and only for, a phi entry, whose mask
         must be full; every phi entry must share one width and one feature
-        length. Both insert methods and the index loader add entries
-        through here, so this is where the index's invariants are checked.
+        length. A codeword entry's mask must be one aligned k-bit block,
+        ``((1 << k) - 1) << (c - 1) * k`` for its cycle c, with the k of
+        the other codeword entries. The index loader adds entries through
+        here, so this is where the index's invariants are checked.
         """
-        id = int(id)
-        if id in self._id_set:
-            raise DuplicateIdError(f"id {id} is already indexed")
+        id = self._check_id(id)
         if (values | mask) >> length or values & ~mask:
             raise ValueError(f"entry {id} has bits beyond length {length} or outside its mask")
         if features is not None:
             if mask != (1 << length) - 1:
                 raise ValueError(f"phi entry {id} has inactive positions")
-            if self._phi_width is not None and self._phi_width != length:
-                raise ConsistencyError(
-                    f"existing entries have width {self._phi_width}, new entry has {length}")
-            if self._n_phi and len(features) + 1 != self._feats.shape[1]:
-                raise DimensionError(
-                    f"feature length {len(features)} does not match "
-                    f"{self._feats.shape[1] - 1} of the existing phi entries")
-        n = len(self._ids)
-        self._widen(length)
-        if n == len(self._lengths):
-            self._values = _doubled(self._values, axis=1)
-            self._masks = _doubled(self._masks, axis=1)
-            self._lengths = _doubled(self._lengths)
-        self._values[:, n], self._masks[:, n] = codes_to_words(
-            [values, mask], WORD_BITS * len(self._values))
-        self._lengths[n] = length
-        if features is not None:
-            if not self._n_phi:
-                self._feats = np.zeros((len(self._phi_rows), len(features) + 1))
-            if self._n_phi == len(self._phi_rows):
-                self._feats, self._phi_rows = map(_doubled, (self._feats, self._phi_rows))
-            self._feats[self._n_phi, :-1] = features
-            self._feats[self._n_phi, -1] = 1.0
-            self._phi_rows[self._n_phi] = n
-            self._n_phi += 1
-            self._phi_width = length
-        else:
-            self._members.setdefault(label, []).append(id)
-        self._ids.append(id)
-        self._labels.append(label)
-        self._id_set.add(id)
+            words = codes_to_words([values], length)[0, :n_words(length)]
+            self._add_phi(id, label, length, words, features)
+            return
+        k = mask.bit_count()
+        offset = (mask & -mask).bit_length() - 1
+        if not k or offset % k or mask >> offset != (1 << k) - 1:
+            raise ValueError(f"codeword entry {id}'s mask is not one aligned k-bit block")
+        self._add_codeword(id, label, offset // k + 1, values >> offset, length, k)
 
     def rows(self):
         """Each entry as the arguments ``add_row`` takes, in insertion order.
 
-        Feature rows are views into the index, valid until it next changes.
+        A codeword row comes back as its core placed in its cycle's
+        columns, at the width it was inserted at. Feature rows are views
+        into the index, valid until it next changes.
         """
-        n = len(self)
-        feats = dict(zip(self._phi_rows[:self._n_phi].tolist(),
-                         self._feats[:self._n_phi, :-1]))
-        values, masks = (np.ascontiguousarray(a[:, :n].T) for a in (self._values, self._masks))
-        for i, (id, label) in enumerate(zip(self._ids, self._labels)):
-            yield (id, label, int(self._lengths[i]),
-                   int.from_bytes(values[i].tobytes(), "little"),
-                   int.from_bytes(masks[i].tobytes(), "little"), feats.get(i))
+        k = self._k or 0
+        codewords = zip(self._cycles[:self._n_cw].tolist(), _ints(self._cores, self._n_cw),
+                        self._cw_widths[:self._n_cw].tolist())
+        phis = zip(_ints(self._values, self._n_phi), self._feats[:self._n_phi, :-1])
+        width = self._phi_width or 0
+        full = (1 << width) - 1
+        for id, label, is_phi in zip(self._ids, self._labels, self._is_phi[:len(self)].tolist()):
+            if is_phi:
+                values, features = next(phis)
+                yield id, label, width, values, full, features
+            else:
+                cycle, core, length = next(codewords)
+                offset = (cycle - 1) * k
+                yield id, label, length, core << offset, ((1 << k) - 1) << offset, None
 
     @property
     def entries(self) -> list[IndexEntry]:
@@ -192,9 +289,11 @@ class HashIndex:
         """Index an instance under its label's codeword.
 
         The stored code never changes afterwards, no matter how the hash
-        functions move.
+        functions move. Every codeword entry of an index shares one k.
         """
-        self.add_row(id, y, matrix.width, *matrix.placed(y))
+        id = self._check_id(id)
+        cycle, core = matrix.locate(y)
+        self._add_codeword(id, y, cycle, core.bits, matrix.width, matrix.k)
 
     def insert_unlabeled(self, id: int, x: np.ndarray, model: HashModel,
                          label: Label | None = None) -> None:
@@ -203,38 +302,47 @@ class HashIndex:
         The feature vector is retained (exactly as given, so pass it already
         normalized) to allow partial recomputation later. ``label`` is an
         optional ground-truth tag kept for evaluation only; it plays no part
-        in the stored code.
+        in the stored code, which is ``phi(model, x)``'s bits.
         """
-        if model.width < 1:
+        id = self._check_id(id)
+        width = model.width
+        if width < 1:
             raise ValueError("model has no hash functions")
-        code = phi(model, x)
-        self.add_row(id, label, code.length, code.bits, (1 << code.length) - 1, x)
+        bits = np.zeros(WORD_BITS * n_words(width), dtype=bool)
+        np.greater_equal(model.scores(x), 0.0, out=bits[:width])
+        self._add_phi(id, label, width, np.packbits(bits, bitorder="little").view(_WORD), x)
 
     def _recompute(self, model: HashModel, spans: list[tuple[int, int]]) -> int:
         """Recompute the columns [lo, hi) of ``spans`` in every phi row; returns the bits.
 
-        Rows come out at the model's width. Flips are counted only over the
-        positions rows had before the call, so growing a code is not charged
-        as flipping it. Both counts go to the ledger.
+        Only the words from the first span's to the last span's are
+        unpacked and packed again. Rows come out at the model's width.
+        Flips are counted only over the positions rows had before the call,
+        so growing a code is not charged as flipping it. Both counts go to
+        the ledger.
         """
         n = self._n_phi
         if not n or not spans:
             self.ledger.record(model.iteration, 0, 0, 0)
             return 0
-        rows = self._phi_rows[:n]
-        self._widen(model.width)
-        old = np.ascontiguousarray(self._values[:, rows].T)
-        bits = np.unpackbits(old.view(np.uint8), axis=1, bitorder="little")
+        old_width = self._phi_width
+        extra = n_words(model.width) - len(self._values)
+        if extra > 0:
+            self._values = np.pad(self._values, ((0, extra), (0, 0)))
+        first = min(lo for lo, _ in spans) // WORD_BITS
+        words = self._values[first:n_words(max(hi for _, hi in spans)), :n]
+        bits = np.unpackbits(np.ascontiguousarray(words.T).view(np.uint8), axis=1,
+                             bitorder="little")
+        flips = 0
         for lo, hi in spans:
-            bits[:, lo:hi] = self._feats[:n] @ model.weights[lo:hi].T >= 0.0
-        new = np.packbits(bits, axis=1, bitorder="little").view(_WORD)
-        before, ones = codes_to_words([(1 << self._phi_width) - 1, (1 << model.width) - 1],
-                                      WORD_BITS * new.shape[1])
-        flips = int(np.bitwise_count((old ^ new) & before).sum())
-        self._values[:, rows] = new.T
-        self._masks[:, rows] = ones[:, None]
-        self._lengths[rows] = model.width
+            span = bits[:, lo - WORD_BITS * first:hi - WORD_BITS * first]
+            new = self._feats[:n] @ model.weights[lo:hi].T >= 0.0
+            kept = max(0, min(hi, old_width) - lo)
+            flips += int(np.count_nonzero(span[:, :kept] != new[:, :kept]))
+            span[:] = new
+        words[:] = np.packbits(bits, axis=1, bitorder="little").view(_WORD).T
         self._phi_width = model.width
+        self._widest = max(self._widest, model.width)
         n_bits = n * sum(hi - lo for lo, hi in spans)
         self.ledger.record(model.iteration, n_bits, flips, n)
         return n_bits
@@ -284,24 +392,32 @@ class HashIndex:
         packed. Returns a (queries, entries) array of the narrowest unsigned
         dtype that holds the model's width, entries in insertion order.
         """
-        n = len(self)
         width = model.width
-        if n and self._lengths[:n].max() > width:
+        if self._widest > width:
             raise ConsistencyError(
-                f"an entry is wider ({self._lengths[:n].max()}) than the query ({width})")
-        # No entry is wider than the query, so the masks are clear wherever
-        # the query's words and the index's differ: cut or pad to the index's.
-        words = len(self._values)
-        scores = np.array([model.scores(x) for x in block])
-        packed = np.packbits(scores >= 0.0, axis=1, bitorder="little")[:, :8 * words]
-        q = np.zeros((len(block), words), dtype=_WORD)
-        q.view(np.uint8)[:, :packed.shape[1]] = packed
-        dists = np.zeros((len(block), n), dtype=np.min_scalar_type(width))
-        cell = np.empty((len(block), n), dtype=_WORD)
-        for w in range(words):
-            np.bitwise_xor(q[:, w, None], self._values[w, :n], out=cell)
-            np.bitwise_and(cell, self._masks[w, :n], out=cell)
-            dists += np.bitwise_count(cell)
+                f"an entry is wider ({self._widest}) than the query ({width})")
+        signs = np.array([model.scores(x) for x in block]).reshape(len(block), width) >= 0.0
+        dtype = np.min_scalar_type(width)
+        n_cw, n_phi = self._n_cw, self._n_phi
+        if not n_cw + n_phi:
+            return np.zeros((len(block), 0), dtype=dtype)
+        if n_cw:
+            # Each codeword slot meets the query's bits in its own cycle.
+            q, at = _packed(signs, self._k), self._cycles[:n_cw] - 1
+            cw_d = _hamming([np.take(q[:, :, w], at, axis=1) for w in range(q.shape[2])],
+                            self._cores[:, :n_cw], len(block), dtype)
+        if n_phi:
+            # The query's bits at or past the phi width are cleared, as the rows' are.
+            q = _packed(signs[:, :self._phi_width], WORD_BITS)
+            phi_d = _hamming(q.T[0, :, :, None], self._values[:, :n_phi], len(block), dtype)
+        if not n_phi:
+            return cw_d
+        if not n_cw:
+            return phi_d
+        is_phi = self._is_phi[:len(self)]
+        dists = np.empty((len(block), len(self)), dtype=dtype)
+        dists[:, is_phi] = phi_d
+        dists[:, ~is_phi] = cw_d
         return dists
 
     def rank_many(self, model: HashModel, X):

@@ -156,6 +156,33 @@ def test_flips_match_snapshot_diff():
     assert index.ledger.flipped_bits_total == flips_oracle
 
 
+def test_recompute_spans_that_straddle_words():
+    # k=24: cycle 3 owns positions [48, 72), across words 0 and 1, and
+    # cycles 1 and 2 share word 0.
+    matrix, cb, model, stream = small_stream(n_labels=5, k=24, rho=1, steps=40)
+    step(model, matrix, cb, stream[0][0], stream[0][1])
+    eager, late = HashIndex(), HashIndex()
+    for i, (x, _) in enumerate(stream[:9]):
+        eager.insert_unlabeled(i, x, model)
+        late.insert_unlabeled(i, x, model)
+    flips_oracle = 0
+    dirty = set()
+    for x, y in stream[1:]:
+        before = [e.code.values.bits for e in eager.entries]
+        width = model.width
+        report = step(model, matrix, cb, x, y)
+        eager.apply_model_update(report, model)
+        dirty.add(matrix.cycle_of_label[y])
+        for old, e in zip(before, eager.entries):
+            flips_oracle += ((old ^ e.code.values.bits) & ((1 << width) - 1)).bit_count()
+    assert model.width == 120
+    late.refresh(model, cycles=sorted(dirty))
+    assert eager.ledger.flipped_bits_total == flips_oracle
+    for a, b in zip(eager.entries, late.entries):
+        assert a.code == b.code
+        assert a.code.values == phi(model, a.features)
+
+
 def test_new_cycle_extension_not_counted_as_flip():
     matrix, cb, model, _ = small_stream(n_labels=4, k=8, rho=1)
     rng = np.random.default_rng(5)

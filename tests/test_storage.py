@@ -1,13 +1,15 @@
 """Round trips and corruption handling for the on-disk formats."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from ecochash.codebook import generate
 from ecochash.ecoc import new_matrix
-from ecochash.errors import FormatError
+from ecochash.errors import ConsistencyError, FormatError
 from ecochash.evaluation import make_gaussian_classes
-from ecochash.index import MODE_CODEWORD, MODE_PHI, HashIndex
+from ecochash.index import MODE_CODEWORD, MODE_PHI, HashIndex, UpdateLedger
 from ecochash.learner import FeatureNormalizer, HashModel, step
 from ecochash.storage import (ModelBundle, load_index, load_model, read_features,
                               save_index, save_model, write_features)
@@ -168,6 +170,72 @@ def test_index_roundtrip_bytes(tmp_path):
     assert loaded.ledger.per_iteration == index.ledger.per_iteration
     save_index(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# SHA-256 of the saved populated index after one eager update. The file
+# format does not depend on how the index lays its rows out in memory.
+POPULATED_INDEX_SHA256 = "cd6573db02bf04464c9cd57d88e0f85a65766d26879189ed446183a2d2ec59ac"
+
+
+def test_index_bytes_are_pinned(tmp_path):
+    bundle, Xn, labels = trained_bundle()
+    index = populated_index(bundle, Xn, labels)
+    report = step(bundle.model, bundle.matrix, bundle.codebook, Xn[21], labels[21])
+    index.apply_model_update(report, bundle.model)
+    p = tmp_path / "i.index"
+    save_index(index, p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == POPULATED_INDEX_SHA256
+
+
+class SavedRows:
+    """Stands in for an index whose rows ``save_index`` writes as given."""
+
+    def __init__(self, rows):
+        self._rows = rows
+        self.ledger = UpdateLedger()
+
+    def __len__(self):
+        return len(self._rows)
+
+    def rows(self):
+        return iter(self._rows)
+
+
+def test_index_loads_an_aligned_codeword_block(tmp_path):
+    # k=4: cycle 2 owns positions [4, 8) of a 16-bit code.
+    rows = [(0, "a", 16, 0b1010 << 4, 0b1111 << 4, None), (1, "b", 12, 0b0110, 0b1111, None)]
+    p = tmp_path / "i.index"
+    save_index(SavedRows(rows), p)
+    assert list(load_index(p).rows()) == rows
+
+
+@pytest.mark.parametrize("mask", [0, 0b1011, 0b1111 << 2, 0b11 << 3])
+def test_index_rejects_unaligned_codeword_mask(tmp_path, mask):
+    p = tmp_path / "i.index"
+    save_index(SavedRows([(0, "a", 16, 0, mask, None)]), p)
+    with pytest.raises(FormatError):
+        load_index(p)
+
+
+def test_index_rejects_codeword_rows_of_two_ks(tmp_path):
+    p = tmp_path / "i.index"
+    save_index(SavedRows([(0, "a", 16, 0, 0b1111, None),
+                          (1, "b", 16, 0, 0xFF << 8, None)]), p)
+    with pytest.raises(FormatError):
+        load_index(p)
+
+
+def test_insert_labeled_rejects_a_second_k():
+    matrices = []
+    for k in (8, 4):
+        matrix, cb = new_matrix(k, 2), generate(k, 8, seed=k)
+        step(HashModel.create(d=2, k=k, seed=0), matrix, cb, np.ones(2), "a")
+        matrices.append(matrix)
+    index = HashIndex()
+    index.insert_labeled(0, "a", matrices[0])
+    with pytest.raises(ConsistencyError):
+        index.insert_labeled(1, "a", matrices[1])
+    assert len(index) == 1
 
 
 def test_loaded_index_still_queries_and_updates(tmp_path):
