@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Measure how a codeword index's row size and query time scale with labels.
 
-For each label count, trains one step per label (so every cycle opens),
-inserts ``--rows-per-label`` codeword rows per label, then reports the
-index's array bytes per row and the best-of-5 time of a warm top-10
-query. It measures whichever ``ecochash`` is importable, so running it
-with ``PYTHONPATH=src`` from two checkouts compares them; the rankings
-digest (full rankings of every probe) must then agree.
+For each label count, trains one step per label (so every cycle opens;
+k=32, rho=20, d=64), inserts four codeword rows per label, then reports
+the bytes per row and the best-of-5 time of a warm top-10 query. Bytes
+per row are counted two ways: the index's arrays over their slot
+capacity, and everything the inserts allocated (tracemalloc), which also
+takes in the per-row Python ids, lists and sets. It measures whichever
+``ecochash`` is importable, so running it with ``PYTHONPATH=src`` from two
+checkouts compares them; the rankings digest (full rankings of every
+probe) must then agree.
 
     PYTHONPATH=src python3 scripts/label_scaling.py --labels 200 2000
 """
@@ -17,6 +20,7 @@ import json
 import os
 import platform
 import timeit
+import tracemalloc
 
 import numpy as np
 
@@ -24,6 +28,8 @@ from ecochash.codebook import generate
 from ecochash.ecoc import new_matrix
 from ecochash.index import HashIndex
 from ecochash.learner import HashModel, step
+
+K, RHO, DIMS, ROWS_PER_LABEL, SEED = 32, 20, 64, 4, 0
 
 
 def bytes_per_row(index: HashIndex) -> float:
@@ -37,24 +43,28 @@ def bytes_per_row(index: HashIndex) -> float:
     return total / capacity
 
 
-def measure(n_labels: int, k: int, rho: int, d: int, rows_per_label: int,
-            probes: int, seed: int) -> dict:
-    rng = np.random.default_rng(seed)
-    matrix = new_matrix(k, rho)
-    cb = generate(k, 2 * n_labels, seed=seed)
-    model = HashModel.create(d=d, k=k, seed=seed)
-    centers = rng.standard_normal((n_labels, d))
+def measure(n_labels: int, probes: int) -> dict:
+    rng = np.random.default_rng(SEED)
+    matrix = new_matrix(K, RHO)
+    cb = generate(K, 2 * n_labels, seed=SEED)
+    model = HashModel.create(d=DIMS, k=K, seed=SEED)
+    centers = rng.standard_normal((n_labels, DIMS))
+    labels = [str(y) for y in range(n_labels)]
     for y in range(n_labels):
-        step(model, matrix, cb, centers[y], str(y))
+        step(model, matrix, cb, centers[y], labels[y])
+    tracemalloc.start()
     index = HashIndex()
-    for i in range(rows_per_label * n_labels):
-        index.insert_labeled(i, str(i % n_labels), matrix)
-    X = centers[rng.integers(0, n_labels, probes)] + 0.5 * rng.standard_normal((probes, d))
+    for i in range(ROWS_PER_LABEL * n_labels):
+        index.insert_labeled(i, labels[i % n_labels], matrix)
+    traced = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    X = centers[rng.integers(0, n_labels, probes)] + 0.5 * rng.standard_normal((probes, DIMS))
     digest = hashlib.sha256(repr([index.query(model, x) for x in X]).encode())
     times = timeit.repeat(lambda: [index.query(model, x, top_n=10) for x in X],
                           number=1, repeat=5)
     return {"labels": n_labels, "width": model.width, "rows": len(index),
             "bytes_per_row": bytes_per_row(index),
+            "traced_bytes_per_row": traced / len(index),
             "query_top10_us": 1e6 * min(times) / probes,
             "rankings_sha256": digest.hexdigest()}
 
@@ -62,20 +72,13 @@ def measure(n_labels: int, k: int, rho: int, d: int, rows_per_label: int,
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--labels", type=int, nargs="+", default=[200, 2000])
-    ap.add_argument("--k", type=int, default=32)
-    ap.add_argument("--rho", type=int, default=20)
-    ap.add_argument("--dims", type=int, default=64)
-    ap.add_argument("--rows-per-label", type=int, default=4)
     ap.add_argument("--probes", type=int, default=20, help="query vectors timed per case")
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     out = {
         "machine": {"nproc": os.cpu_count(), "machine": platform.machine(),
                     "python": platform.python_version(), "numpy": np.__version__},
-        "k": args.k, "rho": args.rho, "d": args.dims,
-        "rows_per_label": args.rows_per_label, "probes": args.probes,
-        "cases": [measure(n, args.k, args.rho, args.dims, args.rows_per_label,
-                          args.probes, args.seed) for n in args.labels],
+        "k": K, "rho": RHO, "d": DIMS, "rows_per_label": ROWS_PER_LABEL,
+        "probes": args.probes, "cases": [measure(n, args.probes) for n in args.labels],
     }
     print(json.dumps(out, indent=2))
     return 0

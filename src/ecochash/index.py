@@ -7,27 +7,20 @@ hash functions move. Every recomputed-and-stored bit is counted in the
 ledger whether or not its value flipped, since the maintenance cost of an
 index is the recomputation itself; flips are tallied separately.
 
-Rows live in two blocks of arrays that grow by doubling, beside ``ids``
-and ``labels`` lists in insertion order. A row map (one flag per row)
-says which block a row is in; its slot there is its rank among that
-block's rows, since each block appends in insertion order.
-
-- The codeword block holds a row as its label's (cycle, core): the cycle,
-  the k-bit core in ceil(k/64) little-endian uint64 words, and the width
-  the row was inserted at, which is the length it is saved with. The
-  index's k is set by its first codeword row, and opening a cycle changes
-  none of these rows.
-- The phi block holds ``(words, n)`` value words (word w of a row holds
-  code positions [64w, 64w+64), and each word is one contiguous row
-  across the slots) at the one width all phi rows share. Every position
-  is active, so there are no masks. The block also keeps each row's
-  augmented features ``[x; 1]``, so an update recomputes a cycle's
-  columns for every phi row with one matrix product.
-
-A query's distance to a codeword row is the popcount of its bits in the
-row's cycle XOR the core; to a phi row, of its bits below the phi width
-XOR the row's words. ``rows`` expands codeword rows back to full-width
-value and mask bits, so saved files do not depend on this layout.
+Rows live in two blocks that grow by doubling, beside ``ids`` and
+``labels`` lists in insertion order; a flag per row says which block it
+is in, and its slot there is its rank among that block's rows. A
+codeword row is its label's cycle, k-bit core (ceil(k/64) uint64 words;
+the index's k is set by its first codeword row) and the width it was
+inserted at, so opening a cycle changes no row. A phi row is value words
+in a word-major ``(words, n)`` block (word w holds code positions
+[64w, 64w+64)) at the one width all phi rows share, with no masks, plus
+its augmented features ``[x; 1]``, so an update recomputes a cycle's
+columns for every phi row with one matrix product. A query's distance to
+a codeword row is the popcount of its bits in the row's cycle XOR the
+core; to a phi row, of its bits below the phi width XOR the words.
+``rows`` expands codeword rows back to full-width value and mask bits, so
+saved files do not depend on this layout.
 """
 
 from __future__ import annotations
@@ -163,13 +156,11 @@ class HashIndex:
         """Each entry's label, None where it has none, in insertion order."""
         return list(self._labels)
 
-    def _check_id(self, id: int) -> int:
+    def _append(self, id: int, label: Label | None, is_phi: bool) -> int:
+        """Give ``id`` the next row, as an int; a duplicate raises before any change."""
         id = int(id)
         if id in self._id_set:
             raise DuplicateIdError(f"id {id} is already indexed")
-        return id
-
-    def _append(self, id: int, label: Label | None, is_phi: bool) -> None:
         n = len(self._ids)
         if n == len(self._is_phi):
             self._is_phi = _doubled(self._is_phi)
@@ -177,27 +168,29 @@ class HashIndex:
         self._ids.append(id)
         self._labels.append(label)
         self._id_set.add(id)
+        return id
 
     def _add_codeword(self, id: int, label: Label | None, cycle: int, core: int,
                       width: int, k: int) -> None:
         """Append a codeword row: the k-bit ``core`` on cycle ``cycle``'s columns."""
+        if self._k not in (None, k):
+            raise ConsistencyError(f"codeword entries have k={self._k}, entry {id} has k={k}")
+        id = self._append(id, label, False)
         if self._k is None:
             self._k = k
             self._cores = np.zeros((n_words(k), len(self._cycles)), dtype=_WORD)
-        elif k != self._k:
-            raise ConsistencyError(f"codeword entries have k={self._k}, entry {id} has k={k}")
         slot = self._n_cw
         if slot == len(self._cycles):
             self._cycles, self._cw_widths = map(_doubled, (self._cycles, self._cw_widths))
             self._cores = _doubled(self._cores, axis=1)
         self._cycles[slot] = cycle
         self._cw_widths[slot] = width
+        # A word at a time: 0.7 us against 5.3 us through codes_to_words.
         for w in range(len(self._cores)):
             self._cores[w, slot] = (core >> (WORD_BITS * w)) & _WORD_MASK
         self._n_cw += 1
         self._widest = max(self._widest, width)
         self._members.setdefault(label, []).append(id)
-        self._append(id, label, False)
 
     def _add_phi(self, id: int, label: Label | None, width: int, words: np.ndarray,
                  features: np.ndarray) -> None:
@@ -210,6 +203,7 @@ class HashIndex:
             raise DimensionError(
                 f"feature length {len(features)} does not match "
                 f"{self._feats.shape[1] - 1} of the existing phi entries")
+        self._append(id, label, True)
         if not slot:
             self._values = np.zeros((len(words), len(self._feats)), dtype=_WORD)
             self._feats = np.zeros((len(self._feats), len(features) + 1))
@@ -222,7 +216,6 @@ class HashIndex:
         self._n_phi += 1
         self._phi_width = width
         self._widest = max(self._widest, width)
-        self._append(id, label, True)
 
     def add_row(self, id: int, label: Label | None, length: int, values: int,
                 mask: int, features: np.ndarray | None = None) -> None:
@@ -235,7 +228,6 @@ class HashIndex:
         the other codeword entries. The index loader adds entries through
         here, so this is where the index's invariants are checked.
         """
-        id = self._check_id(id)
         if (values | mask) >> length or values & ~mask:
             raise ValueError(f"entry {id} has bits beyond length {length} or outside its mask")
         if features is not None:
@@ -291,7 +283,6 @@ class HashIndex:
         The stored code never changes afterwards, no matter how the hash
         functions move. Every codeword entry of an index shares one k.
         """
-        id = self._check_id(id)
         cycle, core = matrix.locate(y)
         self._add_codeword(id, y, cycle, core.bits, matrix.width, matrix.k)
 
@@ -304,7 +295,6 @@ class HashIndex:
         optional ground-truth tag kept for evaluation only; it plays no part
         in the stored code, which is ``phi(model, x)``'s bits.
         """
-        id = self._check_id(id)
         width = model.width
         if width < 1:
             raise ValueError("model has no hash functions")
@@ -399,8 +389,6 @@ class HashIndex:
         signs = np.array([model.scores(x) for x in block]).reshape(len(block), width) >= 0.0
         dtype = np.min_scalar_type(width)
         n_cw, n_phi = self._n_cw, self._n_phi
-        if not n_cw + n_phi:
-            return np.zeros((len(block), 0), dtype=dtype)
         if n_cw:
             # Each codeword slot meets the query's bits in its own cycle.
             q, at = _packed(signs, self._k), self._cycles[:n_cw] - 1
@@ -410,15 +398,12 @@ class HashIndex:
             # The query's bits at or past the phi width are cleared, as the rows' are.
             q = _packed(signs[:, :self._phi_width], WORD_BITS)
             phi_d = _hamming(q.T[0, :, :, None], self._values[:, :n_phi], len(block), dtype)
-        if not n_phi:
-            return cw_d
-        if not n_cw:
-            return phi_d
-        is_phi = self._is_phi[:len(self)]
-        dists = np.empty((len(block), len(self)), dtype=dtype)
-        dists[:, is_phi] = phi_d
-        dists[:, ~is_phi] = cw_d
-        return dists
+        if n_cw and n_phi:
+            is_phi = self._is_phi[:len(self)]
+            dists = np.empty((len(block), len(self)), dtype=dtype)
+            dists[:, is_phi], dists[:, ~is_phi] = phi_d, cw_d
+            return dists
+        return cw_d if n_cw else phi_d if n_phi else np.zeros((len(block), 0), dtype=dtype)
 
     def rank_many(self, model: HashModel, X):
         """Per query row of ``X``, the entry rows by distance and the distances.

@@ -64,6 +64,20 @@ def test_duplicate_id_rejected():
         index.insert_unlabeled(7, stream[0][0], model)
 
 
+def test_duplicate_id_leaves_index_unchanged():
+    """A duplicate id raises before its row can set the index's codeword k."""
+    matrix, cb, model, stream = small_stream()
+    step(model, matrix, cb, stream[0][0], stream[0][1])
+    index = HashIndex()
+    index.insert_unlabeled(7, stream[0][0], model)
+    with pytest.raises(DuplicateIdError):
+        index.insert_labeled(7, stream[0][1], matrix)
+    other, other_cb, other_model, other_stream = small_stream(k=4)
+    step(other_model, other, other_cb, other_stream[0][0], other_stream[0][1])
+    index.insert_labeled(8, other_stream[0][1], other)
+    assert [e.id for e in index.entries] == [7, 8]
+
+
 def test_same_cycle_labels_get_distinct_codes():
     matrix, cb, model, stream = small_stream(n_labels=2, rho=2)
     step(model, matrix, cb, stream[0][0], "c0")
