@@ -55,9 +55,9 @@ def _resolve_seed(value: int | None) -> int:
     return value
 
 
-def _transform(normalizer: FeatureNormalizer | None, x: np.ndarray) -> np.ndarray:
-    return normalizer.transform(x) if normalizer is not None else np.asarray(
-        x, dtype=np.float64)
+def _transform(normalizer: FeatureNormalizer | None, X: np.ndarray) -> np.ndarray:
+    return normalizer.transform_many(X) if normalizer is not None else np.asarray(
+        X, dtype=np.float64)
 
 
 def _cmd_codebook_stats(args) -> int:
@@ -122,6 +122,7 @@ def _cmd_train(args) -> int:
 def _cmd_index(args) -> int:
     bundle = storage.load_model(args.model)
     ids, labels, X = storage.read_features(args.features)
+    X = _transform(bundle.normalizer, X)
     index = HashIndex()
     skipped = 0
     for i in range(len(ids)):
@@ -135,8 +136,7 @@ def _cmd_index(args) -> int:
                     "(or pass --skip-unlabeled)")
             index.insert_labeled(ids[i], labels[i], bundle.matrix)
         else:
-            x = _transform(bundle.normalizer, X[i])
-            index.insert_unlabeled(ids[i], x, bundle.model, label=labels[i])
+            index.insert_unlabeled(ids[i], X[i], bundle.model, label=labels[i])
     storage.save_index(index, args.index_out)
     if skipped:
         print(f"skipped {skipped} unlabeled rows", file=sys.stderr)
@@ -151,7 +151,7 @@ def _cmd_query(args) -> int:
     index = storage.load_index(args.index)
     ids, _, X = storage.read_features(args.queries)
     print("query_id,rank,id,distance")
-    queries = (_transform(bundle.normalizer, x) for x in X)
+    queries = _transform(bundle.normalizer, X)
     for qid, hits in zip(ids, index.query_many(bundle.model, queries, top_n=args.top)):
         for rank, (id, dist) in enumerate(hits, start=1):
             print(f"{qid},{rank},{id},{dist}")
@@ -170,13 +170,12 @@ def _cmd_eval(args) -> int:
     if all(y is None for y in labels):
         raise ValueError(f"{args.queries} has no labeled rows to evaluate against")
     # A query without a relevant entry, unlabeled ones included, counts as skipped.
-    aps, skipped = evaluation.average_precisions(evaluation.ranked_relevance(
-        index, bundle.model, (_transform(bundle.normalizer, x) for x in X), labels))
-    if not aps:
-        raise UndefinedAPError(
-            f"none of the {len(ids)} queries had a relevant indexed entry")
+    aps = evaluation.query_average_precisions(
+        index, bundle.model, _transform(bundle.normalizer, X), labels)
+    value = evaluation.mean_defined(aps)
+    evaluated = int(np.count_nonzero(~np.isnan(aps)))
     print("queries,evaluated,skipped,map")
-    print(f"{len(ids)},{len(aps)},{skipped},{np.mean(aps):.6f}")
+    print(f"{len(ids)},{evaluated},{len(ids) - evaluated},{value:.6f}")
     return 0
 
 

@@ -20,12 +20,30 @@ from .codebook import (default_capacity, generate, recommended_rho,
 from .ecoc import Label, new_matrix
 from .errors import UndefinedAPError
 from .index import MODE_CODEWORD, MODE_PHI, HashIndex
-from .learner import HINGE, FeatureNormalizer, HashModel, step
+from .learner import FeatureNormalizer, HashModel, step
 
 
 def derive_seed(seed: int, tag: int) -> int:
     """A serializable integer sub-seed, deterministic in (seed, tag)."""
     return int(np.random.SeedSequence([seed, tag]).generate_state(1, np.uint64)[0])
+
+
+def block_average_precision(relevance) -> np.ndarray:
+    """AP of each row of a (queries, entries) relevance block in rank order.
+
+    A row with no relevant entry gets NaN. Trailing False entries change nothing.
+    """
+    rel = np.asarray(relevance, dtype=bool)
+    rows, cols = np.nonzero(rel)
+    totals = np.count_nonzero(rel, axis=1)
+    # Each row's segment opens with a 0.0 slot: reduceat then adds the row's
+    # precisions pairwise as np.sum does, and sums a row with no hit to 0.
+    starts = np.cumsum(totals) - totals + np.arange(len(rel))
+    at = np.arange(1, len(cols) + 1) + rows
+    precisions = np.zeros(len(cols) + len(rel))
+    precisions[at] = (at - starts[rows]) / (cols + 1)
+    with np.errstate(invalid="ignore"):
+        return np.add.reduceat(precisions, starts) / totals
 
 
 def average_precision(relevance) -> float:
@@ -34,47 +52,49 @@ def average_precision(relevance) -> float:
     Raises UndefinedAPError when no entry is relevant, since the metric has
     no value there; callers decide whether such queries are skipped.
     """
-    rel = np.asarray(relevance, dtype=bool)
-    ranks = np.flatnonzero(rel) + 1
-    if not len(ranks):
+    ap = block_average_precision(np.asarray(relevance, dtype=bool).reshape(1, -1))[0]
+    if np.isnan(ap):
         raise UndefinedAPError("no relevant entry in the ranking")
-    hits = np.arange(1, len(ranks) + 1, dtype=np.float64)
-    return float(np.mean(hits / ranks))
+    return float(ap)
 
 
-def average_precisions(relevance_lists) -> tuple[list[float], int]:
-    """AP of each query that has a relevant entry, and how many had none."""
-    aps = []
-    skipped = 0
-    for rel in relevance_lists:
-        try:
-            aps.append(average_precision(rel))
-        except UndefinedAPError:
-            skipped += 1
-    return aps, skipped
+def mean_defined(aps: np.ndarray) -> float:
+    """Mean of the per-query APs that are not NaN; raises if none is."""
+    defined = aps[~np.isnan(aps)]
+    if not len(defined):
+        raise UndefinedAPError(f"all {len(aps)} queries had zero relevant entries")
+    return float(np.mean(defined))
 
 
 def mean_average_precision(relevance_lists) -> float:
     """Mean AP over queries, skipping those with nothing relevant."""
-    aps, skipped = average_precisions(relevance_lists)
-    if not aps:
-        raise UndefinedAPError(f"all {skipped} queries had zero relevant entries")
-    return float(np.mean(aps))
+    rows = [np.asarray(r, dtype=bool).ravel() for r in relevance_lists]
+    block = np.zeros((len(rows), max(map(len, rows), default=0)), dtype=bool)
+    for padded, r in zip(block, rows):
+        padded[:len(r)] = r
+    return mean_defined(block_average_precision(block))
 
 
-def ranked_relevance(index: HashIndex, model: HashModel, queries, query_labels):
-    """Per query, the relevance flags of the index's ranking, in rank order.
+def query_average_precisions(index: HashIndex, model: HashModel, queries,
+                             query_labels) -> np.ndarray:
+    """Each query's AP over the index's ranking, NaN where nothing is relevant.
 
-    Rankings come from ``HashIndex.rank_many`` and use the index's own
-    tie-breaking (insertion order). Unlabeled entries are never relevant,
-    not even to a query labelled None.
+    Rankings come in blocks from ``HashIndex.rank_blocks`` and use the
+    index's own tie-breaking (insertion order). Unlabeled entries are
+    never relevant, not even to a query labelled None.
     """
     # -1 marks unlabeled entries; -2, for a query label no entry has, matches nothing.
     codes: dict[Label, int] = {}
     entry_codes = np.array([-1 if y is None else codes.setdefault(y, len(codes))
                             for y in index.labels], dtype=np.int64)
-    for (order, _), y in zip(index.rank_many(model, queries), query_labels):
-        yield entry_codes[order] == codes.get(y, -2)
+    query_codes = np.array([codes.get(y, -2) for y in query_labels], dtype=np.int64)
+    aps = np.full(len(query_codes), np.nan)
+    done = 0
+    for orders, _ in index.rank_blocks(model, queries):
+        rows = slice(done, done + len(orders))
+        aps[rows] = block_average_precision(entry_codes[orders] == query_codes[rows, None])
+        done += len(orders)
+    return aps
 
 
 def retrieval_map(index: HashIndex, model: HashModel, queries,
@@ -83,7 +103,7 @@ def retrieval_map(index: HashIndex, model: HashModel, queries,
 
     Queries whose class has no indexed member are skipped.
     """
-    return mean_average_precision(ranked_relevance(index, model, queries, query_labels))
+    return mean_defined(query_average_precisions(index, model, queries, query_labels))
 
 
 def make_gaussian_classes(n_classes: int, d: int, n_samples: int,
@@ -125,12 +145,6 @@ class ExperimentConfig:
     capacity: int | None = None
     checkpoint_every: int | None = None
     normalize: bool = True
-    loss: object = HINGE
-
-    def resolved_rho(self) -> int:
-        if self.rho is not None:
-            return self.rho
-        return recommended_rho(self.k)
 
 
 @dataclass
@@ -174,30 +188,25 @@ def run_stream_experiment(train_X, train_labels, db_X, db_labels,
     train_X = np.asarray(train_X, dtype=np.float64)
     db_X = np.asarray(db_X, dtype=np.float64)
     query_X = np.asarray(query_X, dtype=np.float64)
-    if len(train_labels) != train_X.shape[0]:
-        raise ValueError("train labels do not match the training matrix")
-    if len(db_labels) != db_X.shape[0]:
-        raise ValueError("database labels do not match the database matrix")
-    if len(query_labels) != query_X.shape[0]:
-        raise ValueError("query labels do not match the query matrix")
+    for name, X, labels in (("training", train_X, train_labels),
+                            ("database", db_X, db_labels), ("query", query_X, query_labels)):
+        if len(labels) != X.shape[0]:
+            raise ValueError(f"{name} labels do not match the {name} matrix")
     if config.mode not in (MODE_CODEWORD, MODE_PHI):
         raise ValueError(f"unknown mode {config.mode!r}")
     if config.refresh_every < 1:
         raise ValueError("refresh_every must be >= 1")
-    rho = config.resolved_rho()
+    rho = config.rho if config.rho is not None else recommended_rho(config.k)
     if rho < (config.k - 1).bit_length():
         p = unique_bipartition_probability(rho, config.k)
         warnings.warn(
             f"rho={rho} is below ceil(log2 k)={(config.k - 1).bit_length()}, "
             f"so k={config.k} random columns collide often (unique-bipartition "
             f"probability {p:.3g}); consider rho={recommended_rho(config.k)}")
-    d = train_X.shape[1]
-    T = train_X.shape[0]
+    T, d = train_X.shape
     if config.normalize:
         norm = FeatureNormalizer.fit(train_X)
-        train_X = norm.transform_many(train_X)
-        db_X = norm.transform_many(db_X)
-        query_X = norm.transform_many(query_X)
+        train_X, db_X, query_X = map(norm.transform_many, (train_X, db_X, query_X))
     capacity = config.capacity
     if capacity is None:
         capacity = default_capacity(len(set(train_labels)))
@@ -221,11 +230,9 @@ def run_stream_experiment(train_X, train_labels, db_X, db_labels,
             for i, y in enumerate(db_labels):
                 pending.setdefault(y, []).append(i)
         dirty: set[int] = set()
-        since_refresh = 0
         for it, src in enumerate(perm, start=1):
             y = train_labels[src]
-            report = step(model, matrix, cb, train_X[src], y,
-                          eta=config.eta, loss=config.loss)
+            report = step(model, matrix, cb, train_X[src], y, eta=config.eta)
             if config.mode == MODE_CODEWORD:
                 if report.is_new_label and y in pending:
                     for i in pending.pop(y):
@@ -233,13 +240,11 @@ def run_stream_experiment(train_X, train_labels, db_X, db_labels,
             elif config.refresh_every == 1:
                 index.apply_model_update(report, model)
             else:
-                if report.surrogate_loss_before > 0.0 or report.new_cycle_started:
+                if report.surrogate_loss_before > 0.0:
                     dirty.add(matrix.cycle_of_label[y])
-                since_refresh += 1
-                if since_refresh >= config.refresh_every:
+                if it % config.refresh_every == 0:
                     index.refresh(model, cycles=sorted(dirty))
                     dirty.clear()
-                    since_refresh = 0
             if (config.checkpoint_every and it % config.checkpoint_every == 0
                     and it != T):
                 curve.append(CurvePoint(

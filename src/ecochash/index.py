@@ -405,18 +405,22 @@ class HashIndex:
             return dists
         return cw_d if n_cw else phi_d if n_phi else np.zeros((len(block), 0), dtype=dtype)
 
-    def rank_many(self, model: HashModel, X):
-        """Per query row of ``X``, the entry rows by distance and the distances.
+    def rank_blocks(self, model: HashModel, X):
+        """``rank`` for blocks of query rows of ``X``: (queries, entries) arrays.
 
-        Yields ``(order, dists)`` as ``rank`` returns them, one pair per
-        query. Queries are ranked in blocks of about 2^16 distance cells, so
+        Yields ``(orders, dists)`` per block of about 2^16 distance cells, so
         the temporaries stay small however many queries there are.
         """
         per_block = max(1, _BLOCK_CELLS // max(1, len(self)))
         rows = iter(X)
         while block := list(islice(rows, per_block)):
             dists = self._distances(model, block)
-            yield from zip(np.argsort(dists, axis=1, kind="stable"), dists)
+            yield np.argsort(dists, axis=1, kind="stable"), dists
+
+    def rank_many(self, model: HashModel, X):
+        """``rank_blocks`` one query at a time: ``(order, dists)`` per row of ``X``."""
+        for orders, dists in self.rank_blocks(model, X):
+            yield from zip(orders, dists)
 
     def all_distances(self, model: HashModel, x_q: np.ndarray) -> np.ndarray:
         """Masked Hamming distance from phi(model, x_q) to every entry.

@@ -236,16 +236,18 @@ class FeatureNormalizer:
             self.mean += (x - self.mean) / self.count
 
     def transform(self, x: np.ndarray) -> np.ndarray:
+        """One vector; bit for bit the matching row of ``transform_many``."""
         v = np.asarray(x, dtype=np.float64)
         if self.mean is not None:
             v = v - self.mean
-        norm = float(np.linalg.norm(v))
+        # The norm both methods take: np.linalg.norm of a vector would use BLAS dot.
+        norm = float(np.sqrt(np.add.reduce(v * v)))
         return v / norm if norm > 0.0 else v
 
     def transform_many(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if self.mean is not None:
             X = X - self.mean
-        norms = np.linalg.norm(X, axis=1, keepdims=True)
+        norms = np.sqrt(np.add.reduce(X * X, axis=1, keepdims=True))
         norms[norms == 0.0] = 1.0
         return X / norms

@@ -54,9 +54,6 @@ class _Writer:
     def u64(self, v: int) -> None:
         self.f.write(struct.pack("<Q", v))
 
-    def i32(self, v: int) -> None:
-        self.f.write(struct.pack("<i", v))
-
     def f64(self, v: float) -> None:
         self.f.write(struct.pack("<d", v))
 
@@ -102,9 +99,6 @@ class _Reader:
 
     def u64(self) -> int:
         return struct.unpack("<Q", self.raw(8))[0]
-
-    def i32(self) -> int:
-        return struct.unpack("<i", self.raw(4))[0]
 
     def f64(self) -> float:
         return struct.unpack("<d", self.raw(8))[0]
@@ -159,17 +153,18 @@ class ModelBundle:
 
 
 def save_model(bundle: ModelBundle, path) -> None:
+    """Write a bundle; k and rho are the matrix's and the seed is the model's."""
     m = bundle.model
     mat = bundle.matrix
     with open(path, "wb") as f:
         w = _Writer(f)
         w.raw(MODEL_MAGIC)
         w.u32(FORMAT_VERSION)
-        w.u32(bundle.k)
-        w.u32(bundle.rho)
+        w.u32(mat.k)
+        w.u32(mat.rho)
         w.u32(m.d)
         w.f64(bundle.eta)
-        w.u64(bundle.seed)
+        w.u64(m.seed)
         w.u64(m.iteration)
         w.u32(mat.m)
         w.u32(mat.n_in_cycle)
@@ -378,16 +373,17 @@ def _encode_label(label: str | None) -> int:
     return v
 
 
+def _feature_record(d: int) -> np.dtype:
+    """One binary feature record: u64 id, i32 label and d float32 values."""
+    return np.dtype([("id", "<u8"), ("label", "<i4"), ("x", "<f4", (d,))])
+
+
 def _write_features_binary(path, ids, labels, X: np.ndarray) -> None:
-    d = X.shape[1]
-    with open(path, "wb") as f:
-        w = _Writer(f)
-        w.u32(FEATURE_MAGIC)
-        w.u32(d)
-        for i in range(X.shape[0]):
-            w.u64(int(ids[i]))
-            w.i32(_encode_label(labels[i]))
-            w.array(X[i], "<f4")
+    records = np.empty(X.shape[0], dtype=_feature_record(X.shape[1]))
+    records["id"] = np.array([int(i) for i in ids], dtype=np.uint64)
+    records["label"] = [_encode_label(y) for y in labels]
+    records["x"] = X
+    Path(path).write_bytes(struct.pack("<II", FEATURE_MAGIC, X.shape[1]) + records.tobytes())
 
 
 def _write_features_csv(path, ids, labels, X: np.ndarray) -> None:
@@ -415,30 +411,23 @@ def read_features(path):
 
 
 def _read_features_binary(path):
-    with open(path, "rb") as f:
-        r = _Reader(f.read(8))
-        if r.u32() != FEATURE_MAGIC:
-            raise FormatError("not a feature file: bad magic")
-        d = r.u32()
-        if d < 1:
-            raise FormatError(f"feature dimension must be >= 1, got {d}")
-        ids: list[int] = []
-        labels: list[str | None] = []
-        rows: list[np.ndarray] = []
-        record = struct.Struct(f"<Qi{d}f")
-        while True:
-            chunk = f.read(record.size)
-            if not chunk:
-                break
-            if len(chunk) != record.size:
-                raise FormatError("truncated feature record")
-            fields = record.unpack(chunk)
-            ids.append(fields[0])
-            labels.append(None if fields[1] == -1 else str(fields[1]))
-            rows.append(np.asarray(fields[2:], dtype=np.float32))
-    X = np.stack(rows) if rows else np.empty((0, d), dtype=np.float32)
+    r = _Reader(Path(path).read_bytes())
+    if r.u32() != FEATURE_MAGIC:
+        raise FormatError("not a feature file: bad magic")
+    d = r.u32()
+    if d < 1:
+        raise FormatError(f"feature dimension must be >= 1, got {d}")
+    body = r.end - r.pos
+    # Checked before the record dtype is built, which numpy refuses for a huge d.
+    if body % (12 + 4 * d):
+        raise FormatError("truncated feature record")
+    if not body:
+        return [], [], np.empty((0, d), dtype=np.float32)
+    records = np.frombuffer(r.data, dtype=_feature_record(d), offset=r.pos)
+    ids = records["id"].tolist()
+    labels = [None if y == -1 else str(y) for y in records["label"].tolist()]
     _check_unique_ids(ids, path)
-    return ids, labels, X
+    return ids, labels, records["x"].astype(np.float32)
 
 
 def _check_unique_ids(ids, path) -> None:

@@ -260,6 +260,33 @@ def test_query_and_eval_match_the_library(run, dataset, trained, tmp_path):
     assert eval_out.splitlines()[1] == f"{len(ids)},{len(ids) - 2},2,{expected:.6f}"
 
 
+def test_eval_map_equals_retrieval_map_exactly(run, dataset, trained, tmp_path,
+                                              monkeypatch):
+    from ecochash import evaluation
+    index_path = tmp_path / "phi.index"
+    run(["index", "--model", trained, "--features", dataset["db"],
+         "--mode", "phi", "--index-out", index_path])
+    ids, labels, X = read_features(dataset["query"])
+    labels = [None] + labels[1:]
+    queries = tmp_path / "mixed.csv"
+    write_features(queries, ids, labels, X)
+    means = []
+    real = evaluation.mean_defined
+
+    def recording(aps):
+        means.append(real(aps))
+        return means[-1]
+
+    monkeypatch.setattr(evaluation, "mean_defined", recording)
+    out, _ = run(["eval", "--model", trained, "--index", index_path,
+                  "--queries", queries])
+    assert len(means) == 1
+    bundle, index = load_model(trained), load_index(index_path)
+    xs = [bundle.normalizer.transform(x) for x in X]
+    assert means[0] == retrieval_map(index, bundle.model, xs, labels)
+    assert out.splitlines()[1] == f"{len(ids)},{len(ids) - 1},1,{means[0]:.6f}"
+
+
 def test_eval_untrained_model_near_chance(run, dataset, tmp_path):
     model = tmp_path / "flat.model"
     index = tmp_path / "flat.index"

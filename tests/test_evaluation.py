@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecochash.errors import UndefinedAPError
 from ecochash.evaluation import (CURVE_HEADER, CurvePoint, ExperimentConfig,
-                                 average_precision, derive_seed,
+                                 average_precision, block_average_precision,
+                                 derive_seed,
                                  make_gaussian_classes, mean_average_precision,
                                  retrieval_map, run_stream_experiment,
                                  write_curve_csv)
@@ -58,6 +61,51 @@ def test_map_skips_undefined_queries():
     assert mean_average_precision([[1, 1], [0, 0]]) == 1.0
     with pytest.raises(UndefinedAPError):
         mean_average_precision([[0, 0], [0]])
+
+
+relevance_lists = st.lists(st.lists(st.booleans(), max_size=40), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(relevance_lists)
+def test_block_ap_matches_textbook_oracle(lists):
+    # Lists of unequal length, padded with False into one block.
+    block = np.zeros((len(lists), max(map(len, lists), default=0)), dtype=bool)
+    for row, rel in zip(block, lists):
+        row[:len(rel)] = rel
+    aps = block_average_precision(block)
+    assert aps.shape == (len(lists),)
+    for ap, rel in zip(aps, lists):
+        if any(rel):
+            assert ap == pytest.approx(textbook_ap(rel), rel=1e-12)
+            assert ap == average_precision(rel)
+        else:
+            assert np.isnan(ap)
+    defined = [textbook_ap(rel) for rel in lists if any(rel)]
+    if defined:
+        assert mean_average_precision(lists) == pytest.approx(np.mean(defined), rel=1e-12)
+    else:
+        with pytest.raises(UndefinedAPError):
+            mean_average_precision(lists)
+
+
+@settings(max_examples=50, deadline=None)
+@given(relevance_lists, st.integers(0, 300))
+def test_block_ap_ignores_trailing_false(lists, pad):
+    width = max(map(len, lists), default=0)
+    block = np.zeros((len(lists), width + pad), dtype=bool)
+    for row, rel in zip(block, lists):
+        row[:len(rel)] = rel
+    narrow = block_average_precision(block[:, :width])
+    wide = block_average_precision(block)
+    assert narrow.tobytes() == wide.tobytes()
+
+
+def test_block_ap_shapes():
+    assert block_average_precision(np.zeros((0, 5), dtype=bool)).shape == (0,)
+    assert np.isnan(block_average_precision(np.zeros((3, 0), dtype=bool))).all()
+    with pytest.raises(ValueError):
+        block_average_precision([True, False])  # a block is 2-D
 
 
 def test_random_ranking_ap_near_class_prior():

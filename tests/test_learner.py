@@ -406,3 +406,15 @@ def test_normalizer_transform_many_matches_single():
     many = nz.transform_many(X)
     for i in range(10):
         assert np.allclose(many[i], nz.transform(X[i]))
+
+
+@pytest.mark.parametrize("d", [1, 3, 8, 9, 64, 65, 512])
+def test_normalizer_transforms_agree_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    X = rng.standard_normal((2000, d)) * rng.uniform(0.01, 100.0, (2000, 1))
+    for nz in (FeatureNormalizer.fit(X), FeatureNormalizer()):
+        X[0] = 0.0 if nz.mean is None else nz.mean  # centres to the zero vector
+        many = nz.transform_many(X)
+        one = np.array([nz.transform(x) for x in X])
+        assert one.tobytes() == many.tobytes()
+        assert not many[0].any()

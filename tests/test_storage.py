@@ -1,6 +1,7 @@
 """Round trips and corruption handling for the on-disk formats."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from ecochash.codebook import generate
 from ecochash.ecoc import new_matrix
 from ecochash.errors import ConsistencyError, FormatError
-from ecochash.evaluation import make_gaussian_classes
+from ecochash.evaluation import derive_seed, make_gaussian_classes
 from ecochash.index import MODE_CODEWORD, MODE_PHI, HashIndex, UpdateLedger
 from ecochash.learner import FeatureNormalizer, HashModel, step
 from ecochash.storage import (ModelBundle, load_index, load_model, read_features,
@@ -54,6 +55,38 @@ def test_model_roundtrip_bytes(tmp_path):
     assert np.array_equal(loaded.normalizer.mean, bundle.normalizer.mean)
     save_model(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_loaded_bundle_continues_training_identically(tmp_path):
+    # The bundle's own k, rho and seed disagree with its parts, as when a run
+    # seed is stored beside a model seeded from a sub-seed; the parts win.
+    X = np.random.default_rng(0).standard_normal((6, 4))
+    matrix = new_matrix(8, 2)
+    cb = generate(8, 32, seed=2)
+    model = HashModel.create(d=4, k=8, seed=derive_seed(0, 2000))
+    for x, y in zip(X[:4], "abab"):
+        step(model, matrix, cb, x, y)
+    bundle = ModelBundle(k=16, rho=5, eta=1.0, seed=0, codebook=cb,
+                         matrix=matrix, model=model)
+    save_model(bundle, tmp_path / "m.model")
+    loaded = load_model(tmp_path / "m.model")
+    assert (loaded.k, loaded.rho, loaded.seed) == (8, 2, model.seed)
+    assert (loaded.matrix.k, loaded.matrix.rho, loaded.model.seed) == (8, 2, model.seed)
+    for b in (bundle, loaded):
+        # "c" opens cycle 2, whose functions are drawn from the model's seed.
+        for x, y in zip(X[4:], "ca"):
+            step(b.model, b.matrix, b.codebook, x, y)
+    assert loaded.matrix.m == 2
+    assert loaded.model.weights.tobytes() == model.weights.tobytes()
+    assert loaded.matrix.cores == matrix.cores
+
+
+def test_features_binary_rejects_corrupt_dimension(tmp_path):
+    p = tmp_path / "t.feat"
+    for d in (0, (1 << 32) - 1):
+        p.write_bytes(struct.pack("<II", 0x54414546, d) + bytes(16))
+        with pytest.raises(FormatError):
+            read_features(p)
 
 
 def test_model_roundtrip_without_normalizer(tmp_path):
