@@ -196,6 +196,10 @@ def run_stream_experiment(train_X, train_labels, db_X, db_labels,
         raise ValueError(f"unknown mode {config.mode!r}")
     if config.refresh_every < 1:
         raise ValueError("refresh_every must be >= 1")
+    if config.orderings < 1:
+        raise ValueError("orderings must be >= 1")
+    if config.checkpoint_every is not None and config.checkpoint_every < 1:
+        raise ValueError("checkpoint_every must be >= 1, or None for no checkpoints")
     rho = config.rho if config.rho is not None else recommended_rho(config.k)
     if rho < (config.k - 1).bit_length():
         p = unique_bipartition_probability(rho, config.k)

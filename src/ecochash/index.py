@@ -25,7 +25,7 @@ saved files do not depend on this layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -46,18 +46,16 @@ _BLOCK_CELLS = 1 << 16
 
 @dataclass
 class UpdateLedger:
-    """Cumulative index-maintenance cost, keyed by training iteration."""
+    """Cumulative index-maintenance cost: totals only, however long the stream."""
 
     bit_updates_total: int = 0
     flipped_bits_total: int = 0
     entries_touched_total: int = 0
-    per_iteration: list[tuple[int, int]] = field(default_factory=list)
 
-    def record(self, iteration: int, bits: int, flips: int, entries: int) -> None:
+    def record(self, bits: int, flips: int, entries: int) -> None:
         self.bit_updates_total += bits
         self.flipped_bits_total += flips
         self.entries_touched_total += entries
-        self.per_iteration.append((iteration, bits))
 
 
 @dataclass
@@ -309,11 +307,10 @@ class HashIndex:
         unpacked and packed again. Rows come out at the model's width.
         Flips are counted only over the positions rows had before the call,
         so growing a code is not charged as flipping it. Both counts go to
-        the ledger.
+        the ledger; a call that recomputes nothing leaves it as it was.
         """
         n = self._n_phi
         if not n or not spans:
-            self.ledger.record(model.iteration, 0, 0, 0)
             return 0
         old_width = self._phi_width
         extra = n_words(model.width) - len(self._values)
@@ -334,7 +331,7 @@ class HashIndex:
         self._phi_width = model.width
         self._widest = max(self._widest, model.width)
         n_bits = n * sum(hi - lo for lo, hi in spans)
-        self.ledger.record(model.iteration, n_bits, flips, n)
+        self.ledger.record(n_bits, flips, n)
         return n_bits
 
     def apply_model_update(self, report: StepReport, model: HashModel) -> int:
@@ -445,6 +442,8 @@ class HashIndex:
     def _hits(self, order: np.ndarray, dists: np.ndarray,
               top_n: int | None) -> list[tuple[int, int]]:
         if top_n is not None:
+            if top_n < 0:
+                raise ValueError(f"top_n must be >= 0, got {top_n}")
             order = order[:top_n]
         return [(self._ids[i], d) for i, d in zip(order.tolist(), dists[order].tolist())]
 
@@ -453,7 +452,7 @@ class HashIndex:
         """Rank all entries by masked Hamming distance to phi(model, x_q).
 
         Ties break by insertion order. Returns (id, distance) pairs,
-        truncated to top_n when given.
+        truncated to top_n when given; a negative top_n raises ValueError.
         """
         return self._hits(*self.rank(model, x_q), top_n)
 

@@ -9,6 +9,7 @@ gradient, so only the k functions of the label's cycle are ever touched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,8 +184,10 @@ def step(model: HashModel, matrix: EcocMatrix, cb: Codebook,
     functions. The update writes only the rows of the label's cycle whose
     loss slope is nonzero, so every other weight vector is left bitwise
     intact; loss and update equal ``surrogate_loss`` and ``gradient`` on
-    ``matrix.find(y)`` bit for bit.
+    ``matrix.find(y)`` bit for bit. ``eta`` must be finite and >= 0.
     """
+    if not 0.0 <= eta < math.inf:
+        raise ValueError(f"eta must be finite and >= 0, got {eta}")
     if len(x) != model.d:
         raise DimensionError(f"feature length {len(x)} does not match d={model.d}")
     obs = matrix.observe_label(cb, y)
@@ -218,7 +221,6 @@ class FeatureNormalizer:
 
     mean: np.ndarray | None = None
     count: int = 0
-    convention: str = "l2"
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "FeatureNormalizer":

@@ -36,6 +36,8 @@ FORMAT_VERSION = 1
 
 _MODE_TO_TAG = {MODE_CODEWORD: 0, MODE_PHI: 1}
 _TAG_TO_MODE = {v: k for k, v in _MODE_TO_TAG.items()}
+# The one normalization FeatureNormalizer does, named in every model file.
+_NORMALIZER_TAG = "l2"
 
 
 class _Writer:
@@ -61,9 +63,6 @@ class _Writer:
         b = s.encode("utf-8")
         self.u32(len(b))
         self.f.write(b)
-
-    def code(self, c: PackedCode) -> None:
-        self.words(c.length, c.bits)
 
     def words(self, length: int, bits: int) -> None:
         """A code as its length, its word count and its little-endian words."""
@@ -173,19 +172,19 @@ def save_model(bundle: ModelBundle, path) -> None:
         w.u64(cb.draws_made)
         w.u32(len(cb.pool))
         for c in cb.pool:
-            w.code(c)
+            w.words(c.length, c.bits)
         w.u32(len(mat.cores))
         for y, core in mat.cores.items():
             w.text(y)
             w.u32(mat.cycle_of_label[y])
-            w.code(core)
+            w.words(core.length, core.bits)
         w.u32(m.width)
         w.array(m.weights, "<f8")
         if bundle.normalizer is None or bundle.normalizer.mean is None:
             w.u8(0)
         else:
             w.u8(1)
-            w.text(bundle.normalizer.convention)
+            w.text(_NORMALIZER_TAG)
             w.u64(bundle.normalizer.count)
             w.array(bundle.normalizer.mean, "<f8")
 
@@ -210,6 +209,8 @@ def load_model(path) -> ModelBundle:
         rho = r.u32()
         d = r.u32()
         eta = r.f64()
+        if not 0.0 <= eta < math.inf:
+            raise FormatError(f"learning rate {eta} is not finite and >= 0")
         seed = r.u64()
         iteration = r.u64()
         m_cycles = r.u32()
@@ -245,11 +246,11 @@ def load_model(path) -> ModelBundle:
         weights = r.array((width, d + 1), "<f8")
         normalizer = None
         if r.u8():
-            convention = r.text()
+            tag = r.text()
+            if tag != _NORMALIZER_TAG:
+                raise FormatError(f"unknown normalizer {tag!r}")
             count = r.u64()
-            mean = r.array((d,), "<f8")
-            normalizer = FeatureNormalizer(mean=mean, count=count,
-                                           convention=convention)
+            normalizer = FeatureNormalizer(mean=r.array((d,), "<f8"), count=count)
     if r.pos != r.end:
         raise FormatError(f"{r.end - r.pos} trailing bytes after the model")
     matrix = EcocMatrix(k=k, rho=rho, m=m_cycles, n_in_cycle=n_in_cycle,
@@ -289,10 +290,8 @@ def save_index(index: HashIndex, path) -> None:
         w.u64(led.bit_updates_total)
         w.u64(led.flipped_bits_total)
         w.u64(led.entries_touched_total)
-        w.u64(len(led.per_iteration))
-        for iteration, bits in led.per_iteration:
-            w.u64(iteration)
-            w.u64(bits)
+        # The per-step history section, always empty now.
+        w.u64(0)
 
 
 # The smallest entry record: id, mode, label flag, two empty codes, feature flag.
@@ -325,14 +324,11 @@ def load_index(path) -> HashIndex:
     led.bit_updates_total = r.u64()
     led.flipped_bits_total = r.u64()
     led.entries_touched_total = r.u64()
-    led.per_iteration = [(r.u64(), r.u64()) for _ in range(r.count(16, wide=True))]
+    # Older files list an (iteration, bits) pair per maintenance call; the totals cover them.
+    r.raw(16 * r.count(16, wide=True))
     if r.pos != r.end:
         raise FormatError(f"{r.end - r.pos} trailing bytes after the index")
     return index
-
-
-def _infer_format(path) -> str:
-    return "csv" if Path(path).suffix.lower() == ".csv" else "binary"
 
 
 def write_features(path, ids, labels, X, fmt: str | None = None) -> None:
@@ -349,7 +345,7 @@ def write_features(path, ids, labels, X, fmt: str | None = None) -> None:
         raise ValueError("ids, labels and features disagree on row count")
     if len(set(ids)) != len(ids):
         raise ValueError("ids must be unique within a feature file")
-    fmt = fmt or _infer_format(path)
+    fmt = fmt or ("csv" if Path(path).suffix.lower() == ".csv" else "binary")
     if fmt == "csv":
         _write_features_csv(path, ids, labels, X)
     elif fmt == "binary":
@@ -402,12 +398,19 @@ def read_features(path):
     """Read either feature encoding, sniffing the binary magic.
 
     Returns (ids, labels, X) with X as float32; labels are strings or None.
+    Ids must be unique and every feature value finite.
     """
     with open(path, "rb") as f:
         head = f.read(4)
-    if len(head) == 4 and struct.unpack("<I", head)[0] == FEATURE_MAGIC:
-        return _read_features_binary(path)
-    return _read_features_csv(path)
+    binary = len(head) == 4 and struct.unpack("<I", head)[0] == FEATURE_MAGIC
+    ids, labels, X = (_read_features_binary if binary else _read_features_csv)(path)
+    if len(set(ids)) != len(ids):
+        raise FormatError(f"{path}: duplicate ids in feature file")
+    if not np.isfinite(X).all():
+        row = np.flatnonzero(~np.isfinite(X).all(axis=1))[0]
+        raise FormatError(f"{path}: row id {ids[row]} has a feature value that is "
+                          "NaN, infinite or beyond float32's range")
+    return ids, labels, X
 
 
 def _read_features_binary(path):
@@ -426,17 +429,12 @@ def _read_features_binary(path):
     records = np.frombuffer(r.data, dtype=_feature_record(d), offset=r.pos)
     ids = records["id"].tolist()
     labels = [None if y == -1 else str(y) for y in records["label"].tolist()]
-    _check_unique_ids(ids, path)
     return ids, labels, records["x"].astype(np.float32)
 
 
-def _check_unique_ids(ids, path) -> None:
-    if len(set(ids)) != len(ids):
-        raise FormatError(f"{path}: duplicate ids in feature file")
-
-
 def _read_features_csv(path):
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    # A value beyond float32's range parses as inf, which read_features rejects.
+    with open(path, "r", encoding="utf-8", newline="") as f, np.errstate(over="ignore"):
         reader = csv.reader(f)
         try:
             header = next(reader)
@@ -465,5 +463,4 @@ def _read_features_csv(path):
             except ValueError:
                 raise FormatError(f"line {line_no}: bad feature value") from None
     X = np.stack(rows) if rows else np.empty((0, d), dtype=np.float32)
-    _check_unique_ids(ids, path)
     return ids, labels, X

@@ -228,6 +228,12 @@ def test_query_deterministic(run, dataset, trained, indexed):
     assert out1 == out2
 
 
+def test_query_rejects_a_negative_top(run, dataset, trained, indexed):
+    _, err = run(["query", "--model", trained, "--index", indexed,
+                  "--queries", dataset["query"], "--top", -28], expect=1)
+    assert err.startswith("error (invalid-argument):")
+
+
 def test_eval_trained_model_is_accurate(run, dataset, trained, indexed):
     out, _ = run(["eval", "--model", trained, "--index", indexed,
                   "--queries", dataset["query"]])
@@ -336,6 +342,13 @@ def test_eval_full_experiment_needs_data_flags(run, dataset):
     assert "--db-features" in err
 
 
+def test_eval_full_experiment_rejects_zero_orderings(run, dataset):
+    _, err = run(["eval", "--full-experiment", "--train-features", dataset["train"],
+                  "--db-features", dataset["db"], "--queries", dataset["query"],
+                  "--k", 8, "--orderings", 0], expect=1)
+    assert err.startswith("error (invalid-argument):")
+
+
 def test_missing_file_is_io_error(run, tmp_path):
     _, err = run(["train", "--features", tmp_path / "absent.csv",
                   "--k", 8, "--model-out", tmp_path / "m.model"], expect=1)
@@ -349,6 +362,25 @@ def test_corrupt_model_is_format_error(run, dataset, tmp_path):
                   "--mode", "codeword", "--index-out", tmp_path / "i.index"],
                  expect=1)
     assert err.startswith("error (format):")
+
+
+def test_train_rejects_a_nan_feature(run, tmp_path):
+    X, labels = make_gaussian_classes(2, 3, 30, seed=1)
+    X[17, 2] = np.nan
+    p = tmp_path / "nan.csv"
+    write_features(p, list(range(100, 130)), labels, X)
+    model = tmp_path / "m.model"
+    _, err = run(["train", "--features", p, "--k", 8, "--model-out", model], expect=1)
+    assert err.startswith("error (format):") and "row id 117 " in err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("eta", ["nan", "inf", "-1"])
+def test_train_rejects_eta_that_is_negative_or_not_finite(run, dataset, tmp_path, eta):
+    model = tmp_path / "m.model"
+    _, err = run(train_flags(dataset, model, **{"--eta": eta}), expect=1)
+    assert err.startswith("error (invalid-argument):")
+    assert not model.exists()
 
 
 def test_negative_seed_rejected(run, dataset, tmp_path):

@@ -293,3 +293,12 @@ def test_experiment_validates_inputs():
     with pytest.raises(ValueError):
         run_stream_experiment(trX, trY, dbX, dbY, qX, qY,
                               ExperimentConfig(k=8, rho=4, refresh_every=0))
+
+
+@pytest.mark.parametrize("over", [{"orderings": 0}, {"orderings": -2},
+                                  {"checkpoint_every": 0}, {"checkpoint_every": -5}])
+def test_experiment_rejects_counts_below_one(over):
+    (trX, trY), (dbX, dbY), (qX, qY) = separable_setup()
+    with pytest.raises(ValueError):
+        run_stream_experiment(trX, trY, dbX, dbY, qX, qY,
+                              ExperimentConfig(k=8, rho=4, **over))

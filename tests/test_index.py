@@ -435,8 +435,26 @@ def test_ledger_totals_consistent():
     for x, y in stream:
         report = step(model, matrix, cb, x, y)
         index.apply_model_update(report, model)
-    assert index.ledger.bit_updates_total == sum(b for _, b in index.ledger.per_iteration)
+    assert index.ledger.bit_updates_total == 5 * 8 * 30
     assert index.ledger.entries_touched_total == 5 * 30
+    # A call that recomputes nothing records nothing.
+    before = repr(index.ledger)
+    assert index.refresh(model) == 0
+    assert repr(index.ledger) == before
+
+
+def test_negative_top_n_is_rejected():
+    matrix, cb, model, stream = small_stream(n_labels=3, k=8, rho=4, steps=5)
+    index = HashIndex()
+    for i, (x, _) in enumerate(stream):
+        index.insert_unlabeled(i, x, model)
+    x_q = stream[0][0]
+    assert index.query(model, x_q, top_n=0) == []
+    assert [len(h) for h in index.query_many(model, [x_q, x_q], top_n=2)] == [2, 2]
+    with pytest.raises(ValueError):
+        index.query(model, x_q, top_n=-3)
+    with pytest.raises(ValueError):
+        list(index.query_many(model, [x_q], top_n=-1))
 
 
 def test_eager_final_state_equals_populate_after():
@@ -477,7 +495,7 @@ def test_random_interleavings_keep_index_invariants(ops):
     frozen = {}  # codeword entry id -> its codeword when inserted
     pending = set()  # cycles whose functions moved since they were last propagated
     report = None
-    bits = flips = 0
+    bits = flips = touched = 0
     with tempfile.TemporaryDirectory() as tmp:
         for n, (op, seed) in enumerate(ops):
             rng = np.random.default_rng(seed)
@@ -523,11 +541,13 @@ def test_random_interleavings_keep_index_invariants(ops):
             after = index.entries
             n_phi = sum(e.mode == MODE_PHI for e in before)
             bits += n_phi * k * recomputed
+            touched += n_phi if recomputed else 0
             flips += sum(((a.code.values.bits ^ b.code.values.bits)
                           & ((1 << b.code.length) - 1)).bit_count()
                          for a, b in zip(after, before) if b.mode == MODE_PHI)
             assert index.ledger.bit_updates_total == bits
             assert index.ledger.flipped_bits_total == flips
+            assert index.ledger.entries_touched_total == touched
             fresh = not pending and all(e.code.length == model.width
                                         for e in after if e.mode == MODE_PHI)
             for e in after:

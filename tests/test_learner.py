@@ -363,6 +363,17 @@ def test_step_rejects_wrong_dimension():
         step(model, matrix, cb, np.zeros(4), "a")
 
 
+@pytest.mark.parametrize("eta", [float("nan"), float("inf"), -1.0, -1e-300])
+def test_step_rejects_eta_that_is_negative_or_not_finite(eta):
+    matrix, cb = single_column_setup(0b1)
+    model = HashModel(d=2, k=1, weights=np.zeros((1, 3)))
+    with pytest.raises(ValueError):
+        step(model, matrix, cb, np.ones(2), "a", eta=eta)
+    assert np.array_equal(model.weights, np.zeros((1, 3)))
+    step(model, matrix, cb, np.ones(2), "a", eta=0.0)
+    assert np.array_equal(model.weights, np.zeros((1, 3)))
+
+
 def test_step_deterministic():
     outs = []
     for _ in range(2):

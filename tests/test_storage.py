@@ -50,11 +50,38 @@ def test_model_roundtrip_bytes(tmp_path):
     loaded = load_model(p1)
     assert_bundles_equal(bundle, loaded)
     assert loaded.normalizer is not None
-    assert loaded.normalizer.convention == "l2"
     assert loaded.normalizer.count == bundle.normalizer.count
     assert np.array_equal(loaded.normalizer.mean, bundle.normalizer.mean)
     save_model(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_model_rejects_another_normalizer_tag(tmp_path):
+    bundle, _, _ = trained_bundle()
+    p = tmp_path / "m.model"
+    save_model(bundle, p)
+    blob = p.read_bytes()
+    # The file ends with the normalizer: u8 1, the text "l2", u64 count, d means.
+    tail = 1 + 4 + 2 + 8 + 8 * bundle.model.d
+    assert blob[-tail:-tail + 7] == b"\x01\x02\x00\x00\x00l2"
+    for tag in (b"L2", b"z1"):
+        p.write_bytes(blob[:-tail + 5] + tag + blob[-tail + 7:])
+        with pytest.raises(FormatError):
+            load_model(p)
+
+
+@pytest.mark.parametrize("eta", [float("nan"), float("inf"), -1.0])
+def test_model_rejects_eta_that_is_negative_or_not_finite(tmp_path, eta):
+    bundle, _, _ = trained_bundle(steps=5)
+    p = tmp_path / "m.model"
+    save_model(bundle, p)
+    blob = bytearray(p.read_bytes())
+    # magic, version, k, rho and d come before the f64 eta.
+    assert struct.unpack_from("<d", blob, 24)[0] == bundle.eta
+    struct.pack_into("<d", blob, 24, eta)
+    p.write_bytes(bytes(blob))
+    with pytest.raises(FormatError):
+        load_model(p)
 
 
 def test_loaded_bundle_continues_training_identically(tmp_path):
@@ -200,14 +227,17 @@ def test_index_roundtrip_bytes(tmp_path):
     assert loaded.ledger.bit_updates_total == index.ledger.bit_updates_total
     assert loaded.ledger.flipped_bits_total == index.ledger.flipped_bits_total
     assert loaded.ledger.entries_touched_total == index.ledger.entries_touched_total
-    assert loaded.ledger.per_iteration == index.ledger.per_iteration
     save_index(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 # SHA-256 of the saved populated index after one eager update. The file
 # format does not depend on how the index lays its rows out in memory.
-POPULATED_INDEX_SHA256 = "cd6573db02bf04464c9cd57d88e0f85a65766d26879189ed446183a2d2ec59ac"
+POPULATED_INDEX_SHA256 = "86353e8452db5955eeb9ce82bd396ea2dd5c994966e135bafec56e621bcbf9ff"
+# The same index as older versions wrote it: the ledger's totals followed by
+# a history section of one (iteration, bits) pair instead of an empty one.
+POPULATED_INDEX_WITH_HISTORY_SHA256 = (
+    "cd6573db02bf04464c9cd57d88e0f85a65766d26879189ed446183a2d2ec59ac")
 
 
 def test_index_bytes_are_pinned(tmp_path):
@@ -217,7 +247,37 @@ def test_index_bytes_are_pinned(tmp_path):
     index.apply_model_update(report, bundle.model)
     p = tmp_path / "i.index"
     save_index(index, p)
-    assert hashlib.sha256(p.read_bytes()).hexdigest() == POPULATED_INDEX_SHA256
+    blob = p.read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == POPULATED_INDEX_SHA256
+    # An older file carries the step's pair; it loads to the same rows and
+    # totals and saves again without its history.
+    assert blob[-8:] == bytes(8)
+    old = blob[:-8] + struct.pack("<QQQ", 1, bundle.model.iteration,
+                                  index.ledger.bit_updates_total)
+    assert hashlib.sha256(old).hexdigest() == POPULATED_INDEX_WITH_HISTORY_SHA256
+    p.write_bytes(old)
+    loaded = load_index(p)
+    assert list(map(repr, loaded.rows())) == list(map(repr, index.rows()))
+    assert vars(loaded.ledger) == vars(index.ledger)
+    save_index(loaded, p)
+    assert p.read_bytes() == blob
+
+
+def test_index_file_size_does_not_grow_with_the_stream(tmp_path):
+    bundle, Xn, labels = trained_bundle()
+    index = populated_index(bundle, Xn, labels)
+    model, matrix = bundle.model, bundle.matrix
+    sizes = []
+    for steps in (1, 999):
+        for i in range(steps):
+            # Only labels already seen, so no step opens a cycle.
+            report = step(model, matrix, bundle.codebook, Xn[i % 40], labels[i % 40])
+            assert not report.new_cycle_started
+            index.apply_model_update(report, model)
+        save_index(index, tmp_path / "i.index")
+        sizes.append((tmp_path / "i.index").stat().st_size)
+    assert index.ledger.entries_touched_total == 1000 * index.phi_count
+    assert sizes[0] == sizes[1]
 
 
 class SavedRows:
@@ -393,6 +453,24 @@ def test_features_reject_duplicate_ids(tmp_path):
     p = tmp_path / "dup.csv"
     p.write_text("id,label,f0\n1,0,0.5\n1,1,0.25\n")
     with pytest.raises(FormatError):
+        read_features(p)
+
+
+@pytest.mark.parametrize("name", ["t.csv", "t.feat"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_features_reject_non_finite_values(tmp_path, name, bad):
+    ids, labels, X = feature_table()
+    X[4, 1] = bad
+    p = tmp_path / name
+    write_features(p, ids, labels, X)
+    with pytest.raises(FormatError, match="row id 14 "):
+        read_features(p)
+
+
+def test_features_csv_rejects_values_beyond_float32(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("id,label,f0\n1,0,0.5\n2,0,1e39\n")
+    with pytest.raises(FormatError, match="row id 2 "):
         read_features(p)
 
 
