@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import time
+from itertools import chain, islice
 
 import numpy as np
 
@@ -150,9 +151,12 @@ def _cmd_query(args) -> int:
     bundle = storage.load_model(args.model)
     index = storage.load_index(args.index)
     ids, _, X = storage.read_features(args.queries)
-    print("query_id,rank,id,distance")
     queries = _transform(bundle.normalizer, X)
-    for qid, hits in zip(ids, index.query_many(bundle.model, queries, top_n=args.top)):
+    ranked = zip(ids, index.query_many(bundle.model, queries, top_n=args.top))
+    # The first block is ranked before the header, so a failed command prints nothing.
+    first = list(islice(ranked, 1))
+    print("query_id,rank,id,distance")
+    for qid, hits in chain(first, ranked):
         for rank, (id, dist) in enumerate(hits, start=1):
             print(f"{qid},{rank},{id},{dist}")
     return 0

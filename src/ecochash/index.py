@@ -33,7 +33,9 @@ import numpy as np
 from .bitcode import WORD_BITS, PackedCode, TernaryCodeword, codes_to_words
 from .ecoc import EcocMatrix, Label
 from .errors import ConsistencyError, DimensionError, DuplicateIdError
-from .learner import HashModel, StepReport, phi
+# Nothing here calls ``phi``; it and ``codes_to_words`` stay module names because
+# the benchmark's tracer (perfbench/tracing.py) reads both from this ``__dict__``.
+from .learner import HashModel, StepReport, phi  # noqa: F401
 
 MODE_CODEWORD = "codeword"
 MODE_PHI = "phi"
@@ -117,6 +119,11 @@ def _hamming(qs, rows: np.ndarray, queries: int, dtype) -> np.ndarray:
     return dists
 
 
+def _check_top_n(top_n: int | None) -> None:
+    if top_n is not None and top_n < 0:
+        raise ValueError(f"top_n must be >= 0, got {top_n}")
+
+
 class HashIndex:
     """In-memory index over packed codes with exact bit-update accounting."""
 
@@ -139,8 +146,6 @@ class HashIndex:
         self._phi_width: int | None = None
         self._values = np.zeros((0, 0), dtype=_WORD)
         self._feats = np.zeros((0, 0))
-        # Codeword rows' ids by label, in insertion order.
-        self._members: dict[Label, list[int]] = {}
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -188,7 +193,6 @@ class HashIndex:
             self._cores[w, slot] = (core >> (WORD_BITS * w)) & _WORD_MASK
         self._n_cw += 1
         self._widest = max(self._widest, width)
-        self._members.setdefault(label, []).append(id)
 
     def _add_phi(self, id: int, label: Label | None, width: int, words: np.ndarray,
                  features: np.ndarray) -> None:
@@ -403,21 +407,17 @@ class HashIndex:
         return cw_d if n_cw else phi_d if n_phi else np.zeros((len(block), 0), dtype=dtype)
 
     def rank_blocks(self, model: HashModel, X):
-        """``rank`` for blocks of query rows of ``X``: (queries, entries) arrays.
+        """``(orders, dists)``, both (queries, entries), per block of rows of ``X``.
 
-        Yields ``(orders, dists)`` per block of about 2^16 distance cells, so
-        the temporaries stay small however many queries there are.
+        A block holds about 2^16 distance cells, so the temporaries stay small
+        however many queries there are. ``orders`` ranks entry rows by
+        distance, ties in insertion order; ``dists`` is in insertion order.
         """
         per_block = max(1, _BLOCK_CELLS // max(1, len(self)))
         rows = iter(X)
         while block := list(islice(rows, per_block)):
             dists = self._distances(model, block)
             yield np.argsort(dists, axis=1, kind="stable"), dists
-
-    def rank_many(self, model: HashModel, X):
-        """``rank_blocks`` one query at a time: ``(order, dists)`` per row of ``X``."""
-        for orders, dists in self.rank_blocks(model, X):
-            yield from zip(orders, dists)
 
     def all_distances(self, model: HashModel, x_q: np.ndarray) -> np.ndarray:
         """Masked Hamming distance from phi(model, x_q) to every entry.
@@ -430,21 +430,8 @@ class HashIndex:
         """
         return self._distances(model, [x_q])[0]
 
-    def rank(self, model: HashModel, x_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Entry rows by masked Hamming distance to phi(model, x_q), and the distances.
-
-        Ties break by insertion order. The distances are in insertion
-        order, as ``all_distances`` returns them.
-        """
-        dists = self.all_distances(model, x_q)
-        return np.argsort(dists, kind="stable"), dists
-
-    def _hits(self, order: np.ndarray, dists: np.ndarray,
-              top_n: int | None) -> list[tuple[int, int]]:
-        if top_n is not None:
-            if top_n < 0:
-                raise ValueError(f"top_n must be >= 0, got {top_n}")
-            order = order[:top_n]
+    def _hits(self, order, dists, top_n: int | None) -> list[tuple[int, int]]:
+        order = order[:top_n]
         return [(self._ids[i], d) for i, d in zip(order.tolist(), dists[order].tolist())]
 
     def query(self, model: HashModel, x_q: np.ndarray,
@@ -454,29 +441,16 @@ class HashIndex:
         Ties break by insertion order. Returns (id, distance) pairs,
         truncated to top_n when given; a negative top_n raises ValueError.
         """
-        return self._hits(*self.rank(model, x_q), top_n)
+        _check_top_n(top_n)
+        dists = self.all_distances(model, x_q)
+        return self._hits(np.argsort(dists, kind="stable"), dists, top_n)
 
     def query_many(self, model: HashModel, X, top_n: int | None = None):
-        """``query`` for each row of ``X``, ranked in blocks by ``rank_many``."""
-        for order, dists in self.rank_many(model, X):
-            yield self._hits(order, dists, top_n)
+        """``query`` for each row of ``X``, as an iterator over ``rank_blocks``.
 
-    def query_by_codeword(self, matrix: EcocMatrix, model: HashModel,
-                          x_q: np.ndarray) -> list[tuple[Label, int, tuple[int, ...]]]:
-        """Rank the observed labels by codeword distance, then expand members.
-
-        A label's distance is that of its core to the query's bits in its
-        cycle, so the work scales with the labels rather than the entries.
-        Label ties break by observation order; each label's codeword-mode
-        member ids follow insertion order.
+        A negative top_n raises ValueError here, before any row is ranked.
         """
-        q = phi(model, x_q)
-        if matrix.width != q.length:
-            raise ConsistencyError(
-                f"matrix width {matrix.width} does not match query width {q.length}")
-        k, core_mask = matrix.k, (1 << matrix.k) - 1
-        dists = {y: (((q.bits >> (matrix.cycle_of_label[y] - 1) * k) ^ core.bits)
-                     & core_mask).bit_count()
-                 for y, core in matrix.cores.items()}
-        ranked = sorted(dists.items(), key=lambda t: t[1])
-        return [(y, d, tuple(self._members.get(y, ()))) for y, d in ranked]
+        _check_top_n(top_n)
+        return (self._hits(order, dists, top_n)
+                for orders, block in self.rank_blocks(model, X)
+                for order, dists in zip(orders, block))

@@ -20,35 +20,6 @@ from .ecoc import EcocMatrix, Label
 from .errors import ConsistencyError, DimensionError
 
 
-class HingeLoss:
-    """l(z) = max(0, 1 + z); the subgradient at the kink is 0."""
-
-    def value(self, z: np.ndarray) -> np.ndarray:
-        return np.maximum(0.0, 1.0 + z)
-
-    def slope(self, z: np.ndarray) -> np.ndarray:
-        return (z > -1.0).astype(np.float64)
-
-
-class LogisticLoss:
-    """l(z) = log2(1 + e^z), a smooth upper bound on the 0/1 disagreement."""
-
-    def value(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
-        out = np.empty_like(z)
-        big = z > 30.0
-        out[big] = z[big] / np.log(2.0)
-        out[~big] = np.log1p(np.exp(z[~big])) / np.log(2.0)
-        return out
-
-    def slope(self, z: np.ndarray) -> np.ndarray:
-        return 1.0 / ((1.0 + np.exp(-z)) * np.log(2.0))
-
-
-HINGE = HingeLoss()
-LOGISTIC = LogisticLoss()
-
-
 @dataclass
 class StepReport:
     """What one training step did; drives index refresh and cost accounting."""
@@ -149,35 +120,33 @@ def _margins(model: HashModel, x: np.ndarray, cw: TernaryCodeword):
     return pos, c, -c * (model.weights[pos] @ augment(x))
 
 
-def surrogate_loss(model: HashModel, x: np.ndarray, cw: TernaryCodeword,
-                   loss=HINGE) -> float:
-    """Sum of margin losses over the codeword's active positions.
+def surrogate_loss(model: HashModel, x: np.ndarray, cw: TernaryCodeword) -> float:
+    """Sum of the hinge max(0, 1 + z) over the codeword's active positions.
 
     Upper-bounds the masked Hamming distance between phi(model, x) and cw.
     """
-    return float(loss.value(_margins(model, x, cw)[2]).sum())
+    return float(np.maximum(0.0, 1.0 + _margins(model, x, cw)[2]).sum())
 
 
-def gradient(model: HashModel, x: np.ndarray, cw: TernaryCodeword,
-             loss=HINGE) -> dict[int, np.ndarray]:
+def gradient(model: HashModel, x: np.ndarray, cw: TernaryCodeword) -> dict[int, np.ndarray]:
     """Sparse per-column gradient of the surrogate at the current weights.
 
-    Only active columns with a nonzero loss slope appear; with the hinge,
-    those are exactly the margin-violating columns and each entry equals
-    -c_t * [x;1]. Inactive columns have identically zero gradient and are
-    never present.
+    Only active columns with a nonzero hinge slope appear (the slope is 0
+    at the kink z = -1): exactly the margin-violating columns, each entry
+    equal to -c_t * [x;1]. Inactive columns have identically zero gradient
+    and are never present.
     """
     pos, c, z = _margins(model, x, cw)
     xh = augment(x)
     out: dict[int, np.ndarray] = {}
-    for t, ct, g in zip(pos, c, loss.slope(z)):
+    for t, ct, g in zip(pos, c, (z > -1.0).astype(np.float64)):
         if g != 0.0:
             out[int(t)] = (-ct * g) * xh
     return out
 
 
 def step(model: HashModel, matrix: EcocMatrix, cb: Codebook,
-         x: np.ndarray, y: Label, eta: float = 1.0, loss=HINGE) -> StepReport:
+         x: np.ndarray, y: Label, eta: float = 1.0) -> StepReport:
     """One online update: observe the label, then descend on its codeword.
 
     A label that opens a new cycle first grows the model by k fresh
@@ -201,11 +170,11 @@ def step(model: HashModel, matrix: EcocMatrix, cb: Codebook,
     c = matrix.signs[y]
     xh = augment(x)
     z = -c * (w @ xh)
-    g = loss.slope(z)
+    g = (z > -1.0).astype(np.float64)
     np.subtract(w, eta * ((-c * g)[:, None] * xh), out=w, where=(g != 0.0)[:, None])
     model.iteration += 1
     return StepReport(label=y, touched_columns=touched,
-                      surrogate_loss_before=float(loss.value(z).sum()),
+                      surrogate_loss_before=float(np.maximum(0.0, 1.0 + z).sum()),
                       new_cycle_started=obs.new_cycle_started,
                       is_new_label=obs.is_new_label)
 
@@ -229,27 +198,33 @@ class FeatureNormalizer:
 
     def update(self, x: np.ndarray) -> None:
         """Fold one observation into the running mean."""
-        x = np.asarray(x, dtype=np.float64)
         if self.mean is None:
-            self.mean = x.copy()
+            self.mean = np.array(x, dtype=np.float64)
             self.count = 1
         else:
+            delta = self._centered(x)
             self.count += 1
-            self.mean += (x - self.mean) / self.count
+            self.mean += delta / self.count
+
+    def _centered(self, X) -> np.ndarray:
+        """``X`` as float64 less the mean, if any; a length other than the mean's raises."""
+        X = np.asarray(X, dtype=np.float64)
+        if self.mean is None:
+            return X
+        if X.shape[-1:] != self.mean.shape:
+            raise DimensionError(
+                f"feature shape {X.shape} does not match the mean's length {len(self.mean)}")
+        return X - self.mean
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         """One vector; bit for bit the matching row of ``transform_many``."""
-        v = np.asarray(x, dtype=np.float64)
-        if self.mean is not None:
-            v = v - self.mean
+        v = self._centered(x)
         # The norm both methods take: np.linalg.norm of a vector would use BLAS dot.
         norm = float(np.sqrt(np.add.reduce(v * v)))
         return v / norm if norm > 0.0 else v
 
     def transform_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if self.mean is not None:
-            X = X - self.mean
+        X = self._centered(X)
         norms = np.sqrt(np.add.reduce(X * X, axis=1, keepdims=True))
         norms[norms == 0.0] = 1.0
         return X / norms

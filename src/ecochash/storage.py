@@ -336,15 +336,20 @@ def write_features(path, ids, labels, X, fmt: str | None = None) -> None:
 
     The binary encoding needs integer labels (it stores an i32, with -1
     reserved for unlabeled); CSV takes any label without a comma-safe
-    escape worry since the writer quotes as needed.
+    escape worry since the writer quotes as needed. A value that is NaN,
+    infinite or beyond float32's range raises ValueError, as
+    ``read_features`` would refuse the file.
     """
-    X = np.asarray(X, dtype=np.float32)
+    # A value beyond float32's range becomes inf here, which the check below rejects.
+    with np.errstate(over="ignore"):
+        X = np.asarray(X, dtype=np.float32)
     if X.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {X.shape}")
     if not len(ids) == len(labels) == X.shape[0]:
         raise ValueError("ids, labels and features disagree on row count")
     if len(set(ids)) != len(ids):
         raise ValueError("ids must be unique within a feature file")
+    _check_finite(ids, X, ValueError)
     fmt = fmt or ("csv" if Path(path).suffix.lower() == ".csv" else "binary")
     if fmt == "csv":
         _write_features_csv(path, ids, labels, X)
@@ -406,11 +411,16 @@ def read_features(path):
     ids, labels, X = (_read_features_binary if binary else _read_features_csv)(path)
     if len(set(ids)) != len(ids):
         raise FormatError(f"{path}: duplicate ids in feature file")
+    _check_finite(ids, X, FormatError, f"{path}: ")
+    return ids, labels, X
+
+
+def _check_finite(ids, X: np.ndarray, error: type, prefix: str = "") -> None:
+    """Raise ``error`` naming the first row of float32 ``X`` with a non-finite value."""
     if not np.isfinite(X).all():
         row = np.flatnonzero(~np.isfinite(X).all(axis=1))[0]
-        raise FormatError(f"{path}: row id {ids[row]} has a feature value that is "
-                          "NaN, infinite or beyond float32's range")
-    return ids, labels, X
+        raise error(f"{prefix}row id {ids[row]} has a feature value that is "
+                    "NaN, infinite or beyond float32's range")
 
 
 def _read_features_binary(path):

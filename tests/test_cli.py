@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ecochash import storage
 from ecochash.cli import SEED_ENV, main
 from ecochash.evaluation import CURVE_HEADER, make_gaussian_classes, retrieval_map
 from ecochash.storage import load_index, load_model, read_features, write_features
@@ -229,9 +230,48 @@ def test_query_deterministic(run, dataset, trained, indexed):
 
 
 def test_query_rejects_a_negative_top(run, dataset, trained, indexed):
-    _, err = run(["query", "--model", trained, "--index", indexed,
-                  "--queries", dataset["query"], "--top", -28], expect=1)
+    out, err = run(["query", "--model", trained, "--index", indexed,
+                    "--queries", dataset["query"], "--top", -28], expect=1)
     assert err.startswith("error (invalid-argument):")
+    assert out == ""
+
+
+def wider_queries(dataset, tmp_path):
+    """The query file with one feature column more than the model takes."""
+    ids, labels, X = read_features(dataset["query"])
+    p = tmp_path / "wide.csv"
+    write_features(p, ids, labels, np.hstack([X, X[:, :1]]))
+    return p
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_failed_query_writes_nothing_to_stdout(run, dataset, tmp_path, normalize):
+    model, index = tmp_path / "m.model", tmp_path / "i.index"
+    run(train_flags(dataset, model) + ([] if normalize else ["--no-normalize"]))
+    run(["index", "--model", model, "--features", dataset["db"],
+         "--mode", "codeword", "--index-out", index])
+    out, err = run(["query", "--model", model, "--index", index,
+                    "--queries", wider_queries(dataset, tmp_path)], expect=1)
+    assert (out, err.split(":")[0]) == ("", "error (dimension)")
+    # rho=1 opens a cycle per label, so this index's rows are wider than the model.
+    wide_model, wide_index = tmp_path / "w.model", tmp_path / "w.index"
+    run(train_flags(dataset, wide_model, **{"--rho": 1}))
+    run(["index", "--model", wide_model, "--features", dataset["db"],
+         "--mode", "phi", "--index-out", wide_index])
+    out, err = run(["query", "--model", model, "--index", wide_index,
+                    "--queries", dataset["query"]], expect=1)
+    assert (out, err.split(":")[0]) == ("", "error (consistency)")
+
+
+def test_dimension_mismatch_against_a_normalizer(run, dataset, trained, indexed, tmp_path):
+    wide = wider_queries(dataset, tmp_path)
+    for mode in ("phi", "codeword"):
+        _, err = run(["index", "--model", trained, "--features", wide,
+                      "--mode", mode, "--index-out", tmp_path / "w.index"], expect=1)
+        assert err.startswith("error (dimension):")
+    _, err = run(["eval", "--model", trained, "--index", indexed, "--queries", wide],
+                 expect=1)
+    assert err.startswith("error (dimension):")
 
 
 def test_eval_trained_model_is_accurate(run, dataset, trained, indexed):
@@ -368,7 +408,8 @@ def test_train_rejects_a_nan_feature(run, tmp_path):
     X, labels = make_gaussian_classes(2, 3, 30, seed=1)
     X[17, 2] = np.nan
     p = tmp_path / "nan.csv"
-    write_features(p, list(range(100, 130)), labels, X)
+    # write_features refuses NaN, so the file comes from the CSV encoder under it.
+    storage._write_features_csv(p, list(range(100, 130)), labels, X.astype(np.float32))
     model = tmp_path / "m.model"
     _, err = run(["train", "--features", p, "--k", 8, "--model-out", model], expect=1)
     assert err.startswith("error (format):") and "row id 117 " in err

@@ -338,6 +338,11 @@ def mixed_index(n_labels=10, k=8, d=6):
     return model, index, stream
 
 
+def per_query(blocks):
+    """``rank_blocks``' blocks as one ``(order, dists)`` pair per query."""
+    return [pair for orders, dists in blocks for pair in zip(orders, dists)]
+
+
 def test_rank_many_matches_naive_ranking_across_blocks(monkeypatch):
     import ecochash.index as index_mod
     model, index, stream = mixed_index()
@@ -353,7 +358,7 @@ def test_rank_many_matches_naive_ranking_across_blocks(monkeypatch):
     monkeypatch.setattr(HashIndex, "_distances", spy)
     monkeypatch.setattr(index_mod, "_BLOCK_CELLS", 2 * len(index))
     probes = np.array([x for x, _ in stream[:7]])
-    ranked = list(index.rank_many(model, probes))
+    ranked = per_query(index.rank_blocks(model, probes))
     assert blocks == [2, 2, 2, 1]
     assert len(ranked) == len(probes)
     entries = index.entries
@@ -367,10 +372,12 @@ def test_rank_many_matches_naive_ranking_across_blocks(monkeypatch):
 
 def test_rank_many_empty_index_and_no_queries():
     model = HashModel.create(d=3, k=4, seed=0)
-    ranked = list(HashIndex().rank_many(model, np.ones((3, 3))))
+    ranked = per_query(HashIndex().rank_blocks(model, np.ones((3, 3))))
     assert [(o.tolist(), d.tolist()) for o, d in ranked] == [([], [])] * 3
+    assert list(HashIndex().query_many(model, np.ones((3, 3)))) == [[]] * 3
     model, index, _ = mixed_index()
-    assert list(index.rank_many(model, np.zeros((0, model.d)))) == []
+    assert list(index.rank_blocks(model, np.zeros((0, model.d)))) == []
+    assert list(index.query_many(model, np.zeros((0, model.d)))) == []
 
 
 def test_distances_hold_widths_past_uint16():
@@ -382,20 +389,7 @@ def test_distances_hold_widths_past_uint16():
     assert index.query(model, np.array([-1.0])) == [(0, 65_600)]
 
 
-def test_query_by_codeword_single_label():
-    matrix, cb, model, stream = small_stream(n_labels=1, steps=5)
-    for x, y in stream:
-        step(model, matrix, cb, x, y)
-    index = HashIndex()
-    index.insert_labeled(0, "c0", matrix)
-    index.insert_labeled(1, "c0", matrix)
-    out = index.query_by_codeword(matrix, model, stream[0][0])
-    assert len(out) == 1
-    assert out[0][0] == "c0"
-    assert out[0][2] == (0, 1)
-
-
-def test_query_by_codeword_own_label_first_when_trained():
+def test_query_own_label_first_when_trained():
     matrix, cb, model, stream = small_stream(n_labels=4, k=8, rho=4, steps=120)
     index = HashIndex()
     for i, (x, y) in enumerate(stream):
@@ -404,27 +398,9 @@ def test_query_by_codeword_own_label_first_when_trained():
         index.insert_labeled(i, y, matrix)
     hits = 0
     for x, y in stream[-20:]:
-        out = index.query_by_codeword(matrix, model, x)
-        hits += out[0][0] == y
+        [(top_id, _)] = index.query(model, x, top_n=1)
+        hits += stream[top_id][1] == y
     assert hits >= 18
-
-
-def test_query_by_codeword_agrees_with_flat_query():
-    matrix, cb, model, stream = small_stream(n_labels=4, k=8, rho=4, steps=80)
-    for x, y in stream:
-        step(model, matrix, cb, x, y)
-    index = HashIndex()
-    ids_of = {}
-    for i, (x, y) in enumerate(stream[:20]):
-        index.insert_labeled(i, y, matrix)
-        ids_of.setdefault(y, []).append(i)
-    probe = stream[3][0]
-    by_label = index.query_by_codeword(matrix, model, probe)
-    flat = dict(index.query(model, probe))
-    for y, d, member_ids in by_label:
-        assert member_ids == tuple(ids_of[y])
-        for id_ in member_ids:
-            assert flat[id_] == d
 
 
 def test_ledger_totals_consistent():
@@ -453,8 +429,9 @@ def test_negative_top_n_is_rejected():
     assert [len(h) for h in index.query_many(model, [x_q, x_q], top_n=2)] == [2, 2]
     with pytest.raises(ValueError):
         index.query(model, x_q, top_n=-3)
+    # Raised at the call, before anything is iterated.
     with pytest.raises(ValueError):
-        list(index.query_many(model, [x_q], top_n=-1))
+        index.query_many(model, [x_q], top_n=-1)
 
 
 def test_eager_final_state_equals_populate_after():

@@ -9,9 +9,9 @@ from ecochash.bitcode import TernaryCodeword, hamming_masked, pack, ternary, unp
 from ecochash.codebook import Codebook, generate
 from ecochash.ecoc import new_matrix
 from ecochash.errors import DimensionError
-from ecochash.learner import (HINGE, LOGISTIC, FeatureNormalizer, HashModel,
-                              augment, gradient, init_functions, phi,
-                              predict_bit, step, surrogate_loss)
+from ecochash.learner import (FeatureNormalizer, HashModel, augment, gradient,
+                              init_functions, phi, predict_bit, step,
+                              surrogate_loss)
 from ecochash.bitcode import PackedCode
 from ecochash.storage import ModelBundle, load_model, save_model
 
@@ -128,16 +128,6 @@ def test_surrogate_bound_property(value_bits, mask_bits, xs, wseed):
     assert surrogate_loss(model, x, cw) >= hamming_masked(phi(model, x), cw) - 1e-12
 
 
-def test_surrogate_also_bounds_with_logistic():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        model = HashModel(d=3, k=6, weights=init_functions(3, 6, seed=int(rng.integers(1 << 30))))
-        x = rng.standard_normal(3)
-        cw = random_codeword(rng, 6, int(rng.integers(0, 7)))
-        assert (surrogate_loss(model, x, cw, loss=LOGISTIC)
-                >= hamming_masked(phi(model, x), cw) - 1e-12)
-
-
 def test_gradient_empty_when_satisfied():
     x = np.array([0.5, -1.0, 2.0])
     xh = augment(x)
@@ -193,16 +183,14 @@ def test_gradient_matches_finite_differences():
 
 
 def test_hinge_kink_has_zero_slope():
-    assert HINGE.slope(np.array([-1.0]))[0] == 0.0
-    assert HINGE.slope(np.array([-1.0 + 1e-9]))[0] == 1.0
-    assert HINGE.value(np.array([-1.0]))[0] == 0.0
-
-
-def test_logistic_overflow_guard():
-    z = np.array([1000.0])
-    assert np.isfinite(LOGISTIC.value(z))[0]
-    assert LOGISTIC.value(z)[0] == pytest.approx(1000.0 / np.log(2.0))
-    assert LOGISTIC.slope(z)[0] == pytest.approx(1.0 / np.log(2.0))
+    # One active column with c = +1 and w . [x;1] = 1 - eps, so z = -1 + eps.
+    x = np.array([0.0])
+    for eps, slope in ((0.0, 0.0), (1e-9, 1.0)):
+        model = HashModel(d=1, k=1, weights=np.array([[0.0, 1.0 - eps]]))
+        g = gradient(model, x, ternary([1]))
+        assert (g[0][-1] if g else 0.0) == -slope
+    model = HashModel(d=1, k=1, weights=np.array([[0.0, 1.0]]))
+    assert surrogate_loss(model, x, ternary([1])) == 0.0
 
 
 def single_column_setup(core_bits):
@@ -260,37 +248,35 @@ def test_step_leaves_other_cycles_bitwise_intact():
     assert np.array_equal(model.weights[0:4], frozen_a)
 
 
-def reference_step(model, matrix, cb, x, y, eta, loss):
+def reference_step(model, matrix, cb, x, y, eta):
     """``step`` spelt out with the reference codeword, loss and gradient."""
     obs = matrix.observe_label(cb, y)
     if obs.new_cycle_started:
         model.grow_cycle(matrix.m)
     cw = matrix.find(y)
-    loss_before = surrogate_loss(model, x, cw, loss)
-    for t, g in gradient(model, x, cw, loss).items():
+    loss_before = surrogate_loss(model, x, cw)
+    for t, g in gradient(model, x, cw).items():
         model.weights[t] -= eta * g
     model.iteration += 1
     return loss_before
 
 
-@pytest.mark.parametrize("loss", [HINGE, LOGISTIC])
-def test_step_equals_reference_bitwise(loss):
+def test_step_equals_reference_bitwise():
     k, d = 8, 6
     rng = np.random.default_rng(5)
     stream = [(rng.standard_normal(d), f"y{int(rng.integers(7))}") for _ in range(150)]
     fast, ref = [(HashModel.create(d, k, seed=2), new_matrix(k, 2), generate(k, 32, seed=4))
                  for _ in range(2)]
     for x, y in stream:
-        report = step(*fast, x, y, eta=0.3, loss=loss)
-        assert report.surrogate_loss_before == reference_step(*ref, x, y, 0.3, loss)
+        report = step(*fast, x, y, eta=0.3)
+        assert report.surrogate_loss_before == reference_step(*ref, x, y, 0.3)
         assert fast[0].weights.tobytes() == ref[0].weights.tobytes()
         assert fast[0].iteration == ref[0].iteration
     assert fast[1].m >= 3
     assert len(fast[1]) < len(stream)
 
 
-@pytest.mark.parametrize("loss", [HINGE, LOGISTIC])
-def test_step_resumes_bitwise_across_save_and_load(loss, tmp_path):
+def test_step_resumes_bitwise_across_save_and_load(tmp_path):
     k, d, rho, eta = 8, 6, 2, 0.3
     rng = np.random.default_rng(9)
     stream = [(rng.standard_normal(d), f"y{int(rng.integers(9))}") for _ in range(120)]
@@ -301,14 +287,14 @@ def test_step_resumes_bitwise_across_save_and_load(loss, tmp_path):
 
     whole = fresh()
     for x, y in stream:
-        step(whole.model, whole.matrix, whole.codebook, x, y, eta=eta, loss=loss)
+        step(whole.model, whole.matrix, whole.codebook, x, y, eta=eta)
     part = fresh()
     path = tmp_path / "model.bin"
     for i, (x, y) in enumerate(stream):
         if i % 7 == 3:
             save_model(part, path)
             part = load_model(path)
-        step(part.model, part.matrix, part.codebook, x, y, eta=eta, loss=loss)
+        step(part.model, part.matrix, part.codebook, x, y, eta=eta)
     assert part.matrix.m >= 3
     assert part.model.weights.tobytes() == whole.model.weights.tobytes()
 
@@ -408,6 +394,18 @@ def test_normalizer_online_running_mean():
 def test_normalizer_zero_vector_passthrough():
     nz = FeatureNormalizer(mean=np.zeros(2), count=1)
     assert np.array_equal(nz.transform(np.zeros(2)), np.zeros(2))
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_normalizer_rejects_other_lengths(d):
+    nz = FeatureNormalizer(mean=np.zeros(4), count=1)
+    with pytest.raises(DimensionError):
+        nz.transform(np.ones(d))
+    with pytest.raises(DimensionError):
+        nz.transform_many(np.ones((2, d)))
+    with pytest.raises(DimensionError):
+        nz.update(np.ones(d))
+    assert (nz.mean.tolist(), nz.count) == ([0.0] * 4, 1)
 
 
 def test_normalizer_transform_many_matches_single():

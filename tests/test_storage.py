@@ -12,6 +12,7 @@ from ecochash.errors import ConsistencyError, FormatError
 from ecochash.evaluation import derive_seed, make_gaussian_classes
 from ecochash.index import MODE_CODEWORD, MODE_PHI, HashIndex, UpdateLedger
 from ecochash.learner import FeatureNormalizer, HashModel, step
+from ecochash import storage
 from ecochash.storage import (ModelBundle, load_index, load_model, read_features,
                               save_index, save_model, write_features)
 
@@ -456,15 +457,34 @@ def test_features_reject_duplicate_ids(tmp_path):
         read_features(p)
 
 
+def write_unchecked(path, ids, labels, X):
+    """Encode a table as ``write_features`` does, skipping its finiteness check."""
+    encode = (storage._write_features_csv if path.suffix == ".csv"
+              else storage._write_features_binary)
+    encode(path, ids, labels, np.asarray(X, dtype=np.float32))
+
+
 @pytest.mark.parametrize("name", ["t.csv", "t.feat"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_features_reject_non_finite_values(tmp_path, name, bad):
     ids, labels, X = feature_table()
     X[4, 1] = bad
     p = tmp_path / name
-    write_features(p, ids, labels, X)
+    write_unchecked(p, ids, labels, X)
     with pytest.raises(FormatError, match="row id 14 "):
         read_features(p)
+
+
+@pytest.mark.parametrize("name", ["t.csv", "t.feat"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 1e39, -1e300])
+def test_write_features_rejects_non_finite_values(tmp_path, name, bad):
+    ids, labels, X = feature_table()
+    X = X.astype(np.float64)
+    X[4, 1] = bad
+    p = tmp_path / name
+    with pytest.raises(ValueError, match="row id 14 "):
+        write_features(p, ids, labels, X)
+    assert not p.exists()
 
 
 def test_features_csv_rejects_values_beyond_float32(tmp_path):
