@@ -86,25 +86,22 @@ def _cmd_train(args) -> int:
     labeled = [(i, y) for i, y in enumerate(labels) if y is not None]
     if not labeled:
         raise ValueError(f"{args.features} has no labeled rows to train on")
+    # The mean is fitted over the labeled rows in file order, whatever the stream order.
+    normalizer = FeatureNormalizer.fit(X[[i for i, _ in labeled]]) if args.normalize else None
+    X = _transform(normalizer, X)
     if args.shuffle_seed is not None:
         perm = np.random.default_rng(args.shuffle_seed).permutation(len(labeled))
         labeled = [labeled[i] for i in perm]
     skipped = len(labels) - len(labeled)
     if skipped:
         print(f"skipping {skipped} unlabeled rows", file=sys.stderr)
-    d = X.shape[1]
     cb = cb_mod.generate(args.k, capacity, seed)
     matrix = new_matrix(args.k, rho)
-    model = HashModel.create(d, args.k, seed=seed)
-    normalizer = FeatureNormalizer() if args.normalize else None
+    model = HashModel.create(X.shape[1], args.k, seed=seed)
     losses = []
     t0 = time.perf_counter()
     for row, y in labeled:
-        x = np.asarray(X[row], dtype=np.float64)
-        if normalizer is not None:
-            normalizer.update(x)
-            x = normalizer.transform(x)
-        report = step(model, matrix, cb, x, y, eta=args.eta)
+        report = step(model, matrix, cb, X[row], y, eta=args.eta)
         losses.append(report.surrogate_loss_before)
     elapsed = time.perf_counter() - t0
     bundle = storage.ModelBundle(k=args.k, rho=rho, eta=args.eta, seed=seed,

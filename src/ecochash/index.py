@@ -387,6 +387,8 @@ class HashIndex:
         if self._widest > width:
             raise ConsistencyError(
                 f"an entry is wider ({self._widest}) than the query ({width})")
+        if self._n_cw and self._k != model.k:
+            raise ConsistencyError(f"codeword entries have k={self._k}, the model k={model.k}")
         signs = np.array([model.scores(x) for x in block]).reshape(len(block), width) >= 0.0
         dtype = np.min_scalar_type(width)
         n_cw, n_phi = self._n_cw, self._n_phi

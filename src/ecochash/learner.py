@@ -183,34 +183,22 @@ def step(model: HashModel, matrix: EcocMatrix, cb: Codebook,
 class FeatureNormalizer:
     """Mean-center and L2-normalize feature vectors.
 
-    The mean either comes from a calibration set (``fit``) or accumulates
-    online (``update`` before each ``transform``). Normalized features keep
-    the per-step gradient bounded.
+    The mean is fitted once over a set of rows (``fit``); training and
+    serving apply the same mean. Normalized features keep the per-step
+    gradient bounded.
     """
 
-    mean: np.ndarray | None = None
-    count: int = 0
+    mean: np.ndarray
+    count: int
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "FeatureNormalizer":
         X = np.asarray(X, dtype=np.float64)
         return cls(mean=X.mean(axis=0), count=X.shape[0])
 
-    def update(self, x: np.ndarray) -> None:
-        """Fold one observation into the running mean."""
-        if self.mean is None:
-            self.mean = np.array(x, dtype=np.float64)
-            self.count = 1
-        else:
-            delta = self._centered(x)
-            self.count += 1
-            self.mean += delta / self.count
-
     def _centered(self, X) -> np.ndarray:
-        """``X`` as float64 less the mean, if any; a length other than the mean's raises."""
+        """``X`` as float64 less the mean; a length other than the mean's raises."""
         X = np.asarray(X, dtype=np.float64)
-        if self.mean is None:
-            return X
         if X.shape[-1:] != self.mean.shape:
             raise DimensionError(
                 f"feature shape {X.shape} does not match the mean's length {len(self.mean)}")

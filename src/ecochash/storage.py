@@ -180,7 +180,7 @@ def save_model(bundle: ModelBundle, path) -> None:
             w.words(core.length, core.bits)
         w.u32(m.width)
         w.array(m.weights, "<f8")
-        if bundle.normalizer is None or bundle.normalizer.mean is None:
+        if bundle.normalizer is None:
             w.u8(0)
         else:
             w.u8(1)
@@ -239,6 +239,10 @@ def load_model(path) -> ModelBundle:
             if len(seen) > rho:
                 raise FormatError(f"cycle {j} holds more than rho={rho} labels")
             cycle_of[y], cores[y] = j, core
+        # Every draw removes its code, so a pool never repeats one nor holds a label's core.
+        free = {c.bits for c in pool}
+        if len(free) < len(pool) or any(c.bits in free for c in cores.values()):
+            raise FormatError("the codebook pool repeats a code or holds a label's core")
         last = len(in_cycle.get(m_cycles, ()))
         if last != n_in_cycle:
             raise FormatError(f"n_in_cycle is {n_in_cycle}, but cycle {m_cycles} holds {last}")

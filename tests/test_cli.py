@@ -5,8 +5,12 @@ import pytest
 
 from ecochash import storage
 from ecochash.cli import SEED_ENV, main
+from ecochash.codebook import DEFAULT_CAPACITY, generate
+from ecochash.ecoc import new_matrix
 from ecochash.evaluation import CURVE_HEADER, make_gaussian_classes, retrieval_map
-from ecochash.storage import load_index, load_model, read_features, write_features
+from ecochash.learner import FeatureNormalizer, HashModel, step
+from ecochash.storage import (load_index, load_model, read_features, save_model,
+                              write_features)
 
 
 @pytest.fixture
@@ -129,6 +133,34 @@ def test_train_shuffle_seed_changes_stream(run, dataset, tmp_path):
     run(train_flags(dataset, plain))
     run(train_flags(dataset, shuffled, **{"--shuffle-seed": 3}))
     assert plain.read_bytes() != shuffled.read_bytes()
+
+
+@pytest.mark.parametrize("shuffle_seed", [None, 3])
+def test_train_saves_the_library_bundle(run, tmp_path, shuffle_seed):
+    # The mean is fitted once over the labeled rows in file order; the stream
+    # then steps over those rows normalized, in file or shuffled order.
+    X, labels = make_gaussian_classes(3, 5, 90, seed=4)
+    labels = [None if i % 4 == 1 else y for i, y in enumerate(labels)]
+    p = tmp_path / "f.csv"
+    write_features(p, list(range(90)), labels, X)
+    argv = ["train", "--features", p, "--k", 8, "--rho", 2, "--seed", 5,
+            "--model-out", tmp_path / "cli.model"]
+    run(argv + ([] if shuffle_seed is None else ["--shuffle-seed", shuffle_seed]))
+
+    _, labels, X = read_features(p)
+    rows = [i for i, y in enumerate(labels) if y is not None]
+    norm = FeatureNormalizer.fit(X[rows])
+    stream = list(zip(norm.transform_many(X[rows]), [labels[i] for i in rows]))
+    if shuffle_seed is not None:
+        perm = np.random.default_rng(shuffle_seed).permutation(len(stream))
+        stream = [stream[i] for i in perm]
+    cb, matrix = generate(8, min(DEFAULT_CAPACITY, 1 << 7), 5), new_matrix(8, 2)
+    model = HashModel.create(5, 8, seed=5)
+    for x, y in stream:
+        step(model, matrix, cb, x, y)
+    save_model(storage.ModelBundle(k=8, rho=2, eta=1.0, seed=5, codebook=cb, matrix=matrix,
+                                   model=model, normalizer=norm), tmp_path / "lib.model")
+    assert (tmp_path / "cli.model").read_bytes() == (tmp_path / "lib.model").read_bytes()
 
 
 def test_train_csv_and_binary_produce_same_model(run, tmp_path):
@@ -259,6 +291,16 @@ def test_failed_query_writes_nothing_to_stdout(run, dataset, tmp_path, normalize
     run(["index", "--model", wide_model, "--features", dataset["db"],
          "--mode", "phi", "--index-out", wide_index])
     out, err = run(["query", "--model", model, "--index", wide_index,
+                    "--queries", dataset["query"]], expect=1)
+    assert (out, err.split(":")[0]) == ("", "error (consistency)")
+
+
+def test_query_with_a_model_of_another_k_is_a_consistency_error(run, dataset, trained,
+                                                                indexed, tmp_path):
+    # The k=16 index rows are no wider than this k=32 model, but cut in other blocks.
+    other = tmp_path / "k32.model"
+    run(train_flags(dataset, other, **{"--k": 32}))
+    out, err = run(["query", "--model", other, "--index", indexed,
                     "--queries", dataset["query"]], expect=1)
     assert (out, err.split(":")[0]) == ("", "error (consistency)")
 

@@ -12,6 +12,7 @@ from ecochash.bitcode import hamming_masked
 from ecochash.codebook import generate
 from ecochash.ecoc import new_matrix
 from ecochash.errors import ConsistencyError, DuplicateIdError, UnknownLabelError
+from ecochash.evaluation import retrieval_map
 from ecochash.index import MODE_CODEWORD, MODE_PHI, HashIndex
 from ecochash.learner import HashModel, phi, step
 from ecochash.storage import load_index, save_index
@@ -301,6 +302,28 @@ def test_query_rejects_wider_entry():
     narrow = HashModel.create(d=6, k=4, seed=0)
     with pytest.raises(ConsistencyError):
         index.query(narrow, stream[0][0])
+
+
+def test_query_rejects_a_model_of_another_k():
+    # Codeword rows of a k=8 matrix, 32 bits wide, ranked with a k=16 model
+    # 48 bits wide: the width check passes, but the rows' cycle blocks are
+    # not the model's, so every ranking path raises.
+    matrix, cb, small, stream = small_stream(n_labels=4, k=8, rho=1)
+    other, other_cb, model, _ = small_stream(k=16, rho=1)
+    index = HashIndex()
+    for i, (x, y) in enumerate(stream[:4]):
+        step(small, matrix, cb, x, y)
+        index.insert_labeled(i, y, matrix)
+    for x, y in stream[:3]:
+        step(model, other, other_cb, x, y)
+    assert (matrix.width, model.width) == (32, 48)
+    x = stream[0][0]
+    with pytest.raises(ConsistencyError):
+        index.query(model, x)
+    with pytest.raises(ConsistencyError):
+        list(index.query_many(model, [x]))
+    with pytest.raises(ConsistencyError):
+        retrieval_map(index, model, [x], ["c0"])
 
 
 def test_query_allows_stale_narrow_entries():

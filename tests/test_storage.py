@@ -109,6 +109,19 @@ def test_loaded_bundle_continues_training_identically(tmp_path):
     assert loaded.matrix.cores == matrix.cores
 
 
+@pytest.mark.parametrize("case", ["repeated code", "assigned core"])
+def test_model_rejects_a_pool_no_draws_could_leave(tmp_path, case):
+    # Every draw removes its code, so such a pool would later hand two labels
+    # one core: a file that loads, trains and saves, then fails to reload.
+    bundle, _, _ = trained_bundle(steps=5)
+    pool = bundle.codebook.pool
+    pool.append(pool[0] if case == "repeated code" else next(iter(bundle.matrix.cores.values())))
+    p = tmp_path / "m.model"
+    save_model(bundle, p)
+    with pytest.raises(FormatError):
+        load_model(p)
+
+
 def test_features_binary_rejects_corrupt_dimension(tmp_path):
     p = tmp_path / "t.feat"
     for d in (0, (1 << 32) - 1):
