@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitcode import PackedCode, hamming
+from .bitcode import PackedCode, codes_to_words
 from .errors import CodebookExhaustedError
 
 DEFAULT_CAPACITY = 1024
@@ -120,17 +120,17 @@ def unique_bipartition_probability(rho: int, k: int) -> float:
 
 
 def separation_stats(cb: Codebook) -> SeparationStats:
-    """Exact min and mean pairwise Hamming distance over the pool."""
+    """Exact min and mean pairwise Hamming distance over the pool.
+
+    One XOR-popcount pass per code against the codes after it, summed as integers.
+    """
     n = len(cb.pool)
     if n < 2:
         raise ValueError(f"need at least 2 pool entries, have {n}")
-    dmin = cb.k
-    total = 0
-    count = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = hamming(cb.pool[i], cb.pool[j])
-            dmin = min(dmin, d)
-            total += d
-            count += 1
-    return SeparationStats(min_distance=dmin, mean_distance=total / count)
+    words = codes_to_words([c.bits for c in cb.pool], cb.k)
+    dmin, total = cb.k, 0
+    for i in range(n - 1):
+        d = np.bitwise_count(words[i + 1:] ^ words[i]).sum(axis=1, dtype=np.int64)
+        dmin = min(dmin, int(d.min()))
+        total += int(d.sum())
+    return SeparationStats(min_distance=dmin, mean_distance=total / (n * (n - 1) // 2))

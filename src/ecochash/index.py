@@ -19,22 +19,22 @@ its augmented features ``[x; 1]``, so an update recomputes a cycle's
 columns for every phi row with one matrix product. A query's distance to
 a codeword row is the popcount of its bits in the row's cycle XOR the
 core; to a phi row, of its bits below the phi width XOR the words.
-``rows`` expands codeword rows back to full-width value and mask bits, so
-saved files do not depend on this layout.
+``rows`` expands codeword rows back to full-width value and mask bits.
+Index files hold the two blocks as ``FILE_LAYOUT``'s arrays (see ``arrays``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 
 import numpy as np
 
-from .bitcode import WORD_BITS, PackedCode, TernaryCodeword, codes_to_words
+from .bitcode import WORD_BITS, PackedCode, TernaryCodeword, codes_to_words  # noqa: F401
 from .ecoc import EcocMatrix, Label
 from .errors import ConsistencyError, DimensionError, DuplicateIdError
-# Nothing here calls ``phi``; it and ``codes_to_words`` stay module names because
-# the benchmark's tracer (perfbench/tracing.py) reads both from this ``__dict__``.
+# Nothing here calls ``phi`` or ``codes_to_words``; both stay module names because
+# the benchmark's tracer (perfbench/tracing.py) reads them from this ``__dict__``.
 from .learner import HashModel, StepReport, phi  # noqa: F401
 
 MODE_CODEWORD = "codeword"
@@ -58,6 +58,20 @@ class UpdateLedger:
         self.bit_updates_total += bits
         self.flipped_bits_total += flips
         self.entries_touched_total += entries
+
+
+# Index file format version 2: (name, dtype) little-endian arrays in file order, a single
+# value being an array of one (``_SINGLE``); ``label_of`` indexes the UTF-8 label table (-1:
+# none). k is 0 without codeword rows, the phi width and feature length without phi rows.
+FILE_LAYOUT = (
+    ("ids", "<u8"), ("is_phi", "u1"), ("label_lengths", "<u4"), ("label_text", "u1"),
+    ("label_of", "<i4"), ("k", "<u4"), ("cycles", "<u4"), ("widths", "<u4"), ("cores", "<u8"),
+    ("phi_width", "<u4"), ("feature_length", "<u4"), ("values", "<u8"), ("features", "<f8"),
+    ("widest", "<u4"), ("bit_updates_total", "<u8"), ("flipped_bits_total", "<u8"),
+    ("entries_touched_total", "<u8"),
+)
+_SINGLE = ("k", "phi_width", "feature_length", "widest", *vars(UpdateLedger()))
+_EMPTY = {name: np.zeros(int(name in _SINGLE), dtype) for name, dtype in FILE_LAYOUT}
 
 
 @dataclass
@@ -127,25 +141,57 @@ def _check_top_n(top_n: int | None) -> None:
 class HashIndex:
     """In-memory index over packed codes with exact bit-update accounting."""
 
-    def __init__(self) -> None:
-        self.ledger = UpdateLedger()
-        self._ids: list[int] = []
-        self._labels: list[Label | None] = []
-        self._id_set: set[int] = set()
-        self._is_phi = np.zeros(0, dtype=bool)
+    def __init__(self, fields: dict = _EMPTY) -> None:
+        """An empty index, or a copy of the one ``arrays`` described.
+
+        Its invariants are checked once over the arrays; a ValueError names the
+        one that fails (raised by ``reshape`` or ``item`` for a wrong size).
+        """
+        k, phi_width, d, widest, *totals = (np.asarray(fields[f]).item() for f in _SINGLE)
+        ids = np.asarray(fields["ids"]).tolist()
+        n = len(ids)
+        is_phi = np.asarray(fields["is_phi"]).reshape(n)
+        n_phi = int(np.count_nonzero(is_phi))
+        n_cw = n - n_phi
+        label_of = np.asarray(fields["label_of"], dtype=np.int64).reshape(n)
+        lengths = np.asarray(fields["label_lengths"], dtype=np.int64).tolist()
+        text = np.asarray(fields["label_text"], dtype=np.uint8).tobytes()
+        table = [text[e - size:e].decode("utf-8") for e, size in zip(accumulate(lengths), lengths)]
+        cycles = np.array(fields["cycles"], dtype=np.int64).reshape(n_cw)
+        widths = np.array(fields["widths"], dtype=np.int64).reshape(n_cw)
+        cores = np.asarray(fields["cores"], dtype=_WORD).reshape(n_cw, n_words(k))
+        values = np.asarray(fields["values"], dtype=_WORD).reshape(n_phi, n_words(phi_width))
+        feats = np.asarray(fields["features"], dtype=np.float64).reshape(n_phi, d)
+        for broken, what in (
+                (n and is_phi.max() > 1, "a block flag is neither 0 nor 1"),
+                (len(set(ids)) != n, "an id appears twice"),
+                (sum(lengths) != len(text), "the label lengths do not add up to the label text"),
+                (n and not -1 <= label_of.min() <= label_of.max() < len(table),
+                 f"a label index is outside [-1, {len(table)})"),
+                ((k > 0) != (n_cw > 0) or (phi_width > 0) != (n_phi > 0) or (d and not n_phi),
+                 f"k={k}, phi width {phi_width} or feature length {d} does not fit the rows"),
+                (n_cw and k and (cycles.min() < 1 or (cycles > widths // k).any()),
+                 "a codeword row's cycle is 0 or its columns pass the row's width"),
+                (n_cw and k % 64 and (cores[:, -1] >> np.uint64(k % 64)).any(),
+                 f"a codeword core has bits past k={k}"),
+                (n_phi and phi_width % 64 and (values[:, -1] >> np.uint64(phi_width % 64)).any(),
+                 f"a phi row has bits past width {phi_width}"),
+                (widest != max(widths.max(initial=0), phi_width), f"wrong widest width {widest}")):
+            if broken:
+                raise ValueError(what)
+        self.ledger = UpdateLedger(*totals)
+        self._ids, self._id_set, self._is_phi = ids, set(ids), is_phi.astype(bool)
+        self._labels = [None if i < 0 else table[i] for i in label_of.tolist()]
         # The widest row's width; a query may not be narrower.
-        self._widest = 0
+        self._widest = widest
         # Codeword block: cycle, core words and insertion width per slot.
-        self._k: int | None = None
-        self._n_cw = 0
-        self._cycles = np.zeros(0, dtype=np.int64)
-        self._cores = np.zeros((0, 0), dtype=_WORD)
-        self._cw_widths = np.zeros(0, dtype=np.int64)
+        self._k, self._n_cw, self._cycles, self._cw_widths = k, n_cw, cycles, widths
+        self._cores = np.array(cores.T, order="C")
         # Phi block: value words at the shared width and features per slot.
-        self._n_phi = 0
-        self._phi_width: int | None = None
-        self._values = np.zeros((0, 0), dtype=_WORD)
-        self._feats = np.zeros((0, 0))
+        self._n_phi, self._phi_width = n_phi, phi_width
+        self._values = np.array(values.T, order="C")
+        self._feats = np.ones((n_phi, d + 1) if n_phi else (0, 0))
+        self._feats[:, :-1] = feats
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -159,9 +205,11 @@ class HashIndex:
         """Each entry's label, None where it has none, in insertion order."""
         return list(self._labels)
 
-    def _append(self, id: int, label: Label | None, is_phi: bool) -> int:
-        """Give ``id`` the next row, as an int; a duplicate raises before any change."""
+    def _append(self, id: int, label: Label | None, is_phi: bool) -> None:
+        """Give ``id`` the next row; a bad id raises before any change."""
         id = int(id)
+        if not 0 <= id < 1 << 64:
+            raise ValueError(f"id {id} is outside [0, 2^64)")
         if id in self._id_set:
             raise DuplicateIdError(f"id {id} is already indexed")
         n = len(self._ids)
@@ -171,100 +219,50 @@ class HashIndex:
         self._ids.append(id)
         self._labels.append(label)
         self._id_set.add(id)
-        return id
 
-    def _add_codeword(self, id: int, label: Label | None, cycle: int, core: int,
-                      width: int, k: int) -> None:
-        """Append a codeword row: the k-bit ``core`` on cycle ``cycle``'s columns."""
-        if self._k not in (None, k):
-            raise ConsistencyError(f"codeword entries have k={self._k}, entry {id} has k={k}")
-        id = self._append(id, label, False)
-        if self._k is None:
-            self._k = k
-            self._cores = np.zeros((n_words(k), len(self._cycles)), dtype=_WORD)
-        slot = self._n_cw
-        if slot == len(self._cycles):
-            self._cycles, self._cw_widths = map(_doubled, (self._cycles, self._cw_widths))
-            self._cores = _doubled(self._cores, axis=1)
-        self._cycles[slot] = cycle
-        self._cw_widths[slot] = width
-        # A word at a time: 0.7 us against 5.3 us through codes_to_words.
-        for w in range(len(self._cores)):
-            self._cores[w, slot] = (core >> (WORD_BITS * w)) & _WORD_MASK
-        self._n_cw += 1
-        self._widest = max(self._widest, width)
-
-    def _add_phi(self, id: int, label: Label | None, width: int, words: np.ndarray,
-                 features: np.ndarray) -> None:
-        """Append a phi row: its ``n_words(width)`` value words and its features."""
-        if self._phi_width not in (None, width):
-            raise ConsistencyError(
-                f"existing entries have width {self._phi_width}, new entry has {width}")
-        slot = self._n_phi
-        if slot and len(features) + 1 != self._feats.shape[1]:
-            raise DimensionError(
-                f"feature length {len(features)} does not match "
-                f"{self._feats.shape[1] - 1} of the existing phi entries")
-        self._append(id, label, True)
-        if not slot:
-            self._values = np.zeros((len(words), len(self._feats)), dtype=_WORD)
-            self._feats = np.zeros((len(self._feats), len(features) + 1))
-        if slot == len(self._feats):
-            self._feats = _doubled(self._feats)
-            self._values = _doubled(self._values, axis=1)
-        self._values[:, slot] = words
-        self._feats[slot, :-1] = features
-        self._feats[slot, -1] = 1.0
-        self._n_phi += 1
-        self._phi_width = width
-        self._widest = max(self._widest, width)
-
-    def add_row(self, id: int, label: Label | None, length: int, values: int,
-                mask: int, features: np.ndarray | None = None) -> None:
-        """Append one entry given as its code's value and mask bits.
-
-        ``features`` is given for, and only for, a phi entry, whose mask
-        must be full; every phi entry must share one width and one feature
-        length. A codeword entry's mask must be one aligned k-bit block,
-        ``((1 << k) - 1) << (c - 1) * k`` for its cycle c, with the k of
-        the other codeword entries. The index loader adds entries through
-        here, so this is where the index's invariants are checked.
-        """
-        if (values | mask) >> length or values & ~mask:
-            raise ValueError(f"entry {id} has bits beyond length {length} or outside its mask")
-        if features is not None:
-            if mask != (1 << length) - 1:
-                raise ValueError(f"phi entry {id} has inactive positions")
-            words = codes_to_words([values], length)[0, :n_words(length)]
-            self._add_phi(id, label, length, words, features)
-            return
-        k = mask.bit_count()
-        offset = (mask & -mask).bit_length() - 1
-        if not k or offset % k or mask >> offset != (1 << k) - 1:
-            raise ValueError(f"codeword entry {id}'s mask is not one aligned k-bit block")
-        self._add_codeword(id, label, offset // k + 1, values >> offset, length, k)
+    def arrays(self) -> dict:
+        """The index as ``FILE_LAYOUT``'s fields, by name; arrays may be views."""
+        n_cw, n_phi = self._n_cw, self._n_phi
+        at = {y: i for i, y in enumerate(dict.fromkeys(y for y in self._labels if y is not None))}
+        text = [y.encode("utf-8") for y in at]
+        return {
+            "ids": np.array(self._ids, dtype=np.uint64),
+            "is_phi": self._is_phi[:len(self)],
+            "label_lengths": np.array([len(b) for b in text], dtype=np.uint32),
+            "label_text": np.frombuffer(b"".join(text), dtype=np.uint8),
+            "label_of": np.array([at.get(y, -1) for y in self._labels], dtype=np.int32),
+            "k": self._k,
+            "cycles": self._cycles[:n_cw],
+            "widths": self._cw_widths[:n_cw],
+            "cores": self._cores[:, :n_cw].T,
+            "phi_width": self._phi_width,
+            "feature_length": self._feats.shape[1] - 1 if n_phi else 0,
+            "values": self._values[:, :n_phi].T,
+            "features": self._feats[:n_phi, :-1],
+            "widest": self._widest,
+            **vars(self.ledger),
+        }
 
     def rows(self):
-        """Each entry as the arguments ``add_row`` takes, in insertion order.
+        """Each entry as ``(id, label, length, values, mask, features)``, in insertion order.
 
         A codeword row comes back as its core placed in its cycle's
-        columns, at the width it was inserted at. Feature rows are views
-        into the index, valid until it next changes.
+        columns, at the width it was inserted at, with features None. A phi
+        row has a full mask at the phi width; its features are views into
+        the index, valid until it next changes.
         """
-        k = self._k or 0
         codewords = zip(self._cycles[:self._n_cw].tolist(), _ints(self._cores, self._n_cw),
                         self._cw_widths[:self._n_cw].tolist())
         phis = zip(_ints(self._values, self._n_phi), self._feats[:self._n_phi, :-1])
-        width = self._phi_width or 0
-        full = (1 << width) - 1
+        full = (1 << self._phi_width) - 1
         for id, label, is_phi in zip(self._ids, self._labels, self._is_phi[:len(self)].tolist()):
             if is_phi:
                 values, features = next(phis)
-                yield id, label, width, values, full, features
+                yield id, label, self._phi_width, values, full, features
             else:
                 cycle, core, length = next(codewords)
-                offset = (cycle - 1) * k
-                yield id, label, length, core << offset, ((1 << k) - 1) << offset, None
+                offset = (cycle - 1) * self._k
+                yield id, label, length, core << offset, ((1 << self._k) - 1) << offset, None
 
     @property
     def entries(self) -> list[IndexEntry]:
@@ -286,7 +284,23 @@ class HashIndex:
         functions move. Every codeword entry of an index shares one k.
         """
         cycle, core = matrix.locate(y)
-        self._add_codeword(id, y, cycle, core.bits, matrix.width, matrix.k)
+        k, width = matrix.k, matrix.width
+        if self._k not in (0, k):
+            raise ConsistencyError(f"codeword entries have k={self._k}, entry {id} has k={k}")
+        self._append(id, y, False)
+        if not self._k:
+            self._k = k
+            self._cores = np.zeros((n_words(k), len(self._cycles)), dtype=_WORD)
+        slot = self._n_cw
+        if slot == len(self._cycles):
+            self._cycles, self._cw_widths = map(_doubled, (self._cycles, self._cw_widths))
+            self._cores = _doubled(self._cores, axis=1)
+        self._cycles[slot], self._cw_widths[slot] = cycle, width
+        # A word at a time: 0.4 us against 0.9 us through np.frombuffer.
+        for w in range(len(self._cores)):
+            self._cores[w, slot] = (core.bits >> (WORD_BITS * w)) & _WORD_MASK
+        self._n_cw += 1
+        self._widest = max(self._widest, width)
 
     def insert_unlabeled(self, id: int, x: np.ndarray, model: HashModel,
                          label: Label | None = None) -> None:
@@ -296,13 +310,36 @@ class HashIndex:
         normalized) to allow partial recomputation later. ``label`` is an
         optional ground-truth tag kept for evaluation only; it plays no part
         in the stored code, which is ``phi(model, x)``'s bits.
+
+        A phi block behind the model's new cycles takes the row at its own
+        width, and the next ``refresh`` or ``apply_model_update`` catches it up
+        with the rest. A model narrower than the block raises ConsistencyError.
         """
-        width = model.width
+        width = self._phi_width or model.width
+        if width > model.width:
+            raise ConsistencyError(f"phi entries have width {width}, the model {model.width}")
         if width < 1:
             raise ValueError("model has no hash functions")
         bits = np.zeros(WORD_BITS * n_words(width), dtype=bool)
-        np.greater_equal(model.scores(x), 0.0, out=bits[:width])
-        self._add_phi(id, label, width, np.packbits(bits, bitorder="little").view(_WORD), x)
+        np.greater_equal(model.scores(x)[:width], 0.0, out=bits[:width])
+        slot = self._n_phi
+        if slot and len(x) + 1 != self._feats.shape[1]:
+            raise DimensionError(
+                f"feature length {len(x)} does not match "
+                f"{self._feats.shape[1] - 1} of the existing phi entries")
+        self._append(id, label, True)
+        if not slot:
+            self._values = np.zeros((n_words(width), len(self._feats)), dtype=_WORD)
+            self._feats = np.zeros((len(self._feats), len(x) + 1))
+        if slot == len(self._feats):
+            self._feats = _doubled(self._feats)
+            self._values = _doubled(self._values, axis=1)
+        self._values[:, slot] = np.packbits(bits, bitorder="little").view(_WORD)
+        self._feats[slot, :-1] = x
+        self._feats[slot, -1] = 1.0
+        self._n_phi += 1
+        self._phi_width = width
+        self._widest = max(self._widest, width)
 
     def _recompute(self, model: HashModel, spans: list[tuple[int, int]]) -> int:
         """Recompute the columns [lo, hi) of ``spans`` in every phi row; returns the bits.
@@ -364,7 +401,7 @@ class HashIndex:
         since the last refresh are always caught up, so afterwards every
         entry sits at the model's width.
         """
-        old_width = self._phi_width or 0
+        old_width = self._phi_width
         if old_width > model.width:
             raise ConsistencyError(
                 f"entries have width {self._phi_width}, model has {model.width}")

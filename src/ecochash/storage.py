@@ -25,17 +25,15 @@ import numpy as np
 from .bitcode import PackedCode
 from .codebook import Codebook
 from .ecoc import EcocMatrix
-from .errors import ConsistencyError, FormatError
-from .index import MODE_CODEWORD, MODE_PHI, HashIndex, n_words
+from .errors import FormatError
+from .index import FILE_LAYOUT, HashIndex, n_words
 from .learner import FeatureNormalizer, HashModel
 
 MODEL_MAGIC = b"ECOCHMDL"
 INDEX_MAGIC = b"ECOCHIDX"
 FEATURE_MAGIC = 0x54414546  # the bytes b"FEAT"
-FORMAT_VERSION = 1
-
-_MODE_TO_TAG = {MODE_CODEWORD: 0, MODE_PHI: 1}
-_TAG_TO_MODE = {v: k for k, v in _MODE_TO_TAG.items()}
+MODEL_VERSION = 1
+INDEX_VERSION = 2
 # The one normalization FeatureNormalizer does, named in every model file.
 _NORMALIZER_TAG = "l2"
 
@@ -128,13 +126,14 @@ class _Reader:
         return np.frombuffer(b, dtype=dtype).reshape(shape).copy()
 
 
-def _check_header(r: _Reader, magic: bytes, kind: str) -> None:
+def _check_header(r: _Reader, magic: bytes, kind: str, version: int, older: str = "") -> None:
+    """Check the magic and the version; ``older`` is added for a version below ``version``."""
     got = r.raw(len(magic))
     if got != magic:
         raise FormatError(f"not a {kind} file: bad magic {got!r}")
-    version = r.u32()
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported {kind} version {version}")
+    found = r.u32()
+    if found != version:
+        raise FormatError(f"unsupported {kind} version {found}{older if found < version else ''}")
 
 
 @dataclass
@@ -158,7 +157,7 @@ def save_model(bundle: ModelBundle, path) -> None:
     with open(path, "wb") as f:
         w = _Writer(f)
         w.raw(MODEL_MAGIC)
-        w.u32(FORMAT_VERSION)
+        w.u32(MODEL_VERSION)
         w.u32(mat.k)
         w.u32(mat.rho)
         w.u32(m.d)
@@ -204,7 +203,7 @@ def _read_core(r: _Reader, k: int) -> PackedCode:
 def load_model(path) -> ModelBundle:
     with open(path, "rb") as f:
         r = _Reader(f.read())
-        _check_header(r, MODEL_MAGIC, "model")
+        _check_header(r, MODEL_MAGIC, "model", MODEL_VERSION)
         k = r.u32()
         rho = r.u32()
         d = r.u32()
@@ -269,70 +268,30 @@ def load_model(path) -> ModelBundle:
 
 
 def save_index(index: HashIndex, path) -> None:
+    fields = index.arrays()
     with open(path, "wb") as f:
         w = _Writer(f)
         w.raw(INDEX_MAGIC)
-        w.u32(FORMAT_VERSION)
-        w.u32(len(index))
-        for id, label, length, values, mask, features in index.rows():
-            w.u64(id)
-            w.u8(_MODE_TO_TAG[MODE_CODEWORD if features is None else MODE_PHI])
-            if label is None:
-                w.u8(0)
-            else:
-                w.u8(1)
-                w.text(label)
-            w.words(length, values)
-            w.words(length, mask)
-            if features is None:
-                w.u8(0)
-            else:
-                w.u8(1)
-                w.u32(len(features))
-                w.array(features, "<f8")
-        led = index.ledger
-        w.u64(led.bit_updates_total)
-        w.u64(led.flipped_bits_total)
-        w.u64(led.entries_touched_total)
-        # The per-step history section, always empty now.
-        w.u64(0)
-
-
-# The smallest entry record: id, mode, label flag, two empty codes, feature flag.
-_MIN_ENTRY_BYTES = 8 + 1 + 1 + 8 + 8 + 1
+        w.u32(INDEX_VERSION)
+        for a in (np.asarray(fields[name], dtype=dtype) for name, dtype in FILE_LAYOUT):
+            w.u64(a.size)
+            w.raw(a.tobytes())
 
 
 def load_index(path) -> HashIndex:
+    """Read ``FILE_LAYOUT``'s arrays, each after its u64 size; ``HashIndex`` checks them."""
     with open(path, "rb") as f:
         r = _Reader(f.read())
-    _check_header(r, INDEX_MAGIC, "index")
-    index = HashIndex()
-    for _ in range(r.count(_MIN_ENTRY_BYTES)):
-        id = r.u64()
-        tag = r.u8()
-        if tag not in _TAG_TO_MODE:
-            raise FormatError(f"unknown entry mode tag {tag}")
-        label = r.text() if r.u8() else None
-        length, values = r.words()
-        mask_length, mask = r.words()
-        if mask_length != length:
-            raise FormatError("entry value/mask lengths disagree")
-        features = r.array((r.count(8),), "<f8") if r.u8() else None
-        if (_TAG_TO_MODE[tag] == MODE_PHI) != (features is not None):
-            raise FormatError(f"entry {id}: only phi entries have features, and all do")
-        try:
-            index.add_row(id, label, length, values, mask, features)
-        except (ValueError, ConsistencyError) as exc:
-            raise FormatError(f"bad index entry: {exc}") from None
-    led = index.ledger
-    led.bit_updates_total = r.u64()
-    led.flipped_bits_total = r.u64()
-    led.entries_touched_total = r.u64()
-    # Older files list an (iteration, bits) pair per maintenance call; the totals cover them.
-    r.raw(16 * r.count(16, wide=True))
+    _check_header(r, INDEX_MAGIC, "index", INDEX_VERSION,
+                  "; rebuild the index from its model and features with `ecochash index`")
+    fields = {name: r.array((r.count(np.dtype(dtype).itemsize, wide=True),), dtype)
+              for name, dtype in FILE_LAYOUT}
     if r.pos != r.end:
         raise FormatError(f"{r.end - r.pos} trailing bytes after the index")
-    return index
+    try:
+        return HashIndex(fields)
+    except ValueError as exc:
+        raise FormatError(f"bad index: {exc}") from None
 
 
 def write_features(path, ids, labels, X, fmt: str | None = None) -> None:
@@ -342,7 +301,8 @@ def write_features(path, ids, labels, X, fmt: str | None = None) -> None:
     reserved for unlabeled); CSV takes any label without a comma-safe
     escape worry since the writer quotes as needed. A value that is NaN,
     infinite or beyond float32's range raises ValueError, as
-    ``read_features`` would refuse the file.
+    ``read_features`` would refuse the file; so does, in the binary
+    encoding, an id outside [0, 2^64).
     """
     # A value beyond float32's range becomes inf here, which the check below rejects.
     with np.errstate(over="ignore"):
@@ -384,8 +344,11 @@ def _feature_record(d: int) -> np.dtype:
 
 
 def _write_features_binary(path, ids, labels, X: np.ndarray) -> None:
+    bad = [i for i in ids if not 0 <= int(i) < 1 << 64]
+    if bad:
+        raise ValueError(f"id {bad[0]} does not fit a binary feature file's u64")
     records = np.empty(X.shape[0], dtype=_feature_record(X.shape[1]))
-    records["id"] = np.array([int(i) for i in ids], dtype=np.uint64)
+    records["id"] = [int(i) for i in ids]
     records["label"] = [_encode_label(y) for y in labels]
     records["x"] = X
     Path(path).write_bytes(struct.pack("<II", FEATURE_MAGIC, X.shape[1]) + records.tobytes())

@@ -221,6 +221,19 @@ def test_index_skip_unlabeled(run, trained, tmp_path):
     assert out.strip().splitlines()[1] == "2,2,0,16"
 
 
+@pytest.mark.parametrize("mode", ["codeword", "phi"])
+@pytest.mark.parametrize("bad", ["-3", str(1 << 64)])
+def test_index_rejects_ids_outside_64_bits(run, trained, tmp_path, mode, bad):
+    p = tmp_path / "f.csv"
+    p.write_text(f"id,label,f0,f1,f2,f3,f4,f5\n1,c0,1,0,0,0,0,0\n{bad},c1,0,1,0,0,0,0\n")
+    out = tmp_path / "i.index"
+    _, err = run(["index", "--model", trained, "--features", p,
+                  "--mode", mode, "--index-out", out], expect=1)
+    assert err.startswith("error (invalid-argument):")
+    assert bad in err
+    assert not out.exists()
+
+
 def test_index_unknown_label_category(run, trained, tmp_path):
     X = np.zeros((1, 6), dtype=np.float32)
     p = tmp_path / "f.csv"

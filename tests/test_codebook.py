@@ -199,6 +199,14 @@ def test_separation_stats_matches_loop_oracle():
     assert stats.mean_distance == pytest.approx(mean_d)
 
 
+@pytest.mark.parametrize("k", [8, 64, 100])
+def test_separation_stats_equals_the_pairwise_reference_exactly(k):
+    # k=100 spans two 64-bit words per code.
+    cb = generate(k, 60, seed=k)
+    stats = separation_stats(cb)
+    assert (stats.min_distance, stats.mean_distance) == loop_min_mean_distance(cb.pool)
+
+
 def test_separation_stats_needs_two():
     with pytest.raises(ValueError):
         separation_stats(Codebook(k=2, pool=[PackedCode(2, 0b01)], rng_seed=0))

@@ -231,6 +231,55 @@ def test_refresh_counts_flips_over_widths_before_the_call():
     assert index.ledger.flipped_bits_total == 0
 
 
+def test_phi_insert_after_a_new_cycle_joins_the_stale_block():
+    matrix, cb, model, _ = small_stream(n_labels=4, k=8, rho=1)
+    rng = np.random.default_rng(5)
+    step(model, matrix, cb, rng.standard_normal(6), "c0")
+    index = HashIndex()
+    for i in range(3):
+        index.insert_unlabeled(i, rng.standard_normal(6), model)
+    old = HashModel(d=6, k=8, weights=model.weights.copy())
+    assert step(model, matrix, cb, rng.standard_normal(6), "c1").new_cycle_started
+    x = rng.standard_normal(6)
+    index.insert_unlabeled(3, x, model)
+    # The new row holds the first 8 of the model's 16 columns, as the others do.
+    assert [e.code.length for e in index.entries] == [8] * 4
+    assert index.entries[3].code.values == phi(old, x)
+    # Catching up the appended cycle charges every row, the new one included.
+    assert index.refresh(model) == 4 * 8
+    assert index.entries[3].code.values == phi(model, x)
+    assert index.ledger.bit_updates_total == 4 * 8
+
+
+def test_phi_insert_with_a_model_narrower_than_the_block_raises():
+    matrix, cb, model, _ = small_stream(n_labels=4, k=8, rho=1)
+    rng = np.random.default_rng(5)
+    step(model, matrix, cb, rng.standard_normal(6), "c0")
+    narrow = HashModel(d=6, k=8, weights=model.weights.copy())
+    step(model, matrix, cb, rng.standard_normal(6), "c1")
+    index = HashIndex()
+    index.insert_unlabeled(0, rng.standard_normal(6), model)
+    with pytest.raises(ConsistencyError):
+        index.insert_unlabeled(1, rng.standard_normal(6), narrow)
+    assert len(index) == 1
+
+
+@pytest.mark.parametrize("bad_id", [-3, 1 << 64])
+def test_ids_outside_64_bits_are_rejected_before_any_change(bad_id):
+    matrix, cb, model, stream = small_stream()
+    x, y = stream[0]
+    step(model, matrix, cb, x, y)
+    index = HashIndex()
+    with pytest.raises(ValueError):
+        index.insert_labeled(bad_id, y, matrix)
+    with pytest.raises(ValueError):
+        index.insert_unlabeled(bad_id, x, model)
+    assert len(index) == 0
+    index.insert_labeled((1 << 64) - 1, y, matrix)
+    index.insert_unlabeled(0, x, model)
+    assert [e.id for e in index.entries] == [(1 << 64) - 1, 0]
+
+
 def test_entries_is_a_snapshot():
     matrix, cb, model, stream = small_stream()
     step(model, matrix, cb, stream[0][0], stream[0][1])
@@ -359,6 +408,19 @@ def mixed_index(n_labels=10, k=8, d=6):
             index.insert_labeled(i, y, matrix)
     step(model, matrix, cb, stream[0][0], "extra")
     return model, index, stream
+
+
+def test_index_from_its_arrays_is_an_independent_copy():
+    model, index, stream = mixed_index()
+    copy = HashIndex(index.arrays())
+    before = list(map(repr, index.entries))
+    assert list(map(repr, copy.entries)) == before
+    assert vars(copy.ledger) == vars(index.ledger)
+    x = stream[0][0]
+    assert copy.query(model, x) == index.query(model, x)
+    copy.refresh(model, cycles=[1])
+    copy.insert_unlabeled(999, x, model)
+    assert list(map(repr, index.entries)) == before
 
 
 def per_query(blocks):
@@ -507,12 +569,8 @@ def test_random_interleavings_keep_index_invariants(ops):
                 index.insert_labeled(n, y, matrix)
                 frozen[n] = matrix.find(y)
             elif op == "insert_unlabeled":
-                x = rng.standard_normal(d)
-                if phi_width not in (None, model.width):
-                    with pytest.raises(ConsistencyError):
-                        index.insert_unlabeled(n, x, model)
-                else:
-                    index.insert_unlabeled(n, x, model, label=f"c{seed % 12}")
+                # A phi block behind the model takes the row at its own width.
+                index.insert_unlabeled(n, rng.standard_normal(d), model, label=f"c{seed % 12}")
             elif op == "step":
                 report = step(model, matrix, cb, rng.standard_normal(d), f"c{seed % 12}")
                 pending.add(matrix.cycle_of_label[report.label])

@@ -10,7 +10,7 @@ from ecochash.codebook import generate
 from ecochash.ecoc import new_matrix
 from ecochash.errors import ConsistencyError, FormatError
 from ecochash.evaluation import derive_seed, make_gaussian_classes
-from ecochash.index import MODE_CODEWORD, MODE_PHI, HashIndex, UpdateLedger
+from ecochash.index import MODE_CODEWORD, MODE_PHI, HashIndex
 from ecochash.learner import FeatureNormalizer, HashModel, step
 from ecochash import storage
 from ecochash.storage import (ModelBundle, load_index, load_model, read_features,
@@ -245,13 +245,9 @@ def test_index_roundtrip_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-# SHA-256 of the saved populated index after one eager update. The file
-# format does not depend on how the index lays its rows out in memory.
-POPULATED_INDEX_SHA256 = "86353e8452db5955eeb9ce82bd396ea2dd5c994966e135bafec56e621bcbf9ff"
-# The same index as older versions wrote it: the ledger's totals followed by
-# a history section of one (iteration, bits) pair instead of an empty one.
-POPULATED_INDEX_WITH_HISTORY_SHA256 = (
-    "cd6573db02bf04464c9cd57d88e0f85a65766d26879189ed446183a2d2ec59ac")
+# SHA-256 of the saved populated index after one eager update, in format
+# version 2.
+POPULATED_INDEX_SHA256 = "db19ea968c6c9602e61ee5b2253b4761a6ac661353a5141bdf28d338cd606d3f"
 
 
 def test_index_bytes_are_pinned(tmp_path):
@@ -261,20 +257,16 @@ def test_index_bytes_are_pinned(tmp_path):
     index.apply_model_update(report, bundle.model)
     p = tmp_path / "i.index"
     save_index(index, p)
-    blob = p.read_bytes()
-    assert hashlib.sha256(blob).hexdigest() == POPULATED_INDEX_SHA256
-    # An older file carries the step's pair; it loads to the same rows and
-    # totals and saves again without its history.
-    assert blob[-8:] == bytes(8)
-    old = blob[:-8] + struct.pack("<QQQ", 1, bundle.model.iteration,
-                                  index.ledger.bit_updates_total)
-    assert hashlib.sha256(old).hexdigest() == POPULATED_INDEX_WITH_HISTORY_SHA256
-    p.write_bytes(old)
-    loaded = load_index(p)
-    assert list(map(repr, loaded.rows())) == list(map(repr, index.rows()))
-    assert vars(loaded.ledger) == vars(index.ledger)
-    save_index(loaded, p)
-    assert p.read_bytes() == blob
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == POPULATED_INDEX_SHA256
+
+
+def test_index_version_1_is_refused(tmp_path):
+    # An empty version-1 index: no rows, the ledger's totals and an empty
+    # per-step history section.
+    p = tmp_path / "old.index"
+    p.write_bytes(storage.INDEX_MAGIC + struct.pack("<IIQQQQ", 1, 0, 0, 0, 0, 0))
+    with pytest.raises(FormatError, match="unsupported index version 1.*ecochash index"):
+        load_index(p)
 
 
 def test_index_file_size_does_not_grow_with_the_stream(tmp_path):
@@ -294,40 +286,46 @@ def test_index_file_size_does_not_grow_with_the_stream(tmp_path):
     assert sizes[0] == sizes[1]
 
 
-class SavedRows:
-    """Stands in for an index whose rows ``save_index`` writes as given."""
+class SavedArrays:
+    """Stands in for an index whose arrays ``save_index`` writes as given."""
 
-    def __init__(self, rows):
-        self._rows = rows
-        self.ledger = UpdateLedger()
+    def __init__(self, fields):
+        self.fields = fields
 
-    def __len__(self):
-        return len(self._rows)
-
-    def rows(self):
-        return iter(self._rows)
+    def arrays(self):
+        return self.fields
 
 
-def test_index_loads_an_aligned_codeword_block(tmp_path):
-    # k=4: cycle 2 owns positions [4, 8) of a 16-bit code.
-    rows = [(0, "a", 16, 0b1010 << 4, 0b1111 << 4, None), (1, "b", 12, 0b0110, 0b1111, None)]
+def _set_first(value):
+    """A change that sets an array's first element to ``value(array, fields)``."""
+    def change(a, fields):
+        a = a.copy()
+        a.flat[0] = value(a, fields)
+        return a
+    return change
+
+
+@pytest.mark.parametrize("name, change", [
+    ("is_phi", _set_first(lambda a, f: 2)),
+    ("ids", _set_first(lambda a, f: a[1])),
+    ("label_of", _set_first(lambda a, f: len(f["label_lengths"]))),
+    ("k", lambda v, f: 0),
+    ("cycles", _set_first(lambda a, f: 0)),
+    ("widths", _set_first(lambda a, f: f["cycles"][0] * f["k"] - 1)),
+    ("cores", _set_first(lambda a, f: int(a.flat[0]) | 1 << int(f["k"]))),
+    ("values", _set_first(lambda a, f: int(a.flat[0]) | 1 << int(f["phi_width"]))),
+    ("widest", lambda v, f: v + 1),
+], ids=["flag", "repeated-id", "label-index", "k-zero", "cycle-zero", "width-below-cycle-k",
+        "core-bit-past-k", "phi-bit-past-width", "widest"])
+def test_index_rejects_broken_arrays(tmp_path, name, change):
+    bundle, Xn, labels = trained_bundle()
+    fields = {key: np.array(v) for key, v in
+              populated_index(bundle, Xn, labels).arrays().items()}
     p = tmp_path / "i.index"
-    save_index(SavedRows(rows), p)
-    assert list(load_index(p).rows()) == rows
-
-
-@pytest.mark.parametrize("mask", [0, 0b1011, 0b1111 << 2, 0b11 << 3])
-def test_index_rejects_unaligned_codeword_mask(tmp_path, mask):
-    p = tmp_path / "i.index"
-    save_index(SavedRows([(0, "a", 16, 0, mask, None)]), p)
-    with pytest.raises(FormatError):
-        load_index(p)
-
-
-def test_index_rejects_codeword_rows_of_two_ks(tmp_path):
-    p = tmp_path / "i.index"
-    save_index(SavedRows([(0, "a", 16, 0, 0b1111, None),
-                          (1, "b", 16, 0, 0xFF << 8, None)]), p)
+    save_index(SavedArrays(fields), p)
+    load_index(p)
+    fields[name] = change(fields[name], fields)
+    save_index(SavedArrays(fields), p)
     with pytest.raises(FormatError):
         load_index(p)
 
@@ -459,6 +457,14 @@ def test_features_binary_rejects_reserved_label(tmp_path):
 def test_features_binary_rejects_out_of_range_label(tmp_path):
     with pytest.raises(FormatError):
         write_features(tmp_path / "t.feat", [1], [str(1 << 40)], np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("bad", [-3, 1 << 64])
+def test_write_features_binary_rejects_ids_outside_64_bits(tmp_path, bad):
+    p = tmp_path / "t.feat"
+    with pytest.raises(ValueError, match=f"id {bad} "):
+        write_features(p, [1, bad], ["0", "1"], np.zeros((2, 2)))
+    assert not p.exists()
 
 
 def test_features_reject_duplicate_ids(tmp_path):
