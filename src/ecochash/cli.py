@@ -66,7 +66,7 @@ def _cmd_codebook_stats(args) -> int:
     rho = args.rho if args.rho is not None else cb_mod.recommended_rho(args.k)
     capacity = args.capacity
     if capacity is None:
-        capacity = min(cb_mod.default_capacity(None), 1 << (args.k - 1))
+        capacity = cb_mod.default_capacity(k=args.k)
     cb = cb_mod.generate(args.k, capacity, seed)
     stats = cb_mod.separation_stats(cb)
     prob = cb_mod.unique_bipartition_probability(rho, args.k)
@@ -81,7 +81,7 @@ def _cmd_train(args) -> int:
     rho = args.rho if args.rho is not None else cb_mod.recommended_rho(args.k)
     capacity = args.capacity
     if capacity is None:
-        capacity = min(cb_mod.default_capacity(None), 1 << (args.k - 1))
+        capacity = cb_mod.default_capacity(k=args.k)
     ids, labels, X = storage.read_features(args.features)
     labeled = [(i, y) for i, y in enumerate(labels) if y is not None]
     if not labeled:

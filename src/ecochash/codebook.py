@@ -55,11 +55,13 @@ class Codebook:
         return self.pool.pop(idx)
 
 
-def default_capacity(anticipated_labels: int | None = None) -> int:
-    """Provisioning policy: 4x the anticipated label count, else 1024."""
-    if anticipated_labels is None:
-        return DEFAULT_CAPACITY
-    return 4 * anticipated_labels
+def default_capacity(anticipated_labels: int | None = None, k: int | None = None) -> int:
+    """Provisioning policy: 4x the anticipated label count, else 1024.
+
+    Given k, at most the 2^(k-1) codes ``generate`` can draw.
+    """
+    capacity = DEFAULT_CAPACITY if anticipated_labels is None else 4 * anticipated_labels
+    return capacity if k is None else min(capacity, 1 << (k - 1))
 
 
 def recommended_rho(k: int) -> int:

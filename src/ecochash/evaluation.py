@@ -213,7 +213,7 @@ def run_stream_experiment(train_X, train_labels, db_X, db_labels,
         train_X, db_X, query_X = map(norm.transform_many, (train_X, db_X, query_X))
     capacity = config.capacity
     if capacity is None:
-        capacity = default_capacity(len(set(train_labels)))
+        capacity = default_capacity(len(set(train_labels)), config.k)
 
     per_map: list[float] = []
     curve: list[CurvePoint] = []

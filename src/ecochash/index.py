@@ -10,16 +10,16 @@ index is the recomputation itself; flips are tallied separately.
 Rows live in two blocks that grow by doubling, beside ``ids`` and
 ``labels`` lists in insertion order; a flag per row says which block it
 is in, and its slot there is its rank among that block's rows. A
-codeword row is its label's cycle, k-bit core (ceil(k/64) uint64 words;
-the index's k is set by its first codeword row) and the width it was
-inserted at, so opening a cycle changes no row. A phi row is value words
-in a word-major ``(words, n)`` block (word w holds code positions
+codeword row is its label's cycle and k-bit core (ceil(k/64) uint64
+words; the index's k is set by its first codeword row), so opening a
+cycle changes no row; as an entry, it is its core in its cycle's
+columns, at the length cycle * k. A phi row is value words in a
+word-major ``(words, n)`` block (word w holds code positions
 [64w, 64w+64)) at the one width all phi rows share, with no masks, plus
 its augmented features ``[x; 1]``, so an update recomputes a cycle's
 columns for every phi row with one matrix product. A query's distance to
 a codeword row is the popcount of its bits in the row's cycle XOR the
 core; to a phi row, of its bits below the phi width XOR the words.
-``rows`` expands codeword rows back to full-width value and mask bits.
 Index files hold the two blocks as ``FILE_LAYOUT``'s arrays (see ``arrays``).
 """
 
@@ -60,12 +60,12 @@ class UpdateLedger:
         self.entries_touched_total += entries
 
 
-# Index file format version 2: (name, dtype) little-endian arrays in file order, a single
+# Index file format version 3: (name, dtype) little-endian arrays in file order, a single
 # value being an array of one (``_SINGLE``); ``label_of`` indexes the UTF-8 label table (-1:
 # none). k is 0 without codeword rows, the phi width and feature length without phi rows.
 FILE_LAYOUT = (
     ("ids", "<u8"), ("is_phi", "u1"), ("label_lengths", "<u4"), ("label_text", "u1"),
-    ("label_of", "<i4"), ("k", "<u4"), ("cycles", "<u4"), ("widths", "<u4"), ("cores", "<u8"),
+    ("label_of", "<i4"), ("k", "<u4"), ("cycles", "<u4"), ("cores", "<u8"),
     ("phi_width", "<u4"), ("feature_length", "<u4"), ("values", "<u8"), ("features", "<f8"),
     ("widest", "<u4"), ("bit_updates_total", "<u8"), ("flipped_bits_total", "<u8"),
     ("entries_touched_total", "<u8"),
@@ -158,7 +158,6 @@ class HashIndex:
         text = np.asarray(fields["label_text"], dtype=np.uint8).tobytes()
         table = [text[e - size:e].decode("utf-8") for e, size in zip(accumulate(lengths), lengths)]
         cycles = np.array(fields["cycles"], dtype=np.int64).reshape(n_cw)
-        widths = np.array(fields["widths"], dtype=np.int64).reshape(n_cw)
         cores = np.asarray(fields["cores"], dtype=_WORD).reshape(n_cw, n_words(k))
         values = np.asarray(fields["values"], dtype=_WORD).reshape(n_phi, n_words(phi_width))
         feats = np.asarray(fields["features"], dtype=np.float64).reshape(n_phi, d)
@@ -170,22 +169,23 @@ class HashIndex:
                  f"a label index is outside [-1, {len(table)})"),
                 ((k > 0) != (n_cw > 0) or (phi_width > 0) != (n_phi > 0) or (d and not n_phi),
                  f"k={k}, phi width {phi_width} or feature length {d} does not fit the rows"),
-                (n_cw and k and (cycles.min() < 1 or (cycles > widths // k).any()),
-                 "a codeword row's cycle is 0 or its columns pass the row's width"),
+                (n_cw and cycles.min() < 1, "a codeword row's cycle is 0"),
                 (n_cw and k % 64 and (cores[:, -1] >> np.uint64(k % 64)).any(),
                  f"a codeword core has bits past k={k}"),
                 (n_phi and phi_width % 64 and (values[:, -1] >> np.uint64(phi_width % 64)).any(),
                  f"a phi row has bits past width {phi_width}"),
-                (widest != max(widths.max(initial=0), phi_width), f"wrong widest width {widest}")):
+                (n_phi and not np.isfinite(feats).all(), "a phi row's feature is NaN or infinite"),
+                (widest != max(k * int(cycles.max(initial=0)), phi_width),
+                 f"wrong widest width {widest}")):
             if broken:
                 raise ValueError(what)
         self.ledger = UpdateLedger(*totals)
         self._ids, self._id_set, self._is_phi = ids, set(ids), is_phi.astype(bool)
         self._labels = [None if i < 0 else table[i] for i in label_of.tolist()]
-        # The widest row's width; a query may not be narrower.
+        # The end of the last column any row uses; a query may not be narrower.
         self._widest = widest
-        # Codeword block: cycle, core words and insertion width per slot.
-        self._k, self._n_cw, self._cycles, self._cw_widths = k, n_cw, cycles, widths
+        # Codeword block: cycle and core words per slot.
+        self._k, self._n_cw, self._cycles = k, n_cw, cycles
         self._cores = np.array(cores.T, order="C")
         # Phi block: value words at the shared width and features per slot.
         self._n_phi, self._phi_width = n_phi, phi_width
@@ -233,7 +233,6 @@ class HashIndex:
             "label_of": np.array([at.get(y, -1) for y in self._labels], dtype=np.int32),
             "k": self._k,
             "cycles": self._cycles[:n_cw],
-            "widths": self._cw_widths[:n_cw],
             "cores": self._cores[:, :n_cw].T,
             "phi_width": self._phi_width,
             "feature_length": self._feats.shape[1] - 1 if n_phi else 0,
@@ -243,39 +242,30 @@ class HashIndex:
             **vars(self.ledger),
         }
 
-    def rows(self):
-        """Each entry as ``(id, label, length, values, mask, features)``, in insertion order.
-
-        A codeword row comes back as its core placed in its cycle's
-        columns, at the width it was inserted at, with features None. A phi
-        row has a full mask at the phi width; its features are views into
-        the index, valid until it next changes.
-        """
-        codewords = zip(self._cycles[:self._n_cw].tolist(), _ints(self._cores, self._n_cw),
-                        self._cw_widths[:self._n_cw].tolist())
-        phis = zip(_ints(self._values, self._n_phi), self._feats[:self._n_phi, :-1])
-        full = (1 << self._phi_width) - 1
-        for id, label, is_phi in zip(self._ids, self._labels, self._is_phi[:len(self)].tolist()):
-            if is_phi:
-                values, features = next(phis)
-                yield id, label, self._phi_width, values, full, features
-            else:
-                cycle, core, length = next(codewords)
-                offset = (cycle - 1) * self._k
-                yield id, label, length, core << offset, ((1 << self._k) - 1) << offset, None
-
     @property
     def entries(self) -> list[IndexEntry]:
         """A snapshot of every entry in insertion order.
 
-        The snapshot is built on each access; changing it leaves the index
-        as it is.
+        A codeword entry is its core in its cycle's columns, at length
+        cycle * k, with features None; a phi entry has a full mask at the
+        phi width. The snapshot is built on each access; changing it leaves
+        the index as it is.
         """
-        return [IndexEntry(id, MODE_CODEWORD if f is None else MODE_PHI,
-                           TernaryCodeword(length, PackedCode(length, values),
-                                           PackedCode(length, mask)),
-                           label, None if f is None else f.copy())
-                for id, label, length, values, mask, f in self.rows()]
+        k, width = self._k, self._phi_width
+        codewords = zip(self._cycles[:self._n_cw].tolist(), _ints(self._cores, self._n_cw))
+        phis = zip(_ints(self._values, self._n_phi), self._feats[:self._n_phi, :-1])
+        out = []
+        for id, label, is_phi in zip(self._ids, self._labels, self._is_phi[:len(self)].tolist()):
+            if is_phi:
+                values, x = next(phis)
+                length, mode, mask, x = width, MODE_PHI, (1 << width) - 1, x.copy()
+            else:
+                cycle, core = next(codewords)
+                length, mode, x = cycle * k, MODE_CODEWORD, None
+                values, mask = core << length - k, ((1 << k) - 1) << length - k
+            out.append(IndexEntry(id, mode, TernaryCodeword(
+                length, PackedCode(length, values), PackedCode(length, mask)), label, x))
+        return out
 
     def insert_labeled(self, id: int, y: Label, matrix: EcocMatrix) -> None:
         """Index an instance under its label's codeword.
@@ -284,7 +274,7 @@ class HashIndex:
         functions move. Every codeword entry of an index shares one k.
         """
         cycle, core = matrix.locate(y)
-        k, width = matrix.k, matrix.width
+        k = matrix.k
         if self._k not in (0, k):
             raise ConsistencyError(f"codeword entries have k={self._k}, entry {id} has k={k}")
         self._append(id, y, False)
@@ -293,14 +283,14 @@ class HashIndex:
             self._cores = np.zeros((n_words(k), len(self._cycles)), dtype=_WORD)
         slot = self._n_cw
         if slot == len(self._cycles):
-            self._cycles, self._cw_widths = map(_doubled, (self._cycles, self._cw_widths))
+            self._cycles = _doubled(self._cycles)
             self._cores = _doubled(self._cores, axis=1)
-        self._cycles[slot], self._cw_widths[slot] = cycle, width
+        self._cycles[slot] = cycle
         # A word at a time: 0.4 us against 0.9 us through np.frombuffer.
         for w in range(len(self._cores)):
             self._cores[w, slot] = (core.bits >> (WORD_BITS * w)) & _WORD_MASK
         self._n_cw += 1
-        self._widest = max(self._widest, width)
+        self._widest = max(self._widest, cycle * k)
 
     def insert_unlabeled(self, id: int, x: np.ndarray, model: HashModel,
                          label: Label | None = None) -> None:

@@ -196,23 +196,17 @@ class FeatureNormalizer:
         X = np.asarray(X, dtype=np.float64)
         return cls(mean=X.mean(axis=0), count=X.shape[0])
 
-    def _centered(self, X) -> np.ndarray:
-        """``X`` as float64 less the mean; a length other than the mean's raises."""
+    def transform(self, x: np.ndarray) -> np.ndarray:
+        """One vector: the one-row case of ``transform_many``."""
+        return self.transform_many(np.reshape(x, (1, -1)))[0]
+
+    def transform_many(self, X: np.ndarray) -> np.ndarray:
+        """Each row less the mean, over its L2 norm; a zero row stays zero."""
         X = np.asarray(X, dtype=np.float64)
         if X.shape[-1:] != self.mean.shape:
             raise DimensionError(
                 f"feature shape {X.shape} does not match the mean's length {len(self.mean)}")
-        return X - self.mean
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        """One vector; bit for bit the matching row of ``transform_many``."""
-        v = self._centered(x)
-        # The norm both methods take: np.linalg.norm of a vector would use BLAS dot.
-        norm = float(np.sqrt(np.add.reduce(v * v)))
-        return v / norm if norm > 0.0 else v
-
-    def transform_many(self, X: np.ndarray) -> np.ndarray:
-        X = self._centered(X)
+        X = X - self.mean
         norms = np.sqrt(np.add.reduce(X * X, axis=1, keepdims=True))
         norms[norms == 0.0] = 1.0
         return X / norms

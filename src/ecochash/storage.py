@@ -33,7 +33,7 @@ MODEL_MAGIC = b"ECOCHMDL"
 INDEX_MAGIC = b"ECOCHIDX"
 FEATURE_MAGIC = 0x54414546  # the bytes b"FEAT"
 MODEL_VERSION = 1
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 # The one normalization FeatureNormalizer does, named in every model file.
 _NORMALIZER_TAG = "l2"
 
@@ -74,14 +74,14 @@ class _Writer:
 
 
 class _Reader:
-    """Reads fields from a file's bytes, never past their end."""
+    """Reads fields from a file's bytes, never past their end, as views into them."""
 
     def __init__(self, data: bytes) -> None:
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
         self.end = len(data)
 
-    def raw(self, n: int) -> bytes:
+    def raw(self, n: int) -> memoryview:
         pos = self.pos
         if n > self.end - pos:
             raise FormatError(f"truncated file: wanted {n} bytes, got {self.end - pos}")
@@ -109,7 +109,7 @@ class _Reader:
 
     def text(self) -> str:
         try:
-            return self.raw(self.u32()).decode("utf-8")
+            return str(self.raw(self.u32()), "utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"text field is not UTF-8: {exc}") from None
 
@@ -122,13 +122,14 @@ class _Reader:
         return length, int.from_bytes(self.raw(8 * n), "little")
 
     def array(self, shape: tuple[int, ...], dtype: str) -> np.ndarray:
+        """A read-only view of the next ``shape`` items of ``dtype``."""
         b = self.raw(math.prod(shape) * np.dtype(dtype).itemsize)
-        return np.frombuffer(b, dtype=dtype).reshape(shape).copy()
+        return np.frombuffer(b, dtype=dtype).reshape(shape)
 
 
 def _check_header(r: _Reader, magic: bytes, kind: str, version: int, older: str = "") -> None:
     """Check the magic and the version; ``older`` is added for a version below ``version``."""
-    got = r.raw(len(magic))
+    got = bytes(r.raw(len(magic)))
     if got != magic:
         raise FormatError(f"not a {kind} file: bad magic {got!r}")
     found = r.u32()
@@ -246,16 +247,20 @@ def load_model(path) -> ModelBundle:
         if last != n_in_cycle:
             raise FormatError(f"n_in_cycle is {n_in_cycle}, but cycle {m_cycles} holds {last}")
         width = r.u32()
-        weights = r.array((width, d + 1), "<f8")
+        # Copies, not views of the file: ``step`` writes the weights in place.
+        weights = r.array((width, d + 1), "<f8").copy()
         normalizer = None
         if r.u8():
             tag = r.text()
             if tag != _NORMALIZER_TAG:
                 raise FormatError(f"unknown normalizer {tag!r}")
             count = r.u64()
-            normalizer = FeatureNormalizer(mean=r.array((d,), "<f8"), count=count)
+            normalizer = FeatureNormalizer(mean=r.array((d,), "<f8").copy(), count=count)
     if r.pos != r.end:
         raise FormatError(f"{r.end - r.pos} trailing bytes after the model")
+    if not np.isfinite(weights).all() or (
+            normalizer is not None and not np.isfinite(normalizer.mean).all()):
+        raise FormatError("a weight or the normalizer's mean is NaN or infinite")
     matrix = EcocMatrix(k=k, rho=rho, m=m_cycles, n_in_cycle=n_in_cycle,
                         cores=cores, cycle_of_label=cycle_of)
     model = HashModel(d=d, k=k, weights=weights, iteration=iteration, seed=seed)

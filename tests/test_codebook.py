@@ -215,4 +215,13 @@ def test_separation_stats_needs_two():
 def test_default_capacity():
     assert default_capacity(None) == 1024
     assert default_capacity(10) == 40
+    assert default_capacity(50) == 200
     assert default_capacity(500) == 2000
+    # Given k, never more than the 2^(k-1) codes generate can draw.
+    assert default_capacity(k=32) == 1024
+    assert default_capacity(k=8) == 128
+    assert default_capacity(10, k=32) == 40
+    assert default_capacity(3, k=4) == 8
+    assert default_capacity(40, k=8) == 128
+    for k in (1, 4, 8):
+        generate(k, default_capacity(500, k), seed=0)

@@ -183,6 +183,17 @@ def test_experiment_is_deterministic():
         == [(p.ordering, p.iteration, p.bit_updates, p.map_value) for p in b.curve]
 
 
+def test_default_pool_fits_a_small_k():
+    # 3 classes would take 4 * 3 = 12 codes, but k=4 has only 2^3 to give.
+    X, labels = make_gaussian_classes(3, 4, 120, separation=4.0, seed=2)
+    tr, db, q = slice(0, 60), slice(60, 100), slice(100, 120)
+    for mode in ("codeword", MODE_PHI):
+        cfg = ExperimentConfig(k=4, rho=2, orderings=1, seed=2, mode=mode)
+        res = run_stream_experiment(X[tr], labels[tr], X[db], labels[db],
+                                    X[q], labels[q], cfg)
+        assert 0.0 < res.mean_map <= 1.0
+
+
 def test_eager_phi_bits_are_n_k_t():
     (trX, trY), (dbX, dbY), (qX, qY) = separable_setup()
     n, t = 30, 50

@@ -610,7 +610,9 @@ def test_random_interleavings_keep_index_invariants(ops):
                                         for e in after if e.mode == MODE_PHI)
             for e in after:
                 if e.mode == MODE_CODEWORD:
-                    assert e.code == frozen[e.id]
+                    # A codeword entry ends with its cycle, however wide the matrix was.
+                    assert e.code.length == k * matrix.cycle_of_label[e.label]
+                    assert e.code.pad_to(frozen[e.id].length) == frozen[e.id]
                 elif fresh:
                     assert e.code.values == phi(model, e.features)
             x_q = rng.standard_normal(d)

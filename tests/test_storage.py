@@ -157,6 +157,17 @@ def test_model_rejects_wrong_version(tmp_path):
         load_model(p)
 
 
+@pytest.mark.parametrize("where, value", [
+    ("weight", np.nan), ("weight", -np.inf), ("mean", np.nan), ("mean", np.inf)])
+def test_model_rejects_non_finite_numbers(tmp_path, where, value):
+    bundle, _, _ = trained_bundle(steps=5)
+    (bundle.model.weights if where == "weight" else bundle.normalizer.mean)[1] = value
+    p = tmp_path / "m.model"
+    save_model(bundle, p)
+    with pytest.raises(FormatError, match="NaN or infinite"):
+        load_model(p)
+
+
 def test_model_rejects_truncation(tmp_path):
     bundle, _, _ = trained_bundle(steps=5)
     p = tmp_path / "m.model"
@@ -246,8 +257,8 @@ def test_index_roundtrip_bytes(tmp_path):
 
 
 # SHA-256 of the saved populated index after one eager update, in format
-# version 2.
-POPULATED_INDEX_SHA256 = "db19ea968c6c9602e61ee5b2253b4761a6ac661353a5141bdf28d338cd606d3f"
+# version 3.
+POPULATED_INDEX_SHA256 = "8d10ebcaea894fa6f7e1913a4b1e7b798a4bbbe4f91a581f2ea6a59063b19bd1"
 
 
 def test_index_bytes_are_pinned(tmp_path):
@@ -266,6 +277,18 @@ def test_index_version_1_is_refused(tmp_path):
     p = tmp_path / "old.index"
     p.write_bytes(storage.INDEX_MAGIC + struct.pack("<IIQQQQ", 1, 0, 0, 0, 0, 0))
     with pytest.raises(FormatError, match="unsupported index version 1.*ecochash index"):
+        load_index(p)
+
+
+def test_index_version_2_is_refused(tmp_path):
+    # An empty version-2 index: the version-3 arrays plus an empty per-row
+    # insertion-width array after the cycles.
+    sizes = [0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 1, 1, 1, 1]
+    items = [struct.pack("<Q", n) + b"\0" * (8 if i >= 14 else 4) * n
+             for i, n in enumerate(sizes)]
+    p = tmp_path / "old.index"
+    p.write_bytes(storage.INDEX_MAGIC + struct.pack("<I", 2) + b"".join(items))
+    with pytest.raises(FormatError, match="unsupported index version 2.*ecochash index"):
         load_index(p)
 
 
@@ -311,12 +334,13 @@ def _set_first(value):
     ("label_of", _set_first(lambda a, f: len(f["label_lengths"]))),
     ("k", lambda v, f: 0),
     ("cycles", _set_first(lambda a, f: 0)),
-    ("widths", _set_first(lambda a, f: f["cycles"][0] * f["k"] - 1)),
+    ("cycles", _set_first(lambda a, f: f["widest"] // f["k"] + 1)),
     ("cores", _set_first(lambda a, f: int(a.flat[0]) | 1 << int(f["k"]))),
     ("values", _set_first(lambda a, f: int(a.flat[0]) | 1 << int(f["phi_width"]))),
     ("widest", lambda v, f: v + 1),
-], ids=["flag", "repeated-id", "label-index", "k-zero", "cycle-zero", "width-below-cycle-k",
-        "core-bit-past-k", "phi-bit-past-width", "widest"])
+    ("features", _set_first(lambda a, f: -np.inf)),
+], ids=["flag", "repeated-id", "label-index", "k-zero", "cycle-zero", "cycle-past-widest",
+        "core-bit-past-k", "phi-bit-past-width", "widest", "feature-not-finite"])
 def test_index_rejects_broken_arrays(tmp_path, name, change):
     bundle, Xn, labels = trained_bundle()
     fields = {key: np.array(v) for key, v in
