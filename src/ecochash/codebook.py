@@ -58,8 +58,10 @@ class Codebook:
 def default_capacity(anticipated_labels: int | None = None, k: int | None = None) -> int:
     """Provisioning policy: 4x the anticipated label count, else 1024.
 
-    Given k, at most the 2^(k-1) codes ``generate`` can draw.
+    Given k, at most the 2^(k-1) codes ``generate`` can draw; k < 1 raises ValueError.
     """
+    if k is not None and k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     capacity = DEFAULT_CAPACITY if anticipated_labels is None else 4 * anticipated_labels
     return capacity if k is None else min(capacity, 1 << (k - 1))
 

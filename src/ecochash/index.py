@@ -30,7 +30,8 @@ from itertools import accumulate, islice
 
 import numpy as np
 
-from .bitcode import WORD_BITS, PackedCode, TernaryCodeword, codes_to_words  # noqa: F401
+from .bitcode import (WORD_BITS, PackedCode, TernaryCodeword,  # noqa: F401
+                      codes_to_words, words_to_codes)
 from .ecoc import EcocMatrix, Label
 from .errors import ConsistencyError, DimensionError, DuplicateIdError
 # Nothing here calls ``phi`` or ``codes_to_words``; both stay module names because
@@ -97,10 +98,20 @@ def _doubled(a: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.pad(a, pad)
 
 
-def _ints(words: np.ndarray, n: int) -> list[int]:
-    """The first ``n`` slots of a word-major ``(words, slots)`` block as ints."""
-    return [int.from_bytes(row.tobytes(), "little")
-            for row in np.ascontiguousarray(words[:, :n].T)]
+def encode_labels(labels) -> dict:
+    """A UTF-8 label table: each label's byte length, and their bytes in order."""
+    text = [y.encode("utf-8") for y in labels]
+    return {"label_lengths": np.array([len(b) for b in text], dtype=np.uint32),
+            "label_text": np.frombuffer(b"".join(text), dtype=np.uint8)}
+
+
+def decode_labels(lengths, text) -> list[str]:
+    """Inverse of ``encode_labels``; a ValueError when the table does not add up."""
+    lengths = np.asarray(lengths, dtype=np.int64).tolist()
+    text = np.asarray(text, dtype=np.uint8).tobytes()
+    if sum(lengths) != len(text):
+        raise ValueError("the label lengths do not add up to the label text")
+    return [text[e - size:e].decode("utf-8") for e, size in zip(accumulate(lengths), lengths)]
 
 
 def _packed(signs: np.ndarray, size: int) -> np.ndarray:
@@ -154,9 +165,7 @@ class HashIndex:
         n_phi = int(np.count_nonzero(is_phi))
         n_cw = n - n_phi
         label_of = np.asarray(fields["label_of"], dtype=np.int64).reshape(n)
-        lengths = np.asarray(fields["label_lengths"], dtype=np.int64).tolist()
-        text = np.asarray(fields["label_text"], dtype=np.uint8).tobytes()
-        table = [text[e - size:e].decode("utf-8") for e, size in zip(accumulate(lengths), lengths)]
+        table = decode_labels(fields["label_lengths"], fields["label_text"])
         cycles = np.array(fields["cycles"], dtype=np.int64).reshape(n_cw)
         cores = np.asarray(fields["cores"], dtype=_WORD).reshape(n_cw, n_words(k))
         values = np.asarray(fields["values"], dtype=_WORD).reshape(n_phi, n_words(phi_width))
@@ -164,7 +173,6 @@ class HashIndex:
         for broken, what in (
                 (n and is_phi.max() > 1, "a block flag is neither 0 nor 1"),
                 (len(set(ids)) != n, "an id appears twice"),
-                (sum(lengths) != len(text), "the label lengths do not add up to the label text"),
                 (n and not -1 <= label_of.min() <= label_of.max() < len(table),
                  f"a label index is outside [-1, {len(table)})"),
                 ((k > 0) != (n_cw > 0) or (phi_width > 0) != (n_phi > 0) or (d and not n_phi),
@@ -224,12 +232,10 @@ class HashIndex:
         """The index as ``FILE_LAYOUT``'s fields, by name; arrays may be views."""
         n_cw, n_phi = self._n_cw, self._n_phi
         at = {y: i for i, y in enumerate(dict.fromkeys(y for y in self._labels if y is not None))}
-        text = [y.encode("utf-8") for y in at]
         return {
             "ids": np.array(self._ids, dtype=np.uint64),
             "is_phi": self._is_phi[:len(self)],
-            "label_lengths": np.array([len(b) for b in text], dtype=np.uint32),
-            "label_text": np.frombuffer(b"".join(text), dtype=np.uint8),
+            **encode_labels(at),
             "label_of": np.array([at.get(y, -1) for y in self._labels], dtype=np.int32),
             "k": self._k,
             "cycles": self._cycles[:n_cw],
@@ -252,8 +258,9 @@ class HashIndex:
         the index as it is.
         """
         k, width = self._k, self._phi_width
-        codewords = zip(self._cycles[:self._n_cw].tolist(), _ints(self._cores, self._n_cw))
-        phis = zip(_ints(self._values, self._n_phi), self._feats[:self._n_phi, :-1])
+        codewords = zip(self._cycles[:self._n_cw].tolist(),
+                        words_to_codes(self._cores[:, :self._n_cw].T))
+        phis = zip(words_to_codes(self._values[:, :self._n_phi].T), self._feats[:self._n_phi, :-1])
         out = []
         for id, label, is_phi in zip(self._ids, self._labels, self._is_phi[:len(self)].tolist()):
             if is_phi:

@@ -1,9 +1,14 @@
 """On-disk formats: model bundles, indexes, and feature files.
 
-Everything binary is little-endian with explicit magic and version words.
-Saving and reloading a bundle reproduces it byte for byte, including the
-codebook draw position, so a restored session continues the exact same
-random sequence it would have produced uninterrupted.
+Model and index files are one framing: a magic, a u32 version, then the
+arrays of a layout in order, each as its u64 element count and its
+little-endian items (a single value is an array of one).
+``FILE_LAYOUT`` in ``ecochash.index`` names an index's arrays and
+``MODEL_LAYOUT`` here a model's: the codebook pool, every label's cycle
+and core, the weights and the normalizer's mean. Saving and reloading a
+bundle reproduces it byte for byte, including the codebook draw
+position, so a restored session continues the exact same random sequence
+it would have produced uninterrupted.
 
 Feature files come in two encodings. The binary one is compact and typed:
 a "FEAT" magic, the dimension, then (u64 id, i32 label, d float32) records
@@ -17,60 +22,37 @@ from __future__ import annotations
 import csv
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .bitcode import PackedCode
+from .bitcode import PackedCode, codes_to_words, words_to_codes
 from .codebook import Codebook
 from .ecoc import EcocMatrix
 from .errors import FormatError
-from .index import FILE_LAYOUT, HashIndex, n_words
+from .index import FILE_LAYOUT, HashIndex, decode_labels, encode_labels, n_words
 from .learner import FeatureNormalizer, HashModel
 
 MODEL_MAGIC = b"ECOCHMDL"
 INDEX_MAGIC = b"ECOCHIDX"
 FEATURE_MAGIC = 0x54414546  # the bytes b"FEAT"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 INDEX_VERSION = 3
-# The one normalization FeatureNormalizer does, named in every model file.
-_NORMALIZER_TAG = "l2"
 
-
-class _Writer:
-    def __init__(self, f) -> None:
-        self.f = f
-
-    def raw(self, b: bytes) -> None:
-        self.f.write(b)
-
-    def u8(self, v: int) -> None:
-        self.f.write(struct.pack("<B", v))
-
-    def u32(self, v: int) -> None:
-        self.f.write(struct.pack("<I", v))
-
-    def u64(self, v: int) -> None:
-        self.f.write(struct.pack("<Q", v))
-
-    def f64(self, v: float) -> None:
-        self.f.write(struct.pack("<d", v))
-
-    def text(self, s: str) -> None:
-        b = s.encode("utf-8")
-        self.u32(len(b))
-        self.f.write(b)
-
-    def words(self, length: int, bits: int) -> None:
-        """A code as its length, its word count and its little-endian words."""
-        n = n_words(length)
-        self.u32(length)
-        self.u32(n)
-        self.f.write(bits.to_bytes(8 * n, "little"))
-
-    def array(self, a: np.ndarray, dtype: str) -> None:
-        self.f.write(np.ascontiguousarray(a, dtype=dtype).tobytes())
+# Model file format version 2, in the framing of ``FILE_LAYOUT``. ``pool`` and ``cores``
+# hold ceil(k/64) words per code, ``label_cycles`` one cycle per label, both in the order
+# of the label table. An empty ``mean`` means no normalizer, and its count is then 0.
+MODEL_LAYOUT = (
+    ("k", "<u4"), ("rho", "<u4"), ("d", "<u4"), ("eta", "<f8"), ("seed", "<u8"),
+    ("iteration", "<u8"), ("cycles", "<u4"), ("n_in_cycle", "<u4"),
+    ("codebook_seed", "<u8"), ("draws_made", "<u8"), ("pool", "<u8"), ("cores", "<u8"),
+    ("label_cycles", "<u4"), ("label_lengths", "<u4"), ("label_text", "u1"),
+    ("weights", "<f8"), ("normalizer_count", "<u8"), ("mean", "<f8"),
+)
+_MODEL_SINGLE = ("k", "rho", "d", "eta", "seed", "iteration", "cycles", "n_in_cycle",
+                 "codebook_seed", "draws_made", "normalizer_count")
 
 
 class _Reader:
@@ -88,53 +70,43 @@ class _Reader:
         self.pos = pos + n
         return self.data[pos:pos + n]
 
-    def u8(self) -> int:
-        return struct.unpack("<B", self.raw(1))[0]
-
     def u32(self) -> int:
         return struct.unpack("<I", self.raw(4))[0]
 
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.raw(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.raw(8))[0]
-
-    def count(self, item_bytes: int, wide: bool = False) -> int:
-        """A u32 (u64 if ``wide``) count of items no smaller than ``item_bytes``."""
-        n = self.u64() if wide else self.u32()
-        if n * item_bytes > self.end - self.pos:
-            raise FormatError(f"count {n} overruns the {self.end - self.pos} bytes left")
-        return n
-
-    def text(self) -> str:
-        try:
-            return str(self.raw(self.u32()), "utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"text field is not UTF-8: {exc}") from None
-
-    def words(self) -> tuple[int, int]:
-        """A code's length and bits, stored in exactly ceil(length/64) words."""
-        length = self.u32()
-        n = self.count(8)
-        if n != n_words(length):
-            raise FormatError(f"{n} words for a code of length {length}")
-        return length, int.from_bytes(self.raw(8 * n), "little")
-
-    def array(self, shape: tuple[int, ...], dtype: str) -> np.ndarray:
-        """A read-only view of the next ``shape`` items of ``dtype``."""
-        b = self.raw(math.prod(shape) * np.dtype(dtype).itemsize)
-        return np.frombuffer(b, dtype=dtype).reshape(shape)
+    def array(self, dtype: str) -> np.ndarray:
+        """A u64 count, then a read-only view of that many items of ``dtype``."""
+        n = struct.unpack("<Q", self.raw(8))[0]
+        return np.frombuffer(self.raw(n * np.dtype(dtype).itemsize), dtype=dtype)
 
 
-def _check_header(r: _Reader, magic: bytes, kind: str, version: int, older: str = "") -> None:
-    """Check the magic and the version; ``older`` is added for a version below ``version``."""
+def _save_arrays(path, magic: bytes, version: int, layout, fields: dict) -> None:
+    """Write ``magic``, ``version`` and ``layout``'s arrays from ``fields``."""
+    with open(path, "wb") as f:
+        f.write(magic + struct.pack("<I", version))
+        for name, dtype in layout:
+            a = np.asarray(fields[name], dtype=dtype)
+            f.write(struct.pack("<Q", a.size))
+            f.write(a.tobytes())
+
+
+def _load_arrays(path, magic: bytes, version: int, layout, kind: str, older: str) -> dict:
+    """``layout``'s arrays by name, as read-only views of the file's bytes.
+
+    The magic and the version must match (``older`` is added for a lower
+    version), every count must fit the bytes left, and none may follow.
+    """
+    with open(path, "rb") as f:
+        r = _Reader(f.read())
     got = bytes(r.raw(len(magic)))
     if got != magic:
         raise FormatError(f"not a {kind} file: bad magic {got!r}")
     found = r.u32()
     if found != version:
         raise FormatError(f"unsupported {kind} version {found}{older if found < version else ''}")
+    fields = {name: r.array(dtype) for name, dtype in layout}
+    if r.pos != r.end:
+        raise FormatError(f"{r.end - r.pos} trailing bytes after the {kind}")
+    return fields
 
 
 @dataclass
@@ -153,146 +125,93 @@ class ModelBundle:
 
 def save_model(bundle: ModelBundle, path) -> None:
     """Write a bundle; k and rho are the matrix's and the seed is the model's."""
-    m = bundle.model
-    mat = bundle.matrix
-    with open(path, "wb") as f:
-        w = _Writer(f)
-        w.raw(MODEL_MAGIC)
-        w.u32(MODEL_VERSION)
-        w.u32(mat.k)
-        w.u32(mat.rho)
-        w.u32(m.d)
-        w.f64(bundle.eta)
-        w.u64(m.seed)
-        w.u64(m.iteration)
-        w.u32(mat.m)
-        w.u32(mat.n_in_cycle)
-        cb = bundle.codebook
-        w.u64(cb.rng_seed)
-        w.u64(cb.draws_made)
-        w.u32(len(cb.pool))
-        for c in cb.pool:
-            w.words(c.length, c.bits)
-        w.u32(len(mat.cores))
-        for y, core in mat.cores.items():
-            w.text(y)
-            w.u32(mat.cycle_of_label[y])
-            w.words(core.length, core.bits)
-        w.u32(m.width)
-        w.array(m.weights, "<f8")
-        if bundle.normalizer is None:
-            w.u8(0)
-        else:
-            w.u8(1)
-            w.text(_NORMALIZER_TAG)
-            w.u64(bundle.normalizer.count)
-            w.array(bundle.normalizer.mean, "<f8")
-
-
-# The smallest code record: its length, its word count and one word.
-_MIN_CODE_BYTES = 4 + 4 + 8
-
-
-def _read_core(r: _Reader, k: int) -> PackedCode:
-    """A k-bit code: a codebook entry or a label's core."""
-    length, bits = r.words()
-    if length != k or bits >> k:
-        raise FormatError(f"codes must have k={k} bits and none beyond, got length {length}")
-    return PackedCode(k, bits)
+    m, mat, cb, norm = bundle.model, bundle.matrix, bundle.codebook, bundle.normalizer
+    _save_arrays(path, MODEL_MAGIC, MODEL_VERSION, MODEL_LAYOUT, {
+        "k": mat.k, "rho": mat.rho, "d": m.d, "eta": bundle.eta, "seed": m.seed,
+        "iteration": m.iteration, "cycles": mat.m, "n_in_cycle": mat.n_in_cycle,
+        "codebook_seed": cb.rng_seed, "draws_made": cb.draws_made,
+        "pool": codes_to_words([c.bits for c in cb.pool], mat.k),
+        "cores": codes_to_words([c.bits for c in mat.cores.values()], mat.k),
+        "label_cycles": [mat.cycle_of_label[y] for y in mat.cores],
+        **encode_labels(mat.cores),
+        "weights": m.weights,
+        "normalizer_count": 0 if norm is None else norm.count,
+        "mean": () if norm is None else norm.mean,
+    })
 
 
 def load_model(path) -> ModelBundle:
-    with open(path, "rb") as f:
-        r = _Reader(f.read())
-        _check_header(r, MODEL_MAGIC, "model", MODEL_VERSION)
-        k = r.u32()
-        rho = r.u32()
-        d = r.u32()
-        eta = r.f64()
-        if not 0.0 <= eta < math.inf:
-            raise FormatError(f"learning rate {eta} is not finite and >= 0")
-        seed = r.u64()
-        iteration = r.u64()
-        m_cycles = r.u32()
-        n_in_cycle = r.u32()
-        if min(k, rho, d, m_cycles) < 1:
-            raise FormatError(f"k={k}, rho={rho}, d={d} and cycles={m_cycles} must be >= 1")
-        cb_seed = r.u64()
-        draws_made = r.u64()
-        pool = [_read_core(r, k) for _ in range(r.count(_MIN_CODE_BYTES))]
-        cores: dict[str, PackedCode] = {}
-        cycle_of: dict[str, int] = {}
-        in_cycle: dict[int, set[int]] = {}
-        # Each label record: its text's length word, its cycle id and its core.
-        for _ in range(r.count(4 + 4 + _MIN_CODE_BYTES)):
-            y = r.text()
-            j = r.u32()
-            core = _read_core(r, k)
-            if y in cores:
-                raise FormatError(f"label {y!r} appears twice")
-            if not 1 <= j <= m_cycles:
-                raise FormatError(f"label {y!r} is in cycle {j}, outside [1, {m_cycles}]")
-            seen = in_cycle.setdefault(j, set())
-            if core.bits in seen:
-                raise FormatError(f"two labels of cycle {j} share a core")
-            seen.add(core.bits)
-            if len(seen) > rho:
-                raise FormatError(f"cycle {j} holds more than rho={rho} labels")
-            cycle_of[y], cores[y] = j, core
-        # Every draw removes its code, so a pool never repeats one nor holds a label's core.
-        free = {c.bits for c in pool}
-        if len(free) < len(pool) or any(c.bits in free for c in cores.values()):
-            raise FormatError("the codebook pool repeats a code or holds a label's core")
-        last = len(in_cycle.get(m_cycles, ()))
-        if last != n_in_cycle:
-            raise FormatError(f"n_in_cycle is {n_in_cycle}, but cycle {m_cycles} holds {last}")
-        width = r.u32()
-        # Copies, not views of the file: ``step`` writes the weights in place.
-        weights = r.array((width, d + 1), "<f8").copy()
-        normalizer = None
-        if r.u8():
-            tag = r.text()
-            if tag != _NORMALIZER_TAG:
-                raise FormatError(f"unknown normalizer {tag!r}")
-            count = r.u64()
-            normalizer = FeatureNormalizer(mean=r.array((d,), "<f8").copy(), count=count)
-    if r.pos != r.end:
-        raise FormatError(f"{r.end - r.pos} trailing bytes after the model")
-    if not np.isfinite(weights).all() or (
-            normalizer is not None and not np.isfinite(normalizer.mean).all()):
-        raise FormatError("a weight or the normalizer's mean is NaN or infinite")
-    matrix = EcocMatrix(k=k, rho=rho, m=m_cycles, n_in_cycle=n_in_cycle,
-                        cores=cores, cycle_of_label=cycle_of)
-    model = HashModel(d=d, k=k, weights=weights, iteration=iteration, seed=seed)
-    if model.width != matrix.width:
-        raise FormatError(
-            f"inconsistent file: {model.width} weight rows for width {matrix.width}")
-    codebook = Codebook(k=k, pool=pool, rng_seed=cb_seed, draws_made=draws_made)
+    """Read ``MODEL_LAYOUT``'s arrays and check the model's invariants once over them."""
+    fields = _load_arrays(path, MODEL_MAGIC, MODEL_VERSION, MODEL_LAYOUT, "model",
+                          "; retrain it with `ecochash train` (the same features, flags "
+                          "and seed give the same model)")
+    try:
+        return _bundle(fields)
+    except ValueError as exc:
+        raise FormatError(f"bad model: {exc}") from None
+
+
+def _bundle(fields: dict) -> ModelBundle:
+    """The bundle ``save_model`` wrote; a ValueError names the invariant that fails.
+
+    Every check is sized by the arrays, so a huge k, d or cycle count
+    allocates nothing before the weight count refuses it.
+    """
+    k, rho, d, eta, seed, iteration, m, n_in_cycle, cb_seed, draws_made, count = (
+        fields[name].item() for name in _MODEL_SINGLE)
+    if min(k, rho, d, m) < 1 or not 0.0 <= eta < math.inf:
+        raise ValueError(f"k={k}, rho={rho}, d={d} and cycles={m} must be >= 1, "
+                         f"and eta={eta} finite and >= 0")
+    labels = decode_labels(fields["label_lengths"], fields["label_text"])
+    cycles = fields["label_cycles"].tolist()
+    pool = words_to_codes(fields["pool"].reshape(-1, n_words(k)))
+    cores = words_to_codes(fields["cores"].reshape(len(cycles), n_words(k)))
+    per_cycle = Counter(cycles)
+    free = set(pool)
+    weights, mean = fields["weights"], fields["mean"]
+    for broken, what in (
+            (len(labels) != len(cycles), f"{len(labels)} labels for {len(cycles)} cycles"),
+            (len(set(labels)) < len(labels), "a label appears twice"),
+            (any(c >> k for c in free.union(cores)), f"a code has bits past k={k}"),
+            (cycles and not 1 <= min(cycles) <= max(cycles) <= m,
+             f"a label's cycle is outside [1, {m}]"),
+            (len(set(zip(cycles, cores))) < len(cycles), "two labels of one cycle share a core"),
+            (max(per_cycle.values(), default=0) > rho,
+             f"a cycle holds more than rho={rho} labels"),
+            (per_cycle[m] != n_in_cycle,
+             f"n_in_cycle is {n_in_cycle}, but cycle {m} holds {per_cycle[m]}"),
+            # Every draw removes its code, so a pool never repeats one nor holds a label's core.
+            (len(free) < len(pool) or not free.isdisjoint(cores),
+             "the codebook pool repeats a code or holds a label's core"),
+            (weights.size != m * k * (d + 1),
+             f"{weights.size} weights for {m * k} rows of {d + 1}"),
+            (mean.size not in (0, d) or (count and not mean.size),
+             f"a mean of length {mean.size} with count {count} for d={d}"),
+            (not (np.isfinite(weights).all() and np.isfinite(mean).all()),
+             "a weight or the normalizer's mean is NaN or infinite")):
+        if broken:
+            raise ValueError(what)
+    matrix = EcocMatrix(k=k, rho=rho, m=m, n_in_cycle=n_in_cycle,
+                        cores={y: PackedCode(k, c) for y, c in zip(labels, cores)},
+                        cycle_of_label=dict(zip(labels, cycles)))
+    # Copies, not views of the file: ``step`` writes the weights in place.
+    model = HashModel(d=d, k=k, weights=weights.reshape(m * k, d + 1).copy(),
+                      iteration=iteration, seed=seed)
+    normalizer = FeatureNormalizer(mean=mean.copy(), count=count) if mean.size else None
+    codebook = Codebook(k=k, pool=[PackedCode(k, c) for c in pool], rng_seed=cb_seed,
+                        draws_made=draws_made)
     return ModelBundle(k=k, rho=rho, eta=eta, seed=seed, codebook=codebook,
                        matrix=matrix, model=model, normalizer=normalizer)
 
 
 def save_index(index: HashIndex, path) -> None:
-    fields = index.arrays()
-    with open(path, "wb") as f:
-        w = _Writer(f)
-        w.raw(INDEX_MAGIC)
-        w.u32(INDEX_VERSION)
-        for a in (np.asarray(fields[name], dtype=dtype) for name, dtype in FILE_LAYOUT):
-            w.u64(a.size)
-            w.raw(a.tobytes())
+    _save_arrays(path, INDEX_MAGIC, INDEX_VERSION, FILE_LAYOUT, index.arrays())
 
 
 def load_index(path) -> HashIndex:
-    """Read ``FILE_LAYOUT``'s arrays, each after its u64 size; ``HashIndex`` checks them."""
-    with open(path, "rb") as f:
-        r = _Reader(f.read())
-    _check_header(r, INDEX_MAGIC, "index", INDEX_VERSION,
-                  "; rebuild the index from its model and features with `ecochash index`")
-    fields = {name: r.array((r.count(np.dtype(dtype).itemsize, wide=True),), dtype)
-              for name, dtype in FILE_LAYOUT}
-    if r.pos != r.end:
-        raise FormatError(f"{r.end - r.pos} trailing bytes after the index")
+    """Read ``FILE_LAYOUT``'s arrays; ``HashIndex`` checks them."""
+    fields = _load_arrays(path, INDEX_MAGIC, INDEX_VERSION, FILE_LAYOUT, "index",
+                          "; rebuild the index from its model and features with `ecochash index`")
     try:
         return HashIndex(fields)
     except ValueError as exc:

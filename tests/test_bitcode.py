@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ecochash.bitcode import (PackedCode, TernaryCodeword, codes_to_words,
                               hamming, hamming_masked, pack, ternary,
-                              unpack)
+                              unpack, words_to_codes)
 from ecochash.errors import DimensionError
 
 pm_one = st.sampled_from([-1, 1])
@@ -207,3 +207,5 @@ def test_words_roundtrip_wide():
     assert [int(w) for w in words[0]] == [(code.bits >> (64 * i)) & ((1 << 64) - 1)
                                           for i in range(3)]
     assert int.from_bytes(words.tobytes(), "little") == code.bits
+    codes = [code.bits, 1 << 149, 0]
+    assert words_to_codes(codes_to_words(codes, 150)) == codes

@@ -479,6 +479,16 @@ def test_train_rejects_eta_that_is_negative_or_not_finite(run, dataset, tmp_path
     assert not model.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "codebook-stats"])
+def test_k_below_one_is_named(run, dataset, tmp_path, command):
+    model = tmp_path / "m.model"
+    argv = (train_flags(dataset, model, **{"--k": 0, "--rho": 2}) if command == "train"
+            else ["codebook-stats", "--k", 0, "--rho", 2])
+    out, err = run(argv, expect=1)
+    assert (out, err) == ("", "error (invalid-argument): k must be >= 1, got 0\n")
+    assert not model.exists()
+
+
 def test_negative_seed_rejected(run, dataset, tmp_path):
     _, err = run(train_flags(dataset, tmp_path / "m.model", **{"--seed": -4}),
                  expect=1)

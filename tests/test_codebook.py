@@ -225,3 +225,6 @@ def test_default_capacity():
     assert default_capacity(40, k=8) == 128
     for k in (1, 4, 8):
         generate(k, default_capacity(500, k), seed=0)
+    for k in (0, -3):
+        with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+            default_capacity(k=k)

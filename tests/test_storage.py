@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,32 +58,128 @@ def test_model_roundtrip_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_model_rejects_another_normalizer_tag(tmp_path):
+def split_arrays(blob, layout):
+    """A model or index file's arrays by name, read here with ``struct`` alone.
+
+    After the 8-byte magic and the u32 version, each array is its u64
+    element count and its little-endian items, in layout order.
+    """
+    fields, pos = {}, 12
+    for name, dtype in layout:
+        (n,) = struct.unpack_from("<Q", blob, pos)
+        fields[name] = np.frombuffer(blob, dtype, n, pos + 8).copy()
+        pos += 8 + n * np.dtype(dtype).itemsize
+    assert pos == len(blob)
+    return fields
+
+
+def join_arrays(head, layout, fields):
+    """The inverse of ``split_arrays`` after the 12 bytes of ``head``."""
+    out = [head]
+    for name, dtype in layout:
+        a = np.asarray(fields[name], dtype=dtype)
+        out += [struct.pack("<Q", a.size), a.tobytes()]
+    return b"".join(out)
+
+
+# SHA-256 of the saved ``trained_bundle()``, in model format version 2.
+TRAINED_MODEL_SHA256 = "a1ea86d60946c65b928eecb843250ac1980900e0d087458132f45dfcf0803c8f"
+
+
+def test_model_bytes_are_pinned(tmp_path):
     bundle, _, _ = trained_bundle()
     p = tmp_path / "m.model"
     save_model(bundle, p)
     blob = p.read_bytes()
-    # The file ends with the normalizer: u8 1, the text "l2", u64 count, d means.
-    tail = 1 + 4 + 2 + 8 + 8 * bundle.model.d
-    assert blob[-tail:-tail + 7] == b"\x01\x02\x00\x00\x00l2"
-    for tag in (b"L2", b"z1"):
-        p.write_bytes(blob[:-tail + 5] + tag + blob[-tail + 7:])
-        with pytest.raises(FormatError):
-            load_model(p)
+    assert blob[:12] == storage.MODEL_MAGIC + struct.pack("<I", 2)
+    f = split_arrays(blob, storage.MODEL_LAYOUT)
+    mat, model, cb, norm = bundle.matrix, bundle.model, bundle.codebook, bundle.normalizer
+    singles = ["k", "rho", "d", "eta", "seed", "iteration", "cycles", "n_in_cycle",
+               "codebook_seed", "draws_made", "normalizer_count"]
+    assert [f[name].tolist() for name in singles] == [
+        [8], [2], [6], [1.0], [3], [40], [3], [1], [2], [5], [40]]
+    # k = 8: one word per code.
+    assert f["pool"].tolist() == [c.bits for c in cb.pool]
+    assert f["cores"].tolist() == [c.bits for c in mat.cores.values()]
+    assert f["label_cycles"].tolist() == [1, 1, 2, 2, 3]
+    assert f["label_lengths"].tolist() == [2] * 5
+    assert f["label_text"].tobytes() == b"c0c2c4c1c3"
+    assert f["weights"].tobytes() == model.weights.tobytes()
+    assert f["mean"].tobytes() == norm.mean.tobytes()
+    assert hashlib.sha256(blob).hexdigest() == TRAINED_MODEL_SHA256
+
+
+def test_model_version_1_is_refused(tmp_path):
+    # A version-1 model with k=8, rho=2, d=1, one empty cycle, an empty
+    # pool, no labels, 8 zero weight rows and no normalizer.
+    p = tmp_path / "old.model"
+    p.write_bytes(storage.MODEL_MAGIC + struct.pack("<IIIIdQQIIQQIII", 1, 8, 2, 1, 1.0, 3, 0,
+                                                    1, 0, 2, 0, 0, 0, 8)
+                  + bytes(8 * 2 * 8) + b"\x00")
+    with pytest.raises(FormatError, match="unsupported model version 1; retrain it with "
+                                          "`ecochash train`"):
+        load_model(p)
+
+
+def _model_fields(tmp_path, steps=40):
+    bundle, _, _ = trained_bundle(steps=steps)
+    p = tmp_path / "m.model"
+    save_model(bundle, p)
+    blob = p.read_bytes()
+    return p, blob[:12], split_arrays(blob, storage.MODEL_LAYOUT)
 
 
 @pytest.mark.parametrize("eta", [float("nan"), float("inf"), -1.0])
 def test_model_rejects_eta_that_is_negative_or_not_finite(tmp_path, eta):
-    bundle, _, _ = trained_bundle(steps=5)
-    p = tmp_path / "m.model"
-    save_model(bundle, p)
-    blob = bytearray(p.read_bytes())
-    # magic, version, k, rho and d come before the f64 eta.
-    assert struct.unpack_from("<d", blob, 24)[0] == bundle.eta
-    struct.pack_into("<d", blob, 24, eta)
-    p.write_bytes(bytes(blob))
-    with pytest.raises(FormatError):
+    p, head, fields = _model_fields(tmp_path, steps=5)
+    assert fields["eta"].tolist() == [1.0]
+    fields["eta"] = [eta]
+    p.write_bytes(join_arrays(head, storage.MODEL_LAYOUT, fields))
+    with pytest.raises(FormatError, match="eta"):
         load_model(p)
+
+
+def _set(i, value):
+    """A change that sets item ``i`` of an array to ``value(array, fields)``."""
+    def change(a, fields):
+        a = a.copy()
+        a[i] = value(a, fields)
+        return a
+    return change
+
+
+# trained_bundle's labels c0 c2 | c4 c1 | c3 fill cycles 1, 2 and 3 (rho = 2).
+@pytest.mark.parametrize("name, change, match", [
+    ("label_cycles", _set(0, lambda a, f: 0), "outside"),
+    ("label_cycles", _set(0, lambda a, f: f["cycles"][0] + 1), "outside"),
+    ("cores", _set(0, lambda a, f: int(a[0]) | 1 << int(f["k"][0])), "bits past k"),
+    ("cores", _set(1, lambda a, f: a[0]), "share a core"),
+    ("label_cycles", _set(2, lambda a, f: 1), "more than rho"),
+    ("n_in_cycle", _set(0, lambda a, f: 2), "n_in_cycle is 2"),
+    ("pool", _set(1, lambda a, f: a[0]), "pool repeats"),
+    ("pool", _set(0, lambda a, f: f["cores"][3]), "holds a label's core"),
+    ("weights", lambda a, f: a[:-7], "weights for"),
+    ("mean", lambda a, f: a[:-1], "mean of length"),
+    ("label_lengths", _set(0, lambda a, f: 3), "do not add up"),
+    ("label_text", _set(1, lambda a, f: 0xFF), "utf-8"),
+    ("cycles", _set(0, lambda a, f: (1 << 32) - 1), "n_in_cycle"),
+], ids=["cycle-zero", "cycle-past-cycles", "core-bit-past-k", "shared-core", "over-rho",
+        "n-in-cycle", "pool-repeat", "pool-holds-core", "weight-rows", "mean-length",
+        "label-lengths", "not-utf-8", "huge-cycles"])
+def test_model_rejects_broken_arrays(tmp_path, name, change, match):
+    p, head, fields = _model_fields(tmp_path)
+    p.write_bytes(join_arrays(head, storage.MODEL_LAYOUT, fields))
+    load_model(p)
+    fields[name] = change(fields[name], fields)
+    p.write_bytes(join_arrays(head, storage.MODEL_LAYOUT, fields))
+    # No check allocates by a stored value: the file is 3 KB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=match):
+            load_model(p)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_loaded_bundle_continues_training_identically(tmp_path):
