@@ -12,14 +12,19 @@ it would have produced uninterrupted.
 
 Feature files come in two encodings. The binary one is compact and typed:
 a "FEAT" magic, the dimension, then (u64 id, i32 label, d float32) records
-where label -1 means unlabeled. The CSV one is ``id,label,f0,...`` with an
-empty label cell meaning unlabeled; its floats are parsed as float32 so
-both encodings of the same data train identically.
+where label -1 means unlabeled. The CSV one is UTF-8 ``id,label,f0,...``
+with an empty label cell meaning unlabeled, the id and label quoted as
+``csv`` quotes them. Its floats are written at 9 significant digits, which
+name every float32 exactly, and parsed as float32, so both encodings of
+the same data train identically; files written with more digits read to
+the same values.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
 import struct
 from collections import Counter
@@ -280,14 +285,14 @@ def _write_features_binary(path, ids, labels, X: np.ndarray) -> None:
 
 def _write_features_csv(path, ids, labels, X: np.ndarray) -> None:
     d = X.shape[1]
+    values = ",".join(["%.9g"] * d)  # 9 significant digits round-trip a float32
     with open(path, "w", encoding="utf-8", newline="") as f:
-        out = csv.writer(f)
-        out.writerow(["id", "label"] + [f"f{j}" for j in range(d)])
-        for i in range(X.shape[0]):
-            label = "" if labels[i] is None else str(labels[i])
-            row = [str(int(ids[i])), label]
-            row.extend(repr(float(v)) for v in X[i])
-            out.writerow(row)
+        csv.writer(f).writerow(["id", "label"] + [f"f{j}" for j in range(d)])
+        for i, y, x in zip(ids, labels, X):
+            # csv quotes the label as needed: "id,label," then its "\r\n", which is cut.
+            head = io.StringIO()
+            csv.writer(head).writerow([int(i), "" if y is None else str(y), ""])
+            f.write(head.getvalue()[:-2] + values % tuple(x.tolist()) + "\r\n")
 
 
 def read_features(path):
@@ -334,34 +339,31 @@ def _read_features_binary(path):
 
 
 def _read_features_csv(path):
-    # A value beyond float32's range parses as inf, which read_features rejects.
-    with open(path, "r", encoding="utf-8", newline="") as f, np.errstate(over="ignore"):
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError("empty feature file") from None
-        if len(header) < 3 or header[0] != "id" or header[1] != "label":
-            raise FormatError(
-                "feature CSV must start with columns id,label,f0,...")
-        d = len(header) - 2
-        ids: list[int] = []
-        labels: list[str | None] = []
-        rows: list[np.ndarray] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 2:
-                raise FormatError(
-                    f"line {line_no}: expected {d + 2} columns, got {len(row)}")
-            try:
-                ids.append(int(row[0]))
-            except ValueError:
-                raise FormatError(f"line {line_no}: bad id {row[0]!r}") from None
-            labels.append(row[1] if row[1] != "" else None)
-            try:
-                rows.append(np.asarray(row[2:], dtype=np.float32))
-            except ValueError:
-                raise FormatError(f"line {line_no}: bad feature value") from None
-    X = np.stack(rows) if rows else np.empty((0, d), dtype=np.float32)
-    return ids, labels, X
+    """Check the header with ``csv``, then parse every row with one ``np.loadtxt``.
+
+    Any failure, a byte that is not UTF-8 included, is a ``FormatError``
+    naming the file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            header = next(csv.reader(f), None)
+            if header is None:
+                raise FormatError("empty feature file")
+            if len(header) < 3 or header[0] != "id" or header[1] != "label":
+                raise FormatError("feature CSV must start with columns id,label,f0,...")
+            d = len(header) - 2
+            # loadtxt warns on a table with no rows, so a header-only file returns here.
+            first = next((line for line in f if line.strip("\r\n")), None)
+            if first is None:
+                return [], [], np.empty((0, d), dtype=np.float32)
+            # With no comment character a label may start with "#". A value beyond
+            # float32's range parses as inf, which read_features rejects.
+            table = np.loadtxt(itertools.chain([first], f), delimiter=",", quotechar='"',
+                               comments=None, ndmin=1, dtype=[
+                                   ("id", "O"), ("label", "O"), ("x", "<f4", (d,))])
+        ids = [int(i) for i in table["id"].tolist()]
+    except (ValueError, csv.Error) as exc:
+        # numpy's column-count message ends in a hint about its own `usecols` option.
+        raise FormatError(f"{path}: {str(exc).split('; use `usecols`')[0]}") from None
+    labels = [y or None for y in table["label"].tolist()]
+    return ids, labels, table["x"].copy()

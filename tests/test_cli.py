@@ -471,6 +471,23 @@ def test_train_rejects_a_nan_feature(run, tmp_path):
     assert not model.exists()
 
 
+def test_train_on_a_malformed_csv_is_a_format_error(run, tmp_path):
+    p = tmp_path / "short.csv"
+    p.write_text("id,label,f0,f1\n1,0,0.5\n")
+    model = tmp_path / "m.model"
+    out, err = run(["train", "--features", p, "--k", 8, "--model-out", model], expect=1)
+    assert out == "" and err.startswith("error (format):")
+    assert not model.exists()
+
+
+def test_train_on_a_csv_that_is_not_utf8_is_a_format_error(run, tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes("id,label,f0\n1,\u00e9t\u00e9,0.5\n".encode("latin-1"))
+    out, err = run(["train", "--features", p, "--k", 8, "--model-out", tmp_path / "m.model"],
+                   expect=1)
+    assert out == "" and err.startswith("error (format):") and "latin1.csv" in err
+
+
 @pytest.mark.parametrize("eta", ["nan", "inf", "-1"])
 def test_train_rejects_eta_that_is_negative_or_not_finite(run, dataset, tmp_path, eta):
     model = tmp_path / "m.model"

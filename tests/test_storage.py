@@ -3,6 +3,7 @@
 import hashlib
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -644,20 +645,116 @@ def test_features_binary_truncation(tmp_path):
         read_features(p)
 
 
-def test_features_csv_error_cases(tmp_path):
+FLOAT32_EDGES = np.array([
+    0x00000000, 0x80000000,  # +0 and -0
+    0x00000001, 0x007FFFFF,  # the smallest and the largest subnormal
+    0x00800000,  # the smallest normal
+    0x7F7FFFFF, 0xFF7FFFFF,  # +-max finite
+    0x3F7FFFFF, 0x3F800000, 0x3F800001, 0xBF800000,  # 1.0, its neighbours, -1.0
+    0x3DCCCCCD,  # 0.1
+], dtype=np.uint32)
+
+
+@pytest.mark.parametrize("name", ["t.csv", "t.feat"])
+def test_features_roundtrip_float32_bits(tmp_path, name):
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 1 << 32, size=4096, dtype=np.uint32)
+    bits = np.concatenate([FLOAT32_EDGES, bits[np.isfinite(bits.view(np.float32))]])
+    bits = bits[: len(bits) // 8 * 8].reshape(-1, 8)
+    p = tmp_path / name
+    write_features(p, list(range(len(bits))), ["0"] * len(bits), bits.view(np.float32))
+    _, _, X = read_features(p)
+    assert X.dtype == np.float32
+    # view(np.uint32), since array_equal takes -0.0 for 0.0
+    assert np.array_equal(X.view(np.uint32), bits)
+
+
+def test_features_csv_is_written_at_nine_digits(tmp_path):
     p = tmp_path / "t.csv"
-    p.write_text("wrong,header,here\n")
-    with pytest.raises(FormatError):
+    write_features(p, [1, 2], ["0", None], FLOAT32_EDGES[:6].view(np.float32).reshape(2, 3))
+    assert p.read_bytes() == (b"id,label,f0,f1,f2\r\n"
+                              b"1,0,0,-0,1.40129846e-45\r\n"
+                              b"2,,1.17549421e-38,1.17549435e-38,3.40282347e+38\r\n")
+
+
+def test_features_csv_in_the_17_digit_format_reads_the_same_bits(tmp_path):
+    # As written by repr(float(v)) of each float32, before 9 digits were enough.
+    p = tmp_path / "t.csv"
+    p.write_bytes(b"id,label,f0,f1,f2\r\n"
+                  b"1,0,0.10000000149011612,-0.0,3.4028234663852886e+38\r\n"
+                  b"2,,1.401298464324817e-45,1.1754942106924411e-38,0.9999999403953552\r\n"
+                  b"3,5,1.0000001192092896,-3.4028234663852886e+38,1.1754943508222875e-38\r\n")
+    _, _, X = read_features(p)
+    assert X.view(np.uint32).tolist() == [[0x3DCCCCCD, 0x80000000, 0x7F7FFFFF],
+                                          [0x00000001, 0x007FFFFF, 0x3F7FFFFF],
+                                          [0x3F800001, 0xFF7FFFFF, 0x00800000]]
+
+
+CSV_CASES = {
+    "empty-file": (b"", FormatError),
+    "bad-header": (b"wrong,header,here\n", FormatError),
+    "short-row": (b"id,label,f0,f1\n1,0,0.5\n", FormatError),
+    "long-row": (b"id,label,f0\n1,0,0.5,1\n", FormatError),
+    "whitespace-line": (b"id,label,f0\n \n1,0,0.5\n", FormatError),
+    "bad-id": (b"id,label,f0\nnotanint,0,0.5\n", FormatError),
+    "bad-float": (b"id,label,f0\n1,0,notafloat\n", FormatError),
+    "header-only": (b"id,label,f0,f1\n", ([], [], np.empty((0, 2), dtype=np.float32))),
+    "quoted-labels": (b'id,label,f0\n1,"a,b",0.5\n2,"say ""hi""",1\n3,"two\nlines",2\n'
+                      b"4,#tag,-3\n",
+                      ([1, 2, 3, 4], ["a,b", 'say "hi"', "two\nlines", "#tag"],
+                       np.array([[0.5], [1], [2], [-3]], dtype=np.float32))),
+    "crlf-and-blank-lines": (b"id,label,f0\r\n1,0,0.25\r\n\r\n2,,1e-3\r\n",
+                             ([1, 2], ["0", None], np.array([[0.25], [1e-3]], dtype=np.float32))),
+    "utf8-label": ("id,label,f0\n1,\u00e9t\u00e9,0.5\n".encode(),
+                   ([1], ["\u00e9t\u00e9"], np.array([[0.5]], dtype=np.float32))),
+}
+
+
+@pytest.mark.parametrize("case", list(CSV_CASES))
+def test_features_csv_cases(tmp_path, case):
+    text, expected = CSV_CASES[case]
+    p = tmp_path / "t.csv"
+    p.write_bytes(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if expected is FormatError:
+            with pytest.raises(FormatError):
+                read_features(p)
+            return
+        ids, labels, X = read_features(p)
+    assert (ids, labels) == expected[:2]
+    assert X.dtype == np.float32 and X.shape == expected[2].shape
+    assert np.array_equal(X.view(np.uint32), expected[2].view(np.uint32))
+
+
+def test_features_csv_that_is_not_utf8_is_a_format_error_naming_the_file(tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes("id,label,f0\n1,\u00e9t\u00e9,0.5\n".encode("latin-1"))
+    with pytest.raises(FormatError, match="latin1.csv: .*utf-8"):
         read_features(p)
-    p.write_text("id,label,f0\nnotanint,0,0.5\n")
-    with pytest.raises(FormatError):
-        read_features(p)
-    p.write_text("id,label,f0\n1,0,notafloat\n")
-    with pytest.raises(FormatError):
-        read_features(p)
-    p.write_text("id,label,f0,f1\n1,0,0.5\n")
-    with pytest.raises(FormatError):
-        read_features(p)
+
+
+def test_features_csv_byte_overwrites_load_or_raise_format_error(tmp_path):
+    p = tmp_path / "t.csv"
+    write_features(p, [1, 2, 3], ["a,b", None, "7"],
+                   np.array([[0.5, -1.25], [3.0, 0.1], [-0.0, 2e-5]], dtype=np.float32))
+    blob = p.read_bytes()
+    assert len(blob) < 128
+    loaded = 0
+    for offset in range(len(blob)):
+        for value in b'\x00\xff,\n" 1':
+            mutated = bytearray(blob)
+            mutated[offset] = value
+            p.write_bytes(bytes(mutated))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    ids, labels, X = read_features(p)
+                except FormatError:
+                    continue
+            loaded += 1
+            assert len(ids) == len(labels) == X.shape[0] and X.dtype == np.float32
+    assert loaded > len(blob)
 
 
 def test_feature_format_sniffing(tmp_path):
