@@ -15,8 +15,8 @@ from .evaluation import (CurvePoint, ExperimentConfig, ExperimentResult,
 from .index import (MODE_CODEWORD, MODE_PHI, HashIndex, IndexEntry,
                     UpdateLedger)
 from .learner import (FeatureNormalizer, HashModel, StepReport, augment,
-                      gradient, init_functions, phi, predict_bit, step,
-                      surrogate_loss)
+                      exact_signs, gradient, init_functions, phi, predict_bit,
+                      step, surrogate_loss)
 from .storage import (ModelBundle, load_index, load_model, read_features,
                       save_index, save_model, write_features)
 
@@ -36,7 +36,7 @@ __all__ = [
     "mean_average_precision", "retrieval_map", "run_stream_experiment",
     "write_curve_csv",
     "MODE_CODEWORD", "MODE_PHI", "HashIndex", "IndexEntry", "UpdateLedger",
-    "FeatureNormalizer", "HashModel", "StepReport", "augment", "gradient",
+    "FeatureNormalizer", "HashModel", "StepReport", "augment", "exact_signs", "gradient",
     "init_functions", "phi", "predict_bit", "step", "surrogate_loss",
     "ModelBundle", "load_index", "load_model", "read_features", "save_index",
     "save_model", "write_features",

@@ -123,18 +123,17 @@ def _cmd_index(args) -> int:
     X = _transform(bundle.normalizer, X)
     index = HashIndex()
     skipped = 0
-    for i in range(len(ids)):
-        if args.mode == MODE_CODEWORD:
-            if labels[i] is None:
+    if args.mode == MODE_PHI:
+        index.insert_many(ids, X, bundle.model, labels)
+    else:
+        for id, y in zip(ids, labels):
+            if y is None:
                 if args.skip_unlabeled:
                     skipped += 1
                     continue
-                raise ValueError(
-                    f"row id {ids[i]} has no label; codeword mode needs one "
-                    "(or pass --skip-unlabeled)")
-            index.insert_labeled(ids[i], labels[i], bundle.matrix)
-        else:
-            index.insert_unlabeled(ids[i], X[i], bundle.model, label=labels[i])
+                raise ValueError(f"row id {id} has no label; codeword mode needs one "
+                                 "(or pass --skip-unlabeled)")
+            index.insert_labeled(id, y, bundle.matrix)
     storage.save_index(index, args.index_out)
     if skipped:
         print(f"skipped {skipped} unlabeled rows", file=sys.stderr)
@@ -152,10 +151,11 @@ def _cmd_query(args) -> int:
     ranked = zip(ids, index.query_many(bundle.model, queries, top_n=args.top))
     # The first block is ranked before the header, so a failed command prints nothing.
     first = list(islice(ranked, 1))
-    print("query_id,rank,id,distance")
+    out = sys.stdout
+    out.write("query_id,rank,id,distance\n")
     for qid, hits in chain(first, ranked):
-        for rank, (id, dist) in enumerate(hits, start=1):
-            print(f"{qid},{rank},{id},{dist}")
+        out.write("".join(f"{qid},{rank},{id},{dist}\n"
+                          for rank, (id, dist) in enumerate(hits, start=1)))
     return 0
 
 

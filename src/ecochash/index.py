@@ -17,7 +17,8 @@ columns, at the length cycle * k. A phi row is value words in a
 word-major ``(words, n)`` block (word w holds code positions
 [64w, 64w+64)) at the one width all phi rows share, with no masks, plus
 its augmented features ``[x; 1]``, so an update recomputes a cycle's
-columns for every phi row with one matrix product. A query's distance to
+columns for every phi row with one matrix product. Every phi bit, stored or
+queried, is ``learner.exact_signs``' exact sign. A query's distance to
 a codeword row is the popcount of its bits in the row's cycle XOR the
 core; to a phi row, of its bits below the phi width XOR the words.
 Index files hold the two blocks as ``FILE_LAYOUT``'s arrays (see ``arrays``).
@@ -26,7 +27,7 @@ Index files hold the two blocks as ``FILE_LAYOUT``'s arrays (see ``arrays``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .ecoc import EcocMatrix, Label
 from .errors import ConsistencyError, DimensionError, DuplicateIdError
 # Nothing here calls ``phi`` or ``codes_to_words``; both stay module names because
 # the benchmark's tracer (perfbench/tracing.py) reads them from this ``__dict__``.
-from .learner import HashModel, StepReport, phi  # noqa: F401
+from .learner import HashModel, StepReport, augment_rows, exact_signs, phi  # noqa: F401
 
 MODE_CODEWORD = "codeword"
 MODE_PHI = "phi"
@@ -91,11 +92,28 @@ def n_words(length: int) -> int:
     return -(-length // WORD_BITS)
 
 
-def _doubled(a: np.ndarray, axis: int = 0) -> np.ndarray:
-    """A copy of ``a`` twice as long (at least 1) along ``axis``, the new part zero."""
-    pad = [(0, 0)] * a.ndim
-    pad[axis] = (0, max(1, a.shape[axis]))
-    return np.pad(a, pad)
+def _grown(a: np.ndarray, size: int, axis: int = 0, fill=0) -> np.ndarray:
+    """``a`` if it holds ``size`` along ``axis``, else a copy at least twice as long.
+
+    The new part holds ``fill``.
+    """
+    have = a.shape[axis]
+    if size <= have:
+        return a
+    out = np.full(a.shape[:axis] + (max(size, 2 * have),) + a.shape[axis + 1:], fill, a.dtype)
+    out[(slice(None),) * axis + (slice(have),)] = a
+    return out
+
+
+def _words_of(bits: int, words: int) -> np.ndarray:
+    """The low ``words`` 64-bit words of an int (negative ones in two's complement)."""
+    return np.array([bits >> s & _WORD_MASK for s in range(0, WORD_BITS * words, WORD_BITS)],
+                    dtype=_WORD)
+
+
+def _distance_dtype(largest: int):
+    """The narrowest unsigned dtype that holds distances up to ``largest``."""
+    return np.uint8 if largest < 1 << 8 else np.uint16 if largest < 1 << 16 else np.uint32
 
 
 def encode_labels(labels) -> dict:
@@ -117,30 +135,33 @@ def decode_labels(lengths, text) -> list[str]:
 def _packed(signs: np.ndarray, size: int) -> np.ndarray:
     """(queries, bits) sign bits cut into blocks of ``size``, each in whole words.
 
-    Returns a (queries, blocks, ceil(size/64)) array of little-endian words;
-    bits past the end of the last block are clear.
+    ``bits`` must be a multiple of ``size``. Returns a (queries, blocks,
+    ceil(size/64)) array of little-endian words; bits past ``size`` in a
+    block's last word are clear.
     """
     queries, width = signs.shape
-    blocks = -(-width // size)
-    bits = np.zeros((queries, blocks * size), dtype=bool)
-    bits[:, :width] = signs
-    packed = np.packbits(bits.reshape(queries, blocks, size), axis=2, bitorder="little")
-    words = np.zeros((queries, blocks, 8 * n_words(size)), dtype=np.uint8)
-    words[:, :, :packed.shape[2]] = packed
-    return words.view(_WORD)
+    bits = np.zeros((queries, width // size, WORD_BITS * n_words(size)), dtype=bool)
+    bits[:, :, :size] = signs.reshape(queries, -1, size)
+    # Positional arguments: keywords cost packbits about a microsecond a call.
+    return np.packbits(bits, 2, "little").view(_WORD)
 
 
-def _hamming(qs, rows: np.ndarray, queries: int, dtype) -> np.ndarray:
+def _hamming(qs: np.ndarray, rows: np.ndarray, dtype) -> np.ndarray:
     """Per query and slot, the sum over words w of popcount(qs[w] ^ rows[w]).
 
-    ``rows`` is a word-major (words, slots) block; ``qs[w]`` holds the
-    queries' word w, one per slot or one for all slots.
+    ``rows`` is a word-major (words, slots) block of at least one word;
+    ``qs`` is (words, queries, slots) or (words, queries, 1), the queries'
+    word w for each slot or for all of them. Words go in chunks of about
+    2^16 cells, so one query takes one pass and a block of queries stays small.
     """
-    dists = np.zeros((queries, rows.shape[1]), dtype=dtype)
-    cell = np.empty(dists.shape, dtype=_WORD)
-    for q, row in zip(qs, rows):
-        np.bitwise_xor(q, row, out=cell)
-        dists += np.bitwise_count(cell)
+    words, queries, _ = qs.shape
+    step = max(1, _BLOCK_CELLS // (queries * rows.shape[1] or 1))
+    dists = None
+    for w in range(0, words, step):
+        count = np.bitwise_count(np.bitwise_xor(qs[w:w + step], rows[w:w + step, None]))
+        part = (np.add.reduce(count, axis=0, dtype=dtype) if len(count) > 1
+                else count[0].astype(dtype, copy=False))
+        dists = part if dists is None else dists + part
     return dists
 
 
@@ -192,14 +213,16 @@ class HashIndex:
         self._labels = [None if i < 0 else table[i] for i in label_of.tolist()]
         # The end of the last column any row uses; a query may not be narrower.
         self._widest = widest
-        # Codeword block: cycle and core words per slot.
-        self._k, self._n_cw, self._cycles = k, n_cw, cycles
+        # Codeword block: cycle (0-based, as queries index by it) and core words per slot.
+        self._k, self._n_cw, self._cycles = k, n_cw, cycles - 1
         self._cores = np.array(cores.T, order="C")
         # Phi block: value words at the shared width and features per slot.
         self._n_phi, self._phi_width = n_phi, phi_width
         self._values = np.array(values.T, order="C")
         self._feats = np.ones((n_phi, d + 1) if n_phi else (0, 0))
         self._feats[:, :-1] = feats
+        # The rows' squared Frobenius norm, for exact_signs; features never change.
+        self._sq = float(np.vdot(self._feats, self._feats))
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -221,8 +244,7 @@ class HashIndex:
         if id in self._id_set:
             raise DuplicateIdError(f"id {id} is already indexed")
         n = len(self._ids)
-        if n == len(self._is_phi):
-            self._is_phi = _doubled(self._is_phi)
+        self._is_phi = _grown(self._is_phi, n + 1)
         self._is_phi[n] = is_phi
         self._ids.append(id)
         self._labels.append(label)
@@ -238,7 +260,7 @@ class HashIndex:
             **encode_labels(at),
             "label_of": np.array([at.get(y, -1) for y in self._labels], dtype=np.int32),
             "k": self._k,
-            "cycles": self._cycles[:n_cw],
+            "cycles": self._cycles[:n_cw] + 1,
             "cores": self._cores[:, :n_cw].T,
             "phi_width": self._phi_width,
             "feature_length": self._feats.shape[1] - 1 if n_phi else 0,
@@ -258,7 +280,7 @@ class HashIndex:
         the index as it is.
         """
         k, width = self._k, self._phi_width
-        codewords = zip(self._cycles[:self._n_cw].tolist(),
+        codewords = zip((self._cycles[:self._n_cw] + 1).tolist(),
                         words_to_codes(self._cores[:, :self._n_cw].T))
         phis = zip(words_to_codes(self._values[:, :self._n_phi].T), self._feats[:self._n_phi, :-1])
         out = []
@@ -289,86 +311,125 @@ class HashIndex:
             self._k = k
             self._cores = np.zeros((n_words(k), len(self._cycles)), dtype=_WORD)
         slot = self._n_cw
-        if slot == len(self._cycles):
-            self._cycles = _doubled(self._cycles)
-            self._cores = _doubled(self._cores, axis=1)
-        self._cycles[slot] = cycle
+        self._cycles = _grown(self._cycles, slot + 1)
+        self._cores = _grown(self._cores, slot + 1, axis=1)
+        self._cycles[slot] = cycle - 1
         # A word at a time: 0.4 us against 0.9 us through np.frombuffer.
         for w in range(len(self._cores)):
             self._cores[w, slot] = (core.bits >> (WORD_BITS * w)) & _WORD_MASK
         self._n_cw += 1
         self._widest = max(self._widest, cycle * k)
 
-    def insert_unlabeled(self, id: int, x: np.ndarray, model: HashModel,
-                         label: Label | None = None) -> None:
-        """Index an instance under the mapping output, all positions active.
+    def insert_many(self, ids, X, model: HashModel, labels=None) -> None:
+        """Index each row of ``X`` under the mapping output, all positions active.
 
-        The feature vector is retained (exactly as given, so pass it already
-        normalized) to allow partial recomputation later. ``label`` is an
-        optional ground-truth tag kept for evaluation only; it plays no part
-        in the stored code, which is ``phi(model, x)``'s bits.
+        Row i gets id ``ids[i]`` and, when ``labels`` is given, ``labels[i]``:
+        a ground-truth tag (or None) kept for evaluation only, which plays no
+        part in the stored code, ``phi(model, X[i])``'s bits. The features are
+        retained exactly as given (so pass them already normalized) to allow
+        partial recomputation later. One ``exact_signs`` call scores the batch.
 
-        A phi block behind the model's new cycles takes the row at its own
-        width, and the next ``refresh`` or ``apply_model_update`` catches it up
-        with the rest. A model narrower than the block raises ConsistencyError.
+        Everything is checked before any change: ids in [0, 2^64), new and
+        distinct (DuplicateIdError); one label per row; rows of the model's d
+        and of the phi block's feature length (DimensionError); finite
+        features (ValueError naming the row id). A phi block behind the
+        model's new cycles takes the rows at its own width, and the next
+        ``refresh`` or ``apply_model_update`` catches them up with the rest. A
+        model narrower than the block raises ConsistencyError.
         """
-        width = self._phi_width or model.width
+        ids = [int(i) for i in ids]
+        X = np.asarray(X, dtype=np.float64)
+        n = len(ids)
+        labels = [None] * n if labels is None else list(labels)
+        if X.ndim != 2 or len(X) != n or len(labels) != n:
+            raise ValueError(f"{n} ids, {len(labels)} labels and a block of shape {X.shape} "
+                             "do not make one row each")
+        width, slot = self._phi_width or model.width, self._n_phi
         if width > model.width:
             raise ConsistencyError(f"phi entries have width {width}, the model {model.width}")
         if width < 1:
             raise ValueError("model has no hash functions")
-        bits = np.zeros(WORD_BITS * n_words(width), dtype=bool)
-        np.greater_equal(model.scores(x)[:width], 0.0, out=bits[:width])
-        slot = self._n_phi
-        if slot and len(x) + 1 != self._feats.shape[1]:
+        if X.shape[1] != model.d:
+            raise DimensionError(f"feature length {X.shape[1]} does not match d={model.d}")
+        if slot and X.shape[1] + 1 != self._feats.shape[1]:
             raise DimensionError(
-                f"feature length {len(x)} does not match "
+                f"feature length {X.shape[1]} does not match "
                 f"{self._feats.shape[1] - 1} of the existing phi entries")
-        self._append(id, label, True)
+        new = set()
+        for id in ids:
+            if not 0 <= id < 1 << 64:
+                raise ValueError(f"id {id} is outside [0, 2^64)")
+            if id in self._id_set or id in new:
+                raise DuplicateIdError(f"id {id} is already indexed")
+            new.add(id)
+        # The rows are staged in the blocks' spare capacity, past the last phi
+        # row, so a batch that exact_signs refuses leaves no row behind. Spare
+        # feature rows keep the 1.0 of [x; 1] in their last column.
         if not slot:
             self._values = np.zeros((n_words(width), len(self._feats)), dtype=_WORD)
-            self._feats = np.zeros((len(self._feats), len(x) + 1))
-        if slot == len(self._feats):
-            self._feats = _doubled(self._feats)
-            self._values = _doubled(self._values, axis=1)
-        self._values[:, slot] = np.packbits(bits, bitorder="little").view(_WORD)
-        self._feats[slot, :-1] = x
-        self._feats[slot, -1] = 1.0
-        self._n_phi += 1
-        self._phi_width = width
-        self._widest = max(self._widest, width)
+            self._feats = np.ones((len(self._feats), model.d + 1))
+        if slot + n > len(self._feats):
+            self._feats = _grown(self._feats, slot + n, fill=1.0)
+            self._values = _grown(self._values, slot + n, axis=1)
+        Xa = self._feats[slot:slot + n]
+        Xa[:, :-1] = X
+        sq = float(np.vdot(Xa, Xa))
+        bits = np.zeros((n, WORD_BITS * n_words(width)), dtype=bool)
+        bits[:, :width] = exact_signs(model.weights[:width], Xa, lambda i: f"row id {ids[i]}",
+                                      xx=sq)
+        self._values[:, slot:slot + n] = np.packbits(bits, 1, "little").view(_WORD).T
+        start = len(self._ids)
+        if start + n > len(self._is_phi):
+            self._is_phi = _grown(self._is_phi, start + n)
+        self._is_phi[start:start + n] = True
+        self._ids += ids
+        self._labels += labels
+        self._id_set |= new
+        self._n_phi += n
+        self._sq += sq
+        if n:
+            self._phi_width = width
+            self._widest = max(self._widest, width)
+
+    def insert_unlabeled(self, id: int, x: np.ndarray, model: HashModel,
+                         label: Label | None = None) -> None:
+        """Index one instance under the mapping output: ``insert_many``'s one-row case."""
+        self.insert_many([id], np.asarray(x).reshape(1, -1), model, [label])
 
     def _recompute(self, model: HashModel, spans: list[tuple[int, int]]) -> int:
         """Recompute the columns [lo, hi) of ``spans`` in every phi row; returns the bits.
 
-        Only the words from the first span's to the last span's are
-        unpacked and packed again. Rows come out at the model's width.
-        Flips are counted only over the positions rows had before the call,
-        so growing a code is not charged as flipping it. Both counts go to
-        the ledger; a call that recomputes nothing leaves it as it was.
+        One ``exact_signs`` call scores the columns of every span. Their bits
+        are packed into the words from the first span's to the last span's
+        and merged into the rows under a mask. Rows come out at the model's
+        width. Flips are counted only over the positions rows had before the
+        call, so growing a code is not charged as flipping it. Both counts go
+        to the ledger; a call that recomputes nothing leaves it as it was.
         """
         n = self._n_phi
         if not n or not spans:
             return 0
-        old_width = self._phi_width
         extra = n_words(model.width) - len(self._values)
         if extra > 0:
             self._values = np.pad(self._values, ((0, extra), (0, 0)))
         first = min(lo for lo, _ in spans) // WORD_BITS
+        base = WORD_BITS * first
         words = self._values[first:n_words(max(hi for _, hi in spans)), :n]
-        bits = np.unpackbits(np.ascontiguousarray(words.T).view(np.uint8), axis=1,
-                             bitorder="little")
-        flips = 0
+        W = np.concatenate([model.weights[lo:hi] for lo, hi in spans])
+        new = exact_signs(W, self._feats[:n], xx=self._sq)
+        bits = np.zeros((n, WORD_BITS * len(words)), dtype=bool)
+        mask = at = 0
         for lo, hi in spans:
-            span = bits[:, lo - WORD_BITS * first:hi - WORD_BITS * first]
-            new = self._feats[:n] @ model.weights[lo:hi].T >= 0.0
-            kept = max(0, min(hi, old_width) - lo)
-            flips += int(np.count_nonzero(span[:, :kept] != new[:, :kept]))
-            span[:] = new
-        words[:] = np.packbits(bits, axis=1, bitorder="little").view(_WORD).T
+            bits[:, lo - base:hi - base] = new[:, at:at + hi - lo]
+            mask |= ((1 << hi - lo) - 1) << lo - base
+            at += hi - lo
+        fresh = np.packbits(bits, 1, "little").view(_WORD).T
+        kept = _words_of(mask & (1 << max(0, self._phi_width - base)) - 1, len(words))
+        flips = int(np.bitwise_count((words ^ fresh) & kept[:, None]).sum())
+        words[:] = words & _words_of(~mask, len(words))[:, None] | fresh
         self._phi_width = model.width
         self._widest = max(self._widest, model.width)
-        n_bits = n * sum(hi - lo for lo, hi in spans)
+        n_bits = n * len(W)
         self.ledger.record(n_bits, flips, n)
         return n_bits
 
@@ -410,12 +471,15 @@ class HashIndex:
         todo = sorted(set(todo).union(range(old_width // k + 1, total_cycles + 1)))
         return self._recompute(model, [((j - 1) * k, j * k) for j in todo])
 
-    def _distances(self, model: HashModel, block) -> np.ndarray:
-        """Masked Hamming distances from each query of ``block`` to every entry.
+    def _distances(self, model: HashModel, X: np.ndarray, first: int = 0) -> np.ndarray:
+        """Masked Hamming distances from each query row of ``X`` to every entry.
 
-        Each query's code is ``phi``'s: its own per-vector scores, signed and
-        packed. Returns a (queries, entries) array of the narrowest unsigned
-        dtype that holds the model's width, entries in insertion order.
+        Each query's code is ``phi``'s, from one ``exact_signs`` call over the
+        block; a NaN or infinite value raises ValueError naming its query row,
+        counted from ``first``. Returns a (queries, entries) array, entries in
+        insertion order, of the narrowest unsigned dtype that holds the
+        largest distance a row can have: k for a codeword row, the phi width
+        for a phi row.
         """
         width = model.width
         if self._widest > width:
@@ -423,48 +487,53 @@ class HashIndex:
                 f"an entry is wider ({self._widest}) than the query ({width})")
         if self._n_cw and self._k != model.k:
             raise ConsistencyError(f"codeword entries have k={self._k}, the model k={model.k}")
-        signs = np.array([model.scores(x) for x in block]).reshape(len(block), width) >= 0.0
-        dtype = np.min_scalar_type(width)
+        signs = exact_signs(model.weights, augment_rows(X, model.d),
+                            lambda i: f"query row {first + i}")
+        queries = len(X)
         n_cw, n_phi = self._n_cw, self._n_phi
+        dtype = _distance_dtype(max(self._k, self._phi_width))
         if n_cw:
             # Each codeword slot meets the query's bits in its own cycle.
-            q, at = _packed(signs, self._k), self._cycles[:n_cw] - 1
-            cw_d = _hamming([np.take(q[:, :, w], at, axis=1) for w in range(q.shape[2])],
-                            self._cores[:, :n_cw], len(block), dtype)
+            k = self._k
+            q = _packed(signs[:, :width - width % k], k).transpose(2, 0, 1)
+            cw_d = _hamming(np.take(q, self._cycles[:n_cw], axis=2),
+                            self._cores[:, :n_cw], dtype)
         if n_phi:
             # The query's bits at or past the phi width are cleared, as the rows' are.
-            q = _packed(signs[:, :self._phi_width], WORD_BITS)
-            phi_d = _hamming(q.T[0, :, :, None], self._values[:, :n_phi], len(block), dtype)
+            pw = self._phi_width
+            q = _packed(signs[:, :pw], pw).transpose(2, 0, 1)
+            phi_d = _hamming(q, self._values[:, :n_phi], dtype)
         if n_cw and n_phi:
             is_phi = self._is_phi[:len(self)]
-            dists = np.empty((len(block), len(self)), dtype=dtype)
+            dists = np.empty((queries, len(self)), dtype=dtype)
             dists[:, is_phi], dists[:, ~is_phi] = phi_d, cw_d
             return dists
-        return cw_d if n_cw else phi_d if n_phi else np.zeros((len(block), 0), dtype=dtype)
+        return cw_d if n_cw else phi_d if n_phi else np.zeros((queries, 0), dtype=dtype)
 
     def rank_blocks(self, model: HashModel, X):
         """``(orders, dists)``, both (queries, entries), per block of rows of ``X``.
 
-        A block holds about 2^16 distance cells, so the temporaries stay small
-        however many queries there are. ``orders`` ranks entry rows by
-        distance, ties in insertion order; ``dists`` is in insertion order.
+        ``X`` is an (n, d) array or a sequence of n rows. A block holds about
+        2^16 distance cells, so the temporaries stay small however many
+        queries there are. ``orders`` ranks entry rows by distance, ties in
+        insertion order; ``dists`` is in insertion order.
         """
+        X = np.asarray(X, dtype=np.float64)
         per_block = max(1, _BLOCK_CELLS // max(1, len(self)))
-        rows = iter(X)
-        while block := list(islice(rows, per_block)):
-            dists = self._distances(model, block)
-            yield np.argsort(dists, axis=1, kind="stable"), dists
+        for first in range(0, len(X), per_block):
+            dists = self._distances(model, X[first:first + per_block], first)
+            yield dists.argsort(axis=1, kind="stable"), dists
 
     def all_distances(self, model: HashModel, x_q: np.ndarray) -> np.ndarray:
         """Masked Hamming distance from phi(model, x_q) to every entry.
 
         Returned in entry insertion order, in the narrowest unsigned dtype
-        that holds the model's width. Entries narrower than the current
+        that holds k and the phi width. Entries narrower than the current
         width count their missing columns as inactive; an entry wider than
         the query means the caller queried with an outdated model, which is
         an error.
         """
-        return self._distances(model, [x_q])[0]
+        return self._distances(model, np.asarray(x_q).reshape(1, -1))[0]
 
     def _hits(self, order, dists, top_n: int | None) -> list[tuple[int, int]]:
         order = order[:top_n]
@@ -479,7 +548,7 @@ class HashIndex:
         """
         _check_top_n(top_n)
         dists = self.all_distances(model, x_q)
-        return self._hits(np.argsort(dists, kind="stable"), dists, top_n)
+        return self._hits(dists.argsort(kind="stable"), dists, top_n)
 
     def query_many(self, model: HashModel, X, top_n: int | None = None):
         """``query`` for each row of ``X``, as an iterator over ``rank_blocks``.

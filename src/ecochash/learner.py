@@ -1,10 +1,13 @@
 """Online SGD over linear-threshold hash functions.
 
 Each column t of the code is produced by f_t(x) = sgn(w_t . [x;1]), with
-sgn(0) = +1. Training minimizes a convex margin surrogate of the masked
-Hamming distance between the mapping's output and the observed label's
-ternary codeword; inactive codeword positions contribute neither loss nor
-gradient, so only the k functions of the label's cycle are ever touched.
+sgn(0) = +1, taken of the exact real dot product of the stored float64
+weights and features (``exact_signs``), so no bit depends on the order in
+which a matrix product sums. Training minimizes a convex margin surrogate
+of the masked Hamming distance between the mapping's output and the
+observed label's ternary codeword; inactive codeword positions contribute
+neither loss nor gradient, so only the k functions of the label's cycle are
+ever touched.
 """
 
 from __future__ import annotations
@@ -56,12 +59,112 @@ def augment(x: np.ndarray) -> np.ndarray:
     return xh
 
 
+def augment_rows(X: np.ndarray, d: int) -> np.ndarray:
+    """Each row of an (n, d) block in homogeneous form, as a C-ordered float64 block.
+
+    A DimensionError unless the rows have d values.
+    """
+    if X.shape[1:] != (d,):
+        raise DimensionError(f"feature length {X.shape[-1]} does not match d={d}")
+    Xa = np.empty((len(X), d + 1))
+    Xa[:, :-1] = X
+    Xa[:, -1] = 1.0
+    return Xa
+
+
+# Unit roundoff and the smallest subnormal of float64.
+_U = float(np.finfo(np.float64).eps) / 2
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
+# Factors in this range (or zero) have an exact TwoProduct: no product
+# overflows, and no error term loses bits to underflow.
+_SPLIT_LO, _SPLIT_HI = 2.0 ** -480, 2.0 ** 480
+_SPLITTER = 2.0 ** 27 + 1
+
+
+def _split(a: np.ndarray):
+    """Veltkamp's split of a into a high and a low half of 26 bits each."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _exact_sign(w: np.ndarray, x: np.ndarray) -> bool:
+    """Whether the exact real dot product of two finite vectors is >= 0.
+
+    Each product is split into its rounded value and its exact error
+    (TwoProduct), and ``math.fsum`` rounds their sum correctly, so its sign
+    is the exact sign; ``Fraction`` sums where a split could over- or
+    underflow.
+    """
+    a, b = np.abs(w), np.abs(x)
+    if np.all((a == 0.0) | (b == 0.0) | ((a >= _SPLIT_LO) & (a <= _SPLIT_HI)
+                                         & (b >= _SPLIT_LO) & (b <= _SPLIT_HI))):
+        p = w * x
+        (wh, wl), (xh, xl) = _split(w), _split(x)
+        err = ((wh * xh - p) + wh * xl + wl * xh) + wl * xl
+        return math.fsum(p.tolist() + err.tolist()) >= 0.0
+    # Imported here: this path is rare, and fractions imports decimal, a few ms.
+    from fractions import Fraction
+    return sum(Fraction(u) * Fraction(v) for u, v in zip(w.tolist(), x.tolist())) >= 0
+
+
+def exact_signs(W: np.ndarray, Xa: np.ndarray, name=lambda i: f"row {i}",
+                xx: float | None = None) -> np.ndarray:
+    """(rows, functions) bools: bit [i, t] is whether W[t] . Xa[i] >= 0, exactly.
+
+    ``Xa`` holds augmented rows [x; 1]. One product ``Xa @ W.T`` scores every cell.
+    A computed dot product of n terms is within gamma_n * |w| * |x| of the
+    true one, in any summation order, FMA included (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, section 3.1), plus n subnormals
+    where products underflow. So a cell whose computed score is larger than
+    twice that bound has the true sign. One screen over the Frobenius norms
+    settles the whole block at once; only when it fails is each cell tested
+    against its own norms, and only the cells still uncertain are recomputed
+    exactly. A NaN or infinite value raises ValueError, naming a feature row
+    by ``name(i)``. ``xx``, when given, is ``vdot(Xa, Xa)`` as the caller
+    already knows it, for feature blocks that never change.
+    """
+    terms = W.shape[1]
+    slack = 2.0 * terms * _U / (1.0 - terms * _U)
+    floor = 2.0 * terms * _TINY
+    # vdot does not warn on overflow. A finite product of the squared norms
+    # bounds every score and partial sum, so then the matmul cannot overflow.
+    if xx is None:
+        xx = float(np.vdot(Xa, Xa))
+    norms = math.sqrt((xx + Xa.size * _TINY) * (float(np.vdot(W, W)) + W.size * _TINY))
+    if norms < math.inf:
+        S = np.dot(Xa, W.T)
+        bound = slack * norms + floor
+        signs = S > bound
+        # No cell in [-bound, bound] means every cell is certain, and then S > bound
+        # is its sign. (S >= -bound holds wherever signs does.)
+        if np.count_nonzero(signs) == np.count_nonzero(S >= -bound):
+            return signs
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(Xa).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"{name(int(np.argmin(finite)))} has a feature that is NaN "
+                             "or infinite")
+        if not np.isfinite(W).all():
+            raise ValueError("a hash function's weight is NaN or infinite")
+        S = np.dot(Xa, W.T)
+        rx = np.sqrt(np.einsum("ij,ij->i", Xa, Xa) + terms * _TINY)
+        rw = np.sqrt(np.einsum("ij,ij->i", W, W) + terms * _TINY)
+        # NaN (an overflowed score or norm) compares False, so its cell is uncertain.
+        uncertain = ~(np.abs(S) > slack * np.outer(rx, rw) + floor)
+    signs = S >= 0.0
+    for i, t in zip(*np.nonzero(uncertain)):
+        signs[i, t] = _exact_sign(W[t], Xa[i])
+    return signs
+
+
 def predict_bit(w: np.ndarray, x: np.ndarray) -> int:
-    """sgn(w . [x;1]) with sgn(0) = +1."""
+    """sgn(w . [x;1]) with sgn(0) = +1, the sign of the exact dot product."""
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (len(x) + 1,):
         raise DimensionError(f"weight length {w.shape} does not match feature length {len(x)}+1")
-    return 1 if float(w @ augment(x)) >= 0.0 else -1
+    sign = exact_signs(w.reshape(1, -1), augment_rows(np.asarray(x).reshape(1, -1), len(x)))
+    return 1 if sign[0, 0] else -1
 
 
 @dataclass
@@ -95,16 +198,10 @@ class HashModel:
         fresh = init_functions(self.d, self.k, [self.seed, cycle])
         self.weights = np.vstack([self.weights, fresh])
 
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        if len(x) != self.d:
-            raise DimensionError(f"feature length {len(x)} does not match d={self.d}")
-        return self.weights @ augment(x)
-
 
 def phi(model: HashModel, x: np.ndarray) -> PackedCode:
-    """The full b-bit code of x under the current mapping."""
-    s = model.scores(x)
-    bits = (s >= 0.0)
+    """The full b-bit code of x under the current mapping, from ``exact_signs``."""
+    bits = exact_signs(model.weights, augment_rows(np.asarray(x).reshape(1, -1), model.d))[0]
     if not len(bits):
         return PackedCode(0, 0)
     packed = np.packbits(bits, bitorder="little").tobytes()

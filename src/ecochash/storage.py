@@ -320,16 +320,20 @@ def _check_finite(ids, X: np.ndarray, error: type, prefix: str = "") -> None:
 
 
 def _read_features_binary(path):
+    """Every failure is a ``FormatError`` naming the file, as the CSV reader's are."""
     r = _Reader(Path(path).read_bytes())
-    if r.u32() != FEATURE_MAGIC:
-        raise FormatError("not a feature file: bad magic")
-    d = r.u32()
-    if d < 1:
-        raise FormatError(f"feature dimension must be >= 1, got {d}")
-    body = r.end - r.pos
-    # Checked before the record dtype is built, which numpy refuses for a huge d.
-    if body % (12 + 4 * d):
-        raise FormatError("truncated feature record")
+    try:
+        if r.u32() != FEATURE_MAGIC:
+            raise FormatError("not a feature file: bad magic")
+        d = r.u32()
+        if d < 1:
+            raise FormatError(f"feature dimension must be >= 1, got {d}")
+        body = r.end - r.pos
+        # Checked before the record dtype is built, which numpy refuses for a huge d.
+        if body % (12 + 4 * d):
+            raise FormatError("truncated feature record")
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     if not body:
         return [], [], np.empty((0, d), dtype=np.float32)
     records = np.frombuffer(r.data, dtype=_feature_record(d), offset=r.pos)

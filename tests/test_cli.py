@@ -361,6 +361,21 @@ def test_query_and_eval_match_the_library(run, dataset, trained, tmp_path):
     assert eval_out.splitlines()[1] == f"{len(ids)},{len(ids) - 2},2,{expected:.6f}"
 
 
+def test_query_output_is_the_library_ranking_byte_for_byte(run, dataset, trained, tmp_path):
+    index_path = tmp_path / "phi.index"
+    run(["index", "--model", trained, "--features", dataset["db"],
+         "--mode", "phi", "--index-out", index_path])
+    ids, _, X = read_features(dataset["query"])
+    bundle, index = load_model(trained), load_index(index_path)
+    xs = [bundle.normalizer.transform(x) for x in X]
+    for top in (0, 1, 4):
+        out, _ = run(["query", "--model", trained, "--index", index_path,
+                      "--queries", dataset["query"], "--top", top])
+        assert out == "query_id,rank,id,distance\n" + "".join(
+            f"{qid},{r},{id},{d}\n" for qid, x in zip(ids, xs)
+            for r, (id, d) in enumerate(index.query(bundle.model, x, top_n=top), start=1))
+
+
 def test_eval_map_equals_retrieval_map_exactly(run, dataset, trained, tmp_path,
                                               monkeypatch):
     from ecochash import evaluation

@@ -1,0 +1,238 @@
+"""Exact-sign scoring: every phi bit is the sign of the exact real dot product.
+
+Points on hyperplanes, zero vectors and duplicate points are where a
+floating-point score can take either sign, depending on the order in which
+it was summed. The references here are a ``Fraction`` sum, so they hold
+whatever BLAS does.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from ecochash.codebook import generate
+from ecochash.ecoc import new_matrix
+from ecochash.errors import DimensionError, DuplicateIdError
+from ecochash.index import HashIndex
+from ecochash.learner import (HashModel, augment_rows, exact_signs, phi,
+                              predict_bit, step)
+
+D, K = 6, 8
+
+
+def oracle(W, Xa) -> np.ndarray:
+    """Signs of the exact dot products, sgn(0) = +1, by Fraction sums."""
+    return np.array([[sum(Fraction(a) * Fraction(b) for a, b in zip(w, xa)) >= 0
+                      for w in np.asarray(W).tolist()] for xa in np.asarray(Xa).tolist()],
+                    dtype=bool).reshape(len(Xa), len(W))
+
+
+def on_hyperplanes(W, X, rng):
+    """Rows of X moved onto the hyperplanes of random rows of W, in floating point.
+
+    The exact score of such a point is a rounding error away from zero, so a
+    computed score may have either sign.
+    """
+    out = []
+    for x in X:
+        w = W[rng.integers(len(W))]
+        out.append(x - (w[:-1] @ x + w[-1]) / (w[:-1] @ w[:-1]) * w[:-1])
+    return np.array(out)
+
+
+def hard_points(W, rng, n=24):
+    """Points on hyperplanes, duplicates of them, zero vectors and random points."""
+    d = W.shape[1] - 1
+    X = on_hyperplanes(W, rng.standard_normal((n, d)), rng)
+    return np.vstack([X, X[:4], np.zeros((2, d)), rng.standard_normal((4, d))])
+
+
+def trained_model(seed=0, steps=80, n_labels=6):
+    """A model trained on a short stream (rho=2 opens three cycles), and its stream."""
+    rng = np.random.default_rng(seed)
+    matrix, cb = new_matrix(K, 2), generate(K, 64, seed=seed)
+    model = HashModel.create(d=D, k=K, seed=seed)
+    centers = 3.0 * rng.standard_normal((n_labels, D))
+    stream = [(centers[i % n_labels] + 0.3 * rng.standard_normal(D), f"c{i % n_labels}")
+              for i in range(steps)]
+    return matrix, cb, model, stream
+
+
+def layouts(a):
+    """C-ordered, Fortran-ordered and transposed-back copies of a matrix."""
+    return [np.ascontiguousarray(a), np.asfortranarray(a), np.ascontiguousarray(a.T).T]
+
+
+def test_kernel_matches_the_fraction_oracle_in_every_layout():
+    rng = np.random.default_rng(1)
+    W = rng.standard_normal((12, D + 1))
+    W[0] = [1.0, -1.0, 0, 0, 0, 0, 0.0]  # exactly 0 on x0 == x1
+    W[1] = [1e16, -1.0, -1e16, 0, 0, 0, 0.0]  # a left-to-right sum reads 0, the truth is -1
+    X = hard_points(W, rng)
+    X[-1] = [1.0, 1.0, 1.0, 0, 0, 0]
+    X[-2] = [2.5, 2.5, 0, 0, 0, 0]
+    Xa = augment_rows(X, D)
+    want = oracle(W, Xa)
+    assert not want[-1, 1] and want[-2, 0]
+    for w in layouts(W):
+        for xa in layouts(Xa):
+            assert np.array_equal(exact_signs(w, xa), want)
+
+
+@pytest.mark.parametrize("scale", [5e-324, 1e-300, 1e-160, 1e-140, 1e140, 1e150, 1e300])
+def test_kernel_is_exact_where_products_over_or_underflow(scale):
+    rng = np.random.default_rng(2)
+    W = rng.standard_normal((5, D + 1))
+    X = hard_points(W, rng, n=6) * scale
+    Xa = augment_rows(X, D)
+    for w in (W, W * scale):
+        assert np.array_equal(exact_signs(w, Xa), oracle(w, Xa))
+
+
+def test_kernel_refuses_non_finite_values():
+    W = np.ones((3, D + 1))
+    Xa = augment_rows(np.zeros((4, D)), D)
+    for bad in (np.nan, np.inf, -np.inf):
+        X = Xa.copy()
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="row 2 "):
+            exact_signs(W, X)
+        with pytest.raises(ValueError, match="weight"):
+            exact_signs(np.where(np.eye(3, D + 1) > 0, bad, W), Xa)
+
+
+def test_phi_and_predict_bit_follow_the_oracle():
+    _, _, model, _ = trained_model()
+    rng = np.random.default_rng(3)
+    X = hard_points(model.weights, rng)
+    want = oracle(model.weights, augment_rows(X, D))
+    for x, bits in zip(X, want):
+        code = phi(model, x)
+        assert [code.bit(t) > 0 for t in range(model.width)] == bits.tolist()
+        assert predict_bit(model.weights[0], x) == (1 if bits[0] else -1)
+    with pytest.raises(ValueError, match="NaN"):
+        phi(model, np.full(D, np.nan))
+
+
+def codes(index):
+    return [e.code.values.bits for e in index.entries]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_eager_batched_and_reinsert_reach_the_same_codes(seed):
+    """Hard points join at random times; every maintenance path ends at phi's bits."""
+    matrix, cb, model, stream = trained_model(seed)
+    final = HashModel.create(d=D, k=K, seed=seed)
+    scratch_matrix, scratch_cb = new_matrix(K, 2), generate(K, 64, seed=seed)
+    for x, y in stream:
+        step(final, scratch_matrix, scratch_cb, x, y)
+    # Hard for the final weights, which every path has to end at.
+    rng = np.random.default_rng([seed, 5])
+    X = hard_points(final.weights, rng)
+    order = rng.permutation(len(X))
+    joins = np.sort(rng.integers(0, len(stream) + 1, size=len(X)))
+    eager, batched = HashIndex(), HashIndex()
+    dirty, placed = set(), 0
+    for it, (x, y) in enumerate(stream + [(None, None)]):
+        while placed < len(X) and joins[placed] == it:
+            i = int(order[placed])
+            eager.insert_unlabeled(i, X[i], model)
+            batched.insert_many([i], X[i:i + 1], model)
+            placed += 1
+        if x is None:
+            break
+        report = step(model, matrix, cb, x, y)
+        eager.apply_model_update(report, model)
+        dirty.add(matrix.cycle_of_label[y])
+        if it % 7 == 6:
+            batched.refresh(model, cycles=sorted(dirty))
+            dirty.clear()
+    batched.refresh(model, cycles=sorted(dirty))
+    assert np.array_equal(model.weights, final.weights)
+    reinserted, one_by_one = HashIndex(), HashIndex()
+    ids = [int(i) for i in order]
+    reinserted.insert_many(ids, X[order], model)
+    for i in ids:
+        one_by_one.insert_unlabeled(i, X[i], model)
+    want = oracle(model.weights, augment_rows(X[order], D))
+    want_codes = [int.from_bytes(np.packbits(b, bitorder="little").tobytes(), "little")
+                  for b in want]
+    assert codes(eager) == codes(batched) == codes(reinserted) == codes(one_by_one) == want_codes
+    assert [phi(model, X[i]).bits for i in ids] == want_codes
+
+
+def test_insert_many_equals_insert_unlabeled_row_by_row_behind_new_cycles():
+    matrix, cb, model, stream = trained_model(steps=40)
+    for x, y in stream[:2]:
+        step(model, matrix, cb, x, y)
+    rng = np.random.default_rng(6)
+    X = hard_points(model.weights, rng, n=10)
+    labels = [f"y{i % 3}" if i % 4 else None for i in range(len(X))]
+    bulk, rows = HashIndex(), HashIndex()
+    bulk.insert_many(range(5), X[:5], model, labels[:5])
+    for i in range(5):
+        rows.insert_unlabeled(i, X[i], model, label=labels[i])
+    width = model.width
+    for x, y in stream[2:]:
+        step(model, matrix, cb, x, y)
+    assert model.width > width
+    # The phi block is behind the model's new cycles: rows go in at its width.
+    bulk.insert_many(range(5, len(X)), X[5:], model, labels[5:])
+    for i in range(5, len(X)):
+        rows.insert_unlabeled(i, X[i], model, label=labels[i])
+    assert snapshot(bulk) == snapshot(rows)
+    assert bulk.refresh(model) == rows.refresh(model)
+    assert codes(bulk) == codes(rows)
+    assert bulk.labels == rows.labels == labels
+
+
+def snapshot(index):
+    return {name: np.array(v).tolist() for name, v in index.arrays().items()}
+
+
+@pytest.mark.parametrize("case", ["duplicate in batch", "already indexed", "id out of range",
+                                  "wrong dimension", "nan", "inf", "label count"])
+def test_a_bad_batch_leaves_the_index_unchanged(case):
+    _, _, model, _ = trained_model(steps=0)
+    rng = np.random.default_rng(7)
+    index = HashIndex()
+    index.insert_many([10, 11], rng.standard_normal((2, D)), model, ["a", None])
+    before = snapshot(index)
+    ids, X, labels = [1, 2, 3], rng.standard_normal((3, D)), None
+    error = ValueError
+    if case == "duplicate in batch":
+        ids, error = [1, 2, 1], DuplicateIdError
+    elif case == "already indexed":
+        ids, error = [1, 11, 3], DuplicateIdError
+    elif case == "id out of range":
+        ids = [1, 2, 1 << 64]
+    elif case == "wrong dimension":
+        X, error = rng.standard_normal((3, D + 1)), DimensionError
+    elif case in ("nan", "inf"):
+        X[1, 2] = np.nan if case == "nan" else -np.inf
+    else:
+        labels = ["a"]
+    with pytest.raises(error) as info:
+        index.insert_many(ids, X, model, labels)
+    if case in ("nan", "inf"):
+        assert "row id 2 " in str(info.value)
+    assert snapshot(index) == before
+    assert len(index) == 2 and index.phi_count == 2
+    index.insert_many([1, 2, 3], rng.standard_normal((3, D)), model)
+    assert len(index) == 5
+
+
+def test_non_finite_rows_are_refused_by_insert_unlabeled_and_queries():
+    _, _, model, _ = trained_model(steps=10)
+    index = HashIndex()
+    with pytest.raises(ValueError, match="row id 7 has a feature that is NaN or infinite"):
+        index.insert_unlabeled(7, np.array([0.0, np.nan, 0, 0, 0, 0]), model)
+    assert len(index) == 0
+    index.insert_unlabeled(7, np.zeros(D), model)
+    with pytest.raises(ValueError, match="query row 0 "):
+        index.query(model, np.full(D, np.inf))
+    queries = np.zeros((3, D))
+    queries[2, 0] = np.nan
+    with pytest.raises(ValueError, match="query row 2 "):
+        list(index.query_many(model, queries))

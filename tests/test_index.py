@@ -436,9 +436,9 @@ def test_rank_many_matches_naive_ranking_across_blocks(monkeypatch):
     blocks = []
     distances = HashIndex._distances
 
-    def spy(self, model, block):
+    def spy(self, model, block, *first):
         blocks.append(len(block))
-        return distances(self, model, block)
+        return distances(self, model, block, *first)
 
     monkeypatch.setattr(HashIndex, "_distances", spy)
     monkeypatch.setattr(index_mod, "_BLOCK_CELLS", 2 * len(index))

@@ -1,5 +1,7 @@
 """SGD steps, the margin surrogate, and its sparse gradient."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,7 +61,9 @@ def test_predict_bit_matches_dot_oracle(xs, data):
     ws = data.draw(st.lists(finite_floats, min_size=len(xs) + 1, max_size=len(xs) + 1))
     x = np.array(xs)
     w = np.array(ws)
-    dot = sum(wi * xi for wi, xi in zip(ws, xs + [1.0]))
+    # The exact real dot product: a float sum can round an underflowing
+    # product to zero (w = [-5e-324, 0], x = [0.5] reads +1 there, not -1).
+    dot = sum(Fraction(wi) * Fraction(xi) for wi, xi in zip(ws, xs + [1.0]))
     assert predict_bit(w, x) == (1 if dot >= 0 else -1)
 
 

@@ -645,6 +645,18 @@ def test_features_binary_truncation(tmp_path):
         read_features(p)
 
 
+def test_features_binary_errors_name_the_file(tmp_path):
+    ids, labels, X = feature_table()
+    p = tmp_path / "t.feat"
+    write_features(p, ids, labels, X)
+    blob = p.read_bytes()
+    for broken in (blob[:-2], blob[:6], blob[:4] + struct.pack("<I", 0) + blob[8:]):
+        p.write_bytes(broken)
+        with pytest.raises(FormatError) as info:
+            read_features(p)
+        assert str(info.value).startswith(f"{p}: ")
+
+
 FLOAT32_EDGES = np.array([
     0x00000000, 0x80000000,  # +0 and -0
     0x00000001, 0x007FFFFF,  # the smallest and the largest subnormal
