@@ -221,8 +221,6 @@ class HashIndex:
         self._values = np.array(values.T, order="C")
         self._feats = np.ones((n_phi, d + 1) if n_phi else (0, 0))
         self._feats[:, :-1] = feats
-        # The rows' squared Frobenius norm, for exact_signs; features never change.
-        self._sq = float(np.vdot(self._feats, self._feats))
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -236,19 +234,21 @@ class HashIndex:
         """Each entry's label, None where it has none, in insertion order."""
         return list(self._labels)
 
-    def _append(self, id: int, label: Label | None, is_phi: bool) -> None:
-        """Give ``id`` the next row; a bad id raises before any change."""
-        id = int(id)
-        if not 0 <= id < 1 << 64:
-            raise ValueError(f"id {id} is outside [0, 2^64)")
-        if id in self._id_set:
-            raise DuplicateIdError(f"id {id} is already indexed")
-        n = len(self._ids)
-        self._is_phi = _grown(self._is_phi, n + 1)
-        self._is_phi[n] = is_phi
-        self._ids.append(id)
-        self._labels.append(label)
-        self._id_set.add(id)
+    def _append(self, ids: list[int], labels: list, is_phi: bool) -> None:
+        """Give each id the next row, with its label; a bad id raises before any change."""
+        new = set()
+        for id in ids:
+            if not 0 <= id < 1 << 64:
+                raise ValueError(f"id {id} is outside [0, 2^64)")
+            if id in self._id_set or id in new:
+                raise DuplicateIdError(f"id {id} is already indexed")
+            new.add(id)
+        start = len(self._ids)
+        self._is_phi = _grown(self._is_phi, start + len(ids))
+        self._is_phi[start:start + len(ids)] = is_phi
+        self._ids += ids
+        self._labels += labels
+        self._id_set |= new
 
     def arrays(self) -> dict:
         """The index as ``FILE_LAYOUT``'s fields, by name; arrays may be views."""
@@ -306,7 +306,7 @@ class HashIndex:
         k = matrix.k
         if self._k not in (0, k):
             raise ConsistencyError(f"codeword entries have k={self._k}, entry {id} has k={k}")
-        self._append(id, y, False)
+        self._append([int(id)], [y], False)
         if not self._k:
             self._k = k
             self._cores = np.zeros((n_words(k), len(self._cycles)), dtype=_WORD)
@@ -329,10 +329,10 @@ class HashIndex:
         retained exactly as given (so pass them already normalized) to allow
         partial recomputation later. One ``exact_signs`` call scores the batch.
 
-        Everything is checked before any change: ids in [0, 2^64), new and
-        distinct (DuplicateIdError); one label per row; rows of the model's d
-        and of the phi block's feature length (DimensionError); finite
-        features (ValueError naming the row id). A phi block behind the
+        Everything is checked before any change: one label per row; rows of
+        the model's d and of the phi block's feature length (DimensionError);
+        finite features (ValueError naming the row id); ids in [0, 2^64), new
+        and distinct (DuplicateIdError). A phi block behind the
         model's new cycles takes the rows at its own width, and the next
         ``refresh`` or ``apply_model_update`` catches them up with the rest. A
         model narrower than the block raises ConsistencyError.
@@ -355,16 +355,9 @@ class HashIndex:
             raise DimensionError(
                 f"feature length {X.shape[1]} does not match "
                 f"{self._feats.shape[1] - 1} of the existing phi entries")
-        new = set()
-        for id in ids:
-            if not 0 <= id < 1 << 64:
-                raise ValueError(f"id {id} is outside [0, 2^64)")
-            if id in self._id_set or id in new:
-                raise DuplicateIdError(f"id {id} is already indexed")
-            new.add(id)
         # The rows are staged in the blocks' spare capacity, past the last phi
-        # row, so a batch that exact_signs refuses leaves no row behind. Spare
-        # feature rows keep the 1.0 of [x; 1] in their last column.
+        # row, so a batch that exact_signs or _append refuses leaves no row
+        # behind. Spare feature rows keep the 1.0 of [x; 1] in their last column.
         if not slot:
             self._values = np.zeros((n_words(width), len(self._feats)), dtype=_WORD)
             self._feats = np.ones((len(self._feats), model.d + 1))
@@ -373,20 +366,11 @@ class HashIndex:
             self._values = _grown(self._values, slot + n, axis=1)
         Xa = self._feats[slot:slot + n]
         Xa[:, :-1] = X
-        sq = float(np.vdot(Xa, Xa))
         bits = np.zeros((n, WORD_BITS * n_words(width)), dtype=bool)
-        bits[:, :width] = exact_signs(model.weights[:width], Xa, lambda i: f"row id {ids[i]}",
-                                      xx=sq)
+        bits[:, :width] = exact_signs(model.weights[:width], Xa, lambda i: f"row id {ids[i]}")
         self._values[:, slot:slot + n] = np.packbits(bits, 1, "little").view(_WORD).T
-        start = len(self._ids)
-        if start + n > len(self._is_phi):
-            self._is_phi = _grown(self._is_phi, start + n)
-        self._is_phi[start:start + n] = True
-        self._ids += ids
-        self._labels += labels
-        self._id_set |= new
+        self._append(ids, labels, True)
         self._n_phi += n
-        self._sq += sq
         if n:
             self._phi_width = width
             self._widest = max(self._widest, width)
@@ -416,7 +400,7 @@ class HashIndex:
         base = WORD_BITS * first
         words = self._values[first:n_words(max(hi for _, hi in spans)), :n]
         W = np.concatenate([model.weights[lo:hi] for lo, hi in spans])
-        new = exact_signs(W, self._feats[:n], xx=self._sq)
+        new = exact_signs(W, self._feats[:n])
         bits = np.zeros((n, WORD_BITS * len(words)), dtype=bool)
         mask = at = 0
         for lo, hi in spans:

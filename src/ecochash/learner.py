@@ -75,41 +75,19 @@ def augment_rows(X: np.ndarray, d: int) -> np.ndarray:
 # Unit roundoff and the smallest subnormal of float64.
 _U = float(np.finfo(np.float64).eps) / 2
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
-# Factors in this range (or zero) have an exact TwoProduct: no product
-# overflows, and no error term loses bits to underflow.
-_SPLIT_LO, _SPLIT_HI = 2.0 ** -480, 2.0 ** 480
-_SPLITTER = 2.0 ** 27 + 1
-
-
-def _split(a: np.ndarray):
-    """Veltkamp's split of a into a high and a low half of 26 bits each."""
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
 
 
 def _exact_sign(w: np.ndarray, x: np.ndarray) -> bool:
     """Whether the exact real dot product of two finite vectors is >= 0.
 
-    Each product is split into its rounded value and its exact error
-    (TwoProduct), and ``math.fsum`` rounds their sum correctly, so its sign
-    is the exact sign; ``Fraction`` sums where a split could over- or
-    underflow.
+    Every float is a rational, so a ``Fraction`` sum of the products is exact.
     """
-    a, b = np.abs(w), np.abs(x)
-    if np.all((a == 0.0) | (b == 0.0) | ((a >= _SPLIT_LO) & (a <= _SPLIT_HI)
-                                         & (b >= _SPLIT_LO) & (b <= _SPLIT_HI))):
-        p = w * x
-        (wh, wl), (xh, xl) = _split(w), _split(x)
-        err = ((wh * xh - p) + wh * xl + wl * xh) + wl * xl
-        return math.fsum(p.tolist() + err.tolist()) >= 0.0
     # Imported here: this path is rare, and fractions imports decimal, a few ms.
     from fractions import Fraction
     return sum(Fraction(u) * Fraction(v) for u, v in zip(w.tolist(), x.tolist())) >= 0
 
 
-def exact_signs(W: np.ndarray, Xa: np.ndarray, name=lambda i: f"row {i}",
-                xx: float | None = None) -> np.ndarray:
+def exact_signs(W: np.ndarray, Xa: np.ndarray, name=lambda i: f"row {i}") -> np.ndarray:
     """(rows, functions) bools: bit [i, t] is whether W[t] . Xa[i] >= 0, exactly.
 
     ``Xa`` holds augmented rows [x; 1]. One product ``Xa @ W.T`` scores every cell.
@@ -121,17 +99,15 @@ def exact_signs(W: np.ndarray, Xa: np.ndarray, name=lambda i: f"row {i}",
     settles the whole block at once; only when it fails is each cell tested
     against its own norms, and only the cells still uncertain are recomputed
     exactly. A NaN or infinite value raises ValueError, naming a feature row
-    by ``name(i)``. ``xx``, when given, is ``vdot(Xa, Xa)`` as the caller
-    already knows it, for feature blocks that never change.
+    by ``name(i)``.
     """
     terms = W.shape[1]
     slack = 2.0 * terms * _U / (1.0 - terms * _U)
     floor = 2.0 * terms * _TINY
     # vdot does not warn on overflow. A finite product of the squared norms
     # bounds every score and partial sum, so then the matmul cannot overflow.
-    if xx is None:
-        xx = float(np.vdot(Xa, Xa))
-    norms = math.sqrt((xx + Xa.size * _TINY) * (float(np.vdot(W, W)) + W.size * _TINY))
+    norms = math.sqrt((float(np.vdot(Xa, Xa)) + Xa.size * _TINY)
+                      * (float(np.vdot(W, W)) + W.size * _TINY))
     if norms < math.inf:
         S = np.dot(Xa, W.T)
         bound = slack * norms + floor
