@@ -367,7 +367,10 @@ class HashIndex:
         Xa = self._feats[slot:slot + n]
         Xa[:, :-1] = X
         bits = np.zeros((n, WORD_BITS * n_words(width)), dtype=bool)
-        bits[:, :width] = exact_signs(model.weights[:width], Xa, lambda i: f"row id {ids[i]}")
+        # The model's kept norm bound, unless the block scores only its first columns.
+        bits[:, :width] = exact_signs(
+            model.weights[:width], Xa, lambda i: f"row id {ids[i]}",
+            w_bound=model.sq_norm_bound if width == model.width else None)
         self._values[:, slot:slot + n] = np.packbits(bits, 1, "little").view(_WORD).T
         self._append(ids, labels, True)
         self._n_phi += n
@@ -472,7 +475,7 @@ class HashIndex:
         if self._n_cw and self._k != model.k:
             raise ConsistencyError(f"codeword entries have k={self._k}, the model k={model.k}")
         signs = exact_signs(model.weights, augment_rows(X, model.d),
-                            lambda i: f"query row {first + i}")
+                            lambda i: f"query row {first + i}", w_bound=model.sq_norm_bound)
         queries = len(X)
         n_cw, n_phi = self._n_cw, self._n_phi
         dtype = _distance_dtype(max(self._k, self._phi_width))

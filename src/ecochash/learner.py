@@ -77,6 +77,17 @@ _U = float(np.finfo(np.float64).eps) / 2
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
 
 
+def _sq_norm_bound(A: np.ndarray) -> float:
+    """An upper bound on the squared Frobenius norm of ``A``, from one ``vdot``.
+
+    A computed sum of n nonnegative products is within gamma_n of the true
+    sum, plus n subnormals where the products underflow; 4nu covers gamma_n
+    and the rounding of this formula. NaN or inf when ``A`` holds one, or
+    inf when the sum overflows (``vdot`` does not warn on overflow).
+    """
+    return (float(np.vdot(A, A)) + A.size * _TINY) * (1.0 + 4.0 * A.size * _U)
+
+
 def _exact_sign(w: np.ndarray, x: np.ndarray) -> bool:
     """Whether the exact real dot product of two finite vectors is >= 0.
 
@@ -87,7 +98,8 @@ def _exact_sign(w: np.ndarray, x: np.ndarray) -> bool:
     return sum(Fraction(u) * Fraction(v) for u, v in zip(w.tolist(), x.tolist())) >= 0
 
 
-def exact_signs(W: np.ndarray, Xa: np.ndarray, name=lambda i: f"row {i}") -> np.ndarray:
+def exact_signs(W: np.ndarray, Xa: np.ndarray, name=lambda i: f"row {i}",
+                w_bound: float | None = None) -> np.ndarray:
     """(rows, functions) bools: bit [i, t] is whether W[t] . Xa[i] >= 0, exactly.
 
     ``Xa`` holds augmented rows [x; 1]. One product ``Xa @ W.T`` scores every cell.
@@ -99,15 +111,17 @@ def exact_signs(W: np.ndarray, Xa: np.ndarray, name=lambda i: f"row {i}") -> np.
     settles the whole block at once; only when it fails is each cell tested
     against its own norms, and only the cells still uncertain are recomputed
     exactly. A NaN or infinite value raises ValueError, naming a feature row
-    by ``name(i)``.
+    by ``name(i)``. ``w_bound`` is an upper bound on ||W||_F^2, such as a
+    model's ``sq_norm_bound``; by default one pass over ``W`` computes it.
     """
     terms = W.shape[1]
     slack = 2.0 * terms * _U / (1.0 - terms * _U)
     floor = 2.0 * terms * _TINY
-    # vdot does not warn on overflow. A finite product of the squared norms
-    # bounds every score and partial sum, so then the matmul cannot overflow.
-    norms = math.sqrt((float(np.vdot(Xa, Xa)) + Xa.size * _TINY)
-                      * (float(np.vdot(W, W)) + W.size * _TINY))
+    if w_bound is None:
+        w_bound = _sq_norm_bound(W)
+    # A finite product of the squared norms bounds every score and partial sum,
+    # so then the matmul cannot overflow.
+    norms = math.sqrt(_sq_norm_bound(Xa) * w_bound)
     if norms < math.inf:
         S = np.dot(Xa, W.T)
         bound = slack * norms + floor
@@ -143,41 +157,83 @@ def predict_bit(w: np.ndarray, x: np.ndarray) -> int:
     return 1 if sign[0, 0] else -1
 
 
-@dataclass
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays have one dtype, one shape and the same bytes."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class HashModel:
     """The ordered set of hash-function weights, one row per code column.
 
     Columns are grouped in blocks of k per cycle; ``grow_cycle`` appends a
     freshly initialized block whose seed is derived from (seed, cycle), so a
     rerun of the same stream reproduces the weights bit for bit.
+
+    The model owns its weights: the constructor copies them, ``weights`` is
+    a read-only view, and only the constructor, ``grow_cycle`` and ``step``
+    write them. Each write drops ``sq_norm_bound``, which the next read
+    recomputes, so an edited model is built through the constructor.
     """
 
-    d: int
-    k: int
-    weights: np.ndarray
-    iteration: int = 0
-    seed: int = 0
+    def __init__(self, d: int, k: int, weights: np.ndarray, iteration: int = 0,
+                 seed: int = 0) -> None:
+        self.d, self.k, self.iteration, self.seed = d, k, iteration, seed
+        self._own(np.array(weights, dtype=np.float64))
+
+    def _own(self, w: np.ndarray) -> None:
+        """Keep ``w`` as the weights, behind a read-only view, with no bound."""
+        self._w = w
+        # Backed by a read-only buffer, so not even its flags can make it writeable.
+        self._view = np.asarray(memoryview(w).toreadonly())
+        self._bound = None
 
     @classmethod
     def create(cls, d: int, k: int, seed: int = 0) -> "HashModel":
         return cls(d=d, k=k, weights=init_functions(d, k, [seed, 1]), seed=seed)
 
     @property
+    def weights(self) -> np.ndarray:
+        """The (width, d+1) weights, as a read-only view."""
+        return self._view
+
+    @property
+    def sq_norm_bound(self) -> float:
+        """An upper bound on ||W||_F^2, kept until the next write; never saved."""
+        if self._bound is None:
+            self._bound = _sq_norm_bound(self._w)
+        return self._bound
+
+    @property
     def width(self) -> int:
-        return self.weights.shape[0]
+        return self._w.shape[0]
 
     def column_cycle(self, t: int) -> int:
         return t // self.k + 1
 
     def grow_cycle(self, cycle: int) -> None:
         """Append the k functions owned by a newly opened cycle."""
-        fresh = init_functions(self.d, self.k, [self.seed, cycle])
-        self.weights = np.vstack([self.weights, fresh])
+        self._own(np.vstack([self._w, init_functions(self.d, self.k, [self.seed, cycle])]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HashModel):
+            return NotImplemented
+        return ((self.d, self.k, self.iteration, self.seed)
+                == (other.d, other.k, other.iteration, other.seed)
+                and _same_bits(self._w, other._w))
+
+    def __repr__(self) -> str:
+        return (f"HashModel(d={self.d}, k={self.k}, width={self.width}, "
+                f"iteration={self.iteration}, seed={self.seed})")
+
+    def __reduce__(self):
+        # Copies and pickles go through the constructor, so the view is of their own weights.
+        return HashModel, (self.d, self.k, self._w, self.iteration, self.seed)
 
 
 def phi(model: HashModel, x: np.ndarray) -> PackedCode:
     """The full b-bit code of x under the current mapping, from ``exact_signs``."""
-    bits = exact_signs(model.weights, augment_rows(np.asarray(x).reshape(1, -1), model.d))[0]
+    bits = exact_signs(model.weights, augment_rows(np.asarray(x).reshape(1, -1), model.d),
+                       w_bound=model.sq_norm_bound)[0]
     if not len(bits):
         return PackedCode(0, 0)
     packed = np.packbits(bits, bitorder="little").tobytes()
@@ -239,12 +295,13 @@ def step(model: HashModel, matrix: EcocMatrix, cb: Codebook,
         raise ConsistencyError(
             f"model width {model.width} does not match matrix width {matrix.width}")
     touched = matrix.cycle_columns(matrix.cycle_of_label[y])
-    w = model.weights[touched.start:touched.stop]
+    w = model._w[touched.start:touched.stop]
     c = matrix.signs[y]
     xh = augment(x)
     z = -c * (w @ xh)
     g = (z > -1.0).astype(np.float64)
     np.subtract(w, eta * ((-c * g)[:, None] * xh), out=w, where=(g != 0.0)[:, None])
+    model._bound = None
     model.iteration += 1
     return StepReport(label=y, touched_columns=touched,
                       surrogate_loss_before=float(np.maximum(0.0, 1.0 + z).sum()),
@@ -252,7 +309,7 @@ def step(model: HashModel, matrix: EcocMatrix, cb: Codebook,
                       is_new_label=obs.is_new_label)
 
 
-@dataclass
+@dataclass(eq=False)
 class FeatureNormalizer:
     """Mean-center and L2-normalize feature vectors.
 
@@ -263,6 +320,11 @@ class FeatureNormalizer:
 
     mean: np.ndarray
     count: int
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FeatureNormalizer):
+            return NotImplemented
+        return self.count == other.count and _same_bits(self.mean, other.mean)
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "FeatureNormalizer":

@@ -199,8 +199,8 @@ def _bundle(fields: dict) -> ModelBundle:
     matrix = EcocMatrix(k=k, rho=rho, m=m, n_in_cycle=n_in_cycle,
                         cores={y: PackedCode(k, c) for y, c in zip(labels, cores)},
                         cycle_of_label=dict(zip(labels, cycles)))
-    # Copies, not views of the file: ``step`` writes the weights in place.
-    model = HashModel(d=d, k=k, weights=weights.reshape(m * k, d + 1).copy(),
+    # The constructor copies the weights out of the file's bytes.
+    model = HashModel(d=d, k=k, weights=weights.reshape(m * k, d + 1),
                       iteration=iteration, seed=seed)
     normalizer = FeatureNormalizer(mean=mean.copy(), count=count) if mean.size else None
     codebook = Codebook(k=k, pool=[PackedCode(k, c) for c in pool], rng_seed=cb_seed,
@@ -346,7 +346,8 @@ def _read_features_csv(path):
     """Check the header with ``csv``, then parse every row with one ``np.loadtxt``.
 
     Any failure, a byte that is not UTF-8 included, is a ``FormatError``
-    naming the file.
+    naming the file; one in a data row also names its line (the header's
+    is line 1) and, when it parses, the row's id.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as f:
@@ -360,14 +361,62 @@ def _read_features_csv(path):
             first = next((line for line in f if line.strip("\r\n")), None)
             if first is None:
                 return [], [], np.empty((0, d), dtype=np.float32)
-            # With no comment character a label may start with "#". A value beyond
-            # float32's range parses as inf, which read_features rejects.
-            table = np.loadtxt(itertools.chain([first], f), delimiter=",", quotechar='"',
-                               comments=None, ndmin=1, dtype=[
-                                   ("id", "O"), ("label", "O"), ("x", "<f4", (d,))])
-        ids = [int(i) for i in table["id"].tolist()]
+            try:
+                # With no comment character a label may start with "#". A value beyond
+                # float32's range parses as inf, which read_features rejects.
+                table = np.loadtxt(itertools.chain([first], f), delimiter=",", quotechar='"',
+                                   comments=None, ndmin=1, dtype=[
+                                       ("id", "O"), ("label", "O"), ("x", "<f4", (d,))])
+                ids = [int(i) for i in table["id"].tolist()]
+            except ValueError as exc:
+                raise FormatError(_bad_row(path, d) or str(exc)) from None
     except (ValueError, csv.Error) as exc:
         # numpy's column-count message ends in a hint about its own `usecols` option.
         raise FormatError(f"{path}: {str(exc).split('; use `usecols`')[0]}") from None
     labels = [y or None for y in table["label"].tolist()]
     return ids, labels, table["x"].copy()
+
+
+def _bad_row(path, d: int) -> str | None:
+    """What is wrong with the first data row at fault, as "line N (id I): what".
+
+    The rows are read again with ``csv``, so a quoted label may span lines;
+    the id is left out when it does not parse. None when the file cannot be
+    read again or no row is found at fault.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            rows = csv.reader(f)
+            next(rows)
+            line = rows.line_num + 1
+            for row in rows:
+                fault = _row_fault(row, d) if row else None
+                if fault:
+                    try:
+                        return f"line {line} (id {int(row[0])}): {fault}"
+                    except ValueError:
+                        return f"line {line}: {fault}"
+                line = rows.line_num + 1
+    except (UnicodeDecodeError, csv.Error):
+        pass
+    return None
+
+
+def _row_fault(row: list[str], d: int) -> str | None:
+    """What ``np.loadtxt`` or ``int`` refuses in a CSV row of d features, if anything."""
+    if len(row) != d + 2:
+        return f"expected {d + 2} fields, found {len(row)}"
+    try:
+        int(row[0])
+    except ValueError:
+        return f"the id {row[0]!r} is not an integer"
+    for col, value in enumerate(row[2:], 3):
+        try:
+            float(value)
+            # loadtxt reads Python's float syntax, but without "_" and in ASCII only.
+            ok = "_" not in value and value.strip().isascii()
+        except ValueError:
+            ok = False
+        if not ok:
+            return f"{value!r} in column {col} is not a number"
+    return None

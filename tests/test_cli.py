@@ -404,16 +404,24 @@ def test_eval_map_equals_retrieval_map_exactly(run, dataset, trained, tmp_path,
 
 
 def test_eval_untrained_model_near_chance(run, dataset, tmp_path):
+    """An eta-0 model is blind to the labels, so over CLI seeds 0-11 its mAP sits near chance.
+
+    A codeword index ranks one class's rows before the other's, so each of the
+    2 balanced classes reads AP 1 or about 0.31, each half the time: chance is
+    a mean near 0.65 (0.53-0.67 under five core-draw sequences), and a trained
+    model reads about 1.
+    """
     model = tmp_path / "flat.model"
     index = tmp_path / "flat.index"
-    run(train_flags(dataset, model, **{"--eta": 0.0}))
-    run(["index", "--model", model, "--features", dataset["db"],
-         "--mode", "codeword", "--index-out", index])
-    out, _ = run(["eval", "--model", model, "--index", index,
-                  "--queries", dataset["query"]])
-    ap = float(out.strip().splitlines()[1].split(",")[3])
-    # 2 balanced classes: a blind ranking sits near 1/L = 0.5
-    assert 0.35 <= ap <= 0.65
+    aps = []
+    for seed in range(12):
+        run(train_flags(dataset, model, **{"--eta": 0.0, "--seed": seed}))
+        run(["index", "--model", model, "--features", dataset["db"],
+             "--mode", "codeword", "--index-out", index])
+        out, _ = run(["eval", "--model", model, "--index", index,
+                      "--queries", dataset["query"]])
+        aps.append(float(out.strip().splitlines()[1].split(",")[3]))
+    assert 0.45 <= np.mean(aps) <= 0.85
 
 
 def test_eval_rejects_unlabeled_queries(run, dataset, trained, indexed, tmp_path):

@@ -203,20 +203,29 @@ def test_eager_phi_bits_are_n_k_t():
 
 
 def test_batched_phi_skips_clean_cycles():
+    """Smaller cycles converge and go clean, so their refreshes get skipped.
+
+    10 classes make two cycles of 8 columns at rho=5 and one at rho=10, which
+    is dirty at every refresh. Over experiment seeds 0-11, rho=5 recomputes
+    about half as many bits per code column (a mean ratio of 0.48-0.51, and at
+    most 0.73 for one seed, under five core-draw sequences).
+    """
     X, labels = make_gaussian_classes(10, 16, 3000, separation=3.0, seed=21)
     tr, db, q = slice(0, 2000), slice(2000, 2500), slice(2500, 2600)
-    bits = {}
-    maps = {}
-    for rho in (5, 10):
-        cfg = ExperimentConfig(k=8, rho=rho, orderings=1, seed=21,
-                               refresh_every=20, mode=MODE_PHI)
-        res = run_stream_experiment(X[tr], labels[tr], X[db], labels[db],
-                                    X[q], labels[q], cfg)
-        bits[rho] = res.bit_updates_per_ordering[0]
-        maps[rho] = res.mean_map
-    # smaller cycles converge and go clean, so their refreshes get skipped
-    assert bits[5] < bits[10]
-    assert maps[5] >= 0.5 and maps[10] >= 0.5
+    per_column = {5: [], 10: []}
+    maps = []
+    for seed in range(12):
+        for rho in (5, 10):
+            cfg = ExperimentConfig(k=8, rho=rho, orderings=1, seed=seed,
+                                   refresh_every=20, mode=MODE_PHI)
+            res = run_stream_experiment(X[tr], labels[tr], X[db], labels[db],
+                                        X[q], labels[q], cfg)
+            per_column[rho].append(res.bit_updates_per_ordering[0] / (8 * -(-10 // rho)))
+            maps.append(res.mean_map)
+    ratio = np.array(per_column[5]) / np.array(per_column[10])
+    assert np.count_nonzero(ratio < 1.0) >= 11
+    assert ratio.mean() < 0.75
+    assert min(maps) >= 0.5
 
 
 def test_batched_phi_beats_eager_on_bits():

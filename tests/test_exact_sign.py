@@ -6,6 +6,8 @@ it was summed. The references here are a ``Fraction`` sum, so they hold
 whatever BLAS does.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,7 @@ from ecochash.errors import DimensionError, DuplicateIdError
 from ecochash.index import HashIndex
 from ecochash.learner import (HashModel, augment_rows, exact_signs, phi,
                               predict_bit, step)
+from ecochash.storage import ModelBundle, load_model, save_model
 
 D, K = 6, 8
 
@@ -236,3 +239,82 @@ def test_non_finite_rows_are_refused_by_insert_unlabeled_and_queries():
     queries[2, 0] = np.nan
     with pytest.raises(ValueError, match="query row 2 "):
         list(index.query_many(model, queries))
+
+
+def test_the_weights_are_read_only():
+    matrix, cb, model, stream = trained_model(steps=3)
+    source = model.weights.copy()
+    owner = HashModel(d=D, k=K, weights=source)
+    source[0, 0] += 1.0
+    assert owner.weights[0, 0] != source[0, 0]
+    for x, y in stream:
+        step(model, matrix, cb, x, y)
+    assert model.width > K
+    for write in (lambda w: w.__setitem__((0, 0), 1.0), lambda w: w.__iadd__(1.0),
+                  lambda w: np.subtract(w, 1.0, out=w)):
+        with pytest.raises(ValueError, match="read-only"):
+            write(model.weights)
+    with pytest.raises(ValueError):
+        model.weights.flags.writeable = True
+    with pytest.raises(AttributeError):
+        model.weights = source
+
+
+def test_a_copied_or_unpickled_model_shows_its_own_steps():
+    model = HashModel.create(d=D, k=K, seed=0)
+    for twin in (copy.copy(model), copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        assert twin == model
+        # Every margin of a fresh cycle at x = 0 is violated, so every bias moves by 1.
+        step(twin, new_matrix(K, 2), generate(K, 64, seed=0), np.zeros(D), "a")
+        assert np.array_equal(np.abs(twin.weights[:, -1]), np.ones(K))
+        assert not twin.weights.flags.writeable
+    assert not model.weights[:, -1].any()
+
+
+def exact_sq_norm(W) -> Fraction:
+    return sum(Fraction(v) ** 2 for v in np.asarray(W).ravel().tolist())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_kept_bound_covers_the_exact_norm_after_any_interleaving(seed, tmp_path):
+    """Steps (some opening cycles), saves and loads in a random order, with the bound
+    read after each; it must bound, and stay within rounding of, the exact norm."""
+    rng = np.random.default_rng([seed, 8])
+    matrix, cb, model, _ = trained_model(seed, steps=0)
+    bundle = ModelBundle(k=K, rho=2, eta=2.0, seed=seed, codebook=cb, matrix=matrix,
+                         model=model)
+    path = tmp_path / "m.model"
+    for _ in range(60):
+        op = rng.integers(4)
+        if op == 3:
+            save_model(bundle, path)
+            bundle = load_model(path)
+        else:
+            x = 4.0 * rng.standard_normal(D)
+            step(bundle.model, bundle.matrix, bundle.codebook, x,
+                 f"c{rng.integers(3 + 3 * op)}", eta=2.0)
+        exact = exact_sq_norm(bundle.model.weights)
+        bound = Fraction(bundle.model.sq_norm_bound)
+        assert exact <= bound <= exact * (1 + Fraction(1, 10 ** 9))
+    assert bundle.matrix.m >= 3
+    model = bundle.model
+    model.grow_cycle(bundle.matrix.m + 1)
+    assert exact_sq_norm(model.weights) <= Fraction(model.sq_norm_bound)
+
+
+def test_an_overflowed_weight_is_refused_whatever_bound_was_kept():
+    matrix, cb = new_matrix(1, 1), generate(1, 1, seed=0)
+    model = HashModel(d=2, k=1, weights=np.zeros((1, 3)))
+    x = np.array([1.0, 0.0])
+    index = HashIndex()
+    index.insert_unlabeled(0, x, model)
+    assert phi(model, x).bits == 1  # the bound of the zero weights is now kept
+    with np.errstate(over="ignore"):
+        step(model, matrix, cb, np.array([1e300, 0.0]), "a", eta=1e300)
+    assert np.isinf(model.weights).any()
+    before = snapshot(index)
+    for call in (lambda: phi(model, x), lambda: index.query(model, x),
+                 lambda: index.insert_unlabeled(1, x, model)):
+        with pytest.raises(ValueError, match="a hash function's weight is NaN or infinite"):
+            call()
+    assert snapshot(index) == before

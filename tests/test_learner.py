@@ -253,16 +253,20 @@ def test_step_leaves_other_cycles_bitwise_intact():
 
 
 def reference_step(model, matrix, cb, x, y, eta):
-    """``step`` spelt out with the reference codeword, loss and gradient."""
+    """``step`` spelt out with the reference codeword, loss and gradient.
+
+    Returns the updated model, built through the constructor, and the loss.
+    """
     obs = matrix.observe_label(cb, y)
     if obs.new_cycle_started:
         model.grow_cycle(matrix.m)
     cw = matrix.find(y)
     loss_before = surrogate_loss(model, x, cw)
+    weights = model.weights.copy()
     for t, g in gradient(model, x, cw).items():
-        model.weights[t] -= eta * g
-    model.iteration += 1
-    return loss_before
+        weights[t] -= eta * g
+    return HashModel(d=model.d, k=model.k, weights=weights, iteration=model.iteration + 1,
+                     seed=model.seed), loss_before
 
 
 def test_step_equals_reference_bitwise():
@@ -273,7 +277,9 @@ def test_step_equals_reference_bitwise():
                  for _ in range(2)]
     for x, y in stream:
         report = step(*fast, x, y, eta=0.3)
-        assert report.surrogate_loss_before == reference_step(*ref, x, y, 0.3)
+        ref_model, ref_loss = reference_step(*ref, x, y, 0.3)
+        ref = (ref_model, *ref[1:])
+        assert report.surrogate_loss_before == ref_loss
         assert fast[0].weights.tobytes() == ref[0].weights.tobytes()
         assert fast[0].iteration == ref[0].iteration
     assert fast[1].m >= 3

@@ -228,6 +228,21 @@ def test_features_binary_rejects_corrupt_dimension(tmp_path):
             read_features(p)
 
 
+def test_a_loaded_bundle_equals_the_saved_one(tmp_path):
+    bundle, _, _ = trained_bundle()
+    p = tmp_path / "m.model"
+    save_model(bundle, p)
+    assert load_model(p) == bundle
+    # Arrays compare bitwise: one ulp, or the sign of a zero, makes a difference.
+    m = bundle.model
+    w = m.weights.copy()
+    w[0, 0] = np.nextafter(w[0, 0], np.inf)
+    assert HashModel(d=m.d, k=m.k, weights=w, iteration=m.iteration, seed=m.seed) != m
+    assert (FeatureNormalizer(np.array([np.nan, 0.0]), 1)
+            == FeatureNormalizer(np.array([np.nan, 0.0]), 1)
+            != FeatureNormalizer(np.array([np.nan, -0.0]), 1))
+
+
 def test_model_roundtrip_without_normalizer(tmp_path):
     bundle, _, _ = trained_bundle(with_normalizer=False)
     p = tmp_path / "m.model"
@@ -259,7 +274,14 @@ def test_model_rejects_wrong_version(tmp_path):
     ("weight", np.nan), ("weight", -np.inf), ("mean", np.nan), ("mean", np.inf)])
 def test_model_rejects_non_finite_numbers(tmp_path, where, value):
     bundle, _, _ = trained_bundle(steps=5)
-    (bundle.model.weights if where == "weight" else bundle.normalizer.mean)[1] = value
+    if where == "weight":
+        m = bundle.model
+        weights = m.weights.copy()
+        weights[1] = value
+        bundle.model = HashModel(d=m.d, k=m.k, weights=weights, iteration=m.iteration,
+                                 seed=m.seed)
+    else:
+        bundle.normalizer.mean[1] = value
     p = tmp_path / "m.model"
     save_model(bundle, p)
     with pytest.raises(FormatError, match="NaN or infinite"):
@@ -737,6 +759,22 @@ def test_features_csv_cases(tmp_path, case):
     assert (ids, labels) == expected[:2]
     assert X.dtype == np.float32 and X.shape == expected[2].shape
     assert np.array_equal(X.view(np.uint32), expected[2].view(np.uint32))
+
+
+@pytest.mark.parametrize("text, where", [
+    (b"id,label,f0\n \n1,0,0.5\n", "line 2: expected 3 fields, found 1"),
+    (b"id,label,f0\n1,0,1_0\n", "line 2 (id 1): '1_0' in column 3 is not a number"),
+    (b"id,label,f0\n1,0,0.5\n2,0,0.5,7\n", "line 3 (id 2): expected 3 fields, found 4"),
+    (b"id,label,f0\n1,0,0.5\nx,0,0.25\n", "line 3: the id 'x' is not an integer"),
+    # A quoted label over two lines and a blank line come before the row at fault.
+    (b'id,label,f0\n1,"a\nb",0.5\n\n3,,zz\n', "line 5 (id 3): 'zz' in column 3 is not a number"),
+])
+def test_features_csv_errors_name_the_file_line_and_the_id(tmp_path, text, where):
+    p = tmp_path / "t.csv"
+    p.write_bytes(text)
+    with pytest.raises(FormatError) as info:
+        read_features(p)
+    assert str(info.value) == f"{p}: {where}"
 
 
 def test_features_csv_that_is_not_utf8_is_a_format_error_naming_the_file(tmp_path):
