@@ -3,10 +3,11 @@
 
 For each label count, trains one step per label (so every cycle opens;
 k=32, rho=20, d=64), inserts four codeword rows per label, then reports
-the bytes per row and the best-of-5 time of a warm top-10 query. Bytes
-per row are counted two ways: the index's arrays over their slot
-capacity, and everything the inserts allocated (tracemalloc), which also
-takes in the per-row Python ids, lists and sets. It measures whichever
+the bytes per row and the time of a warm top-10 query, as the median and
+quartiles of 15 timed repeats over every probe. Bytes per row are counted
+two ways: the index's arrays over their slot capacity, and everything the
+inserts allocated (tracemalloc), which also takes in the per-row Python
+ids, lists and sets. It measures whichever
 ``ecochash`` is importable, so running it with ``PYTHONPATH=src`` from two
 checkouts compares them; the rankings digest (full rankings of every
 probe) must then agree.
@@ -19,6 +20,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import timeit
 import tracemalloc
 
@@ -61,18 +63,19 @@ def measure(n_labels: int, probes: int) -> dict:
     X = centers[rng.integers(0, n_labels, probes)] + 0.5 * rng.standard_normal((probes, DIMS))
     digest = hashlib.sha256(repr([index.query(model, x) for x in X]).encode())
     times = timeit.repeat(lambda: [index.query(model, x, top_n=10) for x in X],
-                          number=1, repeat=5)
+                          number=1, repeat=15)
+    q1, median, q3 = (1e6 * t / probes for t in statistics.quantiles(times, n=4))
     return {"labels": n_labels, "width": model.width, "rows": len(index),
             "bytes_per_row": bytes_per_row(index),
             "traced_bytes_per_row": traced / len(index),
-            "query_top10_us": 1e6 * min(times) / probes,
+            "query_top10_us": median, "query_top10_us_quartiles": [q1, q3],
             "rankings_sha256": digest.hexdigest()}
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--labels", type=int, nargs="+", default=[200, 2000])
-    ap.add_argument("--probes", type=int, default=20, help="query vectors timed per case")
+    ap.add_argument("--probes", type=int, default=200, help="query vectors timed per case")
     args = ap.parse_args()
     out = {
         "machine": {"nproc": os.cpu_count(), "machine": platform.machine(),

@@ -4,7 +4,8 @@ Codes live in {-1,+1}^b and are stored as Python integers, bit t of the
 integer holding position t of the code (+1 <-> set bit, -1 <-> clear bit).
 That makes XOR + popcount the distance kernel for both the binary and the
 masked ternary case. Bits above ``length`` are kept at zero so integer
-equality doubles as code equality.
+equality doubles as code equality. A block of n codes is an
+(n, ``n_words(length)``) array of ``WORD``s (see ``codes_to_words``).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import DimensionError
 
 WORD_BITS = 64
+WORD = np.dtype("<u8")
 
 
 @dataclass(frozen=True)
@@ -170,6 +172,22 @@ def hamming_masked(query: PackedCode, cw: TernaryCodeword) -> int:
     if query.length != cw.length:
         raise DimensionError(f"length mismatch: {query.length} vs {cw.length}")
     return ((query.bits ^ cw.values.bits) & cw.mask.bits).bit_count()
+
+
+def n_words(length: int) -> int:
+    """64-bit words needed to hold ``length`` code positions."""
+    return -(-length // WORD_BITS)
+
+
+def grown(a: np.ndarray, size: int, axis: int = 0, fill=0) -> np.ndarray:
+    """``a`` if it holds ``size`` along ``axis``, else a copy at least twice as long,
+    the new part holding ``fill``."""
+    have = a.shape[axis]
+    if size <= have:
+        return a
+    out = np.full(a.shape[:axis] + (max(size, 2 * have),) + a.shape[axis + 1:], fill, a.dtype)
+    out[(slice(None),) * axis + (slice(have),)] = a
+    return out
 
 
 def codes_to_words(values: Sequence[int], width: int) -> np.ndarray:

@@ -14,18 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitcode import PackedCode, TernaryCodeword, unpack
+from .bitcode import WORD, PackedCode, TernaryCodeword, grown, n_words
 from .codebook import Codebook
 from .errors import UnknownLabelError
 
 Label = str
 
 
-def _signs(core: PackedCode) -> np.ndarray:
-    """A core's +1/-1 entries as a read-only float64 vector."""
-    c = np.asarray(unpack(core), dtype=np.float64)
-    c.flags.writeable = False
-    return c
+def _sign_rows(cores: np.ndarray, k: int) -> np.ndarray:
+    """Rows of core words as float64 rows of k +1/-1 entries, position 0 first."""
+    return np.unpackbits(cores.view(np.uint8), axis=-1, count=k, bitorder="little") * 2.0 - 1.0
 
 
 @dataclass
@@ -34,32 +32,55 @@ class ObserveResult:
     is_new_label: bool
 
 
-@dataclass
+@dataclass(eq=False)
 class EcocMatrix:
     """Label -> ternary codeword map that grows in both directions.
 
     ``m`` counts cycles (so the total width is m*k) and ``n_in_cycle`` counts
     labels already assigned in the current cycle. The counter starts at 0 and
     a new cycle opens when it would exceed ``rho``, which makes "rho labels
-    per cycle" hold exactly. ``signs`` holds each label's core as a
-    read-only float64 vector of +1/-1 entries, the form training needs; it
-    is derived from ``cores`` and never saved.
+    per cycle" hold exactly. Label y, in cycle ``cycle_of_label[y]``, is row
+    ``rows[y]`` of two read-only blocks: ``cores`` (ceil(k/64) words) and
+    ``signs``, the core as k float64 +1/-1 entries for training, derived
+    from ``cores`` and never saved. The constructor copies what it is given.
     """
 
     k: int
     rho: int
     m: int = 1
     n_in_cycle: int = 0
-    cores: dict[Label, PackedCode] = field(default_factory=dict)
     cycle_of_label: dict[Label, int] = field(default_factory=dict)
-    signs: dict[Label, np.ndarray] = field(init=False, compare=False, repr=False)
+    cores: np.ndarray = ()
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.rho < 1:
             raise ValueError(f"rho must be >= 1, got {self.rho}")
-        self.signs = {y: _signs(core) for y, core in self.cores.items()}
+        self.cycle_of_label = dict(self.cycle_of_label)
+        self.rows: dict[Label, int] = {y: row for row, y in enumerate(self.cycle_of_label)}
+        # Both blocks grow by doubling; ``cores`` and ``signs`` view their filled rows.
+        self._cores = np.array(self.cores, dtype=WORD).reshape(len(self.rows), n_words(self.k))
+        self._signs = _sign_rows(self._cores, self.k)
+        self._expose()
+
+    def _expose(self) -> None:
+        n = len(self.rows)
+        self.cores, self.signs = self._cores[:n], self._signs[:n]
+        self.cores.flags.writeable = self.signs.flags.writeable = False
+
+    def __reduce__(self):
+        # Copies and pickles go through the constructor, so the views are of their own blocks.
+        return EcocMatrix, (self.k, self.rho, self.m, self.n_in_cycle, self.cycle_of_label,
+                            self.cores)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EcocMatrix):
+            return NotImplemented
+        return ((self.k, self.rho, self.m, self.n_in_cycle)
+                == (other.k, other.rho, other.m, other.n_in_cycle)
+                and list(self.cycle_of_label.items()) == list(other.cycle_of_label.items())
+                and np.array_equal(self.cores, other.cores))
 
     @property
     def width(self) -> int:
@@ -67,25 +88,26 @@ class EcocMatrix:
 
     @property
     def labels(self) -> list[Label]:
-        return list(self.cores)
+        return list(self.rows)
 
     def __contains__(self, y: Label) -> bool:
-        return y in self.cores
+        return y in self.rows
 
     def __len__(self) -> int:
-        return len(self.cores)
+        return len(self.rows)
 
-    def locate(self, y: Label) -> tuple[int, PackedCode]:
-        """The cycle and the core of a known label."""
-        if y not in self.cores:
+    def locate(self, y: Label) -> tuple[int, np.ndarray]:
+        """The cycle and the core words of a known label."""
+        if y not in self.rows:
             raise UnknownLabelError(f"label {y!r} has not been observed")
-        return self.cycle_of_label[y], self.cores[y]
+        return self.cycle_of_label[y], self.cores[self.rows[y]]
 
     def find(self, y: Label) -> TernaryCodeword:
         """The reference codeword of a known label, at the current width."""
         cycle, core = self.locate(y)
         offset = (cycle - 1) * self.k
-        return TernaryCodeword(self.width, PackedCode(self.width, core.bits << offset),
+        bits = int.from_bytes(core.tobytes(), "little")
+        return TernaryCodeword(self.width, PackedCode(self.width, bits << offset),
                                PackedCode(self.width, ((1 << self.k) - 1) << offset))
 
     def cycle_columns(self, j: int) -> range:
@@ -103,17 +125,22 @@ class EcocMatrix:
         ``new_cycle_started`` is set. The core is drawn before anything
         changes, so an exhausted codebook leaves the matrix as it was.
         """
-        if y in self.cores:
+        if y in self.rows:
             return ObserveResult(False, False)
         core = cb.draw()
         new_cycle = self.n_in_cycle == self.rho
         if new_cycle:
             self.m += 1
             self.n_in_cycle = 0
-        self.cores[y] = core
-        self.signs[y] = _signs(core)
+        row = len(self.rows)
+        self._cores = grown(self._cores, row + 1)
+        self._signs = grown(self._signs, row + 1)
+        self._cores[row] = core
+        self._signs[row] = _sign_rows(self._cores[row], self.k)
+        self.rows[y] = row
         self.cycle_of_label[y] = self.m
         self.n_in_cycle += 1
+        self._expose()
         return ObserveResult(new_cycle, True)
 
 

@@ -31,8 +31,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .bitcode import (WORD_BITS, PackedCode, TernaryCodeword,  # noqa: F401
-                      codes_to_words, words_to_codes)
+from .bitcode import (WORD, WORD_BITS, PackedCode, TernaryCodeword,  # noqa: F401
+                      codes_to_words, grown, n_words, words_to_codes)
 from .ecoc import EcocMatrix, Label
 from .errors import ConsistencyError, DimensionError, DuplicateIdError
 # Nothing here calls ``phi`` or ``codes_to_words``; both stay module names because
@@ -42,7 +42,6 @@ from .learner import HashModel, StepReport, augment_rows, exact_signs, phi  # no
 MODE_CODEWORD = "codeword"
 MODE_PHI = "phi"
 
-_WORD = np.dtype("<u8")
 _WORD_MASK = (1 << WORD_BITS) - 1
 # Distance cells per ranking block: queries * entries stays near this.
 _BLOCK_CELLS = 1 << 16
@@ -87,28 +86,10 @@ class IndexEntry:
     features: np.ndarray | None = None
 
 
-def n_words(length: int) -> int:
-    """64-bit words needed to hold ``length`` code positions."""
-    return -(-length // WORD_BITS)
-
-
-def _grown(a: np.ndarray, size: int, axis: int = 0, fill=0) -> np.ndarray:
-    """``a`` if it holds ``size`` along ``axis``, else a copy at least twice as long.
-
-    The new part holds ``fill``.
-    """
-    have = a.shape[axis]
-    if size <= have:
-        return a
-    out = np.full(a.shape[:axis] + (max(size, 2 * have),) + a.shape[axis + 1:], fill, a.dtype)
-    out[(slice(None),) * axis + (slice(have),)] = a
-    return out
-
-
 def _words_of(bits: int, words: int) -> np.ndarray:
     """The low ``words`` 64-bit words of an int (negative ones in two's complement)."""
     return np.array([bits >> s & _WORD_MASK for s in range(0, WORD_BITS * words, WORD_BITS)],
-                    dtype=_WORD)
+                    dtype=WORD)
 
 
 def _distance_dtype(largest: int):
@@ -143,7 +124,7 @@ def _packed(signs: np.ndarray, size: int) -> np.ndarray:
     bits = np.zeros((queries, width // size, WORD_BITS * n_words(size)), dtype=bool)
     bits[:, :, :size] = signs.reshape(queries, -1, size)
     # Positional arguments: keywords cost packbits about a microsecond a call.
-    return np.packbits(bits, 2, "little").view(_WORD)
+    return np.packbits(bits, 2, "little").view(WORD)
 
 
 def _hamming(qs: np.ndarray, rows: np.ndarray, dtype) -> np.ndarray:
@@ -188,8 +169,8 @@ class HashIndex:
         label_of = np.asarray(fields["label_of"], dtype=np.int64).reshape(n)
         table = decode_labels(fields["label_lengths"], fields["label_text"])
         cycles = np.array(fields["cycles"], dtype=np.int64).reshape(n_cw)
-        cores = np.asarray(fields["cores"], dtype=_WORD).reshape(n_cw, n_words(k))
-        values = np.asarray(fields["values"], dtype=_WORD).reshape(n_phi, n_words(phi_width))
+        cores = np.asarray(fields["cores"], dtype=WORD).reshape(n_cw, n_words(k))
+        values = np.asarray(fields["values"], dtype=WORD).reshape(n_phi, n_words(phi_width))
         feats = np.asarray(fields["features"], dtype=np.float64).reshape(n_phi, d)
         for broken, what in (
                 (n and is_phi.max() > 1, "a block flag is neither 0 nor 1"),
@@ -244,7 +225,7 @@ class HashIndex:
                 raise DuplicateIdError(f"id {id} is already indexed")
             new.add(id)
         start = len(self._ids)
-        self._is_phi = _grown(self._is_phi, start + len(ids))
+        self._is_phi = grown(self._is_phi, start + len(ids))
         self._is_phi[start:start + len(ids)] = is_phi
         self._ids += ids
         self._labels += labels
@@ -309,14 +290,12 @@ class HashIndex:
         self._append([int(id)], [y], False)
         if not self._k:
             self._k = k
-            self._cores = np.zeros((n_words(k), len(self._cycles)), dtype=_WORD)
+            self._cores = np.zeros((n_words(k), len(self._cycles)), dtype=WORD)
         slot = self._n_cw
-        self._cycles = _grown(self._cycles, slot + 1)
-        self._cores = _grown(self._cores, slot + 1, axis=1)
+        self._cycles = grown(self._cycles, slot + 1)
+        self._cores = grown(self._cores, slot + 1, axis=1)
         self._cycles[slot] = cycle - 1
-        # A word at a time: 0.4 us against 0.9 us through np.frombuffer.
-        for w in range(len(self._cores)):
-            self._cores[w, slot] = (core.bits >> (WORD_BITS * w)) & _WORD_MASK
+        self._cores[:, slot] = core
         self._n_cw += 1
         self._widest = max(self._widest, cycle * k)
 
@@ -359,11 +338,11 @@ class HashIndex:
         # row, so a batch that exact_signs or _append refuses leaves no row
         # behind. Spare feature rows keep the 1.0 of [x; 1] in their last column.
         if not slot:
-            self._values = np.zeros((n_words(width), len(self._feats)), dtype=_WORD)
+            self._values = np.zeros((n_words(width), len(self._feats)), dtype=WORD)
             self._feats = np.ones((len(self._feats), model.d + 1))
         if slot + n > len(self._feats):
-            self._feats = _grown(self._feats, slot + n, fill=1.0)
-            self._values = _grown(self._values, slot + n, axis=1)
+            self._feats = grown(self._feats, slot + n, fill=1.0)
+            self._values = grown(self._values, slot + n, axis=1)
         Xa = self._feats[slot:slot + n]
         Xa[:, :-1] = X
         bits = np.zeros((n, WORD_BITS * n_words(width)), dtype=bool)
@@ -371,7 +350,7 @@ class HashIndex:
         bits[:, :width] = exact_signs(
             model.weights[:width], Xa, lambda i: f"row id {ids[i]}",
             w_bound=model.sq_norm_bound if width == model.width else None)
-        self._values[:, slot:slot + n] = np.packbits(bits, 1, "little").view(_WORD).T
+        self._values[:, slot:slot + n] = np.packbits(bits, 1, "little").view(WORD).T
         self._append(ids, labels, True)
         self._n_phi += n
         if n:
@@ -410,7 +389,7 @@ class HashIndex:
             bits[:, lo - base:hi - base] = new[:, at:at + hi - lo]
             mask |= ((1 << hi - lo) - 1) << lo - base
             at += hi - lo
-        fresh = np.packbits(bits, 1, "little").view(_WORD).T
+        fresh = np.packbits(bits, 1, "little").view(WORD).T
         kept = _words_of(mask & (1 << max(0, self._phi_width - base)) - 1, len(words))
         flips = int(np.bitwise_count((words ^ fresh) & kept[:, None]).sum())
         words[:] = words & _words_of(~mask, len(words))[:, None] | fresh

@@ -296,7 +296,7 @@ def step(model: HashModel, matrix: EcocMatrix, cb: Codebook,
             f"model width {model.width} does not match matrix width {matrix.width}")
     touched = matrix.cycle_columns(matrix.cycle_of_label[y])
     w = model._w[touched.start:touched.stop]
-    c = matrix.signs[y]
+    c = matrix.signs[matrix.rows[y]]
     xh = augment(x)
     z = -c * (w @ xh)
     g = (z > -1.0).astype(np.float64)

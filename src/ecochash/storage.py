@@ -27,17 +27,16 @@ import io
 import itertools
 import math
 import struct
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .bitcode import PackedCode, codes_to_words, words_to_codes
+from .bitcode import n_words
 from .codebook import Codebook
 from .ecoc import EcocMatrix
 from .errors import FormatError
-from .index import FILE_LAYOUT, HashIndex, decode_labels, encode_labels, n_words
+from .index import FILE_LAYOUT, HashIndex, decode_labels, encode_labels
 from .learner import FeatureNormalizer, HashModel
 
 MODEL_MAGIC = b"ECOCHMDL"
@@ -135,10 +134,9 @@ def save_model(bundle: ModelBundle, path) -> None:
         "k": mat.k, "rho": mat.rho, "d": m.d, "eta": bundle.eta, "seed": m.seed,
         "iteration": m.iteration, "cycles": mat.m, "n_in_cycle": mat.n_in_cycle,
         "codebook_seed": cb.rng_seed, "draws_made": cb.draws_made,
-        "pool": codes_to_words([c.bits for c in cb.pool], mat.k),
-        "cores": codes_to_words([c.bits for c in mat.cores.values()], mat.k),
-        "label_cycles": [mat.cycle_of_label[y] for y in mat.cores],
-        **encode_labels(mat.cores),
+        "pool": cb.pool, "cores": mat.cores,
+        "label_cycles": list(mat.cycle_of_label.values()),
+        **encode_labels(mat.cycle_of_label),
         "weights": m.weights,
         "normalizer_count": 0 if norm is None else norm.count,
         "mean": () if norm is None else norm.mean,
@@ -168,25 +166,28 @@ def _bundle(fields: dict) -> ModelBundle:
         raise ValueError(f"k={k}, rho={rho}, d={d} and cycles={m} must be >= 1, "
                          f"and eta={eta} finite and >= 0")
     labels = decode_labels(fields["label_lengths"], fields["label_text"])
-    cycles = fields["label_cycles"].tolist()
-    pool = words_to_codes(fields["pool"].reshape(-1, n_words(k)))
-    cores = words_to_codes(fields["cores"].reshape(len(cycles), n_words(k)))
-    per_cycle = Counter(cycles)
-    free = set(pool)
+    cycles = fields["label_cycles"]
+    pool = fields["pool"].reshape(-1, n_words(k))
+    cores = fields["cores"].reshape(len(cycles), n_words(k))
+    held, per_cycle = np.unique(cycles, return_counts=True)
+    last = int(per_cycle[held == m].sum())
+    # Each code as its bytes (np.unique(axis=0) would build a dtype field per word).
+    void = np.dtype((np.void, 8 * n_words(k)))
+    free, assigned = set(pool.view(void).ravel().tolist()), cores.view(void).ravel().tolist()
     weights, mean = fields["weights"], fields["mean"]
     for broken, what in (
             (len(labels) != len(cycles), f"{len(labels)} labels for {len(cycles)} cycles"),
             (len(set(labels)) < len(labels), "a label appears twice"),
-            (any(c >> k for c in free.union(cores)), f"a code has bits past k={k}"),
-            (cycles and not 1 <= min(cycles) <= max(cycles) <= m,
+            (k % 64 and (np.concatenate([pool, cores])[:, -1] >> np.uint64(k % 64)).any(),
+             f"a code has bits past k={k}"),
+            (len(cycles) and not 1 <= held[0] <= held[-1] <= m,
              f"a label's cycle is outside [1, {m}]"),
-            (len(set(zip(cycles, cores))) < len(cycles), "two labels of one cycle share a core"),
-            (max(per_cycle.values(), default=0) > rho,
-             f"a cycle holds more than rho={rho} labels"),
-            (per_cycle[m] != n_in_cycle,
-             f"n_in_cycle is {n_in_cycle}, but cycle {m} holds {per_cycle[m]}"),
+            (len(set(zip(cycles.tolist(), assigned))) < len(cycles),
+             "two labels of one cycle share a core"),
+            (per_cycle.max(initial=0) > rho, f"a cycle holds more than rho={rho} labels"),
+            (last != n_in_cycle, f"n_in_cycle is {n_in_cycle}, but cycle {m} holds {last}"),
             # Every draw removes its code, so a pool never repeats one nor holds a label's core.
-            (len(free) < len(pool) or not free.isdisjoint(cores),
+            (len(free) < len(pool) or not free.isdisjoint(assigned),
              "the codebook pool repeats a code or holds a label's core"),
             (weights.size != m * k * (d + 1),
              f"{weights.size} weights for {m * k} rows of {d + 1}"),
@@ -196,15 +197,13 @@ def _bundle(fields: dict) -> ModelBundle:
              "a weight or the normalizer's mean is NaN or infinite")):
         if broken:
             raise ValueError(what)
+    # The constructors copy the pool, the cores and the weights out of the file's bytes.
     matrix = EcocMatrix(k=k, rho=rho, m=m, n_in_cycle=n_in_cycle,
-                        cores={y: PackedCode(k, c) for y, c in zip(labels, cores)},
-                        cycle_of_label=dict(zip(labels, cycles)))
-    # The constructor copies the weights out of the file's bytes.
+                        cycle_of_label=dict(zip(labels, cycles.tolist())), cores=cores)
     model = HashModel(d=d, k=k, weights=weights.reshape(m * k, d + 1),
                       iteration=iteration, seed=seed)
     normalizer = FeatureNormalizer(mean=mean.copy(), count=count) if mean.size else None
-    codebook = Codebook(k=k, pool=[PackedCode(k, c) for c in pool], rng_seed=cb_seed,
-                        draws_made=draws_made)
+    codebook = Codebook(k=k, pool=pool, rng_seed=cb_seed, draws_made=draws_made)
     return ModelBundle(k=k, rho=rho, eta=eta, seed=seed, codebook=codebook,
                        matrix=matrix, model=model, normalizer=normalizer)
 

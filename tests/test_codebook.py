@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ecochash.bitcode import PackedCode, hamming
+from ecochash.bitcode import words_to_codes
 from ecochash.codebook import (Codebook, default_capacity, generate,
                                recommended_rho, separation_stats,
                                unique_bipartition_probability)
@@ -15,14 +15,14 @@ from ecochash.errors import CodebookExhaustedError
 
 
 def loop_min_mean_distance(pool):
-    # independent oracle: O(n^2) pairwise scan
-    dists = [hamming(a, b) for a, b in itertools.combinations(pool, 2)]
+    # independent oracle: O(n^2) pairwise scan over the pool's codes as ints
+    dists = [(a ^ b).bit_count() for a, b in itertools.combinations(words_to_codes(pool), 2)]
     return min(dists), sum(dists) / len(dists)
 
 
 def test_generate_k2_capacity2_is_one_bipartition():
     pool = generate(2, 2, seed=0).pool
-    bits = {c.bits for c in pool}
+    bits = set(words_to_codes(pool))
     # with duplicates and complements rejected only these pairs survive
     assert bits in ({0b00, 0b01}, {0b00, 0b10}, {0b11, 0b01}, {0b11, 0b10})
 
@@ -30,9 +30,8 @@ def test_generate_k2_capacity2_is_one_bipartition():
 def test_generate_deterministic():
     a = generate(32, 1000, seed=5)
     b = generate(32, 1000, seed=5)
-    assert a.pool == b.pool
-    assert len(a.pool) == 1000
-    assert all(c.length == 32 for c in a.pool)
+    assert a == b
+    assert a.pool.shape == (1000, 1)
 
 
 def reference_generate(k, capacity, seed):
@@ -46,7 +45,7 @@ def reference_generate(k, capacity, seed):
         if word in seen or (word ^ full) in seen:
             continue
         seen.add(word)
-        pool.append(PackedCode(k, word))
+        pool.append(word)
     return pool
 
 
@@ -54,17 +53,18 @@ def reference_generate(k, capacity, seed):
                                          (33, 200), (64, 300)])
 def test_generate_equals_per_candidate_reference(k, capacity):
     for seed in (0, 5):
-        assert generate(k, capacity, seed).pool == reference_generate(k, capacity, seed)
+        assert words_to_codes(generate(k, capacity, seed).pool) \
+            == reference_generate(k, capacity, seed)
 
 
 def test_generate_no_duplicates_or_complements():
     pool = generate(8, 100, seed=3).pool
     full = (1 << 8) - 1
     seen = set()
-    for c in pool:
-        assert c.bits not in seen
-        assert (c.bits ^ full) not in seen
-        seen.add(c.bits)
+    for c in words_to_codes(pool):
+        assert c not in seen
+        assert (c ^ full) not in seen
+        seen.add(c)
     min_d, _ = loop_min_mean_distance(pool)
     assert min_d >= 1
 
@@ -84,8 +84,8 @@ def test_generate_rejects_bad_args():
 
 
 def test_draw_single_and_exhaustion():
-    cb = Codebook(k=2, pool=[PackedCode(2, 0b01)], rng_seed=9)
-    assert cb.draw().bits == 0b01
+    cb = Codebook(k=2, pool=[0b01], rng_seed=9)
+    assert cb.draw().tolist() == [0b01]
     assert cb.draws_made == 1
     assert len(cb) == 0
     with pytest.raises(CodebookExhaustedError) as exc:
@@ -109,23 +109,23 @@ def test_draw_removes_from_pool():
 
 def test_draw_stream_resumes_from_count():
     cb = generate(8, 50, seed=77)
-    head = [cb.draw() for _ in range(4)]
-    snapshot = list(cb.pool)
-    tail = [cb.draw() for _ in range(6)]
+    head = [int(cb.draw()[0]) for _ in range(4)]
+    snapshot = cb.pool.copy()
+    tail = [int(cb.draw()[0]) for _ in range(6)]
     clone = Codebook(k=8, pool=snapshot, rng_seed=77, draws_made=4)
-    resumed = [clone.draw() for _ in range(6)]
+    resumed = [int(clone.draw()[0]) for _ in range(6)]
     assert resumed == tail
     assert not set(head) & set(resumed)
 
 
 def test_draw_first_pick_uniform_chi_square():
     # 3 df; 16.27 is the 0.001 upper tail of chi^2_3
-    codes = [PackedCode(3, v) for v in (0, 1, 2, 4)]
+    codes = [0, 1, 2, 4]
     counts = [0, 0, 0, 0]
-    index_of = {c.bits: i for i, c in enumerate(codes)}
+    index_of = {c: i for i, c in enumerate(codes)}
     for trial in range(10_000):
-        cb = Codebook(k=3, pool=list(codes), rng_seed=trial)
-        counts[index_of[cb.draw().bits]] += 1
+        cb = Codebook(k=3, pool=codes, rng_seed=trial)
+        counts[index_of[int(cb.draw()[0])]] += 1
     expected = 10_000 / 4
     stat = sum((n - expected) ** 2 / expected for n in counts)
     assert stat < 16.27
@@ -183,10 +183,10 @@ def test_recommended_rho_gives_high_uniqueness(k):
 
 
 def test_separation_stats_two_codes():
-    both = separation_stats(Codebook(k=2, pool=[PackedCode(2, 0b00), PackedCode(2, 0b11)], rng_seed=0))
+    both = separation_stats(Codebook(k=2, pool=[0b00, 0b11], rng_seed=0))
     assert both.min_distance == 2
     assert both.mean_distance == 2.0
-    near = separation_stats(Codebook(k=2, pool=[PackedCode(2, 0b00), PackedCode(2, 0b01)], rng_seed=0))
+    near = separation_stats(Codebook(k=2, pool=[0b00, 0b01], rng_seed=0))
     assert near.min_distance == 1
     assert near.mean_distance == 1.0
 
@@ -209,7 +209,7 @@ def test_separation_stats_equals_the_pairwise_reference_exactly(k):
 
 def test_separation_stats_needs_two():
     with pytest.raises(ValueError):
-        separation_stats(Codebook(k=2, pool=[PackedCode(2, 0b01)], rng_seed=0))
+        separation_stats(Codebook(k=2, pool=[0b01], rng_seed=0))
 
 
 def test_default_capacity():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecochash.bitcode import ternary, unpack
+from ecochash.bitcode import PackedCode, ternary, unpack
 from ecochash.codebook import generate
 from ecochash.ecoc import EcocMatrix, new_matrix
 from ecochash.errors import CodebookExhaustedError, UnknownLabelError
@@ -98,7 +98,7 @@ def test_find_unknown_label():
 def test_find_matches_observe():
     mat, cb = fresh(3, 2)
     mat.observe_label(cb, "x")
-    seen = ternary(unpack(mat.cores["x"]))
+    seen = ternary(unpack(PackedCode(3, int(mat.cores[mat.rows["x"]][0]))))
     assert mat.find("x") == seen
     assert "x" in mat
     assert "y" not in mat
@@ -175,7 +175,7 @@ def test_growth_law_and_invariants(k, rho, n_labels):
         assert cw.active_count() == k
         j = mat.cycle_of_label[y]
         assert set(cw.active_positions()) == set(mat.cycle_columns(j))
-        assert cw.values.bits >> (j - 1) * k == mat.cores[y].bits
+        assert cw.values.bits >> (j - 1) * k == mat.cores[mat.rows[y]][0]
 
     # distinct labels never share an identical codeword
     rendered = {(mat.find(y).values.bits, mat.find(y).mask.bits) for y in mat.labels}

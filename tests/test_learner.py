@@ -199,7 +199,7 @@ def test_hinge_kink_has_zero_slope():
 
 def single_column_setup(core_bits):
     matrix = new_matrix(1, 1)
-    cb = Codebook(k=1, pool=[PackedCode(1, core_bits)], rng_seed=0)
+    cb = Codebook(k=1, pool=[core_bits], rng_seed=0)
     return matrix, cb
 
 
@@ -338,7 +338,7 @@ def test_perceptron_property_on_margin_separated_stream():
     # must stop violating after finitely many mistakes
     rng = np.random.default_rng(3)
     matrix = new_matrix(1, 2)
-    cb = Codebook(k=1, pool=[PackedCode(1, 0b1), PackedCode(1, 0b0)], rng_seed=0)
+    cb = Codebook(k=1, pool=[0b1, 0b0], rng_seed=0)
     model = HashModel(d=2, k=1, weights=np.zeros((1, 3)))
     violations = []
     for i in range(1000):

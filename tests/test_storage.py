@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ecochash.codebook import generate
-from ecochash.ecoc import new_matrix
+from ecochash.ecoc import EcocMatrix, new_matrix
 from ecochash.errors import ConsistencyError, FormatError
 from ecochash.evaluation import derive_seed, make_gaussian_classes
 from ecochash.index import MODE_CODEWORD, MODE_PHI, HashIndex
@@ -35,10 +35,10 @@ def trained_bundle(with_normalizer=True, steps=40):
 
 def assert_bundles_equal(a, b):
     assert (a.k, a.rho, a.eta, a.seed) == (b.k, b.rho, b.eta, b.seed)
-    assert a.codebook.pool == b.codebook.pool
+    assert np.array_equal(a.codebook.pool, b.codebook.pool)
     assert (a.codebook.rng_seed, a.codebook.draws_made) \
         == (b.codebook.rng_seed, b.codebook.draws_made)
-    assert a.matrix.cores == b.matrix.cores
+    assert np.array_equal(a.matrix.cores, b.matrix.cores)
     assert a.matrix.cycle_of_label == b.matrix.cycle_of_label
     assert (a.matrix.m, a.matrix.n_in_cycle) == (b.matrix.m, b.matrix.n_in_cycle)
     assert np.array_equal(a.model.weights, b.model.weights)
@@ -100,8 +100,8 @@ def test_model_bytes_are_pinned(tmp_path):
     assert [f[name].tolist() for name in singles] == [
         [8], [2], [6], [1.0], [3], [40], [3], [1], [2], [5], [40]]
     # k = 8: one word per code.
-    assert f["pool"].tolist() == [c.bits for c in cb.pool]
-    assert f["cores"].tolist() == [c.bits for c in mat.cores.values()]
+    assert f["pool"].tolist() == cb.pool[:, 0].tolist()
+    assert f["cores"].tolist() == mat.cores[:, 0].tolist()
     assert f["label_cycles"].tolist() == [1, 1, 2, 2, 3]
     assert f["label_lengths"].tolist() == [2] * 5
     assert f["label_text"].tobytes() == b"c0c2c4c1c3"
@@ -204,7 +204,7 @@ def test_loaded_bundle_continues_training_identically(tmp_path):
             step(b.model, b.matrix, b.codebook, x, y)
     assert loaded.matrix.m == 2
     assert loaded.model.weights.tobytes() == model.weights.tobytes()
-    assert loaded.matrix.cores == matrix.cores
+    assert np.array_equal(loaded.matrix.cores, matrix.cores)
 
 
 @pytest.mark.parametrize("case", ["repeated code", "assigned core"])
@@ -212,8 +212,9 @@ def test_model_rejects_a_pool_no_draws_could_leave(tmp_path, case):
     # Every draw removes its code, so such a pool would later hand two labels
     # one core: a file that loads, trains and saves, then fails to reload.
     bundle, _, _ = trained_bundle(steps=5)
-    pool = bundle.codebook.pool
-    pool.append(pool[0] if case == "repeated code" else next(iter(bundle.matrix.cores.values())))
+    cb = bundle.codebook
+    extra = cb.pool if case == "repeated code" else bundle.matrix.cores
+    cb.pool = np.concatenate([cb.pool, extra[:1]])
     p = tmp_path / "m.model"
     save_model(bundle, p)
     with pytest.raises(FormatError):
@@ -241,6 +242,37 @@ def test_a_loaded_bundle_equals_the_saved_one(tmp_path):
     assert (FeatureNormalizer(np.array([np.nan, 0.0]), 1)
             == FeatureNormalizer(np.array([np.nan, 0.0]), 1)
             != FeatureNormalizer(np.array([np.nan, -0.0]), 1))
+
+
+def _flip_pool_code(b):
+    b.codebook.pool[3, 0] ^= 1
+
+
+def _flip_core(b):
+    m = b.matrix
+    cores = m.cores.copy()
+    cores[2, 0] ^= 1 << 7
+    b.matrix = EcocMatrix(k=m.k, rho=m.rho, m=m.m, n_in_cycle=m.n_in_cycle,
+                          cycle_of_label=m.cycle_of_label, cores=cores)
+
+
+def _count_a_draw(b):
+    b.codebook.draws_made += 1
+
+
+def _move_a_label(b):
+    b.matrix.cycle_of_label["c0"] = 2
+
+
+@pytest.mark.parametrize("change", [_flip_pool_code, _flip_core, _count_a_draw, _move_a_label])
+def test_a_loaded_bundle_differs_after_one_change(tmp_path, change):
+    bundle, _, _ = trained_bundle()
+    p = tmp_path / "m.model"
+    save_model(bundle, p)
+    loaded = load_model(p)
+    assert loaded == bundle
+    change(loaded)
+    assert loaded != bundle and bundle != loaded
 
 
 def test_model_roundtrip_without_normalizer(tmp_path):
@@ -333,7 +365,7 @@ def test_model_byte_overwrites_load_or_raise_format_error(tmp_path):
                 continue
             loaded += 1
             x = np.ones(got.model.d)
-            fresh = ["fresh"] if got.codebook.pool else []
+            fresh = ["fresh"] if len(got.codebook.pool) else []
             # An overwritten float may be huge, so the scores may overflow.
             with np.errstate(all="ignore"):
                 for y in got.matrix.labels[:1] + fresh:
