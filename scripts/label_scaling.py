@@ -77,9 +77,13 @@ def main() -> int:
     ap.add_argument("--labels", type=int, nargs="+", default=[200, 2000])
     ap.add_argument("--probes", type=int, default=200, help="query vectors timed per case")
     args = ap.parse_args()
+    # The BLAS library numpy was built with; a thread variable that is not set reads null.
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     out = {
         "machine": {"nproc": os.cpu_count(), "machine": platform.machine(),
-                    "python": platform.python_version(), "numpy": np.__version__},
+                    "python": platform.python_version(), "numpy": np.__version__,
+                    "blas": f"{blas.get('name')} {blas.get('version')}",
+                    **{v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}},
         "k": K, "rho": RHO, "d": DIMS, "rows_per_label": ROWS_PER_LABEL,
         "probes": args.probes, "cases": [measure(n, args.probes) for n in args.labels],
     }

@@ -37,12 +37,14 @@ from .ecoc import EcocMatrix, Label
 from .errors import ConsistencyError, DimensionError, DuplicateIdError
 # Nothing here calls ``phi`` or ``codes_to_words``; both stay module names because
 # the benchmark's tracer (perfbench/tracing.py) reads them from this ``__dict__``.
-from .learner import HashModel, StepReport, augment_rows, exact_signs, phi  # noqa: F401
+from .learner import (HashModel, StepReport, _sq_norm_bound, augment_rows,  # noqa: F401
+                      exact_signs, phi)
 
 MODE_CODEWORD = "codeword"
 MODE_PHI = "phi"
 
-_WORD_MASK = (1 << WORD_BITS) - 1
+# Unsigned integer dtypes by byte count, for rows whose packed bits fit one.
+_UINTS = {size: np.dtype(f"<u{size}") for size in (1, 2, 4, 8)}
 # Distance cells per ranking block: queries * entries stays near this.
 _BLOCK_CELLS = 1 << 16
 
@@ -86,10 +88,50 @@ class IndexEntry:
     features: np.ndarray | None = None
 
 
-def _words_of(bits: int, words: int) -> np.ndarray:
-    """The low ``words`` 64-bit words of an int (negative ones in two's complement)."""
-    return np.array([bits >> s & _WORD_MASK for s in range(0, WORD_BITS * words, WORD_BITS)],
-                    dtype=WORD)
+def _span_words(bits: np.ndarray, spans, first: int, words: int) -> np.ndarray:
+    """``bits``' columns packed at their code positions: those of each span in turn.
+
+    ``spans`` holds [lo, hi) position ranges; ``bits`` has one column per
+    position, span after span. Returns the (words, rows) words from word
+    ``first`` on, holding the spans' bits and clear elsewhere. Only ``bits``
+    is packed; each run of a span inside one word is shifted there from the
+    packed stream, so a span may straddle words.
+    """
+    rows, cols = bits.shape
+    nbytes = -(-cols // 8)
+    # One flat packbits call is several times faster than one per row, and
+    # serves when each row fills whole bytes.
+    packed = np.packbits(bits, 1 if cols % 8 else None, "little")
+    # Each row's stream as words, word-major: a cast when its bytes are one
+    # integer, else a copy.
+    if nbytes in _UINTS:
+        stream = packed.view(_UINTS[nbytes]).astype(WORD).reshape(1, rows)
+    else:
+        stream = np.zeros((rows, 8 * n_words(cols)), dtype=np.uint8)
+        stream[:, :nbytes] = packed.reshape(rows, nbytes)
+        stream = stream.view(WORD).T
+    if spans == [(WORD_BITS * first, WORD_BITS * first + cols)]:
+        return stream  # one span from a word's first bit: the stream is its words
+    values = np.zeros((words, rows), dtype=WORD)
+    at = 0  # the stream position of the span's lo
+    for lo, hi in spans:
+        pos = lo
+        while pos < hi:
+            w, off = divmod(pos - WORD_BITS * first, WORD_BITS)
+            size = min(hi - pos, WORD_BITS - off)
+            s, shift = divmod(at + pos - lo, WORD_BITS)
+            run = stream[s]
+            if shift:
+                run = run >> shift
+                if s + 1 < len(stream):
+                    run |= stream[s + 1] << WORD_BITS - shift
+            # Clear the stream's later bits, unless there are none or the shift drops them.
+            if size < WORD_BITS - off and at + pos - lo + size < cols:
+                run = run & (1 << size) - 1
+            values[w] |= run << off if off else run
+            pos += size
+        at += hi - lo
+    return values
 
 
 def _distance_dtype(largest: int):
@@ -202,6 +244,7 @@ class HashIndex:
         self._values = np.array(values.T, order="C")
         self._feats = np.ones((n_phi, d + 1) if n_phi else (0, 0))
         self._feats[:, :-1] = feats
+        self._x_bound = None
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -209,6 +252,17 @@ class HashIndex:
     @property
     def phi_count(self) -> int:
         return self._n_phi
+
+    @property
+    def feature_sq_norm_bound(self) -> float:
+        """An upper bound on the squared Frobenius norm of the phi rows' [x; 1].
+
+        Features never change once admitted, so the bound is kept until the
+        next insert adds rows; never saved.
+        """
+        if self._x_bound is None:
+            self._x_bound = _sq_norm_bound(self._feats[:self._n_phi])
+        return self._x_bound
 
     @property
     def labels(self) -> list[Label | None]:
@@ -345,14 +399,13 @@ class HashIndex:
             self._values = grown(self._values, slot + n, axis=1)
         Xa = self._feats[slot:slot + n]
         Xa[:, :-1] = X
-        bits = np.zeros((n, WORD_BITS * n_words(width)), dtype=bool)
         # The model's kept norm bound, unless the block scores only its first columns.
-        bits[:, :width] = exact_signs(
-            model.weights[:width], Xa, lambda i: f"row id {ids[i]}",
-            w_bound=model.sq_norm_bound if width == model.width else None)
-        self._values[:, slot:slot + n] = np.packbits(bits, 1, "little").view(WORD).T
+        signs = exact_signs(model.weights[:width], Xa, lambda i: f"row id {ids[i]}",
+                            w_bound=model.sq_norm_bound if width == model.width else None)
+        self._values[:, slot:slot + n] = _span_words(signs, [(0, width)], 0, n_words(width))
         self._append(ids, labels, True)
         self._n_phi += n
+        self._x_bound = None
         if n:
             self._phi_width = width
             self._widest = max(self._widest, width)
@@ -365,12 +418,13 @@ class HashIndex:
     def _recompute(self, model: HashModel, spans: list[tuple[int, int]]) -> int:
         """Recompute the columns [lo, hi) of ``spans`` in every phi row; returns the bits.
 
-        One ``exact_signs`` call scores the columns of every span. Their bits
-        are packed into the words from the first span's to the last span's
-        and merged into the rows under a mask. Rows come out at the model's
-        width. Flips are counted only over the positions rows had before the
-        call, so growing a code is not charged as flipping it. Both counts go
-        to the ledger; a call that recomputes nothing leaves it as it was.
+        One ``exact_signs`` call scores the columns of every span, against
+        the kept ``feature_sq_norm_bound``. Their bits are packed into the
+        words from the first span's to the last span's and merged into the
+        rows under a mask. Rows come out at the model's width. Flips are
+        counted only over the positions rows had before the call, so growing
+        a code is not charged as flipping it. Both counts go to the ledger; a
+        call that recomputes nothing leaves it as it was.
         """
         n = self._n_phi
         if not n or not spans:
@@ -379,23 +433,29 @@ class HashIndex:
         if extra > 0:
             self._values = np.pad(self._values, ((0, extra), (0, 0)))
         first = min(lo for lo, _ in spans) // WORD_BITS
-        base = WORD_BITS * first
         words = self._values[first:n_words(max(hi for _, hi in spans)), :n]
-        W = np.concatenate([model.weights[lo:hi] for lo, hi in spans])
-        new = exact_signs(W, self._feats[:n])
-        bits = np.zeros((n, WORD_BITS * len(words)), dtype=bool)
-        mask = at = 0
+        columns = sum(hi - lo for lo, hi in spans)
+        # The spans' weights as one C-ordered (d+1, columns) block, so the product
+        # Xa @ W.T reads an untransposed right-hand side, which BLAS multiplies
+        # faster; its norm bound is read from it, as vdot would copy Wt.T.
+        Wt = np.concatenate([model.weights[lo:hi].T for lo, hi in spans], axis=1,
+                            out=np.empty((model.d + 1, columns)))
+        new = exact_signs(Wt.T, self._feats[:n], w_bound=_sq_norm_bound(Wt),
+                          x_bound=self.feature_sq_norm_bound)
+        fresh = _span_words(new, spans, first, len(words))
+        # The spans' positions as mask words, and those of them the rows had
+        # before the call, where flips count.
+        base = WORD_BITS * first
+        inside = np.zeros((2, WORD_BITS * len(words)), dtype=bool)
         for lo, hi in spans:
-            bits[:, lo - base:hi - base] = new[:, at:at + hi - lo]
-            mask |= ((1 << hi - lo) - 1) << lo - base
-            at += hi - lo
-        fresh = np.packbits(bits, 1, "little").view(WORD).T
-        kept = _words_of(mask & (1 << max(0, self._phi_width - base)) - 1, len(words))
+            inside[:, lo - base:hi - base] = True
+        inside[1, max(0, self._phi_width - base):] = False
+        mask, kept = np.packbits(inside, 1, "little").view(WORD)
         flips = int(np.bitwise_count((words ^ fresh) & kept[:, None]).sum())
-        words[:] = words & _words_of(~mask, len(words))[:, None] | fresh
+        words[:] = words & ~mask[:, None] | fresh
         self._phi_width = model.width
         self._widest = max(self._widest, model.width)
-        n_bits = n * len(W)
+        n_bits = n * columns
         self.ledger.record(n_bits, flips, n)
         return n_bits
 

@@ -99,7 +99,7 @@ def _exact_sign(w: np.ndarray, x: np.ndarray) -> bool:
 
 
 def exact_signs(W: np.ndarray, Xa: np.ndarray, name=lambda i: f"row {i}",
-                w_bound: float | None = None) -> np.ndarray:
+                w_bound: float | None = None, x_bound: float | None = None) -> np.ndarray:
     """(rows, functions) bools: bit [i, t] is whether W[t] . Xa[i] >= 0, exactly.
 
     ``Xa`` holds augmented rows [x; 1]. One product ``Xa @ W.T`` scores every cell.
@@ -112,16 +112,21 @@ def exact_signs(W: np.ndarray, Xa: np.ndarray, name=lambda i: f"row {i}",
     against its own norms, and only the cells still uncertain are recomputed
     exactly. A NaN or infinite value raises ValueError, naming a feature row
     by ``name(i)``. ``w_bound`` is an upper bound on ||W||_F^2, such as a
-    model's ``sq_norm_bound``; by default one pass over ``W`` computes it.
+    model's ``sq_norm_bound``, and ``x_bound`` one on ||Xa||_F^2, such as an
+    index's ``feature_sq_norm_bound``; by default one pass over the block
+    computes each. A Fortran-ordered ``W`` makes ``W.T`` C-ordered, the
+    layout BLAS multiplies fastest for small blocks.
     """
     terms = W.shape[1]
     slack = 2.0 * terms * _U / (1.0 - terms * _U)
     floor = 2.0 * terms * _TINY
     if w_bound is None:
         w_bound = _sq_norm_bound(W)
+    if x_bound is None:
+        x_bound = _sq_norm_bound(Xa)
     # A finite product of the squared norms bounds every score and partial sum,
     # so then the matmul cannot overflow.
-    norms = math.sqrt(_sq_norm_bound(Xa) * w_bound)
+    norms = math.sqrt(x_bound * w_bound)
     if norms < math.inf:
         S = np.dot(Xa, W.T)
         bound = slack * norms + floor

@@ -19,7 +19,7 @@ from ecochash.errors import DimensionError, DuplicateIdError
 from ecochash.index import HashIndex
 from ecochash.learner import (HashModel, augment_rows, exact_signs, phi,
                               predict_bit, step)
-from ecochash.storage import ModelBundle, load_model, save_model
+from ecochash.storage import ModelBundle, load_index, load_model, save_index, save_model
 
 D, K = 6, 8
 
@@ -300,6 +300,71 @@ def test_the_kept_bound_covers_the_exact_norm_after_any_interleaving(seed, tmp_p
     model = bundle.model
     model.grow_cycle(bundle.matrix.m + 1)
     assert exact_sq_norm(model.weights) <= Fraction(model.sq_norm_bound)
+
+
+def exact_feature_sq_norm(index) -> Fraction:
+    """The exact squared norm of the phi rows' [x; 1]: the features plus a 1 per row."""
+    return exact_sq_norm(index.arrays()["features"]) + index.phi_count
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_kept_feature_bound_covers_the_exact_norm_after_any_interleaving(seed, tmp_path):
+    """Inserts of one row or a batch, refused batches, eager updates, refreshes, saves
+    and loads in a random order, with the index's feature bound read after each; it
+    must bound, and stay within rounding of, the exact norm of the feature block."""
+    rng = np.random.default_rng([seed, 9])
+    matrix, cb, model, _ = trained_model(seed, steps=0)
+    step(model, matrix, cb, rng.standard_normal(D), "c0")
+    index, path, ids = HashIndex(), tmp_path / "i.index", iter(range(10 ** 6))
+    for _ in range(60):
+        op = rng.integers(6)
+        scale = 10.0 ** rng.integers(-3, 4)
+        if op == 0:
+            index.insert_unlabeled(next(ids), scale * rng.standard_normal(D), model)
+        elif op == 1:
+            n = int(rng.integers(1, 5))
+            index.insert_many([next(ids) for _ in range(n)],
+                              scale * rng.standard_normal((n, D)), model)
+        elif op == 2:
+            # Its rows are staged past the last phi row before exact_signs refuses them.
+            X = scale * rng.standard_normal((3, D))
+            X[2, 0] = np.inf
+            before = index.phi_count
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                index.insert_many([next(ids) for _ in range(3)], X, model)
+            assert index.phi_count == before
+        elif op == 3:
+            report = step(model, matrix, cb, rng.standard_normal(D), f"c{rng.integers(6)}")
+            index.apply_model_update(report, model)
+        elif op == 4:
+            report = step(model, matrix, cb, rng.standard_normal(D), f"c{rng.integers(6)}")
+            index.refresh(model, cycles=[matrix.cycle_of_label[report.label]])
+        else:
+            save_index(index, path)
+            index = load_index(path)
+        exact = exact_feature_sq_norm(index)
+        bound = Fraction(index.feature_sq_norm_bound)
+        assert exact <= bound <= exact * (1 + Fraction(1, 10 ** 9))
+    assert index.phi_count > 0 and matrix.m >= 2
+
+
+def test_a_row_inserted_after_a_refresh_is_refreshed_against_a_fresh_bound():
+    """A feature bound kept from before the insert would let the screen certify the
+    rounded signs of a large row on hyperplanes, which may be wrong."""
+    matrix, cb, model, stream = trained_model(steps=12)
+    for x, y in stream:
+        step(model, matrix, cb, x, y)
+    rng = np.random.default_rng(10)
+    index = HashIndex()
+    index.insert_many(range(8), rng.standard_normal((8, D)), model)
+    index.refresh(model, cycles=[1])  # reads, and keeps, the bound of these eight rows
+    X = on_hyperplanes(model.weights[:K], 1e150 * rng.standard_normal((16, D)), rng)
+    index.insert_many(range(8, 24), X, model)
+    index.refresh(model, cycles=[1])
+    want = oracle(model.weights, augment_rows(X, D))
+    assert codes(index)[8:] == [int.from_bytes(np.packbits(b, bitorder="little").tobytes(),
+                                               "little") for b in want]
+    assert exact_feature_sq_norm(index) <= Fraction(index.feature_sq_norm_bound)
 
 
 def test_an_overflowed_weight_is_refused_whatever_bound_was_kept():

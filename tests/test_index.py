@@ -14,7 +14,7 @@ from ecochash.ecoc import new_matrix
 from ecochash.errors import ConsistencyError, DuplicateIdError, UnknownLabelError
 from ecochash.evaluation import retrieval_map
 from ecochash.index import MODE_CODEWORD, MODE_PHI, HashIndex
-from ecochash.learner import HashModel, phi, step
+from ecochash.learner import HashModel, exact_signs, phi, step
 from ecochash.storage import load_index, save_index
 
 
@@ -196,6 +196,54 @@ def test_recompute_spans_that_straddle_words():
     for a, b in zip(eager.entries, late.entries):
         assert a.code == b.code
         assert a.code.values == phi(model, a.features)
+
+
+@pytest.mark.parametrize("k", [5, 24, 64])
+def test_refresh_of_any_set_of_cycles_rewrites_the_same_bits(k):
+    # Each subset of six cycles packs its columns back to back and shifts
+    # each run into place: runs start mid-byte (k=5), mid-word and read on
+    # into the next packed word (k=24: cycles 1, 2 and 4), or fill words (k=64).
+    matrix, cb, model, stream = small_stream(n_labels=6, k=k, rho=1, steps=12)
+    for x, y in stream:
+        step(model, matrix, cb, x, y)
+    index = HashIndex()
+    index.insert_many(range(12), [x for x, _ in stream], model)
+    want = [phi(model, x) for x, _ in stream]
+    for subset in range(1, 1 << 6):
+        cycles = [j + 1 for j in range(6) if subset >> j & 1]
+        assert index.refresh(model, cycles) == 12 * k * len(cycles)
+        assert [e.code.values for e in index.entries] == want
+    assert index.ledger.flipped_bits_total == 0
+
+
+def test_recompute_scores_one_c_ordered_weight_block(monkeypatch):
+    # For small blocks BLAS multiplies Xa @ W.T faster when W.T is C-ordered.
+    # A recompute copies its spans' weights into one such block; a row slice
+    # of the weights, or a concatenation of them, would be F-ordered. Inserts
+    # and queries score against the weights themselves, with no copy.
+    calls = []
+
+    def spy(W, Xa, *args, **kwargs):
+        calls.append((W, "x_bound" in kwargs))
+        return exact_signs(W, Xa, *args, **kwargs)
+
+    monkeypatch.setattr("ecochash.index.exact_signs", spy)
+    matrix, cb, model, stream = small_stream(n_labels=4, k=24, rho=1, steps=6)
+    for x, y in stream[:3]:
+        step(model, matrix, cb, x, y)
+    index = HashIndex()
+    index.insert_many(range(5), [x for x, _ in stream[:5]], model)
+    assert np.shares_memory(calls[-1][0], model.weights)
+    report = step(model, matrix, cb, *stream[3])
+    index.apply_model_update(report, model)
+    index.refresh(model, cycles=[1, 3])
+    index.query(model, stream[0][0])
+    assert np.shares_memory(calls[-1][0], model.weights)
+    assert [recompute for _, recompute in calls] == [False, True, True, False]
+    spans = [report.touched_columns, [*range(24), *range(48, 72)]]
+    for (W, _), columns in zip(calls[1:3], spans):
+        assert W.T.flags.c_contiguous
+        assert np.array_equal(W, model.weights[columns])
 
 
 def test_new_cycle_extension_not_counted_as_flip():
@@ -544,12 +592,15 @@ def naive_ranking(index, model, x):
     return [(id_, d) for d, _, id_ in rows]
 
 
+# k=24 puts cycle 3 across the first word boundary, so eager updates and
+# multi-cycle refreshes recompute spans that straddle words.
+@pytest.mark.parametrize("k", [8, 24])
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 2**32 - 1)),
                 max_size=30))
-def test_random_interleavings_keep_index_invariants(ops):
+def test_random_interleavings_keep_index_invariants(k, ops):
     # rho=1 opens a cycle per label, so widths pass 64 bits into a second word.
-    k, d = 8, 4
+    d = 4
     matrix = new_matrix(k, 1)
     cb = generate(k, 64, seed=1)
     model = HashModel.create(d=d, k=k, seed=2)
