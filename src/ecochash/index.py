@@ -9,19 +9,21 @@ index is the recomputation itself; flips are tallied separately.
 
 Rows live in two blocks that grow by doubling, beside ``ids`` and
 ``labels`` lists in insertion order; a flag per row says which block it
-is in, and its slot there is its rank among that block's rows. A
-codeword row is its label's cycle and k-bit core (ceil(k/64) uint64
-words; the index's k is set by its first codeword row), so opening a
-cycle changes no row; as an entry, it is its core in its cycle's
-columns, at the length cycle * k. A phi row is value words in a
-word-major ``(words, n)`` block (word w holds code positions
-[64w, 64w+64)) at the one width all phi rows share, with no masks, plus
-its augmented features ``[x; 1]``, so an update recomputes a cycle's
-columns for every phi row with one matrix product. Every phi bit, stored or
-queried, is ``learner.exact_signs``' exact sign. A query's distance to
-a codeword row is the popcount of its bits in the row's cycle XOR the
-core; to a phi row, of its bits below the phi width XOR the words.
-Index files hold the two blocks as ``FILE_LAYOUT``'s arrays (see ``arrays``).
+is in, and its column there is its rank among that block's rows. Every row
+shares one k, set by the index's first row (a phi row takes its model's
+k). A codeword row is its label's cycle and k-bit core (ceil(k/64)
+uint64 words), so opening a cycle changes no row; as an entry, it is its
+core in its cycle's columns, at the length cycle * k. A phi row is value
+words in a word-major ``(words, n)`` block at the one width all phi rows
+share, with no masks, plus its augmented features ``[x; 1]``, so an
+update recomputes a cycle's columns for every phi row with one matrix
+product. Each cycle of a phi row owns a slot of whole bytes (see
+``_phi_layout``), so a recompute writes whole bytes; at k = 8, 16, 32
+and 64 the slots are the code's bits back to back. Every phi bit, stored
+or queried, is ``learner.exact_signs``' exact sign. A query's distance
+to a codeword row is the popcount of its bits in the row's cycle XOR the
+core; to a phi row, of its slotted bits below the phi width XOR the
+words. Index files hold the two blocks as ``FILE_LAYOUT``'s arrays.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .bitcode import (WORD, WORD_BITS, PackedCode, TernaryCodeword,  # noqa: F401
+from .bitcode import (WORD, PackedCode, TernaryCodeword,  # noqa: F401
                       codes_to_words, grown, n_words, words_to_codes)
 from .ecoc import EcocMatrix, Label
 from .errors import ConsistencyError, DimensionError, DuplicateIdError
@@ -43,8 +45,6 @@ from .learner import (HashModel, StepReport, _sq_norm_bound, augment_rows,  # no
 MODE_CODEWORD = "codeword"
 MODE_PHI = "phi"
 
-# Unsigned integer dtypes by byte count, for rows whose packed bits fit one.
-_UINTS = {size: np.dtype(f"<u{size}") for size in (1, 2, 4, 8)}
 # Distance cells per ranking block: queries * entries stays near this.
 _BLOCK_CELLS = 1 << 16
 
@@ -63,9 +63,10 @@ class UpdateLedger:
         self.entries_touched_total += entries
 
 
-# Index file format version 3: (name, dtype) little-endian arrays in file order, a single
+# Index file format version 4: (name, dtype) little-endian arrays in file order, a single
 # value being an array of one (``_SINGLE``); ``label_of`` indexes the UTF-8 label table (-1:
-# none). k is 0 without codeword rows, the phi width and feature length without phi rows.
+# none). k is 0 without rows, the phi width and feature length without phi rows; ``values``
+# holds each phi row's words in slots (see ``_phi_layout``).
 FILE_LAYOUT = (
     ("ids", "<u8"), ("is_phi", "u1"), ("label_lengths", "<u4"), ("label_text", "u1"),
     ("label_of", "<i4"), ("k", "<u4"), ("cycles", "<u4"), ("cores", "<u8"),
@@ -86,52 +87,6 @@ class IndexEntry:
     code: TernaryCodeword
     label: Label | None = None
     features: np.ndarray | None = None
-
-
-def _span_words(bits: np.ndarray, spans, first: int, words: int) -> np.ndarray:
-    """``bits``' columns packed at their code positions: those of each span in turn.
-
-    ``spans`` holds [lo, hi) position ranges; ``bits`` has one column per
-    position, span after span. Returns the (words, rows) words from word
-    ``first`` on, holding the spans' bits and clear elsewhere. Only ``bits``
-    is packed; each run of a span inside one word is shifted there from the
-    packed stream, so a span may straddle words.
-    """
-    rows, cols = bits.shape
-    nbytes = -(-cols // 8)
-    # One flat packbits call is several times faster than one per row, and
-    # serves when each row fills whole bytes.
-    packed = np.packbits(bits, 1 if cols % 8 else None, "little")
-    # Each row's stream as words, word-major: a cast when its bytes are one
-    # integer, else a copy.
-    if nbytes in _UINTS:
-        stream = packed.view(_UINTS[nbytes]).astype(WORD).reshape(1, rows)
-    else:
-        stream = np.zeros((rows, 8 * n_words(cols)), dtype=np.uint8)
-        stream[:, :nbytes] = packed.reshape(rows, nbytes)
-        stream = stream.view(WORD).T
-    if spans == [(WORD_BITS * first, WORD_BITS * first + cols)]:
-        return stream  # one span from a word's first bit: the stream is its words
-    values = np.zeros((words, rows), dtype=WORD)
-    at = 0  # the stream position of the span's lo
-    for lo, hi in spans:
-        pos = lo
-        while pos < hi:
-            w, off = divmod(pos - WORD_BITS * first, WORD_BITS)
-            size = min(hi - pos, WORD_BITS - off)
-            s, shift = divmod(at + pos - lo, WORD_BITS)
-            run = stream[s]
-            if shift:
-                run = run >> shift
-                if s + 1 < len(stream):
-                    run |= stream[s + 1] << WORD_BITS - shift
-            # Clear the stream's later bits, unless there are none or the shift drops them.
-            if size < WORD_BITS - off and at + pos - lo + size < cols:
-                run = run & (1 << size) - 1
-            values[w] |= run << off if off else run
-            pos += size
-        at += hi - lo
-    return values
 
 
 def _distance_dtype(largest: int):
@@ -155,26 +110,39 @@ def decode_labels(lengths, text) -> list[str]:
     return [text[e - size:e].decode("utf-8") for e, size in zip(accumulate(lengths), lengths)]
 
 
-def _packed(signs: np.ndarray, size: int) -> np.ndarray:
-    """(queries, bits) sign bits cut into blocks of ``size``, each in whole words.
+def _phi_layout(k: int, width: int) -> tuple[int, int]:
+    """A phi row's bytes per cycle slot and its slots at ``width``, a multiple of k.
 
-    ``bits`` must be a multiple of ``size``. Returns a (queries, blocks,
-    ceil(size/64)) array of little-endian words; bits past ``size`` in a
-    block's last word are clear.
+    A slot is k/8 bytes rounded up to 1, 2, 4 or 8, or to whole words past
+    64 bits, so none crosses a word. Cycle j's k bits start slot j; a row
+    is the slots of its size * slots / 8 whole words, the rest clear.
     """
-    queries, width = signs.shape
-    bits = np.zeros((queries, width // size, WORD_BITS * n_words(size)), dtype=bool)
-    bits[:, :, :size] = signs.reshape(queries, -1, size)
+    size = 8 * n_words(k) if k > 64 else 1 << (-(-k // 8) - 1).bit_length()
+    return size, -(-(width // k) * size // 8) * 8 // size
+
+
+def _packed(signs: np.ndarray, k: int, size: int, slots: int) -> np.ndarray:
+    """(rows, cycles * k) signs as (rows, slots, size) bytes, cycle j's bits in slot j.
+
+    One packbits call packs the signs: flat as they are when they fill the
+    slots, else from one copy into a clear block that does.
+    """
+    rows, cycles = len(signs), signs.shape[1] // k
+    if cycles == slots and k == 8 * size:
+        # One flat call is several times faster than one per row or slot.
+        return np.packbits(signs, None, "little").reshape(rows, slots, size)
+    bits = np.zeros((rows, slots, 8 * size), bool)
+    bits[:, :cycles, :k] = signs.reshape(rows, cycles, k)
     # Positional arguments: keywords cost packbits about a microsecond a call.
-    return np.packbits(bits, 2, "little").view(WORD)
+    return np.packbits(bits, 2, "little")
 
 
 def _hamming(qs: np.ndarray, rows: np.ndarray, dtype) -> np.ndarray:
-    """Per query and slot, the sum over words w of popcount(qs[w] ^ rows[w]).
+    """Per query and column, the sum over words w of popcount(qs[w] ^ rows[w]).
 
-    ``rows`` is a word-major (words, slots) block of at least one word;
-    ``qs`` is (words, queries, slots) or (words, queries, 1), the queries'
-    word w for each slot or for all of them. Words go in chunks of about
+    ``rows`` is a word-major (words, columns) block of at least one word;
+    ``qs`` is (words, queries, columns) or (words, queries, 1), the queries'
+    word w for each column or for all of them. Words go in chunks of about
     2^16 cells, so one query takes one pass and a block of queries stays small.
     """
     words, queries, _ = qs.shape
@@ -208,24 +176,29 @@ class HashIndex:
         is_phi = np.asarray(fields["is_phi"]).reshape(n)
         n_phi = int(np.count_nonzero(is_phi))
         n_cw = n - n_phi
+        if ((k > 0) != (n > 0) or (phi_width > 0) != (n_phi > 0) or (d and not n_phi)
+                or n_phi and phi_width % k):
+            raise ValueError(f"k={k}, phi width {phi_width} or feature length {d} "
+                             "does not fit the rows")
         label_of = np.asarray(fields["label_of"], dtype=np.int64).reshape(n)
         table = decode_labels(fields["label_lengths"], fields["label_text"])
         cycles = np.array(fields["cycles"], dtype=np.int64).reshape(n_cw)
         cores = np.asarray(fields["cores"], dtype=WORD).reshape(n_cw, n_words(k))
-        values = np.asarray(fields["values"], dtype=WORD).reshape(n_phi, n_words(phi_width))
+        size, slots = _phi_layout(k, phi_width) if n_phi else (0, 0)
+        values = np.asarray(fields["values"], dtype=WORD).reshape(n_phi, size * slots // 8)
         feats = np.asarray(fields["features"], dtype=np.float64).reshape(n_phi, d)
         for broken, what in (
                 (n and is_phi.max() > 1, "a block flag is neither 0 nor 1"),
                 (len(set(ids)) != n, "an id appears twice"),
                 (n and not -1 <= label_of.min() <= label_of.max() < len(table),
                  f"a label index is outside [-1, {len(table)})"),
-                ((k > 0) != (n_cw > 0) or (phi_width > 0) != (n_phi > 0) or (d and not n_phi),
-                 f"k={k}, phi width {phi_width} or feature length {d} does not fit the rows"),
                 (n_cw and cycles.min() < 1, "a codeword row's cycle is 0"),
                 (n_cw and k % 64 and (cores[:, -1] >> np.uint64(k % 64)).any(),
                  f"a codeword core has bits past k={k}"),
-                (n_phi and phi_width % 64 and (values[:, -1] >> np.uint64(phi_width % 64)).any(),
-                 f"a phi row has bits past width {phi_width}"),
+                # A phi row's bits are its cycles' k bits, each from its slot's first bit.
+                (n_phi and (values & ~_packed(np.ones((1, phi_width), bool), k, size, slots)
+                            .reshape(1, -1).view(WORD)).any(),
+                 f"a phi row has a bit outside its cycles' k={k} bits"),
                 (n_phi and not np.isfinite(feats).all(), "a phi row's feature is NaN or infinite"),
                 (widest != max(k * int(cycles.max(initial=0)), phi_width),
                  f"wrong widest width {widest}")):
@@ -236,11 +209,12 @@ class HashIndex:
         self._labels = [None if i < 0 else table[i] for i in label_of.tolist()]
         # The end of the last column any row uses; a query may not be narrower.
         self._widest = widest
-        # Codeword block: cycle (0-based, as queries index by it) and core words per slot.
+        # Codeword block: cycle (0-based, as queries index by it) and core words per column.
         self._k, self._n_cw, self._cycles = k, n_cw, cycles - 1
         self._cores = np.array(cores.T, order="C")
-        # Phi block: value words at the shared width and features per slot.
-        self._n_phi, self._phi_width = n_phi, phi_width
+        # Phi block: value words at the shared width, in ``_phi_layout``'s (slot
+        # bytes, slots), and features per column.
+        self._n_phi, self._phi_width, self._phi_slots = n_phi, phi_width, (size, slots)
         self._values = np.array(values.T, order="C")
         self._feats = np.ones((n_phi, d + 1) if n_phi else (0, 0))
         self._feats[:, :-1] = feats
@@ -317,7 +291,15 @@ class HashIndex:
         k, width = self._k, self._phi_width
         codewords = zip((self._cycles[:self._n_cw] + 1).tolist(),
                         words_to_codes(self._cores[:, :self._n_cw].T))
-        phis = zip(words_to_codes(self._values[:, :self._n_phi].T), self._feats[:self._n_phi, :-1])
+        n_phi, codes = self._n_phi, []
+        if n_phi:
+            # Each row's slots as bytes, then their cycles' bits back to back.
+            slots = np.ascontiguousarray(self._values[:, :n_phi].T).view(np.uint8)
+            slots = slots.reshape(n_phi, -1, self._phi_slots[0])[:, :width // k]
+            bits = np.unpackbits(slots, 2, k, "little").reshape(n_phi, width)
+            codes = [int.from_bytes(row.tobytes(), "little")
+                     for row in np.packbits(bits, 1, "little")]
+        phis = zip(codes, self._feats[:n_phi, :-1])
         out = []
         for id, label, is_phi in zip(self._ids, self._labels, self._is_phi[:len(self)].tolist()):
             if is_phi:
@@ -335,21 +317,22 @@ class HashIndex:
         """Index an instance under its label's codeword.
 
         The stored code never changes afterwards, no matter how the hash
-        functions move. Every codeword entry of an index shares one k.
+        functions move. Every row of an index shares one k; a matrix of
+        another k raises ConsistencyError.
         """
         cycle, core = matrix.locate(y)
         k = matrix.k
         if self._k not in (0, k):
-            raise ConsistencyError(f"codeword entries have k={self._k}, entry {id} has k={k}")
+            raise ConsistencyError(f"the index's rows have k={self._k}, entry {id} has k={k}")
         self._append([int(id)], [y], False)
-        if not self._k:
-            self._k = k
+        if not self._n_cw:
             self._cores = np.zeros((n_words(k), len(self._cycles)), dtype=WORD)
-        slot = self._n_cw
-        self._cycles = grown(self._cycles, slot + 1)
-        self._cores = grown(self._cores, slot + 1, axis=1)
-        self._cycles[slot] = cycle - 1
-        self._cores[:, slot] = core
+        self._k = k
+        col = self._n_cw
+        self._cycles = grown(self._cycles, col + 1)
+        self._cores = grown(self._cores, col + 1, axis=1)
+        self._cycles[col] = cycle - 1
+        self._cores[:, col] = core
         self._n_cw += 1
         self._widest = max(self._widest, cycle * k)
 
@@ -368,7 +351,8 @@ class HashIndex:
         and distinct (DuplicateIdError). A phi block behind the
         model's new cycles takes the rows at its own width, and the next
         ``refresh`` or ``apply_model_update`` catches them up with the rest. A
-        model narrower than the block raises ConsistencyError.
+        model narrower than the block, or of another k than the index's rows,
+        raises ConsistencyError.
         """
         ids = [int(i) for i in ids]
         X = np.asarray(X, dtype=np.float64)
@@ -377,37 +361,41 @@ class HashIndex:
         if X.ndim != 2 or len(X) != n or len(labels) != n:
             raise ValueError(f"{n} ids, {len(labels)} labels and a block of shape {X.shape} "
                              "do not make one row each")
-        width, slot = self._phi_width or model.width, self._n_phi
+        width, col = self._phi_width or model.width, self._n_phi
         if width > model.width:
             raise ConsistencyError(f"phi entries have width {width}, the model {model.width}")
+        if self._k not in (0, model.k):
+            raise ConsistencyError(f"the index's rows have k={self._k}, the model k={model.k}")
         if width < 1:
             raise ValueError("model has no hash functions")
         if X.shape[1] != model.d:
             raise DimensionError(f"feature length {X.shape[1]} does not match d={model.d}")
-        if slot and X.shape[1] + 1 != self._feats.shape[1]:
+        if col and X.shape[1] + 1 != self._feats.shape[1]:
             raise DimensionError(
                 f"feature length {X.shape[1]} does not match "
                 f"{self._feats.shape[1] - 1} of the existing phi entries")
         # The rows are staged in the blocks' spare capacity, past the last phi
         # row, so a batch that exact_signs or _append refuses leaves no row
         # behind. Spare feature rows keep the 1.0 of [x; 1] in their last column.
-        if not slot:
-            self._values = np.zeros((n_words(width), len(self._feats)), dtype=WORD)
+        size, slots = _phi_layout(model.k, width)
+        if not col:
+            self._values = np.zeros((size * slots // 8, len(self._feats)), dtype=WORD)
             self._feats = np.ones((len(self._feats), model.d + 1))
-        if slot + n > len(self._feats):
-            self._feats = grown(self._feats, slot + n, fill=1.0)
-            self._values = grown(self._values, slot + n, axis=1)
-        Xa = self._feats[slot:slot + n]
+        if col + n > len(self._feats):
+            self._feats = grown(self._feats, col + n, fill=1.0)
+            self._values = grown(self._values, col + n, axis=1)
+        Xa = self._feats[col:col + n]
         Xa[:, :-1] = X
         # The model's kept norm bound, unless the block scores only its first columns.
         signs = exact_signs(model.weights[:width], Xa, lambda i: f"row id {ids[i]}",
                             w_bound=model.sq_norm_bound if width == model.width else None)
-        self._values[:, slot:slot + n] = _span_words(signs, [(0, width)], 0, n_words(width))
+        packed = _packed(signs, model.k, size, slots).reshape(n, size * slots)
+        self._values[:, col:col + n] = packed.view(WORD).T
         self._append(ids, labels, True)
         self._n_phi += n
         self._x_bound = None
         if n:
-            self._phi_width = width
+            self._k, self._phi_width, self._phi_slots = model.k, width, (size, slots)
             self._widest = max(self._widest, width)
 
     def insert_unlabeled(self, id: int, x: np.ndarray, model: HashModel,
@@ -415,66 +403,74 @@ class HashIndex:
         """Index one instance under the mapping output: ``insert_many``'s one-row case."""
         self.insert_many([id], np.asarray(x).reshape(1, -1), model, [label])
 
-    def _recompute(self, model: HashModel, spans: list[tuple[int, int]]) -> int:
-        """Recompute the columns [lo, hi) of ``spans`` in every phi row; returns the bits.
+    def _recompute(self, model: HashModel, cycles: list[int]) -> int:
+        """Recompute the given 1-based cycles in every phi row; returns the bits.
 
-        One ``exact_signs`` call scores the columns of every span, against
-        the kept ``feature_sq_norm_bound``. Their bits are packed into the
-        words from the first span's to the last span's and merged into the
-        rows under a mask. Rows come out at the model's width. Flips are
-        counted only over the positions rows had before the call, so growing
-        a code is not charged as flipping it. Both counts go to the ledger; a
-        call that recomputes nothing leaves it as it was.
+        One ``exact_signs`` call scores the cycles' columns, against the kept
+        ``feature_sq_norm_bound``, and one packbits call packs only their
+        signs. Each cycle's bytes are written through a byte view of its
+        slot, so no other bit changes. Rows come out at the model's width.
+        Flips, the popcount of old XOR new slots, count only in the cycles the
+        rows held before the call, so growing a code is not charged as
+        flipping it. Both counts go to the ledger; a call that recomputes
+        nothing leaves it as it was. A model of another k raises
+        ConsistencyError.
         """
-        n = self._n_phi
-        if not n or not spans:
+        n, k = self._n_phi, self._k
+        if not n or not cycles:
             return 0
-        extra = n_words(model.width) - len(self._values)
+        if model.k != k:
+            raise ConsistencyError(f"the index's rows have k={k}, the model k={model.k}")
+        size, slots = _phi_layout(k, model.width)
+        extra = size * slots // 8 - len(self._values)
         if extra > 0:
             self._values = np.pad(self._values, ((0, extra), (0, 0)))
-        first = min(lo for lo, _ in spans) // WORD_BITS
-        words = self._values[first:n_words(max(hi for _, hi in spans)), :n]
-        columns = sum(hi - lo for lo, hi in spans)
-        # The spans' weights as one C-ordered (d+1, columns) block, so the product
+        # The cycles' weights as one C-ordered (d+1, columns) block, so the product
         # Xa @ W.T reads an untransposed right-hand side, which BLAS multiplies
         # faster; its norm bound is read from it, as vdot would copy Wt.T.
-        Wt = np.concatenate([model.weights[lo:hi].T for lo, hi in spans], axis=1,
-                            out=np.empty((model.d + 1, columns)))
+        Wt = np.concatenate([model.weights[(j - 1) * k:j * k].T for j in cycles], axis=1,
+                            out=np.empty((model.d + 1, k * len(cycles))))
         new = exact_signs(Wt.T, self._feats[:n], w_bound=_sq_norm_bound(Wt),
                           x_bound=self.feature_sq_norm_bound)
-        fresh = _span_words(new, spans, first, len(words))
-        # The spans' positions as mask words, and those of them the rows had
-        # before the call, where flips count.
-        base = WORD_BITS * first
-        inside = np.zeros((2, WORD_BITS * len(words)), dtype=bool)
-        for lo, hi in spans:
-            inside[:, lo - base:hi - base] = True
-        inside[1, max(0, self._phi_width - base):] = False
-        mask, kept = np.packbits(inside, 1, "little").view(WORD)
-        flips = int(np.bitwise_count((words ^ fresh) & kept[:, None]).sum())
-        words[:] = words & ~mask[:, None] | fresh
-        self._phi_width = model.width
+        # Each slot as (words, rows, bytes in a word), and a row's bytes in a word as
+        # one item: numpy copies a strided array of items several times faster.
+        t = min(size, 8)
+        packed = _packed(new, k, size, len(cycles)).reshape(n, len(cycles), -1, t)
+        rows = self._values.view(np.uint8).reshape(len(self._values), -1, 8)[:, :n]
+        held, flips = self._phi_width // k, 0
+        for i, j in enumerate(cycles):
+            w, b = divmod((j - 1) * size, 8)  # the slot's first word, and byte in it
+            words = self._values[w:w + packed.shape[2], :n]
+            old = words.copy() if j <= held else None
+            rows[w:w + packed.shape[2], :, b:b + t].view(f"V{t}")[...] = \
+                packed[:, i].swapaxes(0, 1).view(f"V{t}")
+            if old is not None:
+                flips += int(np.bitwise_count(old ^ words).sum())
+        self._phi_width, self._phi_slots = model.width, (size, slots)
         self._widest = max(self._widest, model.width)
-        n_bits = n * columns
+        n_bits = n * k * len(cycles)
         self.ledger.record(n_bits, flips, n)
         return n_bits
 
     def apply_model_update(self, report: StepReport, model: HashModel) -> int:
         """Eagerly propagate one training step into every phi-mode entry.
 
-        Recomputes exactly the touched columns (which, for a step that opened
-        a new cycle, are the freshly appended ones, so entries grow here) and
-        returns the number of recomputed bit entries: phi_count * k.
+        Recomputes exactly the touched cycle (which, for a step that opened a
+        new cycle, is the freshly appended one, so entries grow here) and
+        returns the number of recomputed bit entries: phi_count * k. A report
+        whose columns are not one cycle's k columns of the model, or that the
+        rows' width does not match, raises ConsistencyError before any change.
         """
-        lo, hi = report.touched_columns.start, report.touched_columns.stop
-        if hi > model.width:
-            raise ConsistencyError(
-                f"report touches columns up to {hi} but model width is {model.width}")
-        expected = model.width - (hi - lo) if report.new_cycle_started else model.width
+        touched, k = report.touched_columns, model.k
+        hi = touched.start + k
+        if touched.start % k or touched != range(touched.start, hi) or hi > model.width:
+            raise ConsistencyError(f"report touches columns {touched}, not one of the "
+                                   f"k={k} columns of a cycle of {model.width // k}")
+        expected = model.width - k if report.new_cycle_started else model.width
         if self._n_phi and self._phi_width != expected:
             raise ConsistencyError(
                 f"stale report: entries have width {self._phi_width}, expected {expected}")
-        return self._recompute(model, [(lo, hi)])
+        return self._recompute(model, [hi // k])
 
     def refresh(self, model: HashModel, cycles=()) -> int:
         """Batched propagation: recompute the given cycles' columns once.
@@ -495,7 +491,7 @@ class HashIndex:
         if todo and not 1 <= todo[0] <= todo[-1] <= total_cycles:
             raise ValueError(f"cycle list {todo} out of range [1, {total_cycles}]")
         todo = sorted(set(todo).union(range(old_width // k + 1, total_cycles + 1)))
-        return self._recompute(model, [((j - 1) * k, j * k) for j in todo])
+        return self._recompute(model, todo)
 
     def _distances(self, model: HashModel, X: np.ndarray, first: int = 0) -> np.ndarray:
         """Masked Hamming distances from each query row of ``X`` to every entry.
@@ -511,23 +507,26 @@ class HashIndex:
         if self._widest > width:
             raise ConsistencyError(
                 f"an entry is wider ({self._widest}) than the query ({width})")
-        if self._n_cw and self._k != model.k:
-            raise ConsistencyError(f"codeword entries have k={self._k}, the model k={model.k}")
+        if self._k not in (0, model.k):
+            raise ConsistencyError(f"the index's rows have k={self._k}, the model k={model.k}")
         signs = exact_signs(model.weights, augment_rows(X, model.d),
                             lambda i: f"query row {first + i}", w_bound=model.sq_norm_bound)
         queries = len(X)
-        n_cw, n_phi = self._n_cw, self._n_phi
-        dtype = _distance_dtype(max(self._k, self._phi_width))
+        n_cw, n_phi, k = self._n_cw, self._n_phi, self._k
+        dtype = _distance_dtype(max(k, self._phi_width))
         if n_cw:
-            # Each codeword slot meets the query's bits in its own cycle.
-            k = self._k
-            q = _packed(signs[:, :width - width % k], k).transpose(2, 0, 1)
+            # Each codeword row meets the query's bits in its own cycle, in whole words.
+            q = _packed(signs[:, :width - width % k], k, 8 * n_words(k), width // k)
+            q = q.view(WORD).transpose(2, 0, 1)
             cw_d = _hamming(np.take(q, self._cycles[:n_cw], axis=2),
                             self._cores[:, :n_cw], dtype)
         if n_phi:
             # The query's bits at or past the phi width are cleared, as the rows' are.
-            pw = self._phi_width
-            q = _packed(signs[:, :pw], pw).transpose(2, 0, 1)
+            # Slots that their cycles fill are the bits back to back: one slot a row.
+            pw, (size, slots) = self._phi_width, self._phi_slots
+            q = (_packed(signs[:, :pw], pw, size * slots, 1) if 8 * size == k else
+                 _packed(signs[:, :pw], k, size, slots).reshape(queries, 1, size * slots))
+            q = q.view(WORD).transpose(2, 0, 1)
             phi_d = _hamming(q, self._values[:, :n_phi], dtype)
         if n_cw and n_phi:
             is_phi = self._is_phi[:len(self)]

@@ -43,7 +43,7 @@ MODEL_MAGIC = b"ECOCHMDL"
 INDEX_MAGIC = b"ECOCHIDX"
 FEATURE_MAGIC = 0x54414546  # the bytes b"FEAT"
 MODEL_VERSION = 2
-INDEX_VERSION = 3
+INDEX_VERSION = 4
 
 # Model file format version 2, in the framing of ``FILE_LAYOUT``. ``pool`` and ``cores``
 # hold ceil(k/64) words per code, ``label_cycles`` one cycle per label, both in the order

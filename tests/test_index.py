@@ -14,7 +14,7 @@ from ecochash.ecoc import new_matrix
 from ecochash.errors import ConsistencyError, DuplicateIdError, UnknownLabelError
 from ecochash.evaluation import retrieval_map
 from ecochash.index import MODE_CODEWORD, MODE_PHI, HashIndex
-from ecochash.learner import HashModel, exact_signs, phi, step
+from ecochash.learner import HashModel, StepReport, exact_signs, phi, step
 from ecochash.storage import load_index, save_index
 
 
@@ -65,18 +65,49 @@ def test_duplicate_id_rejected():
         index.insert_unlabeled(7, stream[0][0], model)
 
 
+def same_arrays(a, b):
+    return a.keys() == b.keys() and all(np.array_equal(a[f], b[f]) for f in a)
+
+
+def copied_arrays(index):
+    return {f: np.array(v) for f, v in index.arrays().items()}
+
+
 def test_duplicate_id_leaves_index_unchanged():
-    """A duplicate id raises before its row can set the index's codeword k."""
+    """A duplicate id raises before any change, and so does a row of another k."""
     matrix, cb, model, stream = small_stream()
     step(model, matrix, cb, stream[0][0], stream[0][1])
     index = HashIndex()
     index.insert_unlabeled(7, stream[0][0], model)
+    before = copied_arrays(index)
     with pytest.raises(DuplicateIdError):
         index.insert_labeled(7, stream[0][1], matrix)
     other, other_cb, other_model, other_stream = small_stream(k=4)
     step(other_model, other, other_cb, other_stream[0][0], other_stream[0][1])
-    index.insert_labeled(8, other_stream[0][1], other)
-    assert [e.id for e in index.entries] == [7, 8]
+    # The k=8 phi row set the index's k, so a k=4 codeword row is refused.
+    with pytest.raises(ConsistencyError):
+        index.insert_labeled(8, other_stream[0][1], other)
+    assert same_arrays(copied_arrays(index), before)
+
+
+def test_every_row_of_an_index_shares_one_k():
+    matrix, cb, model, stream = small_stream(k=8)
+    other, other_cb, other_model, _ = small_stream(k=4)
+    step(model, matrix, cb, *stream[0])
+    step(other_model, other, other_cb, *stream[0])
+    X = [x for x, _ in stream[:3]]
+    phis, codewords = HashIndex(), HashIndex()
+    phis.insert_many(range(3), X, model)
+    codewords.insert_labeled(0, stream[0][1], matrix)
+    for index in (phis, codewords):
+        before = copied_arrays(index)
+        with pytest.raises(ConsistencyError):
+            index.insert_many([10, 11], X[:2], other_model)
+        with pytest.raises(ConsistencyError):
+            index.insert_labeled(12, stream[0][1], other)
+        assert same_arrays(copied_arrays(index), before)
+    # The rows' k is the index's k until the last row goes, however it was set.
+    assert int(phis.arrays()["k"]) == int(codewords.arrays()["k"]) == 8
 
 
 def test_same_cycle_labels_get_distinct_codes():
@@ -172,8 +203,9 @@ def test_flips_match_snapshot_diff():
 
 
 def test_recompute_spans_that_straddle_words():
-    # k=24: cycle 3 owns positions [48, 72), across words 0 and 1, and
-    # cycles 1 and 2 share word 0.
+    # k=24: code positions [48, 72) of cycle 3 would cross words 0 and 1
+    # back to back; in slots of 4 bytes, cycles 1 and 2 share word 0 and
+    # cycles 3 and 4 word 1, each slot with a byte of padding.
     matrix, cb, model, stream = small_stream(n_labels=5, k=24, rho=1, steps=40)
     step(model, matrix, cb, stream[0][0], stream[0][1])
     eager, late = HashIndex(), HashIndex()
@@ -198,11 +230,11 @@ def test_recompute_spans_that_straddle_words():
         assert a.code.values == phi(model, a.features)
 
 
-@pytest.mark.parametrize("k", [5, 24, 64])
+@pytest.mark.parametrize("k", [5, 8, 24, 32, 64, 70])
 def test_refresh_of_any_set_of_cycles_rewrites_the_same_bits(k):
-    # Each subset of six cycles packs its columns back to back and shifts
-    # each run into place: runs start mid-byte (k=5), mid-word and read on
-    # into the next packed word (k=24: cycles 1, 2 and 4), or fill words (k=64).
+    # Each subset of six cycles rewrites its slots, and only them: a padded
+    # byte (k=5), a full byte (8), 4 bytes with one of padding (24), half a
+    # word (32), a word (64) or two words with padding (70).
     matrix, cb, model, stream = small_stream(n_labels=6, k=k, rho=1, steps=12)
     for x, y in stream:
         step(model, matrix, cb, x, y)
@@ -218,7 +250,7 @@ def test_refresh_of_any_set_of_cycles_rewrites_the_same_bits(k):
 
 def test_recompute_scores_one_c_ordered_weight_block(monkeypatch):
     # For small blocks BLAS multiplies Xa @ W.T faster when W.T is C-ordered.
-    # A recompute copies its spans' weights into one such block; a row slice
+    # A recompute copies its cycles' weights into one such block; a row slice
     # of the weights, or a concatenation of them, would be F-ordered. Inserts
     # and queries score against the weights themselves, with no copy.
     calls = []
@@ -244,6 +276,38 @@ def test_recompute_scores_one_c_ordered_weight_block(monkeypatch):
     for (W, _), columns in zip(calls[1:3], spans):
         assert W.T.flags.c_contiguous
         assert np.array_equal(W, model.weights[columns])
+
+
+@pytest.mark.parametrize("k", [8, 16, 32, 64])
+def test_phi_rows_are_phi_bits_back_to_back_when_k_fills_its_slot(k):
+    # At these k a slot is the cycle's bits, so the words are the code's: at
+    # width 96 and k=32 a row is 2 words, as it was before rows had slots.
+    matrix, cb, model, stream = small_stream(n_labels=3, k=k, rho=1, steps=9)
+    for x, y in stream:
+        step(model, matrix, cb, x, y)
+    index = HashIndex()
+    index.insert_many(range(9), [x for x, _ in stream], model)
+    report = step(model, matrix, cb, *stream[0])
+    index.apply_model_update(report, model)
+    words = -(-model.width // 64)
+    want = [phi(model, x).bits.to_bytes(8 * words, "little") for x, _ in stream]
+    assert index.arrays()["values"].shape == (9, words)
+    assert [row.tobytes() for row in index.arrays()["values"]] == want
+
+
+@pytest.mark.parametrize("columns", [range(3, 11), range(0, 4), range(0, 16), range(0, 16, 2)])
+def test_apply_rejects_a_report_that_is_not_one_cycle(columns):
+    matrix, cb, model, stream = small_stream(n_labels=2, k=8, rho=1)
+    for x, y in stream[:2]:
+        step(model, matrix, cb, x, y)
+    index = HashIndex()
+    index.insert_many(range(4), [x for x, _ in stream[:4]], model)
+    before = copied_arrays(index)
+    report = StepReport(label="c0", touched_columns=columns, surrogate_loss_before=0.0,
+                        new_cycle_started=False, is_new_label=False)
+    with pytest.raises(ConsistencyError):
+        index.apply_model_update(report, model)
+    assert same_arrays(copied_arrays(index), before)
 
 
 def test_new_cycle_extension_not_counted_as_flip():
@@ -592,8 +656,8 @@ def naive_ranking(index, model, x):
     return [(id_, d) for d, _, id_ in rows]
 
 
-# k=24 puts cycle 3 across the first word boundary, so eager updates and
-# multi-cycle refreshes recompute spans that straddle words.
+# k=24 gives slots of 4 bytes with one byte of padding, two to a word, so
+# eager updates and multi-cycle refreshes write part of a word.
 @pytest.mark.parametrize("k", [8, 24])
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 2**32 - 1)),

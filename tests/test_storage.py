@@ -409,8 +409,11 @@ def test_index_roundtrip_bytes(tmp_path):
 
 
 # SHA-256 of the saved populated index after one eager update, in format
-# version 3.
-POPULATED_INDEX_SHA256 = "8d10ebcaea894fa6f7e1913a4b1e7b798a4bbbe4f91a581f2ea6a59063b19bd1"
+# version 4, and of the same bytes with the version field set to 3, the pin
+# of format version 3. At k=8 a phi row's slots are its bits back to back,
+# and the index has codeword rows, so version 3 stored its k too.
+POPULATED_INDEX_SHA256 = "0b5a0e5d84f64fdc106a777b0df632f78904866bfc26c6428625089918bbb374"
+VERSION_3_SHA256 = "8d10ebcaea894fa6f7e1913a4b1e7b798a4bbbe4f91a581f2ea6a59063b19bd1"
 
 
 def test_index_bytes_are_pinned(tmp_path):
@@ -420,7 +423,11 @@ def test_index_bytes_are_pinned(tmp_path):
     index.apply_model_update(report, bundle.model)
     p = tmp_path / "i.index"
     save_index(index, p)
-    assert hashlib.sha256(p.read_bytes()).hexdigest() == POPULATED_INDEX_SHA256
+    blob = p.read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == POPULATED_INDEX_SHA256
+    # Only the version field moved from version 3.
+    as_3 = blob[:8] + struct.pack("<I", 3) + blob[12:]
+    assert hashlib.sha256(as_3).hexdigest() == VERSION_3_SHA256
 
 
 def test_index_version_1_is_refused(tmp_path):
@@ -441,6 +448,18 @@ def test_index_version_2_is_refused(tmp_path):
     p = tmp_path / "old.index"
     p.write_bytes(storage.INDEX_MAGIC + struct.pack("<I", 2) + b"".join(items))
     with pytest.raises(FormatError, match="unsupported index version 2.*ecochash index"):
+        load_index(p)
+
+
+def test_index_version_3_is_refused(tmp_path):
+    # An empty version-3 index: the version-4 arrays, phi rows packed back
+    # to back instead of in slots, and k 0 without codeword rows.
+    sizes = [0, 0, 0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 1, 1, 1, 1]
+    items = [struct.pack("<Q", n) + b"\0" * (8 if i >= 13 else 4) * n
+             for i, n in enumerate(sizes)]
+    p = tmp_path / "old.index"
+    p.write_bytes(storage.INDEX_MAGIC + struct.pack("<I", 3) + b"".join(items))
+    with pytest.raises(FormatError, match="unsupported index version 3.*ecochash index"):
         load_index(p)
 
 
@@ -480,27 +499,47 @@ def _set_first(value):
     return change
 
 
-@pytest.mark.parametrize("name, change", [
-    ("is_phi", _set_first(lambda a, f: 2)),
-    ("ids", _set_first(lambda a, f: a[1])),
-    ("label_of", _set_first(lambda a, f: len(f["label_lengths"]))),
-    ("k", lambda v, f: 0),
-    ("cycles", _set_first(lambda a, f: 0)),
-    ("cycles", _set_first(lambda a, f: f["widest"] // f["k"] + 1)),
-    ("cores", _set_first(lambda a, f: int(a.flat[0]) | 1 << int(f["k"]))),
-    ("values", _set_first(lambda a, f: int(a.flat[0]) | 1 << int(f["phi_width"]))),
-    ("widest", lambda v, f: v + 1),
-    ("features", _set_first(lambda a, f: -np.inf)),
+def phi_only_index(k):
+    """Six phi rows at three cycles of k bits, and no codeword rows."""
+    model = HashModel.create(d=3, k=k, seed=1)
+    for cycle in (2, 3):
+        model.grow_cycle(cycle)
+    index = HashIndex()
+    index.insert_many(range(6), np.random.default_rng(4).standard_normal((6, 3)), model)
+    return index
+
+
+def _populated():
+    return populated_index(*trained_bundle())
+
+
+@pytest.mark.parametrize("build, names, change", [
+    (_populated, "is_phi", _set_first(lambda a, f: 2)),
+    (_populated, "ids", _set_first(lambda a, f: a[1])),
+    (_populated, "label_of", _set_first(lambda a, f: len(f["label_lengths"]))),
+    (_populated, "k", lambda v, f: 0),
+    (_populated, "cycles", _set_first(lambda a, f: 0)),
+    (_populated, "cycles", _set_first(lambda a, f: f["widest"] // f["k"] + 1)),
+    (_populated, "cores", _set_first(lambda a, f: int(a.flat[0]) | 1 << int(f["k"]))),
+    (_populated, "values", _set_first(lambda a, f: int(a.flat[0]) | 1 << int(f["phi_width"]))),
+    (_populated, "widest", lambda v, f: v + 1),
+    (_populated, "features", _set_first(lambda a, f: -np.inf)),
+    (lambda: phi_only_index(8), "k", lambda v, f: 0),
+    # 24 bits at k=8 to 20: the rows keep their one word, and widest follows.
+    (lambda: phi_only_index(8), "phi_width widest", lambda v, f: v - 4),
+    # Bit 24 of a row at k=24 is in the padding byte of the first cycle's slot.
+    (lambda: phi_only_index(24), "values",
+     _set_first(lambda a, f: int(a.flat[0]) | 1 << int(f["k"]))),
 ], ids=["flag", "repeated-id", "label-index", "k-zero", "cycle-zero", "cycle-past-widest",
-        "core-bit-past-k", "phi-bit-past-width", "widest", "feature-not-finite"])
-def test_index_rejects_broken_arrays(tmp_path, name, change):
-    bundle, Xn, labels = trained_bundle()
-    fields = {key: np.array(v) for key, v in
-              populated_index(bundle, Xn, labels).arrays().items()}
+        "core-bit-past-k", "phi-bit-past-width", "widest", "feature-not-finite",
+        "phi-only-k-zero", "phi-width-not-a-multiple-of-k", "phi-bit-in-slot-padding"])
+def test_index_rejects_broken_arrays(tmp_path, build, names, change):
+    fields = {key: np.array(v) for key, v in build().arrays().items()}
     p = tmp_path / "i.index"
     save_index(SavedArrays(fields), p)
     load_index(p)
-    fields[name] = change(fields[name], fields)
+    for name in names.split():
+        fields[name] = change(fields[name], fields)
     save_index(SavedArrays(fields), p)
     with pytest.raises(FormatError):
         load_index(p)
