@@ -1,16 +1,19 @@
-"""The growing ternary code matrix: cycle bookkeeping and codeword assignment.
+"""The growing ternary code matrix: codeword assignment in arrival order.
 
 Labels arrive in cycles of ``rho``; each cycle owns ``k`` dedicated columns.
 A label observed in cycle j is assigned a k-bit core drawn from the codebook,
-active only inside columns [(j-1)k, jk). Storage keeps just the core and the
-cycle index per label, so the matrix costs O(k) per label no matter how wide
-it grows. Training and indexing work on (cycle, core) directly; ``find``
-builds the full-width ternary codeword as the reference form.
+active only inside columns [(j-1)k, jk). Storage keeps just the core per
+label, in arrival order, and a label's cycle follows from its place in that
+order, so the matrix costs O(k) per label no matter how wide it grows.
+Training and indexing work on (cycle, core) directly; ``find`` builds the
+full-width ternary codeword as the reference form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,36 +35,31 @@ class ObserveResult:
     is_new_label: bool
 
 
-@dataclass(eq=False)
 class EcocMatrix:
     """Label -> ternary codeword map that grows in both directions.
 
-    ``m`` counts cycles (so the total width is m*k) and ``n_in_cycle`` counts
-    labels already assigned in the current cycle. The counter starts at 0 and
-    a new cycle opens when it would exceed ``rho``, which makes "rho labels
-    per cycle" hold exactly. Label y, in cycle ``cycle_of_label[y]``, is row
-    ``rows[y]`` of two read-only blocks: ``cores`` (ceil(k/64) words) and
-    ``signs``, the core as k float64 +1/-1 entries for training, derived
-    from ``cores`` and never saved. The constructor copies what it is given.
+    The labels, in arrival order, are the matrix: the label of row r is in
+    cycle r // rho + 1, so every cycle but the last holds exactly rho labels.
+    ``m`` counts cycles (so the total width is m*k) and ``n_in_cycle`` the
+    labels of the last one; both are derived from the label count. Label y is
+    row ``rows[y]`` of two read-only blocks: ``cores`` (ceil(k/64) words) and
+    ``signs``, the core as k float64 +1/-1 entries for training, derived from
+    ``cores`` and never saved. ``cycle_of_label`` is a read-only view of each
+    label's cycle. The constructor copies what it is given.
     """
 
-    k: int
-    rho: int
-    m: int = 1
-    n_in_cycle: int = 0
-    cycle_of_label: dict[Label, int] = field(default_factory=dict)
-    cores: np.ndarray = ()
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.rho < 1:
-            raise ValueError(f"rho must be >= 1, got {self.rho}")
-        self.cycle_of_label = dict(self.cycle_of_label)
-        self.rows: dict[Label, int] = {y: row for row, y in enumerate(self.cycle_of_label)}
+    def __init__(self, k: int, rho: int, labels: Iterable[Label] = (), cores=()) -> None:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if rho < 1:
+            raise ValueError(f"rho must be >= 1, got {rho}")
+        self.k, self.rho = k, rho
+        self.rows: dict[Label, int] = {y: row for row, y in enumerate(labels)}
+        self._cycles = {y: row // rho + 1 for y, row in self.rows.items()}
+        self.cycle_of_label: Mapping[Label, int] = MappingProxyType(self._cycles)
         # Both blocks grow by doubling; ``cores`` and ``signs`` view their filled rows.
-        self._cores = np.array(self.cores, dtype=WORD).reshape(len(self.rows), n_words(self.k))
-        self._signs = _sign_rows(self._cores, self.k)
+        self._cores = np.array(cores, dtype=WORD).reshape(len(self.rows), n_words(k))
+        self._signs = _sign_rows(self._cores, k)
         self._expose()
 
     def _expose(self) -> None:
@@ -71,16 +69,22 @@ class EcocMatrix:
 
     def __reduce__(self):
         # Copies and pickles go through the constructor, so the views are of their own blocks.
-        return EcocMatrix, (self.k, self.rho, self.m, self.n_in_cycle, self.cycle_of_label,
-                            self.cores)
+        return EcocMatrix, (self.k, self.rho, self.labels, self.cores)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EcocMatrix):
             return NotImplemented
-        return ((self.k, self.rho, self.m, self.n_in_cycle)
-                == (other.k, other.rho, other.m, other.n_in_cycle)
-                and list(self.cycle_of_label.items()) == list(other.cycle_of_label.items())
+        return ((self.k, self.rho, self.labels) == (other.k, other.rho, other.labels)
                 and np.array_equal(self.cores, other.cores))
+
+    @property
+    def m(self) -> int:
+        # ceil(labels / rho), or 1 without labels; each step reads it twice, and max() is slower.
+        return -(-len(self.rows) // self.rho) or 1
+
+    @property
+    def n_in_cycle(self) -> int:
+        return len(self.rows) - (self.m - 1) * self.rho
 
     @property
     def width(self) -> int:
@@ -100,7 +104,7 @@ class EcocMatrix:
         """The cycle and the core words of a known label."""
         if y not in self.rows:
             raise UnknownLabelError(f"label {y!r} has not been observed")
-        return self.cycle_of_label[y], self.cores[self.rows[y]]
+        return self._cycles[y], self.cores[self.rows[y]]
 
     def find(self, y: Label) -> TernaryCodeword:
         """The reference codeword of a known label, at the current width."""
@@ -128,21 +132,16 @@ class EcocMatrix:
         if y in self.rows:
             return ObserveResult(False, False)
         core = cb.draw()
-        new_cycle = self.n_in_cycle == self.rho
-        if new_cycle:
-            self.m += 1
-            self.n_in_cycle = 0
         row = len(self.rows)
         self._cores = grown(self._cores, row + 1)
         self._signs = grown(self._signs, row + 1)
         self._cores[row] = core
         self._signs[row] = _sign_rows(self._cores[row], self.k)
         self.rows[y] = row
-        self.cycle_of_label[y] = self.m
-        self.n_in_cycle += 1
+        self._cycles[y] = row // self.rho + 1
         self._expose()
-        return ObserveResult(new_cycle, True)
+        return ObserveResult(row > 0 and row % self.rho == 0, True)
 
 
 def new_matrix(k: int, rho: int) -> EcocMatrix:
-    return EcocMatrix(k=k, rho=rho)
+    return EcocMatrix(k, rho)

@@ -125,10 +125,16 @@ def _packed(signs: np.ndarray, k: int, size: int, slots: int) -> np.ndarray:
     """(rows, cycles * k) signs as (rows, slots, size) bytes, cycle j's bits in slot j.
 
     One packbits call packs the signs: flat as they are when they fill the
-    slots, else from one copy into a clear block that does.
+    slots, else from one copy into a clear block that does. When k fills its
+    slot, a row's slots are its cycles' bits back to back, so the block adds
+    only the clear slots past its last cycle.
     """
     rows, cycles = len(signs), signs.shape[1] // k
-    if cycles == slots and k == 8 * size:
+    if k == 8 * size:
+        if cycles < slots:
+            bits = np.zeros((rows, slots * k), bool)
+            bits[:, :cycles * k] = signs
+            signs = bits
         # One flat call is several times faster than one per row or slot.
         return np.packbits(signs, None, "little").reshape(rows, slots, size)
     bits = np.zeros((rows, slots, 8 * size), bool)
@@ -522,10 +528,8 @@ class HashIndex:
                             self._cores[:, :n_cw], dtype)
         if n_phi:
             # The query's bits at or past the phi width are cleared, as the rows' are.
-            # Slots that their cycles fill are the bits back to back: one slot a row.
             pw, (size, slots) = self._phi_width, self._phi_slots
-            q = (_packed(signs[:, :pw], pw, size * slots, 1) if 8 * size == k else
-                 _packed(signs[:, :pw], k, size, slots).reshape(queries, 1, size * slots))
+            q = _packed(signs[:, :pw], k, size, slots).reshape(queries, 1, size * slots)
             q = q.view(WORD).transpose(2, 0, 1)
             phi_d = _hamming(q, self._values[:, :n_phi], dtype)
         if n_cw and n_phi:

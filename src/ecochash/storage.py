@@ -4,11 +4,11 @@ Model and index files are one framing: a magic, a u32 version, then the
 arrays of a layout in order, each as its u64 element count and its
 little-endian items (a single value is an array of one).
 ``FILE_LAYOUT`` in ``ecochash.index`` names an index's arrays and
-``MODEL_LAYOUT`` here a model's: the codebook pool, every label's cycle
-and core, the weights and the normalizer's mean. Saving and reloading a
-bundle reproduces it byte for byte, including the codebook draw
-position, so a restored session continues the exact same random sequence
-it would have produced uninterrupted.
+``MODEL_LAYOUT`` here a model's: the codebook pool, every label's core in
+arrival order (which gives its cycle), the weights and the normalizer's
+mean. Saving and reloading a bundle reproduces it byte for byte,
+including the codebook draw position, so a restored session continues the
+exact same random sequence it would have produced uninterrupted.
 
 Feature files come in two encodings. The binary one is compact and typed:
 a "FEAT" magic, the dimension, then (u64 id, i32 label, d float32) records
@@ -42,21 +42,21 @@ from .learner import FeatureNormalizer, HashModel
 MODEL_MAGIC = b"ECOCHMDL"
 INDEX_MAGIC = b"ECOCHIDX"
 FEATURE_MAGIC = 0x54414546  # the bytes b"FEAT"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 INDEX_VERSION = 4
 
-# Model file format version 2, in the framing of ``FILE_LAYOUT``. ``pool`` and ``cores``
-# hold ceil(k/64) words per code, ``label_cycles`` one cycle per label, both in the order
-# of the label table. An empty ``mean`` means no normalizer, and its count is then 0.
+# Model file format version 3, in the framing of ``FILE_LAYOUT``. ``pool`` and ``cores``
+# hold ceil(k/64) words per code, ``cores`` in the order of the label table, which is
+# arrival order: the label at place r is in cycle r // rho + 1. An empty ``mean`` means
+# no normalizer, and its count is then 0.
 MODEL_LAYOUT = (
     ("k", "<u4"), ("rho", "<u4"), ("d", "<u4"), ("eta", "<f8"), ("seed", "<u8"),
-    ("iteration", "<u8"), ("cycles", "<u4"), ("n_in_cycle", "<u4"),
-    ("codebook_seed", "<u8"), ("draws_made", "<u8"), ("pool", "<u8"), ("cores", "<u8"),
-    ("label_cycles", "<u4"), ("label_lengths", "<u4"), ("label_text", "u1"),
+    ("iteration", "<u8"), ("codebook_seed", "<u8"), ("draws_made", "<u8"), ("pool", "<u8"),
+    ("cores", "<u8"), ("label_lengths", "<u4"), ("label_text", "u1"),
     ("weights", "<f8"), ("normalizer_count", "<u8"), ("mean", "<f8"),
 )
-_MODEL_SINGLE = ("k", "rho", "d", "eta", "seed", "iteration", "cycles", "n_in_cycle",
-                 "codebook_seed", "draws_made", "normalizer_count")
+_MODEL_SINGLE = ("k", "rho", "d", "eta", "seed", "iteration", "codebook_seed", "draws_made",
+                 "normalizer_count")
 
 
 class _Reader:
@@ -132,11 +132,8 @@ def save_model(bundle: ModelBundle, path) -> None:
     m, mat, cb, norm = bundle.model, bundle.matrix, bundle.codebook, bundle.normalizer
     _save_arrays(path, MODEL_MAGIC, MODEL_VERSION, MODEL_LAYOUT, {
         "k": mat.k, "rho": mat.rho, "d": m.d, "eta": bundle.eta, "seed": m.seed,
-        "iteration": m.iteration, "cycles": mat.m, "n_in_cycle": mat.n_in_cycle,
-        "codebook_seed": cb.rng_seed, "draws_made": cb.draws_made,
-        "pool": cb.pool, "cores": mat.cores,
-        "label_cycles": list(mat.cycle_of_label.values()),
-        **encode_labels(mat.cycle_of_label),
+        "iteration": m.iteration, "codebook_seed": cb.rng_seed, "draws_made": cb.draws_made,
+        "pool": cb.pool, "cores": mat.cores, **encode_labels(mat.rows),
         "weights": m.weights,
         "normalizer_count": 0 if norm is None else norm.count,
         "mean": () if norm is None else norm.mean,
@@ -157,35 +154,29 @@ def load_model(path) -> ModelBundle:
 def _bundle(fields: dict) -> ModelBundle:
     """The bundle ``save_model`` wrote; a ValueError names the invariant that fails.
 
-    Every check is sized by the arrays, so a huge k, d or cycle count
-    allocates nothing before the weight count refuses it.
+    Every check is sized by the arrays, so a huge k or d allocates nothing
+    before the weight count refuses it.
     """
-    k, rho, d, eta, seed, iteration, m, n_in_cycle, cb_seed, draws_made, count = (
+    k, rho, d, eta, seed, iteration, cb_seed, draws_made, count = (
         fields[name].item() for name in _MODEL_SINGLE)
-    if min(k, rho, d, m) < 1 or not 0.0 <= eta < math.inf:
-        raise ValueError(f"k={k}, rho={rho}, d={d} and cycles={m} must be >= 1, "
+    if min(k, rho, d) < 1 or not 0.0 <= eta < math.inf:
+        raise ValueError(f"k={k}, rho={rho} and d={d} must be >= 1, "
                          f"and eta={eta} finite and >= 0")
     labels = decode_labels(fields["label_lengths"], fields["label_text"])
-    cycles = fields["label_cycles"]
+    m = max(1, -(-len(labels) // rho))
     pool = fields["pool"].reshape(-1, n_words(k))
-    cores = fields["cores"].reshape(len(cycles), n_words(k))
-    held, per_cycle = np.unique(cycles, return_counts=True)
-    last = int(per_cycle[held == m].sum())
+    cores = fields["cores"].reshape(-1, n_words(k))
     # Each code as its bytes (np.unique(axis=0) would build a dtype field per word).
     void = np.dtype((np.void, 8 * n_words(k)))
     free, assigned = set(pool.view(void).ravel().tolist()), cores.view(void).ravel().tolist()
     weights, mean = fields["weights"], fields["mean"]
     for broken, what in (
-            (len(labels) != len(cycles), f"{len(labels)} labels for {len(cycles)} cycles"),
+            (len(cores) != len(labels), f"{len(cores)} cores for {len(labels)} labels"),
             (len(set(labels)) < len(labels), "a label appears twice"),
             (k % 64 and (np.concatenate([pool, cores])[:, -1] >> np.uint64(k % 64)).any(),
              f"a code has bits past k={k}"),
-            (len(cycles) and not 1 <= held[0] <= held[-1] <= m,
-             f"a label's cycle is outside [1, {m}]"),
-            (len(set(zip(cycles.tolist(), assigned))) < len(cycles),
+            (len(set((r // rho, code) for r, code in enumerate(assigned))) < len(assigned),
              "two labels of one cycle share a core"),
-            (per_cycle.max(initial=0) > rho, f"a cycle holds more than rho={rho} labels"),
-            (last != n_in_cycle, f"n_in_cycle is {n_in_cycle}, but cycle {m} holds {last}"),
             # Every draw removes its code, so a pool never repeats one nor holds a label's core.
             (len(free) < len(pool) or not free.isdisjoint(assigned),
              "the codebook pool repeats a code or holds a label's core"),
@@ -198,8 +189,7 @@ def _bundle(fields: dict) -> ModelBundle:
         if broken:
             raise ValueError(what)
     # The constructors copy the pool, the cores and the weights out of the file's bytes.
-    matrix = EcocMatrix(k=k, rho=rho, m=m, n_in_cycle=n_in_cycle,
-                        cycle_of_label=dict(zip(labels, cycles.tolist())), cores=cores)
+    matrix = EcocMatrix(k, rho, labels, cores)
     model = HashModel(d=d, k=k, weights=weights.reshape(m * k, d + 1),
                       iteration=iteration, seed=seed)
     normalizer = FeatureNormalizer(mean=mean.copy(), count=count) if mean.size else None

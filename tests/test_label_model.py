@@ -52,7 +52,7 @@ def assert_blocks_match_reference(matrix):
     for y in matrix.labels:
         cw = matrix.find(y)
         cycle, words = matrix.locate(y)
-        assert cycle == matrix.cycle_of_label[y]
+        assert cycle == matrix.cycle_of_label[y] == matrix.rows[y] // matrix.rho + 1
         assert np.array_equal(matrix.signs[matrix.rows[y]], cw.active_values())
         assert int.from_bytes(words.tobytes(), "little") == cw.values.bits >> (cycle - 1) * k
 

@@ -39,7 +39,7 @@ def assert_bundles_equal(a, b):
     assert (a.codebook.rng_seed, a.codebook.draws_made) \
         == (b.codebook.rng_seed, b.codebook.draws_made)
     assert np.array_equal(a.matrix.cores, b.matrix.cores)
-    assert a.matrix.cycle_of_label == b.matrix.cycle_of_label
+    assert a.matrix.labels == b.matrix.labels
     assert (a.matrix.m, a.matrix.n_in_cycle) == (b.matrix.m, b.matrix.n_in_cycle)
     assert np.array_equal(a.model.weights, b.model.weights)
     assert (a.model.d, a.model.k, a.model.iteration, a.model.seed) \
@@ -83,8 +83,8 @@ def join_arrays(head, layout, fields):
     return b"".join(out)
 
 
-# SHA-256 of the saved ``trained_bundle()``, in model format version 2.
-TRAINED_MODEL_SHA256 = "a1ea86d60946c65b928eecb843250ac1980900e0d087458132f45dfcf0803c8f"
+# SHA-256 of the saved ``trained_bundle()``, in model format version 3.
+TRAINED_MODEL_SHA256 = "9e3db2bfba9e4fc05797fb5d4bdee29bab3280f5fece8e605625a33c6e67c2b2"
 
 
 def test_model_bytes_are_pinned(tmp_path):
@@ -92,17 +92,16 @@ def test_model_bytes_are_pinned(tmp_path):
     p = tmp_path / "m.model"
     save_model(bundle, p)
     blob = p.read_bytes()
-    assert blob[:12] == storage.MODEL_MAGIC + struct.pack("<I", 2)
+    assert blob[:12] == storage.MODEL_MAGIC + struct.pack("<I", 3)
     f = split_arrays(blob, storage.MODEL_LAYOUT)
     mat, model, cb, norm = bundle.matrix, bundle.model, bundle.codebook, bundle.normalizer
-    singles = ["k", "rho", "d", "eta", "seed", "iteration", "cycles", "n_in_cycle",
-               "codebook_seed", "draws_made", "normalizer_count"]
+    singles = ["k", "rho", "d", "eta", "seed", "iteration", "codebook_seed", "draws_made",
+               "normalizer_count"]
     assert [f[name].tolist() for name in singles] == [
-        [8], [2], [6], [1.0], [3], [40], [3], [1], [2], [5], [40]]
+        [8], [2], [6], [1.0], [3], [40], [2], [5], [40]]
     # k = 8: one word per code.
     assert f["pool"].tolist() == cb.pool[:, 0].tolist()
     assert f["cores"].tolist() == mat.cores[:, 0].tolist()
-    assert f["label_cycles"].tolist() == [1, 1, 2, 2, 3]
     assert f["label_lengths"].tolist() == [2] * 5
     assert f["label_text"].tobytes() == b"c0c2c4c1c3"
     assert f["weights"].tobytes() == model.weights.tobytes()
@@ -110,15 +109,27 @@ def test_model_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(blob).hexdigest() == TRAINED_MODEL_SHA256
 
 
-def test_model_version_1_is_refused(tmp_path):
-    # A version-1 model with k=8, rho=2, d=1, one empty cycle, an empty
-    # pool, no labels, 8 zero weight rows and no normalizer.
+# A model with k=8, rho=2, d=1, one empty cycle, an empty pool, no labels,
+# 8 zero weight rows and no normalizer, after the magic and the version.
+OLD_MODEL_BODIES = {
+    1: struct.pack("<IIIdQQIIQQIII", 8, 2, 1, 1.0, 3, 0, 1, 0, 2, 0, 0, 0, 8)
+    + bytes(8 * 2 * 8) + b"\x00",
+    # Version 2's arrays, each its u64 count and its items: k, rho, d, eta,
+    # seed, iteration, cycles, n_in_cycle, codebook seed and draws, then the
+    # pool, cores, label cycles, label table, weights, normalizer count and mean.
+    2: b"".join(struct.pack(f"<Q{len(v)}{t}", len(v), *v) for t, v in (
+        ("I", [8]), ("I", [2]), ("I", [1]), ("d", [1.0]), ("Q", [3]), ("Q", [0]), ("I", [1]),
+        ("I", [0]), ("Q", [2]), ("Q", [0]), ("Q", []), ("Q", []), ("I", []), ("I", []),
+        ("B", []), ("d", [0.0] * 16), ("Q", [0]), ("d", []))),
+}
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_model_version_1_is_refused(tmp_path, version):
     p = tmp_path / "old.model"
-    p.write_bytes(storage.MODEL_MAGIC + struct.pack("<IIIIdQQIIQQIII", 1, 8, 2, 1, 1.0, 3, 0,
-                                                    1, 0, 2, 0, 0, 0, 8)
-                  + bytes(8 * 2 * 8) + b"\x00")
-    with pytest.raises(FormatError, match="unsupported model version 1; retrain it with "
-                                          "`ecochash train`"):
+    p.write_bytes(storage.MODEL_MAGIC + struct.pack("<I", version) + OLD_MODEL_BODIES[version])
+    with pytest.raises(FormatError, match=f"unsupported model version {version}; retrain it "
+                                          "with `ecochash train`"):
         load_model(p)
 
 
@@ -149,24 +160,20 @@ def _set(i, value):
     return change
 
 
-# trained_bundle's labels c0 c2 | c4 c1 | c3 fill cycles 1, 2 and 3 (rho = 2).
+# trained_bundle's label table c0 c2 | c4 c1 | c3 fills cycles 1, 2 and 3 (rho = 2).
 @pytest.mark.parametrize("name, change, match", [
-    ("label_cycles", _set(0, lambda a, f: 0), "outside"),
-    ("label_cycles", _set(0, lambda a, f: f["cycles"][0] + 1), "outside"),
     ("cores", _set(0, lambda a, f: int(a[0]) | 1 << int(f["k"][0])), "bits past k"),
     ("cores", _set(1, lambda a, f: a[0]), "share a core"),
-    ("label_cycles", _set(2, lambda a, f: 1), "more than rho"),
-    ("n_in_cycle", _set(0, lambda a, f: 2), "n_in_cycle is 2"),
+    ("cores", lambda a, f: a[:-1], "4 cores for 5 labels"),
+    ("label_text", _set(3, lambda a, f: a[1]), "appears twice"),
     ("pool", _set(1, lambda a, f: a[0]), "pool repeats"),
     ("pool", _set(0, lambda a, f: f["cores"][3]), "holds a label's core"),
     ("weights", lambda a, f: a[:-7], "weights for"),
     ("mean", lambda a, f: a[:-1], "mean of length"),
     ("label_lengths", _set(0, lambda a, f: 3), "do not add up"),
     ("label_text", _set(1, lambda a, f: 0xFF), "utf-8"),
-    ("cycles", _set(0, lambda a, f: (1 << 32) - 1), "n_in_cycle"),
-], ids=["cycle-zero", "cycle-past-cycles", "core-bit-past-k", "shared-core", "over-rho",
-        "n-in-cycle", "pool-repeat", "pool-holds-core", "weight-rows", "mean-length",
-        "label-lengths", "not-utf-8", "huge-cycles"])
+], ids=["core-bit-past-k", "shared-core", "core-count", "repeated-label", "pool-repeat",
+        "pool-holds-core", "weight-rows", "mean-length", "label-lengths", "not-utf-8"])
 def test_model_rejects_broken_arrays(tmp_path, name, change, match):
     p, head, fields = _model_fields(tmp_path)
     p.write_bytes(join_arrays(head, storage.MODEL_LAYOUT, fields))
@@ -252,8 +259,7 @@ def _flip_core(b):
     m = b.matrix
     cores = m.cores.copy()
     cores[2, 0] ^= 1 << 7
-    b.matrix = EcocMatrix(k=m.k, rho=m.rho, m=m.m, n_in_cycle=m.n_in_cycle,
-                          cycle_of_label=m.cycle_of_label, cores=cores)
+    b.matrix = EcocMatrix(m.k, m.rho, m.labels, cores)
 
 
 def _count_a_draw(b):
@@ -261,7 +267,13 @@ def _count_a_draw(b):
 
 
 def _move_a_label(b):
-    b.matrix.cycle_of_label["c0"] = 2
+    m = b.matrix
+    with pytest.raises(TypeError):
+        m.cycle_of_label["c0"] = 2
+    # A label's cycle is its row's: c0 and c4 trade rows, so c0 is in cycle 2.
+    order = [2, 1, 0, 3, 4]
+    b.matrix = EcocMatrix(m.k, m.rho, [m.labels[i] for i in order], m.cores[order])
+    assert b.matrix.cycle_of_label["c0"] == 2
 
 
 @pytest.mark.parametrize("change", [_flip_pool_code, _flip_core, _count_a_draw, _move_a_label])
