@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .codebook import (default_capacity, generate, recommended_rho,
 from .ecoc import Label, new_matrix
 from .errors import UndefinedAPError
 from .index import MODE_CODEWORD, MODE_PHI, HashIndex
-from .learner import FeatureNormalizer, HashModel, step
+from .learner import FeatureNormalizer, HashModel, step, step_many
 
 
 def derive_seed(seed: int, tag: int) -> int:
@@ -175,18 +176,30 @@ def _checkpoint_map(index, model, queries, query_labels) -> float:
         return float("nan")
 
 
+def _block_ends(T: int, *cadences: int | None) -> list[int]:
+    """The iterations in 1..T after which a block of steps must stop: T and
+    every multiple of each given cadence."""
+    ends = {T} if T else set()
+    for every in cadences:
+        if every:
+            ends.update(range(every, T, every))
+    return sorted(ends)
+
+
 def run_stream_experiment(train_X, train_labels, db_X, db_labels,
                           query_X, query_labels,
                           config: ExperimentConfig) -> ExperimentResult:
     """Train over several shuffles of a stream, measuring retrieval quality.
 
     Every ordering retrains from scratch under its own derived seeds. In
-    codeword mode a database item enters the index the moment its label is
-    first observed and its stored code never moves again; in phi mode the
-    whole database is indexed up front and maintained as dictated by
+    codeword mode a database item enters the index once its label is first
+    observed and its stored code never moves again; in phi mode the whole
+    database is indexed up front and maintained as dictated by
     ``config.refresh_every``. Checkpoint rankings in batched mode see the
     index as it stands, stale cycles included, because that is what a
-    caller querying between refreshes would see.
+    caller querying between refreshes would see. Codeword and batched phi
+    mode train through ``step_many``, in blocks that end at checkpoints and
+    refresh points; eager phi mode propagates each ``step`` in turn.
     """
     train_X = np.asarray(train_X, dtype=np.float64)
     db_X = np.asarray(db_X, dtype=np.float64)
@@ -235,29 +248,37 @@ def run_stream_experiment(train_X, train_labels, db_X, db_labels,
         else:
             for i, y in enumerate(db_labels):
                 pending.setdefault(y, []).append(i)
+        batched = config.mode == MODE_PHI and config.refresh_every > 1
         dirty: set[int] = set()
-        for it, src in enumerate(perm, start=1):
-            y = train_labels[src]
-            report = step(model, matrix, cb, train_X[src], y, eta=config.eta)
-            if config.mode == MODE_CODEWORD:
-                if report.is_new_label and y in pending:
-                    for i in pending.pop(y):
-                        index.insert_labeled(i, y, matrix)
-            elif config.refresh_every == 1:
-                index.apply_model_update(report, model)
+        done = 0
+        for it in _block_ends(T, config.checkpoint_every,
+                              config.refresh_every if batched else None):
+            block = perm[done:it]
+            ys = [train_labels[src] for src in block]
+            if config.mode == MODE_PHI and not batched:
+                # Each step's own propagation is what eager mode measures.
+                for src, y in zip(block, ys):
+                    index.apply_model_update(
+                        step(model, matrix, cb, train_X[src], y, eta=config.eta), model)
             else:
-                if report.surrogate_loss_before > 0.0:
-                    dirty.add(matrix.cycle_of_label[y])
-                if it % config.refresh_every == 0:
-                    index.refresh(model, cycles=sorted(dirty))
-                    dirty.clear()
+                report = step_many(model, matrix, cb, train_X[block], ys, eta=config.eta)
+                if config.mode == MODE_CODEWORD:
+                    for y in compress(ys, report.new_labels):
+                        for i in pending.pop(y, ()):
+                            index.insert_labeled(i, y, matrix)
+                else:
+                    dirty.update(report.cycles[report.surrogate_losses_before > 0.0].tolist())
+                    if it % config.refresh_every == 0:
+                        index.refresh(model, cycles=sorted(dirty))
+                        dirty.clear()
             if (config.checkpoint_every and it % config.checkpoint_every == 0
                     and it != T):
                 curve.append(CurvePoint(
                     o, it, index.ledger.bit_updates_total,
                     _checkpoint_map(index, model, query_X, query_labels),
                     time.perf_counter() - t0))
-        if config.mode == MODE_PHI and config.refresh_every > 1:
+            done = it
+        if batched:
             index.refresh(model, cycles=sorted(dirty))
         final_map = _checkpoint_map(index, model, query_X, query_labels)
         per_map.append(final_map)

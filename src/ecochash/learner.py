@@ -174,16 +174,19 @@ class HashModel:
     freshly initialized block whose seed is derived from (seed, cycle), so a
     rerun of the same stream reproduces the weights bit for bit.
 
-    The model owns its weights: the constructor copies them, ``weights`` is
-    a read-only view, and only the constructor, ``grow_cycle`` and ``step``
-    write them. Each write drops ``sq_norm_bound``, which the next read
-    recomputes, so an edited model is built through the constructor.
+    The model owns its weights: the constructor copies them into a C-ordered
+    block, ``weights`` is a read-only view, and only the constructor,
+    ``grow_cycle``, ``step`` and ``step_many`` write them. Each write drops
+    ``sq_norm_bound``, which the next read recomputes, so an edited model is
+    built through the constructor. C order gives ``step`` one BLAS kernel
+    whether a model was built or loaded, and ``step_many`` a (cycles, k, d+1)
+    view of the block.
     """
 
     def __init__(self, d: int, k: int, weights: np.ndarray, iteration: int = 0,
                  seed: int = 0) -> None:
         self.d, self.k, self.iteration, self.seed = d, k, iteration, seed
-        self._own(np.array(weights, dtype=np.float64))
+        self._own(np.array(weights, dtype=np.float64, order="C"))
 
     def _own(self, w: np.ndarray) -> None:
         """Keep ``w`` as the weights, behind a read-only view, with no bound."""
@@ -279,6 +282,25 @@ def gradient(model: HashModel, x: np.ndarray, cw: TernaryCodeword) -> dict[int, 
     return out
 
 
+def _descend(w: np.ndarray, c: np.ndarray, xh: np.ndarray, eta: float) -> np.ndarray:
+    """Score rows of weights against examples and step the margin violators, in place.
+
+    ``w`` is a (..., k, d+1) block of weights, ``c`` the (..., k) +1/-1 codeword
+    entries and ``xh`` the (..., d+1) augmented examples. Each example's k
+    scores come from one gemv, ``w @ xh``; a row whose z = -c * score exceeds
+    -1 has hinge slope 1 and moves by eta * c * [x;1]. Returns z.
+    """
+    z = -c * np.matmul(w, xh[..., None])[..., 0]
+    hit = np.nonzero(z > -1.0)
+    w[hit] -= eta * ((-c[hit])[:, None] * xh[hit[:-1]])
+    return z
+
+
+def _check_eta(eta: float) -> None:
+    if not 0.0 <= eta < math.inf:
+        raise ValueError(f"eta must be finite and >= 0, got {eta}")
+
+
 def step(model: HashModel, matrix: EcocMatrix, cb: Codebook,
          x: np.ndarray, y: Label, eta: float = 1.0) -> StepReport:
     """One online update: observe the label, then descend on its codeword.
@@ -289,8 +311,7 @@ def step(model: HashModel, matrix: EcocMatrix, cb: Codebook,
     intact; loss and update equal ``surrogate_loss`` and ``gradient`` on
     ``matrix.find(y)`` bit for bit. ``eta`` must be finite and >= 0.
     """
-    if not 0.0 <= eta < math.inf:
-        raise ValueError(f"eta must be finite and >= 0, got {eta}")
+    _check_eta(eta)
     if len(x) != model.d:
         raise DimensionError(f"feature length {len(x)} does not match d={model.d}")
     obs = matrix.observe_label(cb, y)
@@ -299,19 +320,113 @@ def step(model: HashModel, matrix: EcocMatrix, cb: Codebook,
     if model.width != matrix.width:
         raise ConsistencyError(
             f"model width {model.width} does not match matrix width {matrix.width}")
-    touched = matrix.cycle_columns(matrix.cycle_of_label[y])
-    w = model._w[touched.start:touched.stop]
-    c = matrix.signs[matrix.rows[y]]
-    xh = augment(x)
-    z = -c * (w @ xh)
-    g = (z > -1.0).astype(np.float64)
-    np.subtract(w, eta * ((-c * g)[:, None] * xh), out=w, where=(g != 0.0)[:, None])
+    k = matrix.k
+    cycle = matrix.cycle_of_label[y]
+    touched = range((cycle - 1) * k, cycle * k)
+    z = _descend(model._w[touched.start:touched.stop], matrix.signs[matrix.rows[y]],
+                 augment(x), eta)
     model._bound = None
     model.iteration += 1
     return StepReport(label=y, touched_columns=touched,
                       surrogate_loss_before=float(np.maximum(0.0, 1.0 + z).sum()),
                       new_cycle_started=obs.new_cycle_started,
                       is_new_label=obs.is_new_label)
+
+
+@dataclass
+class BlockReport:
+    """What ``step_many`` did, one entry per example in stream order."""
+
+    cycles: np.ndarray
+    surrogate_losses_before: np.ndarray
+    new_labels: np.ndarray
+    new_cycles: np.ndarray
+
+
+def step_many(model: HashModel, matrix: EcocMatrix, cb: Codebook,
+              X: np.ndarray, labels, eta: float = 1.0) -> BlockReport:
+    """``step`` on each row of ``X`` with its label in turn, trained in rounds.
+
+    Leaves the model, matrix and codebook bitwise as the loop of ``step``
+    would, and reports each example's (1-based) cycle, loss before its
+    update, and whether it was a new label and opened a new cycle. A label
+    pass observes the labels in stream order, growing the model for each new
+    cycle; neither reads a weight. Labels of different cycles train disjoint
+    rows, so round r then applies the r-th step of every cycle at once, with
+    the gemv ``step`` makes for each. When the codebook runs out at example
+    i, the examples before it are applied and CodebookExhaustedError
+    propagates. The block's shape and ``step``'s eta, feature-length and
+    width checks are tested before anything changes.
+    """
+    _check_eta(eta)
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or len(X) != len(labels):
+        raise ValueError(f"a block of {len(labels)} labels needs that many feature rows, "
+                         f"not an array of shape {X.shape}")
+    if X.shape[1] != model.d:
+        raise DimensionError(f"feature length {X.shape[1]} does not match d={model.d}")
+    if model.width != matrix.width:
+        raise ConsistencyError(
+            f"model width {model.width} does not match matrix width {matrix.width}")
+    n = len(labels)
+    rows = np.empty(n, dtype=np.intp)
+    new_labels = np.zeros(n, dtype=bool)
+    new_cycles = np.zeros(n, dtype=bool)
+    losses = np.empty(n)
+    done = 0
+    try:
+        for y in labels:
+            obs = matrix.observe_label(cb, y)
+            if obs.new_cycle_started:
+                model.grow_cycle(matrix.m)
+            new_labels[done], new_cycles[done] = obs.is_new_label, obs.new_cycle_started
+            rows[done] = matrix.rows[y]
+            done += 1
+    finally:
+        # Also after a failed draw: the examples before it are applied.
+        if done:
+            losses[:done] = _rounds(model, matrix, rows[:done], X[:done], eta)
+    return BlockReport(rows // matrix.rho + 1, losses, new_labels, new_cycles)
+
+
+def _rounds(model: HashModel, matrix: EcocMatrix, rows: np.ndarray, X: np.ndarray,
+            eta: float) -> np.ndarray:
+    """Train each example's cycle on it, in order, one round per step of a cycle.
+
+    Example i is matrix row ``rows[i]`` with features ``X[i]``; returns each
+    example's loss before its update. The busy cycles are copied out, most
+    examples first, so round r's cycles are a prefix of the copy and its
+    examples one slice of the examples in round order.
+    """
+    cycles = rows // matrix.rho
+    counts = np.bincount(cycles)
+    by_cycle = np.argsort(cycles, kind="stable")
+    rank = np.empty(len(cycles), dtype=np.intp)
+    rank[by_cycle] = np.arange(len(cycles)) - (np.cumsum(counts) - counts)[cycles[by_cycle]]
+    busy = np.argsort(-counts, kind="stable")[:np.count_nonzero(counts)]
+    place = np.empty(len(counts), dtype=np.intp)
+    place[busy] = np.arange(len(busy))
+    order = np.lexsort((place[cycles], rank))
+    # A view, because the constructor and grow_cycle keep the weights C-ordered.
+    w3 = model._w.reshape(-1, matrix.k, model.d + 1)
+    w = w3[busy]
+    sizes = np.bincount(rank)
+    # Each round's examples in homogeneous form, gathered into one buffer.
+    xh = np.ones((sizes[0], model.d + 1))
+    losses = np.empty(len(rows))
+    signs, ordered_rows = matrix.signs, rows[order]
+    start = 0
+    for size in sizes.tolist():
+        stop = start + size
+        at = order[start:stop]
+        xh[:size, :-1] = X[at]
+        z = _descend(w[:size], signs[ordered_rows[start:stop]], xh[:size], eta)
+        losses[at] = np.maximum(0.0, 1.0 + z).sum(axis=1)
+        start = stop
+    w3[busy] = w
+    model._bound = None
+    model.iteration += len(rows)
+    return losses
 
 
 @dataclass(eq=False)

@@ -145,7 +145,7 @@ def test_train_saves_the_library_bundle(run, tmp_path, shuffle_seed):
     write_features(p, list(range(90)), labels, X)
     argv = ["train", "--features", p, "--k", 8, "--rho", 2, "--seed", 5,
             "--model-out", tmp_path / "cli.model"]
-    run(argv + ([] if shuffle_seed is None else ["--shuffle-seed", shuffle_seed]))
+    out, _ = run(argv + ([] if shuffle_seed is None else ["--shuffle-seed", shuffle_seed]))
 
     _, labels, X = read_features(p)
     rows = [i for i, y in enumerate(labels) if y is not None]
@@ -156,11 +156,14 @@ def test_train_saves_the_library_bundle(run, tmp_path, shuffle_seed):
         stream = [stream[i] for i in perm]
     cb, matrix = generate(8, min(DEFAULT_CAPACITY, 1 << 7), 5), new_matrix(8, 2)
     model = HashModel.create(5, 8, seed=5)
-    for x, y in stream:
-        step(model, matrix, cb, x, y)
+    losses = [step(model, matrix, cb, x, y).surrogate_loss_before for x, y in stream]
     save_model(storage.ModelBundle(k=8, rho=2, eta=1.0, seed=5, codebook=cb, matrix=matrix,
                                    model=model, normalizer=norm), tmp_path / "lib.model")
     assert (tmp_path / "cli.model").read_bytes() == (tmp_path / "lib.model").read_bytes()
+    # The summary's loss columns are those of the loop of ``step``.
+    decile = len(losses) // 10
+    want = [f"{np.mean(v):.6f}" for v in (losses, losses[:decile], losses[-decile:])]
+    assert out.splitlines()[1].split(",")[4:7] == want
 
 
 def test_train_csv_and_binary_produce_same_model(run, tmp_path):

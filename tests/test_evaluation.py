@@ -13,7 +13,8 @@ from ecochash.evaluation import (CURVE_HEADER, CurvePoint, ExperimentConfig,
                                  retrieval_map, run_stream_experiment,
                                  write_curve_csv)
 from ecochash.index import MODE_PHI, HashIndex
-from ecochash.learner import HashModel
+from ecochash import evaluation
+from ecochash.learner import BlockReport, HashModel, step
 
 
 def textbook_ap(relevance):
@@ -322,3 +323,56 @@ def test_experiment_rejects_counts_below_one(over):
     with pytest.raises(ValueError):
         run_stream_experiment(trX, trY, dbX, dbY, qX, qY,
                               ExperimentConfig(k=8, rho=4, **over))
+
+
+def loop_step_many(model, matrix, cb, X, labels, eta=1.0):
+    """``step_many`` as a loop of ``step``."""
+    reports = [step(model, matrix, cb, x, y, eta=eta) for x, y in zip(X, labels)]
+    return BlockReport(
+        np.array([r.touched_columns.start // matrix.k + 1 for r in reports], dtype=np.intp),
+        np.array([r.surrogate_loss_before for r in reports]),
+        np.array([r.is_new_label for r in reports], dtype=bool),
+        np.array([r.new_cycle_started for r in reports], dtype=bool))
+
+
+def experiment_and_weights(monkeypatch, cfg, stepwise):
+    """The experiment's result and each ordering's final weights.
+
+    ``stepwise`` runs the reference: one ``step`` per block of one example,
+    which is the loop of ``step`` that blocks through ``step_many`` must equal.
+    """
+    models = []
+
+    def create(*args, **kwargs):
+        models.append(HashModel.create(*args, **kwargs))
+        return models[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(evaluation, "HashModel", type("Models", (), {"create": staticmethod(create)}))
+        if stepwise:
+            m.setattr(evaluation, "step_many", loop_step_many)
+            m.setattr(evaluation, "_block_ends", lambda T, *_: list(range(1, T + 1)))
+        X, labels = make_gaussian_classes(12, 6, 260, separation=1.0, seed=8)
+        res = run_stream_experiment(X[:150], labels[:150], X[150:230], labels[150:230],
+                                    X[230:], labels[230:], cfg)
+    return res, [w.weights.tobytes() for w in models]
+
+
+@pytest.mark.parametrize("mode, refresh_every", [("codeword", 1), (MODE_PHI, 5),
+                                                 (MODE_PHI, 13)])
+@pytest.mark.parametrize("checkpoint_every", [None, 7, 10])
+def test_blocks_of_steps_equal_a_loop_of_step(monkeypatch, mode, refresh_every,
+                                              checkpoint_every):
+    # rho=3 puts the 12 classes in 4 cycles, most of them opened mid-block.
+    cfg = ExperimentConfig(k=8, rho=3, orderings=2, seed=3, mode=mode,
+                           refresh_every=refresh_every, checkpoint_every=checkpoint_every)
+    got, got_w = experiment_and_weights(monkeypatch, cfg, stepwise=False)
+    want, want_w = experiment_and_weights(monkeypatch, cfg, stepwise=True)
+    points = [[(p.ordering, p.iteration, p.bit_updates, p.map_value) for p in r.curve]
+              for r in (got, want)]
+    assert points[0] == points[1]
+    assert len(points[0]) == 2 * (1 + (149 // checkpoint_every if checkpoint_every else 0))
+    assert got.per_ordering_map == want.per_ordering_map
+    assert got.bit_updates_per_ordering == want.bit_updates_per_ordering
+    assert got.flipped_bits_per_ordering == want.flipped_bits_per_ordering
+    assert got_w == want_w and len(got_w) == 2

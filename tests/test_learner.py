@@ -1,5 +1,6 @@
 """SGD steps, the margin surrogate, and its sparse gradient."""
 
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 from ecochash.bitcode import TernaryCodeword, hamming_masked, pack, ternary, unpack
 from ecochash.codebook import Codebook, generate
 from ecochash.ecoc import new_matrix
-from ecochash.errors import DimensionError
+from ecochash.errors import CodebookExhaustedError, ConsistencyError, DimensionError
 from ecochash.learner import (FeatureNormalizer, HashModel, augment, gradient,
-                              init_functions, phi, predict_bit, step,
+                              init_functions, phi, predict_bit, step, step_many,
                               surrogate_loss)
 from ecochash.bitcode import PackedCode
 from ecochash.storage import ModelBundle, load_model, save_model
@@ -215,6 +216,17 @@ def test_step_noop_when_margin_met():
     assert model.iteration == 1
 
 
+def test_step_and_step_many_leave_a_row_at_the_kink():
+    # z = -c * (w . [x;1]) = -1 exactly: the hinge slope there is 0.
+    x = np.array([1.0, 0.0])
+    for train in (lambda *a: step(*a, x, "a"), lambda *a: step_many(*a, x[None], ["a"])):
+        matrix, cb = single_column_setup(0b1)
+        model = HashModel(d=2, k=1, weights=[[0.5, 0.0, 0.5]])
+        train(model, matrix, cb)
+        assert model.weights.tolist() == [[0.5, 0.0, 0.5]]
+        assert model.iteration == 1
+
+
 def test_step_violated_column_moves_by_eta_c_x():
     x = np.array([2.0, -1.0])
     matrix, cb = single_column_setup(0b1)
@@ -381,6 +393,157 @@ def test_step_deterministic():
             step(model, matrix, cb, rng.standard_normal(3), f"y{i % 5}")
         outs.append(model.weights.copy())
     assert np.array_equal(outs[0], outs[1])
+
+
+def loop_of_steps(state, X, labels, eta):
+    """``step`` on each example in turn: the reference ``step_many`` must equal.
+
+    Returns the per-example (cycle, loss, new label, new cycle) columns of the
+    examples that ran, and the error that stopped the loop, if any.
+    """
+    model, matrix, cb = state
+    rows = []
+    try:
+        for x, y in zip(X, labels):
+            r = step(model, matrix, cb, x, y, eta=eta)
+            rows.append((r.touched_columns.start // matrix.k + 1, r.surrogate_loss_before,
+                         r.is_new_label, r.new_cycle_started))
+    except CodebookExhaustedError as e:
+        return rows, e
+    return rows, None
+
+
+def assert_block_equals_loop(state, X, labels, eta):
+    """Run ``step_many`` on ``state`` and a loop of ``step`` on a copy; compare bitwise."""
+    ref = copy.deepcopy(state)
+    want, error = loop_of_steps(ref, X, labels, eta)
+    if error is None:
+        report = step_many(*state, X, labels, eta=eta)
+        got = list(zip(report.cycles.tolist(), report.surrogate_losses_before.tolist(),
+                       report.new_labels.tolist(), report.new_cycles.tolist()))
+        assert got == want
+    else:
+        with pytest.raises(CodebookExhaustedError):
+            step_many(*state, X, labels, eta=eta)
+    (model, matrix, cb), (ref_model, ref_matrix, ref_cb) = state, ref
+    assert model.weights.tobytes() == ref_model.weights.tobytes()
+    assert model.iteration == ref_model.iteration
+    # Labels in order and cores; draws made and the pool.
+    assert matrix == ref_matrix and cb == ref_cb
+    return error
+
+
+def random_block(rng, n, d, classes):
+    X = rng.standard_normal((n, d)) / np.sqrt(d)
+    return X, [f"y{int(c)}" for c in rng.integers(classes, size=n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 8, 33]), st.integers(1, 4),
+       st.integers(1, 6), st.integers(1, 12), st.sampled_from([0.0, 0.3, 1.0]),
+       st.lists(st.integers(0, 40), min_size=1, max_size=4))
+def test_step_many_equals_a_loop_of_step(seed, k, rho, d, classes, eta, blocks):
+    # Consecutive blocks continue one model; later blocks see trained weights
+    # and labels and cycles that open mid-block.
+    rng = np.random.default_rng(seed)
+    state = (HashModel.create(d, k, seed=seed), new_matrix(k, rho),
+             generate(k, min(64, 1 << (k - 1)), seed=seed + 1))
+    for n in blocks:
+        X, labels = random_block(rng, n, d, classes)
+        if assert_block_equals_loop(state, X, labels, eta) is not None:
+            break
+
+
+def test_step_many_opens_cycles_mid_block_and_continues_a_trained_model():
+    k, d, rho = 8, 5, 2
+    rng = np.random.default_rng(21)
+    state = (HashModel.create(d, k, seed=3), new_matrix(k, rho), generate(k, 64, seed=4))
+    X, labels = random_block(rng, 40, d, 3)
+    for x, y in zip(X, labels):
+        step(*state, x, y, eta=0.5)
+    X, labels = random_block(rng, 120, d, 9)
+    assert_block_equals_loop(state, X, labels, 0.5)
+    assert state[1].m == 5 and state[0].iteration == 160
+
+
+def test_step_many_continues_a_model_loaded_from_a_file(tmp_path):
+    k, d, rho, eta = 8, 6, 2, 0.3
+    rng = np.random.default_rng(9)
+    bundle = ModelBundle(k=k, rho=rho, eta=eta, seed=2, codebook=generate(k, 32, seed=4),
+                         matrix=new_matrix(k, rho), model=HashModel.create(d, k, seed=2))
+    X, labels = random_block(rng, 50, d, 5)
+    step_many(bundle.model, bundle.matrix, bundle.codebook, X, labels, eta=eta)
+    save_model(bundle, tmp_path / "model.bin")
+    loaded = load_model(tmp_path / "model.bin")
+    X, labels = random_block(rng, 70, d, 9)
+    assert_block_equals_loop((loaded.model, loaded.matrix, loaded.codebook), X, labels, eta)
+    assert loaded.matrix.m == 5
+
+
+@pytest.mark.parametrize("k, d", [(33, 7), (64, 200)])
+def test_step_many_at_wide_cores_and_threaded_gemv_sizes(k, d):
+    # k=33 spans two core words; 64 x 201 weights per cycle is past the size
+    # at which OpenBLAS may split one gemv across threads.
+    rng = np.random.default_rng(k)
+    state = (HashModel.create(d, k, seed=1), new_matrix(k, 2), generate(k, 64, seed=2))
+    X, labels = random_block(rng, 90, d, 7)
+    assert_block_equals_loop(state, X, labels, 1.0)
+
+
+def test_step_many_with_eta_zero_and_an_empty_block():
+    k, d = 4, 3
+    rng = np.random.default_rng(2)
+    state = (HashModel.create(d, k, seed=1), new_matrix(k, 1), generate(k, 8, seed=2))
+    before = state[0].weights.copy()
+    X, labels = random_block(rng, 30, d, 4)
+    assert_block_equals_loop(state, X, labels, 0.0)
+    assert state[0].weights[:k].tobytes() == before.tobytes()
+    report = step_many(*state, np.empty((0, d)), [], eta=1.0)
+    assert all(len(a) == 0 for a in vars(report).values())
+    assert_block_equals_loop(state, np.empty((0, d)), [], 1.0)
+    assert state[0].iteration == 30
+
+
+def test_step_many_stops_where_the_codebook_runs_out():
+    # Four codes for nine labels: the fifth new label fails its draw. The
+    # examples before it are applied, it and every later one are not.
+    k, d = 3, 4
+    rng = np.random.default_rng(6)
+    state = (HashModel.create(d, k, seed=1), new_matrix(k, 2), generate(k, 4, seed=2))
+    X, labels = random_block(rng, 60, d, 9)
+    assert assert_block_equals_loop(state, X, labels, 1.0) is not None
+    model, matrix, cb = state
+    assert len(matrix) == 4 and len(cb) == 0
+    assert 4 <= model.iteration < 60
+
+
+def test_step_many_checks_before_it_changes_anything():
+    k, d = 4, 3
+    state = (HashModel.create(d, k, seed=1), new_matrix(k, 1), generate(k, 8, seed=2))
+    with pytest.raises(DimensionError):
+        step_many(*state, np.zeros((2, d + 1)), ["a", "b"])
+    with pytest.raises(ValueError):
+        step_many(*state, np.zeros((3, d)), ["a", "b"])
+    with pytest.raises(ValueError):
+        step_many(*state, np.zeros((2, d)), ["a", "b"], eta=float("nan"))
+    wide = (HashModel.create(d, 2 * k, seed=1), *state[1:])
+    with pytest.raises(ConsistencyError):
+        step_many(*wide, np.zeros((2, d)), ["a", "b"])
+    assert len(state[1]) == 0 and state[2].draws_made == 0 and state[0].iteration == 0
+
+
+def test_fortran_ordered_weights_are_kept_c_ordered_and_train_alike():
+    rng = np.random.default_rng(4)
+    w = rng.standard_normal((32, 9))
+    twins = [HashModel(8, 32, order(w)) for order in (np.ascontiguousarray, np.asfortranarray)]
+    assert all(m._w.flags.c_contiguous for m in twins)
+    X, labels = random_block(rng, 60, 8, 3)
+    for model in twins:
+        matrix, cb = new_matrix(32, 20), generate(32, 8, seed=1)
+        for x, y in zip(X[:30], labels[:30]):
+            step(model, matrix, cb, x, y)
+        step_many(model, matrix, cb, X[30:], labels[30:])
+    assert twins[0].weights.tobytes() == twins[1].weights.tobytes()
 
 
 def test_normalizer_fit():
