@@ -409,7 +409,7 @@ class HashIndex:
         """Index one instance under the mapping output: ``insert_many``'s one-row case."""
         self.insert_many([id], np.asarray(x).reshape(1, -1), model, [label])
 
-    def _recompute(self, model: HashModel, cycles: list[int]) -> int:
+    def _recompute(self, model: HashModel, cycles: list[int], updates: int = 1) -> int:
         """Recompute the given 1-based cycles in every phi row; returns the bits.
 
         One ``exact_signs`` call scores the cycles' columns, against the kept
@@ -418,7 +418,8 @@ class HashIndex:
         slot, so no other bit changes. Rows come out at the model's width.
         Flips, the popcount of old XOR new slots, count only in the cycles the
         rows held before the call, so growing a code is not charged as
-        flipping it. Both counts go to the ledger; a call that recomputes
+        flipping it. Both counts go to the ledger, with the phi rows as
+        entries touched once per each of ``updates``; a call that recomputes
         nothing leaves it as it was. A model of another k raises
         ConsistencyError.
         """
@@ -455,17 +456,43 @@ class HashIndex:
         self._phi_width, self._phi_slots = model.width, (size, slots)
         self._widest = max(self._widest, model.width)
         n_bits = n * k * len(cycles)
-        self.ledger.record(n_bits, flips, n)
+        self.ledger.record(n_bits, flips, n * updates)
         return n_bits
+
+    def apply_steps(self, model: HashModel, cycles: list[int]) -> int:
+        """Eagerly propagate one training step of each listed cycle into every phi row.
+
+        ``cycles`` are distinct 1-based cycles of the model, such as a round
+        that ``step_many`` reports to its ``after_round``. Cycles own disjoint
+        columns, so one recompute of them all leaves the index, ledger
+        included, as one ``apply_model_update`` per cycle would: phi_count * k
+        bits and phi_count entries per cycle, flips only in the cycles the
+        rows held. Returns the bits. A duplicated cycle, one outside
+        [1, width / k], a model of another k or narrower than the rows, or a
+        list that leaves a cycle past the rows' width out raises
+        ConsistencyError before any change.
+        """
+        k, m = model.k, model.width // model.k
+        if self._k not in (0, k):
+            raise ConsistencyError(f"the index's rows have k={self._k}, the model k={k}")
+        listed = set(cycles)
+        if len(listed) != len(cycles) or listed and not 1 <= min(listed) <= max(listed) <= m:
+            raise ConsistencyError(f"cycles {cycles} are not distinct cycles in [1, {m}]")
+        held = self._phi_width // k
+        if self._n_phi and (held > m or not listed.issuperset(range(held + 1, m + 1))):
+            raise ConsistencyError(f"stale cycles: entries have width {self._phi_width}, "
+                                   f"the model {model.width}, and {cycles} are listed")
+        return self._recompute(model, cycles, len(cycles))
 
     def apply_model_update(self, report: StepReport, model: HashModel) -> int:
         """Eagerly propagate one training step into every phi-mode entry.
 
-        Recomputes exactly the touched cycle (which, for a step that opened a
-        new cycle, is the freshly appended one, so entries grow here) and
-        returns the number of recomputed bit entries: phi_count * k. A report
-        whose columns are not one cycle's k columns of the model, or that the
-        rows' width does not match, raises ConsistencyError before any change.
+        ``apply_steps``' one-cycle case: recomputes exactly the touched cycle
+        (which, for a step that opened a new cycle, is the freshly appended
+        one, so entries grow here) and returns the number of recomputed bit
+        entries: phi_count * k. A report whose columns are not one cycle's k
+        columns of the model, or that the rows' width does not match, raises
+        ConsistencyError before any change.
         """
         touched, k = report.touched_columns, model.k
         hi = touched.start + k
@@ -476,7 +503,7 @@ class HashIndex:
         if self._n_phi and self._phi_width != expected:
             raise ConsistencyError(
                 f"stale report: entries have width {self._phi_width}, expected {expected}")
-        return self._recompute(model, [hi // k])
+        return self.apply_steps(model, [hi // k])
 
     def refresh(self, model: HashModel, cycles=()) -> int:
         """Batched propagation: recompute the given cycles' columns once.

@@ -344,7 +344,7 @@ class BlockReport:
 
 
 def step_many(model: HashModel, matrix: EcocMatrix, cb: Codebook,
-              X: np.ndarray, labels, eta: float = 1.0) -> BlockReport:
+              X: np.ndarray, labels, eta: float = 1.0, after_round=None) -> BlockReport:
     """``step`` on each row of ``X`` with its label in turn, trained in rounds.
 
     Leaves the model, matrix and codebook bitwise as the loop of ``step``
@@ -357,6 +357,14 @@ def step_many(model: HashModel, matrix: EcocMatrix, cb: Codebook,
     i, the examples before it are applied and CodebookExhaustedError
     propagates. The block's shape and ``step``'s eta, feature-length and
     width checks are tested before anything changes.
+
+    ``after_round``, when given, is called after each round with that
+    round's 1-based cycles in ascending order, once their weights are in the
+    model: each listed cycle's weights are then those the loop of ``step``
+    leaves after that cycle's r-th step in the block. Every cycle the block
+    opens is in round 1. An empty block makes no call; after a failed draw,
+    the rounds of the examples before it are reported before the error
+    propagates.
     """
     _check_eta(eta)
     X = np.asarray(X, dtype=np.float64)
@@ -385,18 +393,19 @@ def step_many(model: HashModel, matrix: EcocMatrix, cb: Codebook,
     finally:
         # Also after a failed draw: the examples before it are applied.
         if done:
-            losses[:done] = _rounds(model, matrix, rows[:done], X[:done], eta)
+            losses[:done] = _rounds(model, matrix, rows[:done], X[:done], eta, after_round)
     return BlockReport(rows // matrix.rho + 1, losses, new_labels, new_cycles)
 
 
 def _rounds(model: HashModel, matrix: EcocMatrix, rows: np.ndarray, X: np.ndarray,
-            eta: float) -> np.ndarray:
+            eta: float, after_round=None) -> np.ndarray:
     """Train each example's cycle on it, in order, one round per step of a cycle.
 
     Example i is matrix row ``rows[i]`` with features ``X[i]``; returns each
     example's loss before its update. The busy cycles are copied out, most
     examples first, so round r's cycles are a prefix of the copy and its
-    examples one slice of the examples in round order.
+    examples one slice of the examples in round order. The copy is written
+    back once at the end, or after each round that ``after_round`` is told of.
     """
     cycles = rows // matrix.rho
     counts = np.bincount(cycles)
@@ -423,9 +432,15 @@ def _rounds(model: HashModel, matrix: EcocMatrix, rows: np.ndarray, X: np.ndarra
         z = _descend(w[:size], signs[ordered_rows[start:stop]], xh[:size], eta)
         losses[at] = np.maximum(0.0, 1.0 + z).sum(axis=1)
         start = stop
-    w3[busy] = w
-    model._bound = None
-    model.iteration += len(rows)
+        if after_round is not None:
+            w3[busy[:size]] = w[:size]
+            model._bound = None
+            model.iteration += size
+            after_round((np.sort(busy[:size]) + 1).tolist())
+    if after_round is None:
+        w3[busy] = w
+        model._bound = None
+        model.iteration += len(rows)
     return losses
 
 

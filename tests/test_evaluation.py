@@ -14,7 +14,7 @@ from ecochash.evaluation import (CURVE_HEADER, CurvePoint, ExperimentConfig,
                                  write_curve_csv)
 from ecochash.index import MODE_PHI, HashIndex
 from ecochash import evaluation
-from ecochash.learner import BlockReport, HashModel, step
+from ecochash.learner import BlockReport, HashModel, step, step_many
 
 
 def textbook_ap(relevance):
@@ -325,37 +325,71 @@ def test_experiment_rejects_counts_below_one(over):
                               ExperimentConfig(k=8, rho=4, **over))
 
 
-def loop_step_many(model, matrix, cb, X, labels, eta=1.0):
-    """``step_many`` as a loop of ``step``."""
-    reports = [step(model, matrix, cb, x, y, eta=eta) for x, y in zip(X, labels)]
-    return BlockReport(
-        np.array([r.touched_columns.start // matrix.k + 1 for r in reports], dtype=np.intp),
-        np.array([r.surrogate_loss_before for r in reports]),
-        np.array([r.is_new_label for r in reports], dtype=bool),
-        np.array([r.new_cycle_started for r in reports], dtype=bool))
-
-
-def experiment_and_weights(monkeypatch, cfg, stepwise):
-    """The experiment's result and each ordering's final weights.
+def experiment_and_state(monkeypatch, cfg, stepwise):
+    """The experiment's result, each ordering's final weights and index arrays,
+    and whether each block passed ``after_round``.
 
     ``stepwise`` runs the reference: one ``step`` per block of one example,
-    which is the loop of ``step`` that blocks through ``step_many`` must equal.
+    which is the loop of ``step`` that blocks through ``step_many`` must
+    equal, and in eager phi mode one ``apply_model_update`` after each step.
     """
-    models = []
+    models, indexes, propagated = [], [], []
 
     def create(*args, **kwargs):
         models.append(HashModel.create(*args, **kwargs))
         return models[-1]
 
+    def new_index():
+        indexes.append(HashIndex())
+        return indexes[-1]
+
+    def loop_step_many(model, matrix, cb, X, labels, eta=1.0, after_round=None):
+        """``step_many`` as a loop of ``step``; ``after_round`` as each step's own update."""
+        reports = []
+        for x, y in zip(X, labels):
+            reports.append(step(model, matrix, cb, x, y, eta=eta))
+            if after_round is not None:
+                indexes[-1].apply_model_update(reports[-1], model)
+        return BlockReport(
+            np.array([r.touched_columns.start // matrix.k + 1 for r in reports], dtype=np.intp),
+            np.array([r.surrogate_loss_before for r in reports]),
+            np.array([r.is_new_label for r in reports], dtype=bool),
+            np.array([r.new_cycle_started for r in reports], dtype=bool))
+
+    def spied_step_many(*args, after_round=None, **kwargs):
+        propagated.append(after_round is not None)
+        return step_many(*args, after_round=after_round, **kwargs)
+
     with monkeypatch.context() as m:
         m.setattr(evaluation, "HashModel", type("Models", (), {"create": staticmethod(create)}))
+        m.setattr(evaluation, "HashIndex", new_index)
+        m.setattr(evaluation, "step_many", loop_step_many if stepwise else spied_step_many)
         if stepwise:
-            m.setattr(evaluation, "step_many", loop_step_many)
             m.setattr(evaluation, "_block_ends", lambda T, *_: list(range(1, T + 1)))
         X, labels = make_gaussian_classes(12, 6, 260, separation=1.0, seed=8)
         res = run_stream_experiment(X[:150], labels[:150], X[150:230], labels[150:230],
                                     X[230:], labels[230:], cfg)
-    return res, [w.weights.tobytes() for w in models]
+    arrays = [{f: np.array(v).tobytes() for f, v in index.arrays().items()} for index in indexes]
+    return res, [w.weights.tobytes() for w in models], arrays, propagated
+
+
+def assert_experiment_equals_a_loop_of_step(monkeypatch, cfg):
+    got, got_w, got_index, propagated = experiment_and_state(monkeypatch, cfg, stepwise=False)
+    want, want_w, want_index, _ = experiment_and_state(monkeypatch, cfg, stepwise=True)
+    # Only eager phi mode propagates rounds; the other modes train as before.
+    assert set(propagated) == {cfg.mode == MODE_PHI and cfg.refresh_every == 1}
+    points = [[(p.ordering, p.iteration, p.bit_updates, p.map_value) for p in r.curve]
+              for r in (got, want)]
+    assert points[0] == points[1]
+    every = cfg.checkpoint_every
+    assert len(points[0]) == cfg.orderings * (1 + (149 // every if every else 0))
+    assert got.per_ordering_map == want.per_ordering_map
+    assert got.bit_updates_per_ordering == want.bit_updates_per_ordering
+    assert got.flipped_bits_per_ordering == want.flipped_bits_per_ordering
+    assert got_w == want_w and len(got_w) == cfg.orderings
+    # Rows, slots and ledger totals, entries touched included.
+    assert got_index == want_index and len(got_index) == cfg.orderings
+    return got
 
 
 @pytest.mark.parametrize("mode, refresh_every", [("codeword", 1), (MODE_PHI, 5),
@@ -364,15 +398,22 @@ def experiment_and_weights(monkeypatch, cfg, stepwise):
 def test_blocks_of_steps_equal_a_loop_of_step(monkeypatch, mode, refresh_every,
                                               checkpoint_every):
     # rho=3 puts the 12 classes in 4 cycles, most of them opened mid-block.
-    cfg = ExperimentConfig(k=8, rho=3, orderings=2, seed=3, mode=mode,
-                           refresh_every=refresh_every, checkpoint_every=checkpoint_every)
-    got, got_w = experiment_and_weights(monkeypatch, cfg, stepwise=False)
-    want, want_w = experiment_and_weights(monkeypatch, cfg, stepwise=True)
-    points = [[(p.ordering, p.iteration, p.bit_updates, p.map_value) for p in r.curve]
-              for r in (got, want)]
-    assert points[0] == points[1]
-    assert len(points[0]) == 2 * (1 + (149 // checkpoint_every if checkpoint_every else 0))
-    assert got.per_ordering_map == want.per_ordering_map
-    assert got.bit_updates_per_ordering == want.bit_updates_per_ordering
-    assert got.flipped_bits_per_ordering == want.flipped_bits_per_ordering
-    assert got_w == want_w and len(got_w) == 2
+    assert_experiment_equals_a_loop_of_step(monkeypatch, ExperimentConfig(
+        k=8, rho=3, orderings=2, seed=3, mode=mode, refresh_every=refresh_every,
+        checkpoint_every=checkpoint_every))
+
+
+@pytest.mark.parametrize("k", [8, 12, 32, 72])
+@pytest.mark.parametrize("checkpoint_every", [None, 7])
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+@pytest.mark.filterwarnings("ignore:rho=2 is below")
+def test_eager_rounds_equal_a_loop_of_step_and_apply(monkeypatch, k, checkpoint_every, eta):
+    # A byte slot, a padded 2-byte slot, half a word and two words with padding.
+    # rho=2, below the recommended rho on purpose, puts the 12 classes in 6
+    # cycles, most of them opened mid-block; checkpoints split the blocks
+    # that the rounds propagate.
+    got = assert_experiment_equals_a_loop_of_step(monkeypatch, ExperimentConfig(
+        k=k, rho=2, eta=eta, orderings=2, seed=5, mode=MODE_PHI, refresh_every=1,
+        checkpoint_every=checkpoint_every))
+    assert got.bit_updates_per_ordering == [150 * 80 * k] * 2
+    assert (sum(got.flipped_bits_per_ordering) == 0) == (eta == 0.0)

@@ -1,5 +1,6 @@
 """Index population in both modes, bit-update accounting, and ranking."""
 
+import copy
 import tempfile
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from ecochash.ecoc import new_matrix
 from ecochash.errors import ConsistencyError, DuplicateIdError, UnknownLabelError
 from ecochash.evaluation import retrieval_map
 from ecochash.index import MODE_CODEWORD, MODE_PHI, HashIndex
-from ecochash.learner import HashModel, StepReport, exact_signs, phi, step
+from ecochash.learner import HashModel, StepReport, exact_signs, phi, step, step_many
 from ecochash.storage import load_index, save_index
 
 
@@ -614,6 +615,81 @@ def test_ledger_totals_consistent():
     before = repr(index.ledger)
     assert index.refresh(model) == 0
     assert repr(index.ledger) == before
+
+
+def cycle_report(k, cycle, new_cycle_started=False):
+    return StepReport(label=None, touched_columns=range((cycle - 1) * k, cycle * k),
+                      surrogate_loss_before=0.0, new_cycle_started=new_cycle_started,
+                      is_new_label=False)
+
+
+@pytest.mark.parametrize("k", [8, 12, 32, 72])
+def test_apply_steps_equals_one_apply_model_update_per_cycle(k):
+    # A byte slot, a padded 2-byte slot, half a word and two words with padding.
+    matrix, cb, model, stream = small_stream(n_labels=6, k=k, rho=1, steps=12)
+    for x, y in stream[:6]:
+        step(model, matrix, cb, x, y)
+    X = [x for x, _ in stream[:9]]
+    many, one = HashIndex(), HashIndex()
+    many.insert_many(range(9), X, model)
+    one.insert_many(range(9), X, model)
+    # One step of each of the six cycles, on an example their labels' rows misfit.
+    for x, y in stream[6:]:
+        step(model, matrix, cb, -x, y)
+    assert many.apply_steps(model, [2, 6, 1, 4]) == 9 * k * 4
+    for c in (2, 6, 1, 4):
+        one.apply_model_update(cycle_report(k, c), model)
+    assert same_arrays(copied_arrays(many), copied_arrays(one))
+    assert many.ledger.bit_updates_total == 9 * k * 4
+    assert many.ledger.entries_touched_total == 9 * 4
+    assert many.ledger.flipped_bits_total > 0
+    assert many.apply_steps(model, []) == 0
+    assert same_arrays(copied_arrays(many), copied_arrays(one))
+
+
+@pytest.mark.parametrize("k", [8, 12, 32, 72])
+def test_rounds_through_apply_steps_equal_eager_steps(k):
+    # Blocks open cycles mid-block; each round reaches the rows before the next.
+    matrix, cb, model, stream = small_stream(n_labels=7, k=k, rho=2, steps=70)
+    ref = copy.deepcopy((model, matrix, cb))
+    X = [x for x, _ in stream[:10]]
+    rounds, eager = HashIndex(), HashIndex()
+    step(model, matrix, cb, *stream[0])
+    step(*ref, *stream[0])
+    rounds.insert_many(range(10), X, model)
+    eager.insert_many(range(10), X, ref[0])
+    for block in (stream[1:9], stream[9:40], stream[40:]):
+        step_many(model, matrix, cb, [x for x, _ in block], [y for _, y in block],
+                  after_round=lambda cycles: rounds.apply_steps(model, cycles))
+        for x, y in block:
+            eager.apply_model_update(step(*ref, x, y), ref[0])
+    assert model.weights.tobytes() == ref[0].weights.tobytes() and matrix.m == 4
+    assert same_arrays(copied_arrays(rounds), copied_arrays(eager))
+    assert rounds.ledger.bit_updates_total == 69 * 10 * k
+    assert rounds.ledger.entries_touched_total == 69 * 10
+
+
+def test_apply_steps_refuses_a_bad_cycle_list_before_any_change():
+    matrix, cb, model, stream = small_stream(n_labels=3, k=8, rho=1)
+    for x, y in stream[:2]:
+        step(model, matrix, cb, x, y)
+    index = HashIndex()
+    index.insert_many(range(4), [x for x, _ in stream[:4]], model)
+    # Opens cycle 3, which the rows do not hold yet.
+    step(model, matrix, cb, *stream[2])
+    other, other_cb, other_model, _ = small_stream(k=4)
+    step(other_model, other, other_cb, *stream[0])
+    narrow = HashModel(model.d, 8, model.weights[:8])
+    before = copied_arrays(index)
+    for cycles in ([1, 3, 3], [0, 3], [3, 4], [1, 2], [], [1]):
+        with pytest.raises(ConsistencyError):
+            index.apply_steps(model, cycles)
+    for wrong in (other_model, narrow):
+        with pytest.raises(ConsistencyError):
+            index.apply_steps(wrong, [1])
+    assert same_arrays(copied_arrays(index), before)
+    assert index.apply_steps(model, [3]) == 4 * 8
+    assert index.arrays()["phi_width"] == 24
 
 
 def test_negative_top_n_is_rejected():

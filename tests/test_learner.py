@@ -532,6 +532,81 @@ def test_step_many_checks_before_it_changes_anything():
     assert len(state[1]) == 0 and state[2].draws_made == 0 and state[0].iteration == 0
 
 
+def assert_rounds_report_each_step(state, X, labels, eta):
+    """Run ``step_many`` with ``after_round`` on ``state`` and a loop of ``step`` on a copy.
+
+    Round r's call must list, 1-based and ascending, the cycles with at least
+    r examples in the block, and each listed cycle's weights must be the
+    loop's after that cycle's r-th step. Returns the error that stopped both.
+    """
+    ref = copy.deepcopy(state)
+    k = ref[0].k
+    want, steps, error = {}, {}, None
+    try:
+        for x, y in zip(X, labels):
+            touched = step(*ref, x, y, eta=eta).touched_columns
+            c = touched.start // k + 1
+            steps[c] = steps.get(c, 0) + 1
+            want[c, steps[c]] = ref[0].weights[touched].tobytes()
+    except CodebookExhaustedError as e:
+        error = e
+    calls, got = [], {}
+
+    def after_round(cycles):
+        calls.append(cycles)
+        for c in cycles:
+            got[c, len(calls)] = state[0].weights[(c - 1) * k:c * k].tobytes()
+
+    if error is None:
+        step_many(*state, X, labels, eta=eta, after_round=after_round)
+    else:
+        with pytest.raises(CodebookExhaustedError):
+            step_many(*state, X, labels, eta=eta, after_round=after_round)
+    assert calls == [sorted(c for c, n in steps.items() if n >= r)
+                     for r in range(1, max(steps.values(), default=0) + 1)]
+    assert all(cycles[0] >= 1 for cycles in calls)
+    assert got == want
+    assert state[0].weights.tobytes() == ref[0].weights.tobytes()
+    assert state[0].iteration == ref[0].iteration
+    assert state[1] == ref[1] and state[2] == ref[2]
+    return error
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 8, 33]), st.integers(1, 4),
+       st.integers(1, 6), st.integers(1, 12), st.sampled_from([0.0, 0.3, 1.0]),
+       st.lists(st.integers(0, 40), min_size=1, max_size=4))
+def test_after_round_sees_each_cycle_after_its_rth_step(seed, k, rho, d, classes, eta,
+                                                        blocks):
+    # Later blocks continue one model, with cycles that open mid-block.
+    rng = np.random.default_rng(seed)
+    state = (HashModel.create(d, k, seed=seed), new_matrix(k, rho),
+             generate(k, min(64, 1 << (k - 1)), seed=seed + 1))
+    for n in blocks:
+        X, labels = random_block(rng, n, d, classes)
+        if assert_rounds_report_each_step(state, X, labels, eta) is not None:
+            break
+
+
+def test_after_round_is_not_called_for_an_empty_block():
+    k, d = 4, 3
+    state = (HashModel.create(d, k, seed=1), new_matrix(k, 1), generate(k, 8, seed=2))
+    calls = []
+    step_many(*state, np.empty((0, d)), [], after_round=calls.append)
+    assert calls == [] and state[0].iteration == 0
+
+
+def test_after_round_reports_the_rounds_before_the_codebook_runs_out():
+    # As in the loop of step, the examples before the failed draw are applied,
+    # and so reported, before CodebookExhaustedError propagates.
+    k, d = 3, 4
+    rng = np.random.default_rng(6)
+    state = (HashModel.create(d, k, seed=1), new_matrix(k, 2), generate(k, 4, seed=2))
+    X, labels = random_block(rng, 60, d, 9)
+    assert assert_rounds_report_each_step(state, X, labels, 1.0) is not None
+    assert 4 <= state[0].iteration < 60
+
+
 def test_fortran_ordered_weights_are_kept_c_ordered_and_train_alike():
     rng = np.random.default_rng(4)
     w = rng.standard_normal((32, 9))
