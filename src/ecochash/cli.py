@@ -2,7 +2,7 @@
 
 Subcommands mirror the library's lifecycle: inspect a codebook, train a
 model over a feature stream, build an index, query it, and evaluate
-retrieval quality. All randomness flows from one nonnegative integer seed,
+retrieval quality. All randomness flows from one integer seed in [0, 2^64),
 taken from --seed or the ECOCHASH_SEED environment variable (default 0),
 so identical invocations produce identical artifacts.
 """
@@ -53,8 +53,9 @@ def _resolve_seed(value: int | None) -> int:
             value = int(raw)
         except ValueError:
             raise ValueError(f"{SEED_ENV}={raw!r} is not an integer") from None
-    if value < 0:
-        raise ValueError(f"seed must be nonnegative, got {value}")
+    # Model and index files store the seed as a u64.
+    if not 0 <= value < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2^64), got {value}")
     return value
 
 

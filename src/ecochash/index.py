@@ -11,19 +11,19 @@ Rows live in two blocks that grow by doubling, beside ``ids`` and
 ``labels`` lists in insertion order; a flag per row says which block it
 is in, and its column there is its rank among that block's rows. Every row
 shares one k, set by the index's first row (a phi row takes its model's
-k). A codeword row is its label's cycle and k-bit core (ceil(k/64)
-uint64 words), so opening a cycle changes no row; as an entry, it is its
-core in its cycle's columns, at the length cycle * k. A phi row is value
-words in a word-major ``(words, n)`` block at the one width all phi rows
-share, with no masks, plus its augmented features ``[x; 1]``, so an
-update recomputes a cycle's columns for every phi row with one matrix
-product. Each cycle of a phi row owns a slot of whole bytes (see
-``_phi_layout``), so a recompute writes whole bytes; at k = 8, 16, 32
-and 64 the slots are the code's bits back to back. Every phi bit, stored
-or queried, is ``learner.exact_signs``' exact sign. A query's distance
-to a codeword row is the popcount of its bits in the row's cycle XOR the
-core; to a phi row, of its slotted bits below the phi width XOR the
-words. Index files hold the two blocks as ``FILE_LAYOUT``'s arrays.
+k), and a cycle's k bits are one slot (``_slot``): an item of 1, 2, 4 or
+8 bytes, or whole words past k = 64. A codeword row is its label's cycle
+and its core as that slot, so opening a cycle changes no row; as an entry,
+it is its core in its cycle's columns, at the length cycle * k. The phi
+block is slot-major, one row per item of each held cycle's slot and
+one column per phi row, plus each row's augmented features
+``[x; 1]``, so an update recomputes a cycle's slot for every phi row with
+one matrix product and one assignment. Every phi bit, stored or queried,
+is ``learner.exact_signs``' exact sign. A query is packed once into slots
+at the model's width; its distance to a codeword row is the popcount of
+its slot in the row's cycle XOR the core, to a phi row of its first held
+slots XOR the row's. Index files hold the two blocks as ``FILE_LAYOUT``'s
+arrays.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ MODE_PHI = "phi"
 
 # Distance cells per ranking block: queries * entries stays near this.
 _BLOCK_CELLS = 1 << 16
+# Slot items of 1, 2, 4 and 8 bytes, built once: a dtype from a string costs about a microsecond.
+_ITEMS = tuple(np.dtype(f"<u{1 << i}") for i in range(4))
 
 
 @dataclass
@@ -63,18 +65,17 @@ class UpdateLedger:
         self.entries_touched_total += entries
 
 
-# Index file format version 4: (name, dtype) little-endian arrays in file order, a single
+# Index file format version 5: (name, dtype) little-endian arrays in file order, a single
 # value being an array of one (``_SINGLE``); ``label_of`` indexes the UTF-8 label table (-1:
-# none). k is 0 without rows, the phi width and feature length without phi rows; ``values``
-# holds each phi row's words in slots (see ``_phi_layout``).
+# none). k is 0 without rows, the phi width 0 without phi rows. ``cores`` holds each
+# codeword row's slot and ``values`` each phi row's slots in cycle order, as bytes.
 FILE_LAYOUT = (
     ("ids", "<u8"), ("is_phi", "u1"), ("label_lengths", "<u4"), ("label_text", "u1"),
-    ("label_of", "<i4"), ("k", "<u4"), ("cycles", "<u4"), ("cores", "<u8"),
-    ("phi_width", "<u4"), ("feature_length", "<u4"), ("values", "<u8"), ("features", "<f8"),
-    ("widest", "<u4"), ("bit_updates_total", "<u8"), ("flipped_bits_total", "<u8"),
-    ("entries_touched_total", "<u8"),
+    ("label_of", "<i4"), ("k", "<u4"), ("cycles", "<u4"), ("cores", "u1"),
+    ("phi_width", "<u4"), ("values", "u1"), ("features", "<f8"),
+    ("bit_updates_total", "<u8"), ("flipped_bits_total", "<u8"), ("entries_touched_total", "<u8"),
 )
-_SINGLE = ("k", "phi_width", "feature_length", "widest", *vars(UpdateLedger()))
+_SINGLE = ("k", "phi_width", *vars(UpdateLedger()))
 _EMPTY = {name: np.zeros(int(name in _SINGLE), dtype) for name, dtype in FILE_LAYOUT}
 
 
@@ -110,52 +111,58 @@ def decode_labels(lengths, text) -> list[str]:
     return [text[e - size:e].decode("utf-8") for e, size in zip(accumulate(lengths), lengths)]
 
 
-def _phi_layout(k: int, width: int) -> tuple[int, int]:
-    """A phi row's bytes per cycle slot and its slots at ``width``, a multiple of k.
+def _slot(k: int) -> tuple[np.dtype, int]:
+    """A cycle's slot at k: its little-endian unsigned item dtype and its items.
 
-    A slot is k/8 bytes rounded up to 1, 2, 4 or 8, or to whole words past
-    64 bits, so none crosses a word. Cycle j's k bits start slot j; a row
-    is the slots of its size * slots / 8 whole words, the rest clear.
+    A slot is one item of k/8 bytes rounded up to 1, 2, 4 or 8, or
+    ``n_words(k)`` words past 64 bits; it holds the cycle's k bits from its
+    first bit, the rest clear.
     """
-    size = 8 * n_words(k) if k > 64 else 1 << (-(-k // 8) - 1).bit_length()
-    return size, -(-(width // k) * size // 8) * 8 // size
+    if k > 64:
+        return WORD, n_words(k)
+    return _ITEMS[(-(-k // 8) - 1).bit_length()], 1
 
 
-def _packed(signs: np.ndarray, k: int, size: int, slots: int) -> np.ndarray:
-    """(rows, cycles * k) signs as (rows, slots, size) bytes, cycle j's bits in slot j.
+def _packed(signs: np.ndarray, k: int) -> np.ndarray:
+    """(rows, cycles * k) signs as (rows, cycles, items) slots, cycle j's bits in slot j.
 
-    One packbits call packs the signs: flat as they are when they fill the
-    slots, else from one copy into a clear block that does. When k fills its
-    slot, a row's slots are its cycles' bits back to back, so the block adds
-    only the clear slots past its last cycle.
+    One packbits call packs the signs: flat as they are when k fills its
+    slot, so the slots are the bits back to back, else from one copy into a
+    clear block that does.
     """
-    rows, cycles = len(signs), signs.shape[1] // k
-    if k == 8 * size:
-        if cycles < slots:
-            bits = np.zeros((rows, slots * k), bool)
-            bits[:, :cycles * k] = signs
-            signs = bits
+    item, per = _slot(k)
+    rows, cycles, bits = len(signs), signs.shape[1] // k, 8 * item.itemsize * per
+    if k == bits:
         # One flat call is several times faster than one per row or slot.
-        return np.packbits(signs, None, "little").reshape(rows, slots, size)
-    bits = np.zeros((rows, slots, 8 * size), bool)
-    bits[:, :cycles, :k] = signs.reshape(rows, cycles, k)
-    # Positional arguments: keywords cost packbits about a microsecond a call.
-    return np.packbits(bits, 2, "little")
+        packed = np.packbits(signs, None, "little")
+    else:
+        padded = np.zeros((rows, cycles, bits), bool)
+        padded[:, :, :k] = signs.reshape(rows, cycles, k)
+        # Positional arguments: keywords cost packbits about a microsecond a call.
+        packed = np.packbits(padded, 2, "little")
+    return packed.view(item).reshape(rows, cycles, per)
+
+
+def _slot_bytes(block: np.ndarray) -> np.ndarray:
+    """A slot-major (slot items, rows) block as each row's slots' bytes, in cycle order."""
+    return np.ascontiguousarray(block.T).view(np.uint8)
 
 
 def _hamming(qs: np.ndarray, rows: np.ndarray, dtype) -> np.ndarray:
-    """Per query and column, the sum over words w of popcount(qs[w] ^ rows[w]).
+    """Per query and column, the sum over items w of popcount(qs[w] ^ rows[w]).
 
-    ``rows`` is a word-major (words, columns) block of at least one word;
-    ``qs`` is (words, queries, columns) or (words, queries, 1), the queries'
-    word w for each column or for all of them. Words go in chunks of about
+    ``rows`` is an item-major (items, columns) block of at least one slot item;
+    ``qs`` is (items, queries, columns) or (items, queries, 1), the queries'
+    item w for each column or for all of them. Items go in chunks of about
     2^16 cells, so one query takes one pass and a block of queries stays small.
     """
-    words, queries, _ = qs.shape
+    items, queries, _ = qs.shape
     step = max(1, _BLOCK_CELLS // (queries * rows.shape[1] or 1))
     dists = None
-    for w in range(0, words, step):
-        count = np.bitwise_count(np.bitwise_xor(qs[w:w + step], rows[w:w + step, None]))
+    for w in range(0, items, step):
+        count = np.bitwise_xor(qs[w:w + step], rows[w:w + step, None])
+        # numpy counts the bits of a uint16 about twice as slowly as of a uint32.
+        count = np.bitwise_count(count.astype(np.uint32) if count.itemsize == 2 else count)
         part = (np.add.reduce(count, axis=0, dtype=dtype) if len(count) > 1
                 else count[0].astype(dtype, copy=False))
         dists = part if dists is None else dists + part
@@ -176,53 +183,49 @@ class HashIndex:
         Its invariants are checked once over the arrays; a ValueError names the
         one that fails (raised by ``reshape`` or ``item`` for a wrong size).
         """
-        k, phi_width, d, widest, *totals = (np.asarray(fields[f]).item() for f in _SINGLE)
+        k, phi_width, *totals = (np.asarray(fields[f]).item() for f in _SINGLE)
         ids = np.asarray(fields["ids"]).tolist()
         n = len(ids)
         is_phi = np.asarray(fields["is_phi"]).reshape(n)
         n_phi = int(np.count_nonzero(is_phi))
         n_cw = n - n_phi
-        if ((k > 0) != (n > 0) or (phi_width > 0) != (n_phi > 0) or (d and not n_phi)
-                or n_phi and phi_width % k):
-            raise ValueError(f"k={k}, phi width {phi_width} or feature length {d} "
-                             "does not fit the rows")
+        if (k > 0) != (n > 0) or (phi_width > 0) != (n_phi > 0) or n_phi and phi_width % k:
+            raise ValueError(f"k={k} or phi width {phi_width} does not fit the rows")
         label_of = np.asarray(fields["label_of"], dtype=np.int64).reshape(n)
         table = decode_labels(fields["label_lengths"], fields["label_text"])
         cycles = np.array(fields["cycles"], dtype=np.int64).reshape(n_cw)
-        cores = np.asarray(fields["cores"], dtype=WORD).reshape(n_cw, n_words(k))
-        size, slots = _phi_layout(k, phi_width) if n_phi else (0, 0)
-        values = np.asarray(fields["values"], dtype=WORD).reshape(n_phi, size * slots // 8)
-        feats = np.asarray(fields["features"], dtype=np.float64).reshape(n_phi, d)
+        item, per = _slot(k)
+        size = per * item.itemsize
+        cores = np.ascontiguousarray(fields["cores"], np.uint8).reshape(n_cw, size).view(item)
+        values = np.ascontiguousarray(fields["values"], np.uint8).reshape(
+            n_phi, phi_width // k * size if n_phi else 0).view(item)
+        feats = np.asarray(fields["features"], np.float64).reshape(n_phi, -1 if n_phi else 0)
+        # Each slot's last item holds its top k - 8 * item bytes * (items - 1) bits.
+        top = k - 8 * item.itemsize * (per - 1)
+        last = np.concatenate([cores[:, per - 1::per].ravel(), values[:, per - 1::per].ravel()])
         for broken, what in (
                 (n and is_phi.max() > 1, "a block flag is neither 0 nor 1"),
                 (len(set(ids)) != n, "an id appears twice"),
                 (n and not -1 <= label_of.min() <= label_of.max() < len(table),
                  f"a label index is outside [-1, {len(table)})"),
                 (n_cw and cycles.min() < 1, "a codeword row's cycle is 0"),
-                (n_cw and k % 64 and (cores[:, -1] >> np.uint64(k % 64)).any(),
-                 f"a codeword core has bits past k={k}"),
-                # A phi row's bits are its cycles' k bits, each from its slot's first bit.
-                (n_phi and (values & ~_packed(np.ones((1, phi_width), bool), k, size, slots)
-                            .reshape(1, -1).view(WORD)).any(),
-                 f"a phi row has a bit outside its cycles' k={k} bits"),
-                (n_phi and not np.isfinite(feats).all(), "a phi row's feature is NaN or infinite"),
-                (widest != max(k * int(cycles.max(initial=0)), phi_width),
-                 f"wrong widest width {widest}")):
+                (top < 8 * item.itemsize and (last >> item.type(top)).any(),
+                 f"a slot has bits past k={k}"),
+                (not np.isfinite(feats).all(), "a phi row's feature is NaN or infinite")):
             if broken:
                 raise ValueError(what)
         self.ledger = UpdateLedger(*totals)
         self._ids, self._id_set, self._is_phi = ids, set(ids), is_phi.astype(bool)
         self._labels = [None if i < 0 else table[i] for i in label_of.tolist()]
         # The end of the last column any row uses; a query may not be narrower.
-        self._widest = widest
-        # Codeword block: cycle (0-based, as queries index by it) and core words per column.
+        self._widest = max(k * int(cycles.max(initial=0)), phi_width)
+        # Codeword block: cycle (0-based, as queries index by it) and slot items per column.
         self._k, self._n_cw, self._cycles = k, n_cw, cycles - 1
         self._cores = np.array(cores.T, order="C")
-        # Phi block: value words at the shared width, in ``_phi_layout``'s (slot
-        # bytes, slots), and features per column.
-        self._n_phi, self._phi_width, self._phi_slots = n_phi, phi_width, (size, slots)
+        # Phi block: the items of each held cycle's slot, slot-major, and features per column.
+        self._n_phi, self._phi_width = n_phi, phi_width
         self._values = np.array(values.T, order="C")
-        self._feats = np.ones((n_phi, d + 1) if n_phi else (0, 0))
+        self._feats = np.ones((n_phi, feats.shape[1] + 1) if n_phi else (0, 0))
         self._feats[:, :-1] = feats
         self._x_bound = None
 
@@ -276,12 +279,10 @@ class HashIndex:
             "label_of": np.array([at.get(y, -1) for y in self._labels], dtype=np.int32),
             "k": self._k,
             "cycles": self._cycles[:n_cw] + 1,
-            "cores": self._cores[:, :n_cw].T,
+            "cores": _slot_bytes(self._cores[:, :n_cw]),
             "phi_width": self._phi_width,
-            "feature_length": self._feats.shape[1] - 1 if n_phi else 0,
-            "values": self._values[:, :n_phi].T,
+            "values": _slot_bytes(self._values[:, :n_phi]),
             "features": self._feats[:n_phi, :-1],
-            "widest": self._widest,
             **vars(self.ledger),
         }
 
@@ -296,12 +297,11 @@ class HashIndex:
         """
         k, width = self._k, self._phi_width
         codewords = zip((self._cycles[:self._n_cw] + 1).tolist(),
-                        words_to_codes(self._cores[:, :self._n_cw].T))
+                        words_to_codes(self._cores[:, :self._n_cw].T.astype(WORD)))
         n_phi, codes = self._n_phi, []
         if n_phi:
             # Each row's slots as bytes, then their cycles' bits back to back.
-            slots = np.ascontiguousarray(self._values[:, :n_phi].T).view(np.uint8)
-            slots = slots.reshape(n_phi, -1, self._phi_slots[0])[:, :width // k]
+            slots = _slot_bytes(self._values[:, :n_phi]).reshape(n_phi, width // k, -1)
             bits = np.unpackbits(slots, 2, k, "little").reshape(n_phi, width)
             codes = [int.from_bytes(row.tobytes(), "little")
                      for row in np.packbits(bits, 1, "little")]
@@ -331,14 +331,16 @@ class HashIndex:
         if self._k not in (0, k):
             raise ConsistencyError(f"the index's rows have k={self._k}, entry {id} has k={k}")
         self._append([int(id)], [y], False)
+        item, per = _slot(k)
         if not self._n_cw:
-            self._cores = np.zeros((n_words(k), len(self._cycles)), dtype=WORD)
+            self._cores = np.zeros((per, len(self._cycles)), dtype=item)
         self._k = k
         col = self._n_cw
         self._cycles = grown(self._cycles, col + 1)
         self._cores = grown(self._cores, col + 1, axis=1)
         self._cycles[col] = cycle - 1
-        self._cores[:, col] = core
+        # The core's words past its slot, and its bits past k, are clear.
+        self._cores[:, col] = core[:per]
         self._n_cw += 1
         self._widest = max(self._widest, cycle * k)
 
@@ -383,9 +385,9 @@ class HashIndex:
         # The rows are staged in the blocks' spare capacity, past the last phi
         # row, so a batch that exact_signs or _append refuses leaves no row
         # behind. Spare feature rows keep the 1.0 of [x; 1] in their last column.
-        size, slots = _phi_layout(model.k, width)
+        item, per = _slot(model.k)
         if not col:
-            self._values = np.zeros((size * slots // 8, len(self._feats)), dtype=WORD)
+            self._values = np.zeros((width // model.k * per, len(self._feats)), dtype=item)
             self._feats = np.ones((len(self._feats), model.d + 1))
         if col + n > len(self._feats):
             self._feats = grown(self._feats, col + n, fill=1.0)
@@ -395,13 +397,12 @@ class HashIndex:
         # The model's kept norm bound, unless the block scores only its first columns.
         signs = exact_signs(model.weights[:width], Xa, lambda i: f"row id {ids[i]}",
                             w_bound=model.sq_norm_bound if width == model.width else None)
-        packed = _packed(signs, model.k, size, slots).reshape(n, size * slots)
-        self._values[:, col:col + n] = packed.view(WORD).T
+        self._values[:, col:col + n] = _packed(signs, model.k).reshape(n, -1).T
         self._append(ids, labels, True)
         self._n_phi += n
         self._x_bound = None
         if n:
-            self._k, self._phi_width, self._phi_slots = model.k, width, (size, slots)
+            self._k, self._phi_width = model.k, width
             self._widest = max(self._widest, width)
 
     def insert_unlabeled(self, id: int, x: np.ndarray, model: HashModel,
@@ -414,22 +415,21 @@ class HashIndex:
 
         One ``exact_signs`` call scores the cycles' columns, against the kept
         ``feature_sq_norm_bound``, and one packbits call packs only their
-        signs. Each cycle's bytes are written through a byte view of its
-        slot, so no other bit changes. Rows come out at the model's width.
-        Flips, the popcount of old XOR new slots, count only in the cycles the
-        rows held before the call, so growing a code is not charged as
-        flipping it. Both counts go to the ledger, with the phi rows as
-        entries touched once per each of ``updates``; a call that recomputes
-        nothing leaves it as it was. A model of another k raises
-        ConsistencyError.
+        signs. One assignment writes each cycle's slot rows, so no other bit
+        changes; rows come out at the model's width. Flips, the popcount of
+        old XOR new slots, count only in the cycles the rows held before the
+        call, so growing a code is not charged as flipping it. Both counts go
+        to the ledger, with the phi rows as entries touched once per each of
+        ``updates``; a call that recomputes nothing leaves it as it was. A
+        model of another k raises ConsistencyError.
         """
         n, k = self._n_phi, self._k
         if not n or not cycles:
             return 0
         if model.k != k:
             raise ConsistencyError(f"the index's rows have k={k}, the model k={model.k}")
-        size, slots = _phi_layout(k, model.width)
-        extra = size * slots // 8 - len(self._values)
+        cycles, per = sorted(cycles), _slot(k)[1]
+        extra = model.width // k * per - len(self._values)
         if extra > 0:
             self._values = np.pad(self._values, ((0, extra), (0, 0)))
         # The cycles' weights as one C-ordered (d+1, columns) block, so the product
@@ -439,21 +439,13 @@ class HashIndex:
                             out=np.empty((model.d + 1, k * len(cycles))))
         new = exact_signs(Wt.T, self._feats[:n], w_bound=_sq_norm_bound(Wt),
                           x_bound=self.feature_sq_norm_bound)
-        # Each slot as (words, rows, bytes in a word), and a row's bytes in a word as
-        # one item: numpy copies a strided array of items several times faster.
-        t = min(size, 8)
-        packed = _packed(new, k, size, len(cycles)).reshape(n, len(cycles), -1, t)
-        rows = self._values.view(np.uint8).reshape(len(self._values), -1, 8)[:, :n]
-        held, flips = self._phi_width // k, 0
-        for i, j in enumerate(cycles):
-            w, b = divmod((j - 1) * size, 8)  # the slot's first word, and byte in it
-            words = self._values[w:w + packed.shape[2], :n]
-            old = words.copy() if j <= held else None
-            rows[w:w + packed.shape[2], :, b:b + t].view(f"V{t}")[...] = \
-                packed[:, i].swapaxes(0, 1).view(f"V{t}")
-            if old is not None:
-                flips += int(np.bitwise_count(old ^ words).sum())
-        self._phi_width, self._phi_slots = model.width, (size, slots)
+        new = _packed(new, k).reshape(n, -1).T
+        # Item i of cycle j's slot is row (j - 1) * per + i; held cycles sort first, to rows[:h].
+        rows = np.array([(j - 1) * per + i for j in cycles for i in range(per)])
+        h = per * sum(j <= self._phi_width // k for j in cycles)
+        flips = int(np.bitwise_count(self._values[rows[:h], :n] ^ new[:h]).sum())
+        self._values[rows, :n] = new
+        self._phi_width = model.width
         self._widest = max(self._widest, model.width)
         n_bits = n * k * len(cycles)
         self.ledger.record(n_bits, flips, n * updates)
@@ -547,24 +539,24 @@ class HashIndex:
         queries = len(X)
         n_cw, n_phi, k = self._n_cw, self._n_phi, self._k
         dtype = _distance_dtype(max(k, self._phi_width))
+        if not len(self):
+            return np.zeros((queries, 0), dtype=dtype)
+        # Each query packed once, into (queries, cycles, items) slots at the model's width.
+        slots = _packed(signs, k)
         if n_cw:
-            # Each codeword row meets the query's bits in its own cycle, in whole words.
-            q = _packed(signs[:, :width - width % k], k, 8 * n_words(k), width // k)
-            q = q.view(WORD).transpose(2, 0, 1)
-            cw_d = _hamming(np.take(q, self._cycles[:n_cw], axis=2),
+            # Each codeword row meets the query's slot in the row's cycle.
+            cw_d = _hamming(np.take(slots.transpose(2, 0, 1), self._cycles[:n_cw], axis=2),
                             self._cores[:, :n_cw], dtype)
         if n_phi:
-            # The query's bits at or past the phi width are cleared, as the rows' are.
-            pw, (size, slots) = self._phi_width, self._phi_slots
-            q = _packed(signs[:, :pw], k, size, slots).reshape(queries, 1, size * slots)
-            q = q.view(WORD).transpose(2, 0, 1)
-            phi_d = _hamming(q, self._values[:, :n_phi], dtype)
+            # Phi rows meet the query's slots of the cycles they hold, slot-major as they are.
+            q = slots[:, :self._phi_width // k].reshape(queries, -1).T
+            phi_d = _hamming(q[:, :, None], self._values[:, :n_phi], dtype)
         if n_cw and n_phi:
             is_phi = self._is_phi[:len(self)]
             dists = np.empty((queries, len(self)), dtype=dtype)
             dists[:, is_phi], dists[:, ~is_phi] = phi_d, cw_d
             return dists
-        return cw_d if n_cw else phi_d if n_phi else np.zeros((queries, 0), dtype=dtype)
+        return cw_d if n_cw else phi_d
 
     def rank_blocks(self, model: HashModel, X):
         """``(orders, dists)``, both (queries, entries), per block of rows of ``X``.

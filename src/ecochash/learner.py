@@ -180,13 +180,17 @@ class HashModel:
     ``sq_norm_bound``, which the next read recomputes, so an edited model is
     built through the constructor. C order gives ``step`` one BLAS kernel
     whether a model was built or loaded, and ``step_many`` a (cycles, k, d+1)
-    view of the block.
+    view of the block. The weights are whole cycles, (m * k, d+1) for some
+    m >= 0; any other shape raises ValueError.
     """
 
     def __init__(self, d: int, k: int, weights: np.ndarray, iteration: int = 0,
                  seed: int = 0) -> None:
         self.d, self.k, self.iteration, self.seed = d, k, iteration, seed
-        self._own(np.array(weights, dtype=np.float64, order="C"))
+        w = np.array(weights, dtype=np.float64, order="C")
+        if k < 1 or w.ndim != 2 or w.shape[1] != d + 1 or len(w) % k:
+            raise ValueError(f"weights of shape {w.shape} are not (m * k, d + 1) for k={k}, d={d}")
+        self._own(w)
 
     def _own(self, w: np.ndarray) -> None:
         """Keep ``w`` as the weights, behind a read-only view, with no bound."""
@@ -296,9 +300,23 @@ def _descend(w: np.ndarray, c: np.ndarray, xh: np.ndarray, eta: float) -> np.nda
     return z
 
 
-def _check_eta(eta: float) -> None:
+def _check_step(model: HashModel, matrix: EcocMatrix, eta: float, d: int) -> None:
+    """Refuse eta, features of length ``d`` or a model of a width that ``step`` cannot take."""
     if not 0.0 <= eta < math.inf:
         raise ValueError(f"eta must be finite and >= 0, got {eta}")
+    if d != model.d:
+        raise DimensionError(f"feature length {d} does not match d={model.d}")
+    if model.width != matrix.width:
+        raise ConsistencyError(
+            f"model width {model.width} does not match matrix width {matrix.width}")
+
+
+def _observe(model: HashModel, matrix: EcocMatrix, cb: Codebook, y: Label):
+    """Observe ``y`` in the matrix, growing the model by k functions when it opens a cycle."""
+    obs = matrix.observe_label(cb, y)
+    if obs.new_cycle_started:
+        model.grow_cycle(matrix.m)
+    return obs
 
 
 def step(model: HashModel, matrix: EcocMatrix, cb: Codebook,
@@ -309,17 +327,11 @@ def step(model: HashModel, matrix: EcocMatrix, cb: Codebook,
     functions. The update writes only the rows of the label's cycle whose
     loss slope is nonzero, so every other weight vector is left bitwise
     intact; loss and update equal ``surrogate_loss`` and ``gradient`` on
-    ``matrix.find(y)`` bit for bit. ``eta`` must be finite and >= 0.
+    ``matrix.find(y)`` bit for bit. ``eta`` must be finite and >= 0; it, the
+    feature length and the model's width are checked before anything changes.
     """
-    _check_eta(eta)
-    if len(x) != model.d:
-        raise DimensionError(f"feature length {len(x)} does not match d={model.d}")
-    obs = matrix.observe_label(cb, y)
-    if obs.new_cycle_started:
-        model.grow_cycle(matrix.m)
-    if model.width != matrix.width:
-        raise ConsistencyError(
-            f"model width {model.width} does not match matrix width {matrix.width}")
+    _check_step(model, matrix, eta, len(x))
+    obs = _observe(model, matrix, cb, y)
     k = matrix.k
     cycle = matrix.cycle_of_label[y]
     touched = range((cycle - 1) * k, cycle * k)
@@ -366,16 +378,11 @@ def step_many(model: HashModel, matrix: EcocMatrix, cb: Codebook,
     the rounds of the examples before it are reported before the error
     propagates.
     """
-    _check_eta(eta)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or len(X) != len(labels):
         raise ValueError(f"a block of {len(labels)} labels needs that many feature rows, "
                          f"not an array of shape {X.shape}")
-    if X.shape[1] != model.d:
-        raise DimensionError(f"feature length {X.shape[1]} does not match d={model.d}")
-    if model.width != matrix.width:
-        raise ConsistencyError(
-            f"model width {model.width} does not match matrix width {matrix.width}")
+    _check_step(model, matrix, eta, X.shape[1])
     n = len(labels)
     rows = np.empty(n, dtype=np.intp)
     new_labels = np.zeros(n, dtype=bool)
@@ -384,9 +391,7 @@ def step_many(model: HashModel, matrix: EcocMatrix, cb: Codebook,
     done = 0
     try:
         for y in labels:
-            obs = matrix.observe_label(cb, y)
-            if obs.new_cycle_started:
-                model.grow_cycle(matrix.m)
+            obs = _observe(model, matrix, cb, y)
             new_labels[done], new_cycles[done] = obs.is_new_label, obs.new_cycle_started
             rows[done] = matrix.rows[y]
             done += 1

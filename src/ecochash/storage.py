@@ -3,12 +3,13 @@
 Model and index files are one framing: a magic, a u32 version, then the
 arrays of a layout in order, each as its u64 element count and its
 little-endian items (a single value is an array of one).
-``FILE_LAYOUT`` in ``ecochash.index`` names an index's arrays and
-``MODEL_LAYOUT`` here a model's: the codebook pool, every label's core in
-arrival order (which gives its cycle), the weights and the normalizer's
-mean. Saving and reloading a bundle reproduces it byte for byte,
-including the codebook draw position, so a restored session continues the
-exact same random sequence it would have produced uninterrupted.
+``FILE_LAYOUT`` in ``ecochash.index`` names an index's arrays (each row's
+cycle slots as bytes) and ``MODEL_LAYOUT`` here a model's: the codebook
+pool, every label's core in arrival order (which gives its cycle), the
+weights and the normalizer's mean. Saving and reloading a bundle
+reproduces it byte for byte, including the codebook draw position, so a
+restored session continues the exact same random sequence it would have
+produced uninterrupted.
 
 Feature files come in two encodings. The binary one is compact and typed:
 a "FEAT" magic, the dimension, then (u64 id, i32 label, d float32) records
@@ -43,7 +44,7 @@ MODEL_MAGIC = b"ECOCHMDL"
 INDEX_MAGIC = b"ECOCHIDX"
 FEATURE_MAGIC = 0x54414546  # the bytes b"FEAT"
 MODEL_VERSION = 3
-INDEX_VERSION = 4
+INDEX_VERSION = 5
 
 # Model file format version 3, in the framing of ``FILE_LAYOUT``. ``pool`` and ``cores``
 # hold ceil(k/64) words per code, ``cores`` in the order of the label table, which is

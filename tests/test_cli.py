@@ -107,6 +107,26 @@ def test_train_rejects_bad_seed_env(run, dataset, tmp_path, monkeypatch):
     assert err.startswith("error (invalid-argument):")
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_train_refuses_a_seed_past_64_bits(run, dataset, tmp_path, monkeypatch, source):
+    # Model and index files store the seed as a u64, so 2^64 is refused before training.
+    out = tmp_path / "m.model"
+    argv = train_flags(dataset, out, **{"--seed": 1 << 64})
+    if source == "env":
+        monkeypatch.setenv(SEED_ENV, str(1 << 64))
+        i = argv.index("--seed")
+        del argv[i:i + 2]
+    _, err = run(argv, expect=1)
+    assert err.startswith("error (invalid-argument): seed must be in [0, 2^64), got 1844")
+    assert not out.exists()
+
+
+def test_train_takes_the_largest_64_bit_seed(run, dataset, tmp_path):
+    out = tmp_path / "m.model"
+    run(train_flags(dataset, out, **{"--seed": (1 << 64) - 1}))
+    assert load_model(out).seed == (1 << 64) - 1
+
+
 def test_train_skips_unlabeled_rows(run, tmp_path):
     X, labels = make_gaussian_classes(2, 4, 60, seed=1)
     labels = [None if i % 3 == 0 else labels[i] for i in range(60)]

@@ -205,8 +205,8 @@ def test_flips_match_snapshot_diff():
 
 def test_recompute_spans_that_straddle_words():
     # k=24: code positions [48, 72) of cycle 3 would cross words 0 and 1
-    # back to back; in slots of 4 bytes, cycles 1 and 2 share word 0 and
-    # cycles 3 and 4 word 1, each slot with a byte of padding.
+    # back to back; as slot rows, each cycle is one 4-byte item with a byte
+    # of padding, in its own row of the phi block.
     matrix, cb, model, stream = small_stream(n_labels=5, k=24, rho=1, steps=40)
     step(model, matrix, cb, stream[0][0], stream[0][1])
     eager, late = HashIndex(), HashIndex()
@@ -249,6 +249,35 @@ def test_refresh_of_any_set_of_cycles_rewrites_the_same_bits(k):
     assert index.ledger.flipped_bits_total == 0
 
 
+@pytest.mark.parametrize("k", [5, 8, 12, 24, 32, 64, 70, 72])
+def test_recompute_writes_only_the_listed_cycles_slots(k, tmp_path):
+    # Slots of 1, 1, 2, 4, 4, 8, 2 x 8 and 2 x 8 bytes. All four cycles move,
+    # and a refresh of cycles 2 and 4 writes their bits and no other; flips
+    # are the snapshot's diff in those cycles, and the slots' padding stays
+    # clear, as the loader checks.
+    matrix, cb, model, stream = small_stream(n_labels=4, k=k, rho=1, steps=12)
+    for x, y in stream[:4]:
+        step(model, matrix, cb, x, y)
+    X, moves = np.split(np.random.default_rng(k).standard_normal((20, 6)), [12])
+    index = HashIndex()
+    index.insert_many(range(12), X, model)
+    before = [phi(model, x).bits for x in X]
+    # Random points under the four labels violate their margins, so every cycle moves.
+    for x, (_, y) in zip(moves, stream[4:]):
+        step(model, matrix, cb, x, y)
+    after = [phi(model, x).bits for x in X]
+    listed = ((1 << k) - 1) << k | ((1 << k) - 1) << 3 * k
+    assert index.refresh(model, [2, 4]) == 12 * k * 2
+    assert [e.code.values.bits for e in index.entries] == [
+        b & ~listed | a & listed for b, a in zip(before, after)]
+    assert any((b ^ a) & ~listed for b, a in zip(before, after))
+    flips = sum(((b ^ a) & listed).bit_count() for b, a in zip(before, after))
+    assert flips and index.ledger.flipped_bits_total == flips
+    save_index(index, tmp_path / "i.index")
+    assert [e.code for e in load_index(tmp_path / "i.index").entries] == \
+        [e.code for e in index.entries]
+
+
 def test_recompute_scores_one_c_ordered_weight_block(monkeypatch):
     # For small blocks BLAS multiplies Xa @ W.T faster when W.T is C-ordered.
     # A recompute copies its cycles' weights into one such block; a row slice
@@ -281,8 +310,8 @@ def test_recompute_scores_one_c_ordered_weight_block(monkeypatch):
 
 @pytest.mark.parametrize("k", [8, 16, 32, 64])
 def test_phi_rows_are_phi_bits_back_to_back_when_k_fills_its_slot(k):
-    # At these k a slot is the cycle's bits, so the words are the code's: at
-    # width 96 and k=32 a row is 2 words, as it was before rows had slots.
+    # At these k a slot is the cycle's bits, so a row's slots in cycle order
+    # are the code's bytes: at width 96 and k=32 a row is 12 bytes.
     matrix, cb, model, stream = small_stream(n_labels=3, k=k, rho=1, steps=9)
     for x, y in stream:
         step(model, matrix, cb, x, y)
@@ -290,9 +319,8 @@ def test_phi_rows_are_phi_bits_back_to_back_when_k_fills_its_slot(k):
     index.insert_many(range(9), [x for x, _ in stream], model)
     report = step(model, matrix, cb, *stream[0])
     index.apply_model_update(report, model)
-    words = -(-model.width // 64)
-    want = [phi(model, x).bits.to_bytes(8 * words, "little") for x, _ in stream]
-    assert index.arrays()["values"].shape == (9, words)
+    want = [phi(model, x).bits.to_bytes(model.width // 8, "little") for x, _ in stream]
+    assert index.arrays()["values"].shape == (9, model.width // 8)
     assert [row.tobytes() for row in index.arrays()["values"]] == want
 
 
@@ -690,6 +718,28 @@ def test_apply_steps_refuses_a_bad_cycle_list_before_any_change():
     assert same_arrays(copied_arrays(index), before)
     assert index.apply_steps(model, [3]) == 4 * 8
     assert index.arrays()["phi_width"] == 24
+
+
+@pytest.mark.parametrize("k", [8, 70])
+def test_apply_steps_counts_flips_whatever_the_order_of_its_cycles(k):
+    # Rows one cycle behind, and a round that lists the new cycle first: flips
+    # count only in the cycles the rows held, as for the sorted list.
+    matrix, cb, model, stream = small_stream(n_labels=3, k=k, rho=1, steps=9)
+    for x, y in stream[:2]:
+        step(model, matrix, cb, x, y)
+    X, moves = np.split(np.random.default_rng(k).standard_normal((10, 6)), [8])
+    index = HashIndex()
+    index.insert_many(range(8), X, model)
+    before = [phi(model, x).bits for x in X]
+    step(model, matrix, cb, *stream[2])
+    for x, (_, y) in zip(moves, stream[:2]):
+        step(model, matrix, cb, x, y)
+    after = [phi(model, x).bits for x in X]
+    held = (1 << 2 * k) - 1
+    flips = sum(((b ^ a) & held).bit_count() for b, a in zip(before, after))
+    assert flips and index.apply_steps(model, [3, 1, 2]) == 8 * k * 3
+    assert index.ledger.flipped_bits_total == flips
+    assert [e.code.values.bits for e in index.entries] == after
 
 
 def test_negative_top_n_is_rejected():

@@ -1,6 +1,7 @@
 """SGD steps, the margin surrogate, and its sparse gradient."""
 
 import copy
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -530,6 +531,32 @@ def test_step_many_checks_before_it_changes_anything():
     with pytest.raises(ConsistencyError):
         step_many(*wide, np.zeros((2, d)), ["a", "b"])
     assert len(state[1]) == 0 and state[2].draws_made == 0 and state[0].iteration == 0
+
+
+def test_step_checks_before_it_changes_anything():
+    # A width-16 model against a width-8 matrix: step refuses it before it
+    # observes the label, so no label joins the matrix and no code is drawn.
+    k, d = 8, 3
+    model, matrix, cb = HashModel.create(d, k, seed=1), new_matrix(k, 1), generate(k, 16, seed=2)
+    model.grow_cycle(2)
+    weights, pool = model.weights.copy(), cb.pool.copy()
+    with pytest.raises(ConsistencyError):
+        step(model, matrix, cb, np.zeros(d), "a")
+    with pytest.raises(DimensionError):
+        step(model, matrix, cb, np.zeros(d + 1), "a")
+    with pytest.raises(ValueError):
+        step(model, matrix, cb, np.zeros(d), "a", eta=float("nan"))
+    assert len(matrix) == 0 and matrix.width == k
+    assert cb.draws_made == 0 and np.array_equal(cb.pool, pool)
+    assert model.iteration == 0 and np.array_equal(model.weights, weights)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 5), (5,), (2, 5, 1)])
+def test_model_refuses_weights_that_are_not_whole_cycles(shape):
+    # At k=2 and d=4 the weights are (2m, 5): (2, 3) has rows of another d,
+    # and (3, 5) holds a cycle and a half.
+    with pytest.raises(ValueError, match=re.escape(f"weights of shape {shape}")):
+        HashModel(d=4, k=2, weights=np.zeros(shape))
 
 
 def assert_rounds_report_each_step(state, X, labels, eta):

@@ -421,11 +421,8 @@ def test_index_roundtrip_bytes(tmp_path):
 
 
 # SHA-256 of the saved populated index after one eager update, in format
-# version 4, and of the same bytes with the version field set to 3, the pin
-# of format version 3. At k=8 a phi row's slots are its bits back to back,
-# and the index has codeword rows, so version 3 stored its k too.
-POPULATED_INDEX_SHA256 = "0b5a0e5d84f64fdc106a777b0df632f78904866bfc26c6428625089918bbb374"
-VERSION_3_SHA256 = "8d10ebcaea894fa6f7e1913a4b1e7b798a4bbbe4f91a581f2ea6a59063b19bd1"
+# version 5: at k=8 each slot is one byte.
+POPULATED_INDEX_SHA256 = "a85f3ddb182975e99e26ef4de3cff1ea207ad0f71c539223209132a432ae3832"
 
 
 def test_index_bytes_are_pinned(tmp_path):
@@ -437,9 +434,6 @@ def test_index_bytes_are_pinned(tmp_path):
     save_index(index, p)
     blob = p.read_bytes()
     assert hashlib.sha256(blob).hexdigest() == POPULATED_INDEX_SHA256
-    # Only the version field moved from version 3.
-    as_3 = blob[:8] + struct.pack("<I", 3) + blob[12:]
-    assert hashlib.sha256(as_3).hexdigest() == VERSION_3_SHA256
 
 
 def test_index_version_1_is_refused(tmp_path):
@@ -472,6 +466,19 @@ def test_index_version_3_is_refused(tmp_path):
     p = tmp_path / "old.index"
     p.write_bytes(storage.INDEX_MAGIC + struct.pack("<I", 3) + b"".join(items))
     with pytest.raises(FormatError, match="unsupported index version 3.*ecochash index"):
+        load_index(p)
+
+
+def test_index_version_4_is_refused(tmp_path):
+    # An empty version-4 index: the version-5 arrays with word-sized cores and
+    # values, the feature length after the phi width and widest before the
+    # ledger.
+    sizes = [0, 0, 0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 1, 1, 1, 1]
+    items = [struct.pack("<Q", n) + b"\0" * (8 if i >= 13 else 4) * n
+             for i, n in enumerate(sizes)]
+    p = tmp_path / "old.index"
+    p.write_bytes(storage.INDEX_MAGIC + struct.pack("<I", 4) + b"".join(items))
+    with pytest.raises(FormatError, match="unsupported index version 4.*ecochash index"):
         load_index(p)
 
 
@@ -511,6 +518,15 @@ def _set_first(value):
     return change
 
 
+def _set_bit(bit):
+    """A change that sets bit ``bit`` of an array of bytes, from the first row's first byte."""
+    def change(a, fields):
+        a = a.copy()
+        a.flat[bit // 8] |= 1 << bit % 8
+        return a
+    return change
+
+
 def phi_only_index(k):
     """Six phi rows at three cycles of k bits, and no codeword rows."""
     model = HashModel.create(d=3, k=k, seed=1)
@@ -518,6 +534,18 @@ def phi_only_index(k):
         model.grow_cycle(cycle)
     index = HashIndex()
     index.insert_many(range(6), np.random.default_rng(4).standard_normal((6, 3)), model)
+    return index
+
+
+def codeword_only_index(k):
+    """Four codeword rows of k bits in two cycles, and no phi rows."""
+    matrix = new_matrix(k, 2)
+    cb = generate(k, 8, seed=2)
+    for y in "abcd":
+        matrix.observe_label(cb, y)
+    index = HashIndex()
+    for i, y in enumerate("abcd"):
+        index.insert_labeled(i, y, matrix)
     return index
 
 
@@ -531,20 +559,27 @@ def _populated():
     (_populated, "label_of", _set_first(lambda a, f: len(f["label_lengths"]))),
     (_populated, "k", lambda v, f: 0),
     (_populated, "cycles", _set_first(lambda a, f: 0)),
-    (_populated, "cycles", _set_first(lambda a, f: f["widest"] // f["k"] + 1)),
-    (_populated, "cores", _set_first(lambda a, f: int(a.flat[0]) | 1 << int(f["k"]))),
-    (_populated, "values", _set_first(lambda a, f: int(a.flat[0]) | 1 << int(f["phi_width"]))),
-    (_populated, "widest", lambda v, f: v + 1),
+    # A slot holds its cycle's k bits from its first bit, the rest clear: bit 12
+    # of a 2-byte slot at k=12, and bit 6 of a slot's second word at k=70.
+    (lambda: codeword_only_index(12), "cores", _set_bit(12)),
+    (lambda: codeword_only_index(70), "cores", _set_bit(70)),
+    # 3 cycles of k=24 in 4-byte slots: bit 88 is in the padding byte of the
+    # last cycle's slot, past the phi width, and bit 24 in the first one's.
+    (lambda: phi_only_index(24), "values", _set_bit(88)),
     (_populated, "features", _set_first(lambda a, f: -np.inf)),
     (lambda: phi_only_index(8), "k", lambda v, f: 0),
-    # 24 bits at k=8 to 20: the rows keep their one word, and widest follows.
-    (lambda: phi_only_index(8), "phi_width widest", lambda v, f: v - 4),
-    # Bit 24 of a row at k=24 is in the padding byte of the first cycle's slot.
-    (lambda: phi_only_index(24), "values",
-     _set_first(lambda a, f: int(a.flat[0]) | 1 << int(f["k"]))),
-], ids=["flag", "repeated-id", "label-index", "k-zero", "cycle-zero", "cycle-past-widest",
-        "core-bit-past-k", "phi-bit-past-width", "widest", "feature-not-finite",
-        "phi-only-k-zero", "phi-width-not-a-multiple-of-k", "phi-bit-in-slot-padding"])
+    # 24 bits at k=8 to 20.
+    (lambda: phi_only_index(8), "phi_width", lambda v, f: v - 4),
+    (lambda: phi_only_index(24), "values", _set_bit(24)),
+    (lambda: phi_only_index(70), "values", _set_bit(70)),
+    # The rows hold 3 slots of their bytes each: one byte more or fewer is refused.
+    (lambda: phi_only_index(24), "values", lambda a, f: a[:-1]),
+    (_populated, "features", lambda a, f: a[:-1]),
+], ids=["flag", "repeated-id", "label-index", "k-zero", "cycle-zero",
+        "core-bit-past-k", "core-bit-past-k-in-a-second-word", "phi-bit-past-width",
+        "feature-not-finite", "phi-only-k-zero", "phi-width-not-a-multiple-of-k",
+        "phi-bit-in-slot-padding", "phi-bit-in-word-padding", "values-short-of-the-slots",
+        "features-short-of-the-rows"])
 def test_index_rejects_broken_arrays(tmp_path, build, names, change):
     fields = {key: np.array(v) for key, v in build().arrays().items()}
     p = tmp_path / "i.index"
@@ -555,6 +590,18 @@ def test_index_rejects_broken_arrays(tmp_path, build, names, change):
     save_index(SavedArrays(fields), p)
     with pytest.raises(FormatError):
         load_index(p)
+
+
+def test_a_cycle_past_the_models_loads_and_a_query_refuses_it(tmp_path):
+    # Format 5 derives the widest column from the cycles, so a raised cycle is
+    # no file fault; ranking with a model that lacks the cycle is refused.
+    bundle, Xn, labels = trained_bundle()
+    fields = {key: np.array(v) for key, v in populated_index(bundle, Xn, labels).arrays().items()}
+    fields["cycles"][0] = bundle.model.width // bundle.model.k + 1
+    save_index(SavedArrays(fields), tmp_path / "i.index")
+    index = load_index(tmp_path / "i.index")
+    with pytest.raises(ConsistencyError, match="wider"):
+        index.query(bundle.model, Xn[0])
 
 
 def test_insert_labeled_rejects_a_second_k():
@@ -633,6 +680,12 @@ def test_index_byte_overwrites_load_or_raise_format_error(tmp_path):
             except FormatError:
                 continue
             loaded += 1
+            # A cycle raised past the model's loads, and a query refuses the row.
+            fields = got.arrays()
+            if fields["k"] * int(fields["cycles"].max(initial=0)) > model.width:
+                with pytest.raises(ConsistencyError, match="wider"):
+                    got.query(model, Xn[5])
+                continue
             # An overwritten float may be huge, so the scores may overflow.
             with np.errstate(over="ignore", invalid="ignore"):
                 got.query(model, Xn[5])
