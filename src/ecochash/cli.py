@@ -127,14 +127,13 @@ def _cmd_index(args) -> int:
     if args.mode == MODE_PHI:
         index.insert_many(ids, X, bundle.model, labels)
     else:
-        for id, y in zip(ids, labels):
-            if y is None:
-                if args.skip_unlabeled:
-                    skipped += 1
-                    continue
-                raise ValueError(f"row id {id} has no label; codeword mode needs one "
-                                 "(or pass --skip-unlabeled)")
-            index.insert_labeled(id, y, bundle.matrix)
+        labeled = [(id, y) for id, y in zip(ids, labels) if y is not None]
+        skipped = len(ids) - len(labeled)
+        if skipped and not args.skip_unlabeled:
+            raise ValueError(f"row id {ids[labels.index(None)]} has no label; codeword mode "
+                             "needs one (or pass --skip-unlabeled)")
+        index.insert_labeled_many([id for id, _ in labeled], [y for _, y in labeled],
+                                  bundle.matrix)
     storage.save_index(index, args.index_out)
     if skipped:
         print(f"skipped {skipped} unlabeled rows", file=sys.stderr)

@@ -195,9 +195,10 @@ def run_stream_experiment(train_X, train_labels, db_X, db_labels,
 
     Every ordering retrains from scratch under its own derived seeds. In
     codeword mode a database item enters the index once its label is first
-    observed and its stored code never moves again; in phi mode the whole
-    database is indexed up front and maintained as dictated by
-    ``config.refresh_every``. Checkpoint rankings in batched mode see the
+    observed, with the other items of the block's new labels in one
+    ``insert_labeled_many`` call, and its stored code never moves again; in
+    phi mode the whole database is indexed up front and maintained as
+    dictated by ``config.refresh_every``. Checkpoint rankings in batched mode see the
     index as it stands, stale cycles included, because that is what a
     caller querying between refreshes would see. Every mode trains through
     ``step_many``, in blocks that end at checkpoints and, in batched phi
@@ -267,9 +268,13 @@ def run_stream_experiment(train_X, train_labels, db_X, db_labels,
             report = step_many(model, matrix, cb, train_X[block], ys, eta=config.eta,
                                after_round=propagate)
             if config.mode == MODE_CODEWORD:
+                # The database rows of the block's new labels, in the order they arrived.
+                ids, labels = [], []
                 for y in compress(ys, report.new_labels):
-                    for i in pending.pop(y, ()):
-                        index.insert_labeled(i, y, matrix)
+                    rows = pending.pop(y, ())
+                    ids += rows
+                    labels += [y] * len(rows)
+                index.insert_labeled_many(ids, labels, matrix)
             elif batched:
                 dirty.update(report.cycles[report.surrogate_losses_before > 0.0].tolist())
                 if it % config.refresh_every == 0:

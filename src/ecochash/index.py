@@ -175,7 +175,12 @@ def _check_top_n(top_n: int | None) -> None:
 
 
 class HashIndex:
-    """In-memory index over packed codes with exact bit-update accounting."""
+    """In-memory index over packed codes with exact bit-update accounting.
+
+    Rows enter in blocks, ``insert_labeled_many`` for codeword rows and
+    ``insert_many`` for phi rows; ``insert_labeled`` and ``insert_unlabeled``
+    are their one-row cases.
+    """
 
     def __init__(self, fields: dict = _EMPTY) -> None:
         """An empty index, or a copy of the one ``arrays`` described.
@@ -320,29 +325,46 @@ class HashIndex:
         return out
 
     def insert_labeled(self, id: int, y: Label, matrix: EcocMatrix) -> None:
-        """Index an instance under its label's codeword.
+        """Index one instance by its label: ``insert_labeled_many``'s one-row case."""
+        self.insert_labeled_many([id], [y], matrix)
 
-        The stored code never changes afterwards, no matter how the hash
-        functions move. Every row of an index shares one k; a matrix of
-        another k raises ConsistencyError.
+    def insert_labeled_many(self, ids, labels, matrix: EcocMatrix) -> None:
+        """Index each instance under its label's codeword: id ``ids[i]``, label ``labels[i]``.
+
+        The stored codes never change afterwards, no matter how the hash
+        functions move. Everything is checked before any change, in this
+        order: one label per id; known labels (UnknownLabelError naming the
+        first unknown one); the matrix's k, which must be the k every row of
+        the index shares (ConsistencyError); ids in [0, 2^64), new and
+        distinct (DuplicateIdError). One gather then writes the rows' cycles
+        and cores. An empty block changes nothing.
         """
-        cycle, core = matrix.locate(y)
-        k = matrix.k
+        ids, labels = [int(i) for i in ids], list(labels)
+        if len(ids) != len(labels):
+            raise ValueError(f"{len(ids)} ids and {len(labels)} labels do not make one row each")
+        if not ids:
+            return
+        rows = np.array([matrix.rows.get(y, -1) for y in labels], dtype=np.intp)
+        if rows.min() < 0:
+            # Raises for the first unknown label, where argmin finds the first -1.
+            matrix.locate(labels[int(rows.argmin())])
+        k, n = matrix.k, len(ids)
         if self._k not in (0, k):
-            raise ConsistencyError(f"the index's rows have k={self._k}, entry {id} has k={k}")
-        self._append([int(id)], [y], False)
+            raise ConsistencyError(f"the index's rows have k={self._k}, entry {ids[0]} has k={k}")
+        self._append(ids, labels, False)
         item, per = _slot(k)
         if not self._n_cw:
             self._cores = np.zeros((per, len(self._cycles)), dtype=item)
         self._k = k
         col = self._n_cw
-        self._cycles = grown(self._cycles, col + 1)
-        self._cores = grown(self._cores, col + 1, axis=1)
-        self._cycles[col] = cycle - 1
-        # The core's words past its slot, and its bits past k, are clear.
-        self._cores[:, col] = core[:per]
-        self._n_cw += 1
-        self._widest = max(self._widest, cycle * k)
+        self._cycles = grown(self._cycles, col + n)
+        self._cores = grown(self._cores, col + n, axis=1)
+        cycles = rows // matrix.rho
+        self._cycles[col:col + n] = cycles
+        # The cores' words past their slot, and their bits past k, are clear.
+        self._cores[:, col:col + n] = matrix.cores[rows, :per].T
+        self._n_cw += n
+        self._widest = max(self._widest, (int(cycles.max()) + 1) * k)
 
     def insert_many(self, ids, X, model: HashModel, labels=None) -> None:
         """Index each row of ``X`` under the mapping output, all positions active.

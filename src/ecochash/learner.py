@@ -311,38 +311,44 @@ def _check_step(model: HashModel, matrix: EcocMatrix, eta: float, d: int) -> Non
             f"model width {model.width} does not match matrix width {matrix.width}")
 
 
-def _observe(model: HashModel, matrix: EcocMatrix, cb: Codebook, y: Label):
-    """Observe ``y`` in the matrix, growing the model by k functions when it opens a cycle."""
-    obs = matrix.observe_label(cb, y)
-    if obs.new_cycle_started:
+def _observe(model: HashModel, matrix: EcocMatrix, cb: Codebook, y: Label) -> bool:
+    """Give ``y``, a label new to the matrix, its row; whether it opened a cycle.
+
+    A label that opens a cycle grows the model by k functions.
+    """
+    if matrix.observe_label(cb, y).new_cycle_started:
         model.grow_cycle(matrix.m)
-    return obs
+        return True
+    return False
 
 
 def step(model: HashModel, matrix: EcocMatrix, cb: Codebook,
          x: np.ndarray, y: Label, eta: float = 1.0) -> StepReport:
     """One online update: observe the label, then descend on its codeword.
 
-    A label that opens a new cycle first grows the model by k fresh
-    functions. The update writes only the rows of the label's cycle whose
-    loss slope is nonzero, so every other weight vector is left bitwise
-    intact; loss and update equal ``surrogate_loss`` and ``gradient`` on
-    ``matrix.find(y)`` bit for bit. ``eta`` must be finite and >= 0; it, the
-    feature length and the model's width are checked before anything changes.
+    A known label is one lookup of its row; only a label new to the matrix
+    goes through ``observe_label``, and one that opens a new cycle first
+    grows the model by k fresh functions. The update writes only the rows of
+    the label's cycle whose loss slope is nonzero, so every other weight
+    vector is left bitwise intact; loss and update equal ``surrogate_loss``
+    and ``gradient`` on ``matrix.find(y)`` bit for bit. ``eta`` must be
+    finite and >= 0; it, the feature length and the model's width are
+    checked before anything changes.
     """
     _check_step(model, matrix, eta, len(x))
-    obs = _observe(model, matrix, cb, y)
-    k = matrix.k
-    cycle = matrix.cycle_of_label[y]
-    touched = range((cycle - 1) * k, cycle * k)
-    z = _descend(model._w[touched.start:touched.stop], matrix.signs[matrix.rows[y]],
-                 augment(x), eta)
+    row = matrix.rows.get(y)
+    is_new = row is None
+    opened = is_new and _observe(model, matrix, cb, y)
+    if is_new:
+        row = matrix.rows[y]
+    start = row // matrix.rho * matrix.k
+    touched = range(start, start + matrix.k)
+    z = _descend(model._w[touched.start:touched.stop], matrix.signs[row], augment(x), eta)
     model._bound = None
     model.iteration += 1
     return StepReport(label=y, touched_columns=touched,
                       surrogate_loss_before=float(np.maximum(0.0, 1.0 + z).sum()),
-                      new_cycle_started=obs.new_cycle_started,
-                      is_new_label=obs.is_new_label)
+                      new_cycle_started=opened, is_new_label=is_new)
 
 
 @dataclass
@@ -362,13 +368,14 @@ def step_many(model: HashModel, matrix: EcocMatrix, cb: Codebook,
     Leaves the model, matrix and codebook bitwise as the loop of ``step``
     would, and reports each example's (1-based) cycle, loss before its
     update, and whether it was a new label and opened a new cycle. A label
-    pass observes the labels in stream order, growing the model for each new
-    cycle; neither reads a weight. Labels of different cycles train disjoint
-    rows, so round r then applies the r-th step of every cycle at once, with
-    the gemv ``step`` makes for each. When the codebook runs out at example
-    i, the examples before it are applied and CodebookExhaustedError
-    propagates. The block's shape and ``step``'s eta, feature-length and
-    width checks are tested before anything changes.
+    pass reads each example's row in stream order: a known label is one
+    lookup, and only a label new to the matrix is observed, growing the
+    model for each new cycle; the pass reads no weight. Labels of different
+    cycles train disjoint rows, so round r then applies the r-th step of
+    every cycle at once, with the gemv ``step`` makes for each. When the
+    codebook runs out at example i, the examples before it are applied and
+    CodebookExhaustedError propagates. The block's shape and ``step``'s eta,
+    feature-length and width checks are tested before anything changes.
 
     ``after_round``, when given, is called after each round with that
     round's 1-based cycles in ascending order, once their weights are in the
@@ -383,22 +390,24 @@ def step_many(model: HashModel, matrix: EcocMatrix, cb: Codebook,
         raise ValueError(f"a block of {len(labels)} labels needs that many feature rows, "
                          f"not an array of shape {X.shape}")
     _check_step(model, matrix, eta, X.shape[1])
-    n = len(labels)
-    rows = np.empty(n, dtype=np.intp)
-    new_labels = np.zeros(n, dtype=bool)
-    new_cycles = np.zeros(n, dtype=bool)
-    losses = np.empty(n)
-    done = 0
+    # A known label costs one lookup; only a new one reaches the matrix.
+    rows, new_at, opened_at = [], [], []
+    known = matrix.rows.get
     try:
         for y in labels:
-            obs = _observe(model, matrix, cb, y)
-            new_labels[done], new_cycles[done] = obs.is_new_label, obs.new_cycle_started
-            rows[done] = matrix.rows[y]
-            done += 1
+            row = known(y)
+            if row is None:
+                if _observe(model, matrix, cb, y):
+                    opened_at.append(len(rows))
+                new_at.append(len(rows))
+                row = matrix.rows[y]
+            rows.append(row)
     finally:
         # Also after a failed draw: the examples before it are applied.
-        if done:
-            losses[:done] = _rounds(model, matrix, rows[:done], X[:done], eta, after_round)
+        rows = np.array(rows, dtype=np.intp)
+        losses = _rounds(model, matrix, rows, X, eta, after_round) if len(rows) else np.empty(0)
+    new_labels, new_cycles = np.zeros((2, len(rows)), dtype=bool)
+    new_labels[new_at] = new_cycles[opened_at] = True
     return BlockReport(rows // matrix.rho + 1, losses, new_labels, new_cycles)
 
 

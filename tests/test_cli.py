@@ -8,8 +8,9 @@ from ecochash.cli import SEED_ENV, main
 from ecochash.codebook import DEFAULT_CAPACITY, generate
 from ecochash.ecoc import new_matrix
 from ecochash.evaluation import CURVE_HEADER, make_gaussian_classes, retrieval_map
+from ecochash.index import HashIndex
 from ecochash.learner import FeatureNormalizer, HashModel, step
-from ecochash.storage import (load_index, load_model, read_features, save_model,
+from ecochash.storage import (load_index, load_model, read_features, save_index, save_model,
                               write_features)
 
 
@@ -225,11 +226,36 @@ def test_index_codeword_unlabeled_row_errors(run, trained, tmp_path):
     X = np.zeros((3, 6), dtype=np.float32)
     p = tmp_path / "f.csv"
     write_features(p, [1, 2, 3], ["c0", None, "c1"], X)
+    out = tmp_path / "i.index"
     _, err = run(["index", "--model", trained, "--features", p,
-                  "--mode", "codeword", "--index-out", tmp_path / "i.index"],
+                  "--mode", "codeword", "--index-out", out],
                  expect=1)
     assert err.startswith("error (invalid-argument):")
-    assert "--skip-unlabeled" in err
+    assert "row id 2 has no label" in err and "--skip-unlabeled" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("skip", [False, True])
+def test_index_codeword_writes_the_index_of_a_loop_of_insert_labeled(run, dataset, trained,
+                                                                     tmp_path, skip):
+    ids, labels, X = read_features(dataset["db"])
+    flags = []
+    if skip:
+        labels[0] = labels[57] = labels[-1] = None
+        flags = ["--skip-unlabeled"]
+    p = tmp_path / "f.csv"
+    write_features(p, ids, labels, X)
+    out = tmp_path / "i.index"
+    _, err = run(["index", "--model", trained, "--features", p, "--mode", "codeword",
+                  "--index-out", out, *flags])
+    assert ("skipped 3 unlabeled rows" in err) == skip
+    matrix = load_model(trained).matrix
+    index = HashIndex()
+    for id, y in zip(ids, labels):
+        if y is not None:
+            index.insert_labeled(id, y, matrix)
+    save_index(index, tmp_path / "loop.index")
+    assert out.read_bytes() == (tmp_path / "loop.index").read_bytes()
 
 
 def test_index_skip_unlabeled(run, trained, tmp_path):
@@ -261,10 +287,12 @@ def test_index_unknown_label_category(run, trained, tmp_path):
     X = np.zeros((1, 6), dtype=np.float32)
     p = tmp_path / "f.csv"
     write_features(p, [1], ["never-seen"], X)
+    out = tmp_path / "i.index"
     _, err = run(["index", "--model", trained, "--features", p,
-                  "--mode", "codeword", "--index-out", tmp_path / "i.index"],
+                  "--mode", "codeword", "--index-out", out],
                  expect=1)
     assert err.startswith("error (unknown-label):")
+    assert not out.exists()
 
 
 @pytest.fixture

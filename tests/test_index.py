@@ -91,6 +91,71 @@ def test_duplicate_id_leaves_index_unchanged():
     assert same_arrays(copied_arrays(index), before)
 
 
+def same_bits(a, b):
+    """Whether two ``arrays()`` dicts have the same fields, dtypes, shapes and bytes."""
+    a, b = ({f: np.asarray(v) for f, v in d.items()} for d in (a, b))
+    return a.keys() == b.keys() and all(
+        (a[f].dtype, a[f].shape, a[f].tobytes()) == (b[f].dtype, b[f].shape, b[f].tobytes())
+        for f in a)
+
+
+def labeled_setup(k, n_labels=7, rho=2):
+    """Labels over several cycles, and an index that holds phi and codeword rows."""
+    matrix, cb, model, stream = small_stream(n_labels=n_labels, k=k, rho=rho,
+                                             steps=2 * n_labels)
+    for x, y in stream:
+        step(model, matrix, cb, x, y)
+    index = HashIndex()
+    index.insert_many([100, 101, 102], [x for x, _ in stream[:3]], model, ["c0", None, "c2"])
+    index.insert_labeled(103, "c1", matrix)
+    return matrix, model, stream, index
+
+
+# k=5 and 12 pad their slots; 64 fills one word; 70 spans two.
+@pytest.mark.parametrize("k", [5, 8, 12, 32, 64, 70])
+def test_insert_labeled_many_equals_a_loop_of_insert_labeled(k):
+    matrix, model, stream, index = labeled_setup(k)
+    assert matrix.m == 4
+    loop = copy.deepcopy(index)
+    ids = list(range(20, 34))
+    labels = [f"c{i % 7}" for i in (6, 0, 3, 3, 1, 5, 6, 2, 4, 0, 0, 5, 2, 1)]
+    for id, y in zip(ids, labels):
+        loop.insert_labeled(id, y, matrix)
+    index.insert_labeled_many(ids, labels, matrix)
+    assert same_bits(index.arrays(), loop.arrays())
+    x = stream[0][0]
+    assert index.query(model, x) == loop.query(model, x)
+
+
+def test_insert_labeled_many_refuses_a_bad_block_before_any_change():
+    matrix, _, _, index = labeled_setup(8)
+    other = new_matrix(4, 2)
+    other.observe_label(generate(4, 8, seed=0), "c0")
+    before = copied_arrays(index)
+    for ids, labels, m, error in (
+            ([1, 2, 3], ["c0", "nope", "c1"], matrix, UnknownLabelError),
+            ([1, 2], ["c0", "c0"], other, ConsistencyError),
+            ([1, 2, 1], ["c0", "c1", "c2"], matrix, DuplicateIdError),
+            ([1, 103], ["c0", "c1"], matrix, DuplicateIdError),
+            ([1, -3], ["c0", "c1"], matrix, ValueError),
+            ([1, 1 << 64], ["c0", "c1"], matrix, ValueError),
+            ([1, 2], ["c0"], matrix, ValueError),
+            # Labels are checked first, then k, then ids.
+            ([103, 2], ["c0", "nope"], matrix, UnknownLabelError),
+            ([103, 2], ["c0", "c0"], other, ConsistencyError)):
+        with pytest.raises(error):
+            index.insert_labeled_many(ids, labels, m)
+        assert same_bits(index.arrays(), before)
+
+
+def test_insert_labeled_many_of_an_empty_block_changes_nothing():
+    matrix, _, _, index = labeled_setup(8)
+    for target in (index, HashIndex()):
+        before = copied_arrays(target)
+        target.insert_labeled_many([], [], matrix)
+        assert same_bits(target.arrays(), before)
+
+
 def test_every_row_of_an_index_shares_one_k():
     matrix, cb, model, stream = small_stream(k=8)
     other, other_cb, other_model, _ = small_stream(k=4)

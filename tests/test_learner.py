@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ecochash.bitcode import TernaryCodeword, hamming_masked, pack, ternary, unpack
 from ecochash.codebook import Codebook, generate
-from ecochash.ecoc import new_matrix
+from ecochash.ecoc import EcocMatrix, new_matrix
 from ecochash.errors import CodebookExhaustedError, ConsistencyError, DimensionError
 from ecochash.learner import (FeatureNormalizer, HashModel, augment, gradient,
                               init_functions, phi, predict_bit, step, step_many,
@@ -434,25 +434,81 @@ def assert_block_equals_loop(state, X, labels, eta):
     return error
 
 
-def random_block(rng, n, d, classes):
+def random_block(rng, n, d, classes, first=0):
+    """n examples whose labels are drawn from ``classes`` labels, from y{first} on."""
     X = rng.standard_normal((n, d)) / np.sqrt(d)
-    return X, [f"y{int(c)}" for c in rng.integers(classes, size=n)]
+    return X, [f"y{int(c)}" for c in first + rng.integers(classes, size=n)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 8, 33]), st.integers(1, 4),
        st.integers(1, 6), st.integers(1, 12), st.sampled_from([0.0, 0.3, 1.0]),
-       st.lists(st.integers(0, 40), min_size=1, max_size=4))
+       st.lists(st.tuples(st.integers(0, 40), st.integers(0, 8)), min_size=1, max_size=4))
 def test_step_many_equals_a_loop_of_step(seed, k, rho, d, classes, eta, blocks):
     # Consecutive blocks continue one model; later blocks see trained weights
-    # and labels and cycles that open mid-block.
+    # and labels and cycles that open mid-block. Each block's labels start
+    # from its own first label, so a block mixes labels new to the matrix,
+    # repeated inside it, with labels seen in earlier blocks.
     rng = np.random.default_rng(seed)
     state = (HashModel.create(d, k, seed=seed), new_matrix(k, rho),
              generate(k, min(64, 1 << (k - 1)), seed=seed + 1))
-    for n in blocks:
-        X, labels = random_block(rng, n, d, classes)
+    for n, first in blocks:
+        X, labels = random_block(rng, n, d, classes, first)
         if assert_block_equals_loop(state, X, labels, eta) is not None:
             break
+
+
+@pytest.fixture
+def observed(monkeypatch):
+    """The labels ``EcocMatrix.observe_label`` is called with, in call order."""
+    calls = []
+    observe = EcocMatrix.observe_label
+
+    def counting(matrix, cb, y):
+        calls.append(y)
+        return observe(matrix, cb, y)
+
+    monkeypatch.setattr(EcocMatrix, "observe_label", counting)
+    return calls
+
+
+@pytest.mark.parametrize("blocks", [False, True])
+def test_only_a_label_new_to_the_matrix_is_observed(observed, blocks):
+    # Labels repeated inside a block, and labels seen in an earlier block.
+    k, d = 4, 3
+    rng = np.random.default_rng(3)
+    state = (HashModel.create(d, k, seed=1), new_matrix(k, 2), generate(k, 8, seed=2))
+    for labels, new in ((["a", "b", "a", "a", "c", "b"], ["a", "b", "c"]),
+                        (["c", "a", "d", "d", "b", "e", "a"], ["d", "e"]),
+                        (["e", "b", "b"], [])):
+        X = rng.standard_normal((len(labels), d))
+        observed.clear()
+        if blocks:
+            report = step_many(*state, X, labels)
+            assert [y for y, is_new in zip(labels, report.new_labels) if is_new] == new
+        else:
+            for x, y in zip(X, labels):
+                step(*state, x, y)
+        assert observed == new
+    assert state[1].labels == ["a", "b", "c", "d", "e"]
+
+
+@pytest.mark.parametrize("blocks", [False, True])
+def test_an_exhausted_codebook_is_observed_once_mid_block(observed, blocks):
+    # Three codes: "d", the fourth new label, fails its draw, and no label
+    # after it is looked up or observed.
+    k, d = 3, 4
+    state = (HashModel.create(d, k, seed=1), new_matrix(k, 2), generate(k, 3, seed=2))
+    labels = ["a", "b", "a", "c", "b", "d", "a", "e"]
+    X = np.random.default_rng(4).standard_normal((len(labels), d))
+    with pytest.raises(CodebookExhaustedError):
+        if blocks:
+            step_many(*state, X, labels)
+        else:
+            for x, y in zip(X, labels):
+                step(*state, x, y)
+    assert observed == ["a", "b", "c", "d"]
+    assert state[1].labels == ["a", "b", "c"] and state[0].iteration == 5
 
 
 def test_step_many_opens_cycles_mid_block_and_continues_a_trained_model():

@@ -12,6 +12,6 @@ def test_readme_library_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
     hits = ast.literal_eval(capsys.readouterr().out)
-    # Both entries, each an (id, distance) pair, nearest first.
-    assert sorted(id for id, _ in hits) == [0, 1]
+    # Every entry, each an (id, distance) pair, nearest first.
+    assert sorted(id for id, _ in hits) == [0, 1, 2, 3]
     assert [d for _, d in hits] == sorted(d for _, d in hits)
