@@ -18,7 +18,9 @@ it is its core in its cycle's columns, at the length cycle * k. The phi
 block is slot-major, one row per item of each held cycle's slot and
 one column per phi row, plus each row's augmented features
 ``[x; 1]``, so an update recomputes a cycle's slot for every phi row with
-one matrix product and one assignment. Every phi bit, stored or queried,
+one matrix product and one assignment. Inserted phi rows wait unscored
+(staged) until the first read of the bits or the model's next write, and
+are then scored as one block. Every phi bit, stored or queried,
 is ``learner.exact_signs``' exact sign. A query is packed once into slots
 at the model's width; its distance to a codeword row is the popcount of
 its slot in the row's cycle XOR the core, to a phi row of its first held
@@ -28,6 +30,7 @@ arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -40,7 +43,7 @@ from .errors import ConsistencyError, DimensionError, DuplicateIdError
 # Nothing here calls ``phi`` or ``codes_to_words``; both stay module names because
 # the benchmark's tracer (perfbench/tracing.py) reads them from this ``__dict__``.
 from .learner import (HashModel, StepReport, _sq_norm_bound, augment_rows,  # noqa: F401
-                      exact_signs, phi)
+                      check_finite, exact_signs, phi)
 
 MODE_CODEWORD = "codeword"
 MODE_PHI = "phi"
@@ -169,6 +172,11 @@ def _hamming(qs: np.ndarray, rows: np.ndarray, dtype) -> np.ndarray:
     return dists
 
 
+def _whole(cycles) -> bool:
+    """Whether every listed cycle is an integer, so it indexes the weights."""
+    return all(isinstance(j, (int, np.integer)) for j in cycles)
+
+
 def _check_top_n(top_n: int | None) -> None:
     if top_n is not None and top_n < 0:
         raise ValueError(f"top_n must be >= 0, got {top_n}")
@@ -233,6 +241,9 @@ class HashIndex:
         self._feats = np.ones((n_phi, feats.shape[1] + 1) if n_phi else (0, 0))
         self._feats[:, :-1] = feats
         self._x_bound = None
+        # The phi rows staged unscored, or None: (model, first column, a bound on
+        # their [x; 1]'s squared norm, the sum of each insert's).
+        self._staged = None
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -273,8 +284,30 @@ class HashIndex:
         self._labels += labels
         self._id_set |= new
 
+    def _settle(self) -> None:
+        """Score the staged phi rows with one ``exact_signs`` call and one pack.
+
+        They meet the weights they were inserted under: the model settles its
+        indexes before it next writes a weight. Their features and those
+        weights were checked finite at insert, so this never raises.
+        """
+        if self._staged is None:
+            return
+        (model, first, x_bound), n, width = self._staged, self._n_phi, self._phi_width
+        self._staged = None
+        model._unstage(self)
+        signs = exact_signs(model.weights[:width], self._feats[first:n], x_bound=x_bound,
+                            w_bound=model.sq_norm_bound if width == model.width else None)
+        self._values[:, first:n] = _packed(signs, self._k).reshape(n - first, -1).T
+
+    def __getstate__(self) -> dict:
+        # A copy or pickle holds scored rows only, so no model goes with it.
+        self._settle()
+        return self.__dict__
+
     def arrays(self) -> dict:
         """The index as ``FILE_LAYOUT``'s fields, by name; arrays may be views."""
+        self._settle()
         n_cw, n_phi = self._n_cw, self._n_phi
         at = {y: i for i, y in enumerate(dict.fromkeys(y for y in self._labels if y is not None))}
         return {
@@ -300,6 +333,7 @@ class HashIndex:
         phi width. The snapshot is built on each access; changing it leaves
         the index as it is.
         """
+        self._settle()
         k, width = self._k, self._phi_width
         codewords = zip((self._cycles[:self._n_cw] + 1).tolist(),
                         words_to_codes(self._cores[:, :self._n_cw].T.astype(WORD)))
@@ -373,12 +407,23 @@ class HashIndex:
         a ground-truth tag (or None) kept for evaluation only, which plays no
         part in the stored code, ``phi(model, X[i])``'s bits. The features are
         retained exactly as given (so pass them already normalized) to allow
-        partial recomputation later. One ``exact_signs`` call scores the batch.
+        partial recomputation later.
+
+        The rows are staged, not scored: their features are copied in, and
+        every row staged against one model since the last score is scored
+        with one ``exact_signs`` call and one pack at the first read of the
+        phi bits (a query, ``refresh``, ``apply_steps``,
+        ``apply_model_update``, ``arrays`` and so ``save_index``, ``entries``,
+        a copy or pickle), at an insert under another model object, or before
+        the model next writes a weight (``step``, ``step_many``), whichever
+        comes first. So each bit is the exact sign under the weights the row
+        was inserted under, and a loop of one-row inserts pays one product.
 
         Everything is checked before any change: one label per row; rows of
         the model's d and of the phi block's feature length (DimensionError);
-        finite features (ValueError naming the row id); ids in [0, 2^64), new
-        and distinct (DuplicateIdError). A phi block behind the
+        finite features (ValueError naming the row id) and finite weights
+        (ValueError); ids in [0, 2^64), new and distinct (DuplicateIdError).
+        Scoring staged rows then never raises. A phi block behind the
         model's new cycles takes the rows at its own width, and the next
         ``refresh`` or ``apply_model_update`` catches them up with the rest. A
         model narrower than the block, or of another k than the index's rows,
@@ -404,11 +449,13 @@ class HashIndex:
             raise DimensionError(
                 f"feature length {X.shape[1]} does not match "
                 f"{self._feats.shape[1] - 1} of the existing phi entries")
-        # The rows are staged in the blocks' spare capacity, past the last phi
-        # row, so a batch that exact_signs or _append refuses leaves no row
+        if self._staged is not None and self._staged[0] is not model:
+            self._settle()
+        # The rows are copied into the blocks' spare capacity, past the last phi
+        # row, so a batch that check_finite or _append refuses leaves no row
         # behind. Spare feature rows keep the 1.0 of [x; 1] in their last column.
-        item, per = _slot(model.k)
         if not col:
+            item, per = _slot(model.k)
             self._values = np.zeros((width // model.k * per, len(self._feats)), dtype=item)
             self._feats = np.ones((len(self._feats), model.d + 1))
         if col + n > len(self._feats):
@@ -416,44 +463,52 @@ class HashIndex:
             self._values = grown(self._values, col + n, axis=1)
         Xa = self._feats[col:col + n]
         Xa[:, :-1] = X
-        # The model's kept norm bound, unless the block scores only its first columns.
-        signs = exact_signs(model.weights[:width], Xa, lambda i: f"row id {ids[i]}",
-                            w_bound=model.sq_norm_bound if width == model.width else None)
-        self._values[:, col:col + n] = _packed(signs, model.k).reshape(n, -1).T
+        # Finite bounds show the rows and the model's weights finite without a pass.
+        x_bound = _sq_norm_bound(Xa)
+        if not x_bound < math.inf or not model.sq_norm_bound < math.inf:
+            check_finite(model.weights[:width], Xa, lambda i: f"row id {ids[i]}")
         self._append(ids, labels, True)
         self._n_phi += n
         self._x_bound = None
         if n:
             self._k, self._phi_width = model.k, width
             self._widest = max(self._widest, width)
+            if self._staged is None:
+                self._staged = model, col, x_bound
+                model._stage(self)
+            else:
+                self._staged = model, self._staged[1], self._staged[2] + x_bound
 
     def insert_unlabeled(self, id: int, x: np.ndarray, model: HashModel,
                          label: Label | None = None) -> None:
-        """Index one instance under the mapping output: ``insert_many``'s one-row case."""
+        """Index one instance under the mapping output: ``insert_many``'s one-row case.
+
+        The row is staged as ``insert_many`` stages it, and every check is made
+        here, so a loop of one-row inserts is scored as one block.
+        """
         self.insert_many([id], np.asarray(x).reshape(1, -1), model, [label])
 
     def _recompute(self, model: HashModel, cycles: list[int], updates: int = 1) -> int:
         """Recompute the given 1-based cycles in every phi row; returns the bits.
 
-        One ``exact_signs`` call scores the cycles' columns, against the kept
-        ``feature_sq_norm_bound``, and one packbits call packs only their
-        signs. One assignment writes each cycle's slot rows, so no other bit
-        changes; rows come out at the model's width. Flips, the popcount of
-        old XOR new slots, count only in the cycles the rows held before the
-        call, so growing a code is not charged as flipping it. Both counts go
-        to the ledger, with the phi rows as entries touched once per each of
-        ``updates``; a call that recomputes nothing leaves it as it was. A
-        model of another k raises ConsistencyError.
+        Staged rows are scored first. One ``exact_signs`` call scores the
+        cycles' columns, against the kept ``feature_sq_norm_bound``, and one
+        packbits call packs only their signs. One assignment writes each
+        cycle's slot rows, so no other bit changes; rows come out at the
+        model's width, the block padded only once the scores exist. Flips, the
+        popcount of old XOR new slots, count only in the cycles the rows held
+        before the call, so growing a code is not charged as flipping it. Both
+        counts go to the ledger, with the phi rows as entries touched once per
+        each of ``updates``; a call that recomputes nothing leaves it as it
+        was. A model of another k raises ConsistencyError.
         """
         n, k = self._n_phi, self._k
         if not n or not cycles:
             return 0
         if model.k != k:
             raise ConsistencyError(f"the index's rows have k={k}, the model k={model.k}")
+        self._settle()
         cycles, per = sorted(cycles), _slot(k)[1]
-        extra = model.width // k * per - len(self._values)
-        if extra > 0:
-            self._values = np.pad(self._values, ((0, extra), (0, 0)))
         # The cycles' weights as one C-ordered (d+1, columns) block, so the product
         # Xa @ W.T reads an untransposed right-hand side, which BLAS multiplies
         # faster; its norm bound is read from it, as vdot would copy Wt.T.
@@ -462,6 +517,9 @@ class HashIndex:
         new = exact_signs(Wt.T, self._feats[:n], w_bound=_sq_norm_bound(Wt),
                           x_bound=self.feature_sq_norm_bound)
         new = _packed(new, k).reshape(n, -1).T
+        extra = model.width // k * per - len(self._values)
+        if extra > 0:
+            self._values = np.pad(self._values, ((0, extra), (0, 0)))
         # Item i of cycle j's slot is row (j - 1) * per + i; held cycles sort first, to rows[:h].
         rows = np.array([(j - 1) * per + i for j in cycles for i in range(per)])
         h = per * sum(j <= self._phi_width // k for j in cycles)
@@ -481,17 +539,18 @@ class HashIndex:
         columns, so one recompute of them all leaves the index, ledger
         included, as one ``apply_model_update`` per cycle would: phi_count * k
         bits and phi_count entries per cycle, flips only in the cycles the
-        rows held. Returns the bits. A duplicated cycle, one outside
-        [1, width / k], a model of another k or narrower than the rows, or a
-        list that leaves a cycle past the rows' width out raises
+        rows held. Returns the bits. A duplicated cycle, one that is not an
+        integer in [1, width / k], a model of another k or narrower than the
+        rows, or a list that leaves a cycle past the rows' width out raises
         ConsistencyError before any change.
         """
         k, m = model.k, model.width // model.k
         if self._k not in (0, k):
             raise ConsistencyError(f"the index's rows have k={self._k}, the model k={k}")
         listed = set(cycles)
-        if len(listed) != len(cycles) or listed and not 1 <= min(listed) <= max(listed) <= m:
-            raise ConsistencyError(f"cycles {cycles} are not distinct cycles in [1, {m}]")
+        if (len(listed) != len(cycles) or not _whole(listed)
+                or listed and not 1 <= min(listed) <= max(listed) <= m):
+            raise ConsistencyError(f"cycles {cycles} are not distinct integers in [1, {m}]")
         held = self._phi_width // k
         if self._n_phi and (held > m or not listed.issuperset(range(held + 1, m + 1))):
             raise ConsistencyError(f"stale cycles: entries have width {self._phi_width}, "
@@ -526,7 +585,9 @@ class HashIndex:
         changed since the last refresh; when nothing changed, the call
         recomputes nothing and returns 0. Columns appended to the model
         since the last refresh are always caught up, so afterwards every
-        entry sits at the model's width.
+        entry sits at the model's width. A cycle that is not an integer in
+        [1, width / k] raises ValueError, and a model narrower than the
+        entries ConsistencyError, before any change.
         """
         old_width = self._phi_width
         if old_width > model.width:
@@ -535,8 +596,8 @@ class HashIndex:
         k = model.k
         total_cycles = model.width // k
         todo = sorted(set(cycles))
-        if todo and not 1 <= todo[0] <= todo[-1] <= total_cycles:
-            raise ValueError(f"cycle list {todo} out of range [1, {total_cycles}]")
+        if not _whole(todo) or todo and not 1 <= todo[0] <= todo[-1] <= total_cycles:
+            raise ValueError(f"cycle list {todo} is not integers in [1, {total_cycles}]")
         todo = sorted(set(todo).union(range(old_width // k + 1, total_cycles + 1)))
         return self._recompute(model, todo)
 
@@ -556,6 +617,7 @@ class HashIndex:
                 f"an entry is wider ({self._widest}) than the query ({width})")
         if self._k not in (0, model.k):
             raise ConsistencyError(f"the index's rows have k={self._k}, the model k={model.k}")
+        self._settle()
         signs = exact_signs(model.weights, augment_rows(X, model.d),
                             lambda i: f"query row {first + i}", w_bound=model.sq_norm_bound)
         queries = len(X)

@@ -13,6 +13,7 @@ ever touched.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +99,18 @@ def _exact_sign(w: np.ndarray, x: np.ndarray) -> bool:
     return sum(Fraction(u) * Fraction(v) for u, v in zip(w.tolist(), x.tolist())) >= 0
 
 
+def check_finite(W: np.ndarray, Xa: np.ndarray, name=lambda i: f"row {i}") -> None:
+    """Raise ``exact_signs``' ValueError if ``Xa`` or ``W`` holds a NaN or infinite value.
+
+    Features are checked first, naming the first bad row by ``name(i)``.
+    """
+    finite = np.isfinite(Xa).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{name(int(np.argmin(finite)))} has a feature that is NaN or infinite")
+    if not np.isfinite(W).all():
+        raise ValueError("a hash function's weight is NaN or infinite")
+
+
 def exact_signs(W: np.ndarray, Xa: np.ndarray, name=lambda i: f"row {i}",
                 w_bound: float | None = None, x_bound: float | None = None) -> np.ndarray:
     """(rows, functions) bools: bit [i, t] is whether W[t] . Xa[i] >= 0, exactly.
@@ -135,13 +148,8 @@ def exact_signs(W: np.ndarray, Xa: np.ndarray, name=lambda i: f"row {i}",
         # is its sign. (S >= -bound holds wherever signs does.)
         if np.count_nonzero(signs) == np.count_nonzero(S >= -bound):
             return signs
+    check_finite(W, Xa, name)
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(Xa).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"{name(int(np.argmin(finite)))} has a feature that is NaN "
-                             "or infinite")
-        if not np.isfinite(W).all():
-            raise ValueError("a hash function's weight is NaN or infinite")
         S = np.dot(Xa, W.T)
         rx = np.sqrt(np.einsum("ij,ij->i", Xa, Xa) + terms * _TINY)
         rw = np.sqrt(np.einsum("ij,ij->i", W, W) + terms * _TINY)
@@ -182,6 +190,14 @@ class HashModel:
     whether a model was built or loaded, and ``step_many`` a (cycles, k, d+1)
     view of the block. The weights are whole cycles, (m * k, d+1) for some
     m >= 0; any other shape raises ValueError.
+
+    ``HashIndex.insert_many`` stages phi rows against the model unscored.
+    The model holds each index with staged rows by weak reference, so it
+    does not keep a dropped index alive, and has it score them
+    (``_settle_staged``) before ``step`` or ``step_many`` next writes a
+    weight: a staged row always meets the weights it was inserted under.
+    Growth leaves the weights a row needs as they are. A copy or pickle of
+    the model holds no index.
     """
 
     def __init__(self, d: int, k: int, weights: np.ndarray, iteration: int = 0,
@@ -191,6 +207,8 @@ class HashModel:
         if k < 1 or w.ndim != 2 or w.shape[1] != d + 1 or len(w) % k:
             raise ValueError(f"weights of shape {w.shape} are not (m * k, d + 1) for k={k}, d={d}")
         self._own(w)
+        # id(index) -> a weak reference to each index with rows staged against the weights.
+        self._staged = {}
 
     def _own(self, w: np.ndarray) -> None:
         """Keep ``w`` as the weights, behind a read-only view, with no bound."""
@@ -218,6 +236,21 @@ class HashModel:
     @property
     def width(self) -> int:
         return self._w.shape[0]
+
+    def _stage(self, index) -> None:
+        """Have ``index`` settle its staged rows before the next write of the weights."""
+        self._staged[id(index)] = weakref.ref(index)
+
+    def _unstage(self, index) -> None:
+        """Forget ``index``, once it has scored its staged rows."""
+        self._staged.pop(id(index), None)
+
+    def _settle_staged(self) -> None:
+        """Have every index still alive score the rows it staged against the weights."""
+        while self._staged:
+            index = self._staged.popitem()[1]()
+            if index is not None:
+                index._settle()
 
     def column_cycle(self, t: int) -> int:
         return t // self.k + 1
@@ -333,7 +366,8 @@ def step(model: HashModel, matrix: EcocMatrix, cb: Codebook,
     vector is left bitwise intact; loss and update equal ``surrogate_loss``
     and ``gradient`` on ``matrix.find(y)`` bit for bit. ``eta`` must be
     finite and >= 0; it, the feature length and the model's width are
-    checked before anything changes.
+    checked before anything changes. Before the update writes, every index
+    with phi rows staged against the model scores them.
     """
     _check_step(model, matrix, eta, len(x))
     row = matrix.rows.get(y)
@@ -343,6 +377,7 @@ def step(model: HashModel, matrix: EcocMatrix, cb: Codebook,
         row = matrix.rows[y]
     start = row // matrix.rho * matrix.k
     touched = range(start, start + matrix.k)
+    model._settle_staged()
     z = _descend(model._w[touched.start:touched.stop], matrix.signs[row], augment(x), eta)
     model._bound = None
     model.iteration += 1
@@ -376,6 +411,9 @@ def step_many(model: HashModel, matrix: EcocMatrix, cb: Codebook,
     codebook runs out at example i, the examples before it are applied and
     CodebookExhaustedError propagates. The block's shape and ``step``'s eta,
     feature-length and width checks are tested before anything changes.
+    Before each write of the weights (once at the end, or after each round
+    when ``after_round`` is given), every index with phi rows staged against
+    the model scores them.
 
     ``after_round``, when given, is called after each round with that
     round's 1-based cycles in ascending order, once their weights are in the
@@ -447,11 +485,13 @@ def _rounds(model: HashModel, matrix: EcocMatrix, rows: np.ndarray, X: np.ndarra
         losses[at] = np.maximum(0.0, 1.0 + z).sum(axis=1)
         start = stop
         if after_round is not None:
+            model._settle_staged()
             w3[busy[:size]] = w[:size]
             model._bound = None
             model.iteration += size
             after_round((np.sort(busy[:size]) + 1).tolist())
     if after_round is None:
+        model._settle_staged()
         w3[busy] = w
         model._bound = None
         model.iteration += len(rows)

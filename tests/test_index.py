@@ -1,7 +1,9 @@
 """Index population in both modes, bit-update accounting, and ranking."""
 
 import copy
+import pickle
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -346,12 +348,12 @@ def test_recompute_writes_only_the_listed_cycles_slots(k, tmp_path):
 def test_recompute_scores_one_c_ordered_weight_block(monkeypatch):
     # For small blocks BLAS multiplies Xa @ W.T faster when W.T is C-ordered.
     # A recompute copies its cycles' weights into one such block; a row slice
-    # of the weights, or a concatenation of them, would be F-ordered. Inserts
-    # and queries score against the weights themselves, with no copy.
+    # of the weights, or a concatenation of them, would be F-ordered. Inserted
+    # rows and queries score against the weights themselves, with no copy.
     calls = []
 
     def spy(W, Xa, *args, **kwargs):
-        calls.append((W, "x_bound" in kwargs))
+        calls.append((W, np.shares_memory(W, model.weights)))
         return exact_signs(W, Xa, *args, **kwargs)
 
     monkeypatch.setattr("ecochash.index.exact_signs", spy)
@@ -360,13 +362,14 @@ def test_recompute_scores_one_c_ordered_weight_block(monkeypatch):
         step(model, matrix, cb, x, y)
     index = HashIndex()
     index.insert_many(range(5), [x for x, _ in stream[:5]], model)
-    assert np.shares_memory(calls[-1][0], model.weights)
+    assert not calls
+    # The step scores the staged rows before it writes, against the weights.
     report = step(model, matrix, cb, *stream[3])
+    assert len(calls) == 1
     index.apply_model_update(report, model)
     index.refresh(model, cycles=[1, 3])
     index.query(model, stream[0][0])
-    assert np.shares_memory(calls[-1][0], model.weights)
-    assert [recompute for _, recompute in calls] == [False, True, True, False]
+    assert [weights for _, weights in calls] == [True, False, False, True]
     spans = [report.touched_columns, [*range(24), *range(48, 72)]]
     for (W, _), columns in zip(calls[1:3], spans):
         assert W.T.flags.c_contiguous
@@ -923,3 +926,269 @@ def test_random_interleavings_keep_index_invariants(k, ops):
                     assert e.code.values == phi(model, e.features)
             x_q = rng.standard_normal(d)
             assert index.query(model, x_q) == naive_ranking(index, model, x_q)
+
+
+# Staging: phi inserts copy features in and are scored as one block at the first
+# read of the bits, an insert under another model, or the model's next write.
+
+STAGING_OPS = ("insert_row", "insert_block", "insert_codeword", "step", "step_many",
+               "step_many_inserting", "apply_model_update", "apply_steps", "refresh",
+               "query", "query_many", "entries", "save_load", "copy_index", "pickle_index",
+               "copy_model", "pickle_model")
+
+
+def outcome(call):
+    """``call()``'s result, or the type of the exception it raised."""
+    try:
+        return call()
+    except (ConsistencyError, ValueError) as error:
+        return type(error)
+
+
+@pytest.mark.parametrize("k", [5, 24, 70])
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(STAGING_OPS), st.integers(0, 2**32 - 1),
+                          st.booleans()), max_size=25))
+def test_staged_inserts_match_a_twin_settled_after_each_insert(k, ops):
+    # rho=2 over 8 labels opens cycles mid-stream, so staged rows meet growth.
+    d = 4
+    matrix, cb = new_matrix(k, 2), generate(k, min(64, 1 << (k - 1)), seed=1)
+    model = HashModel.create(d=d, k=k, seed=2)
+    lazy, twin = HashIndex(), HashIndex()
+    report = None
+
+    def insert(ids, X, labels=None):
+        lazy.insert_many(ids, X, model, labels)
+        twin.insert_many(ids, X, model, labels)
+        twin.arrays()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, (op, seed, check) in enumerate(ops):
+            rng = np.random.default_rng(seed)
+            ids = [100 * n + j for j in range(1 + seed % 5)]
+            X = rng.standard_normal((len(ids), d))
+            ys = [f"c{v}" for v in rng.integers(0, 8, len(ids))]
+            if op == "insert_row":
+                lazy.insert_unlabeled(ids[0], X[0], model, ys[0])
+                twin.insert_unlabeled(ids[0], X[0], model, ys[0])
+                twin.arrays()
+            elif op == "insert_block":
+                insert(ids, X, ys)
+            elif op == "insert_codeword" and len(matrix):
+                labels = [matrix.labels[v % len(matrix)] for v in range(seed, seed + len(ids))]
+                lazy.insert_labeled_many(ids, labels, matrix)
+                twin.insert_labeled_many(ids, labels, matrix)
+            elif op == "step":
+                report = step(model, matrix, cb, X[0], ys[0])
+            elif op == "step_many":
+                step_many(model, matrix, cb, X, ys)
+            elif op == "step_many_inserting":
+                rows = iter(range(len(ids)))
+
+                def after_round(cycles):
+                    j = next(rows, None)
+                    if j is not None:
+                        insert([ids[j] + 50], X[j:j + 1] * 2.0)
+
+                step_many(model, matrix, cb, X, ys, after_round=after_round)
+            elif op == "apply_model_update" and report is not None:
+                assert (outcome(lambda: lazy.apply_model_update(report, model))
+                        == outcome(lambda: twin.apply_model_update(report, model)))
+                report = None
+            elif op in ("apply_steps", "refresh"):
+                cycles = sorted({int(c) for c in rng.integers(1, model.width // k + 1, 2)})
+                if op == "apply_steps":
+                    held = int(twin.arrays()["phi_width"]) // k
+                    cycles = sorted(set(cycles).union(range(held + 1, model.width // k + 1)))
+                call = getattr(HashIndex, op)
+                assert outcome(lambda: call(lazy, model, cycles)) == outcome(
+                    lambda: call(twin, model, cycles))
+            elif op == "query":
+                assert lazy.query(model, X[0]) == twin.query(model, X[0])
+            elif op == "query_many":
+                assert list(lazy.query_many(model, X)) == list(twin.query_many(model, X))
+            elif op == "entries":
+                assert list(map(repr, lazy.entries)) == list(map(repr, twin.entries))
+            elif op == "save_load":
+                for i, index in enumerate((lazy, twin)):
+                    save_index(index, Path(tmp) / f"{n}-{i}.index")
+                lazy, twin = (load_index(Path(tmp) / f"{n}-{i}.index") for i in range(2))
+            elif op == "copy_index":
+                # With the model in one copy, the copies share a copy of it.
+                lazy, twin, model = copy.deepcopy((lazy, twin, model))
+            elif op == "pickle_index":
+                lazy, twin, model = pickle.loads(pickle.dumps((lazy, twin, model)))
+            elif op == "copy_model":
+                model = copy.deepcopy(model)
+            elif op == "pickle_model":
+                model = pickle.loads(pickle.dumps(model))
+            # Reads that score nothing; the ledger moves only at a recompute.
+            assert vars(lazy.ledger) == vars(twin.ledger)
+            assert len(lazy) == len(twin) and lazy.labels == twin.labels
+            if check:
+                assert same_bits(lazy.arrays(), twin.arrays())
+                x_q = rng.standard_normal(d)
+                assert lazy.query(model, x_q) == twin.query(model, x_q)
+        assert same_bits(lazy.arrays(), twin.arrays())
+
+
+def staged_setup(k=8, n_labels=4):
+    matrix, cb, model, stream = small_stream(n_labels=n_labels, k=k, rho=1, steps=40)
+    for x, y in stream[:n_labels]:
+        step(model, matrix, cb, x, y)
+    return matrix, cb, model, stream
+
+
+def codes_of(index):
+    return [e.code.values.bits for e in index.entries]
+
+
+def test_two_indexes_staged_against_one_model_meet_its_weights_before_a_step():
+    matrix, cb, model, stream = staged_setup()
+    X = np.array([x for x, _ in stream[:6]])
+    before = copy.deepcopy(model)
+    one, two = HashIndex(), HashIndex()
+    one.insert_many(range(3), X[:3], model)
+    for i in range(6):
+        two.insert_unlabeled(i, X[i], model)
+    # Large steps against the labels' own examples move every cycle.
+    for x, y in stream[4:8]:
+        step(model, matrix, cb, -x, y, eta=10.0)
+    assert codes_of(one) == [phi(before, x).bits for x in X[:3]]
+    assert codes_of(two) == [phi(before, x).bits for x in X]
+    assert codes_of(two) != [phi(model, x).bits for x in X]
+
+
+@pytest.mark.parametrize("rounds", [False, True])
+def test_step_many_scores_staged_rows_before_it_writes(rounds):
+    # Without after_round the block writes once, at its end; with it, once per
+    # round, and rows the callback inserts meet that round's weights.
+    matrix, cb, model, stream = staged_setup()
+    X = np.array([x for x, _ in stream[:6]])
+    before = copy.deepcopy(model)
+    index = HashIndex()
+    index.insert_many(range(6), X, model)
+    late, seen = [], []
+
+    def after_round(cycles):
+        seen.append(copy.deepcopy(model))
+        index.insert_unlabeled(100 + len(late), X[len(late)] * 2.0, model)
+        late.append(X[len(late)] * 2.0)
+
+    block = stream[4:12]
+    step_many(model, matrix, cb, [-x for x, _ in block], [y for _, y in block], eta=10.0,
+              after_round=after_round if rounds else None)
+    want = [phi(before, x).bits for x in X] + [phi(m, x).bits for m, x in zip(seen, late)]
+    assert codes_of(index) == want
+    assert want[:6] != [phi(model, x).bits for x in X]
+
+
+def test_one_index_staged_against_two_models_in_turn():
+    matrix, cb, model, stream = staged_setup()
+    other = HashModel(model.d, model.k, model.weights * -1.0)
+    X = np.array([x for x, _ in stream[:6]])
+    index = HashIndex()
+    index.insert_many(range(3), X[:3], model)
+    # Another model object scores the rows staged against the first one.
+    index.insert_many(range(3, 6), X[3:], other)
+    first, second = copy.deepcopy((model, other))
+    for x, y in stream[4:8]:
+        step(model, matrix, cb, -x, y, eta=10.0)
+        step(other, matrix, cb, -x, y, eta=10.0)
+    assert codes_of(index) == ([phi(first, x).bits for x in X[:3]]
+                               + [phi(second, x).bits for x in X[3:]])
+    assert codes_of(index) != [phi(model, x).bits for x in X[:3]] + [phi(other, x).bits
+                                                                      for x in X[3:]]
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+def test_a_copy_of_a_staged_index_with_its_model_scores_the_inserted_weights(how):
+    # The model's copy holds no index, so the index's copy holds scored rows.
+    matrix, cb, model, stream = staged_setup()
+    X = np.array([x for x, _ in stream[:6]])
+    index = HashIndex()
+    index.insert_many(range(6), X, model)
+    before = copy.deepcopy(model)
+    pair = (index, model)
+    index, model = copy.deepcopy(pair) if how == "deepcopy" else pickle.loads(pickle.dumps(pair))
+    for x, y in stream[4:8]:
+        step(model, matrix, cb, -x, y, eta=10.0)
+    assert codes_of(index) == [phi(before, x).bits for x in X]
+    assert codes_of(index) != [phi(model, x).bits for x in X]
+
+
+def test_an_index_dropped_while_staged_is_not_kept_alive():
+    matrix, cb, model, stream = staged_setup()
+    index = HashIndex()
+    index.insert_unlabeled(0, stream[0][0], model)
+    alive = weakref.ref(index)
+    del index
+    assert alive() is None
+    step(model, matrix, cb, *stream[1])
+    step_many(model, matrix, cb, [x for x, _ in stream[2:6]], [y for _, y in stream[2:6]])
+
+
+@pytest.mark.parametrize("bad", ["feature", "weight"])
+def test_a_non_finite_insert_is_refused_with_no_row_staged(bad):
+    matrix, cb, model, stream = staged_setup()
+    index = HashIndex()
+    index.insert_many(range(3), [x for x, _ in stream[:3]], model)
+    before = copied_arrays(index)
+    x, target = stream[3][0].copy(), model
+    if bad == "feature":
+        x[2] = np.nan
+        match = "row id 9 has a feature that is NaN or infinite"
+    else:
+        weights = model.weights.copy()
+        weights[5, 1] = np.nan
+        target = HashModel(model.d, model.k, weights)
+        match = "a hash function's weight is NaN or infinite"
+    with pytest.raises(ValueError, match=match):
+        index.insert_unlabeled(9, x, target)
+    assert len(index) == index.phi_count == 3
+    assert same_bits(index.arrays(), before)
+    assert not target._staged
+    step(model, matrix, cb, *stream[4])
+
+
+def test_one_row_inserts_before_a_step_are_scored_in_one_call(monkeypatch):
+    calls = []
+
+    def spy(W, Xa, *args, **kwargs):
+        calls.append(len(Xa))
+        return exact_signs(W, Xa, *args, **kwargs)
+
+    monkeypatch.setattr("ecochash.index.exact_signs", spy)
+    matrix, cb, model, stream = staged_setup(k=32)
+    X = np.random.default_rng(5).standard_normal((1500, model.d))
+    index, twin = HashIndex(), HashIndex()
+    for i, x in enumerate(X):
+        index.insert_unlabeled(i, x, model)
+    assert calls == []
+    before = copy.deepcopy(model)
+    step(model, matrix, cb, *stream[0])
+    assert calls == [1500]
+    twin.insert_many(range(1500), X, before)
+    assert same_bits(index.arrays(), twin.arrays())
+
+
+@pytest.mark.parametrize("call", ["refresh", "apply_steps"])
+def test_a_cycle_that_is_not_an_integer_is_refused_before_any_change(call, tmp_path):
+    matrix, cb, model, stream = small_stream(n_labels=2, k=8, rho=1, steps=4)
+    step(model, matrix, cb, *stream[0])
+    index = HashIndex()
+    index.insert_many(range(3), [x for x, _ in stream[:3]], model)
+    step(model, matrix, cb, *stream[1])
+    assert index.arrays()["phi_width"] == 8 and model.width == 16
+    before = copied_arrays(index)
+    save_index(index, tmp_path / "before.index")
+    with pytest.raises(ValueError if call == "refresh" else ConsistencyError):
+        if call == "refresh":
+            index.refresh(model, cycles=[1.5])
+        else:
+            index.apply_steps(model, [1.0, 2])
+    assert same_bits(index.arrays(), before)
+    save_index(index, tmp_path / "after.index")
+    assert (tmp_path / "after.index").read_bytes() == (tmp_path / "before.index").read_bytes()
+    loaded = load_index(tmp_path / "after.index")
+    assert list(map(repr, loaded.entries)) == list(map(repr, index.entries))
