@@ -54,17 +54,22 @@ class EcocMatrix:
         if rho < 1:
             raise ValueError(f"rho must be >= 1, got {rho}")
         self.k, self.rho = k, rho
-        self.rows: dict[Label, int] = {y: row for row, y in enumerate(labels)}
-        self._cycles = {y: row // rho + 1 for y, row in self.rows.items()}
+        self.rows: dict[Label, int] = {}
+        self._cycles: dict[Label, int] = {}
         self.cycle_of_label: Mapping[Label, int] = MappingProxyType(self._cycles)
         # Both blocks grow by doubling; ``cores`` and ``signs`` view their filled rows.
-        self._cores = np.array(cores, dtype=WORD).reshape(len(self.rows), n_words(k))
-        self._signs = _sign_rows(self._cores, k)
-        self._expose()
+        self._cores, self._signs = np.empty((0, n_words(k)), WORD), np.empty((0, k))
+        self._append(list(dict.fromkeys(labels)), cores)
 
-    def _expose(self) -> None:
-        n = len(self.rows)
-        self.cores, self.signs = self._cores[:n], self._signs[:n]
+    def _append(self, labels: list[Label], cores) -> None:
+        """Give new labels the next rows, writing their cores as one block."""
+        n, stop = len(self.rows), len(self.rows) + len(labels)
+        self._cores, self._signs = grown(self._cores, stop), grown(self._signs, stop)
+        self._cores[n:stop] = np.asarray(cores, WORD).reshape(len(labels), n_words(self.k))
+        self._signs[n:stop] = _sign_rows(self._cores[n:stop], self.k)
+        for row, y in enumerate(labels, n):
+            self.rows[y], self._cycles[y] = row, row // self.rho + 1
+        self.cores, self.signs = self._cores[:len(self.rows)], self._signs[:len(self.rows)]
         self.cores.flags.writeable = self.signs.flags.writeable = False
 
     def __reduce__(self):
@@ -121,26 +126,28 @@ class EcocMatrix:
         return range((j - 1) * self.k, j * self.k)
 
     def observe_label(self, cb: Codebook, y: Label) -> ObserveResult:
-        """Look up y, assigning a fresh codeword (and possibly a new cycle) if unseen.
+        """``observe_labels`` of one label: whether it was new and opened a cycle."""
+        n, m = len(self.rows), self.m
+        self.observe_labels(cb, (y,))
+        return ObserveResult(self.m > m, len(self.rows) > n)
 
-        When the current cycle is full, every existing row implicitly gains k
-        trailing inactive columns and the new label's core lands in the fresh
-        cycle. The caller must initialize k new hash functions whenever
-        ``new_cycle_started`` is set. The core is drawn before anything
-        changes, so an exhausted codebook leaves the matrix as it was.
+    def observe_labels(self, cb: Codebook, labels: Iterable[Label]) -> None:
+        """Give each label not yet seen a core and a row, in order of first appearance.
+
+        A label that is not a ``str`` raises ValueError before any change. The
+        cores are drawn in turn, then written as one block, and the caller grows
+        the model to the new ``m``. If the codebook runs out, those drawn are kept.
         """
-        if y in self.rows:
-            return ObserveResult(False, False)
-        core = cb.draw()
-        row = len(self.rows)
-        self._cores = grown(self._cores, row + 1)
-        self._signs = grown(self._signs, row + 1)
-        self._cores[row] = core
-        self._signs[row] = _sign_rows(self._cores[row], self.k)
-        self.rows[y] = row
-        self._cycles[y] = row // self.rho + 1
-        self._expose()
-        return ObserveResult(row > 0 and row % self.rho == 0, True)
+        new = [y for y in dict.fromkeys(labels) if y not in self.rows]
+        for y in new:
+            if not isinstance(y, str):
+                raise ValueError(f"label {y!r} is not a str")
+        cores = []
+        try:
+            for _ in new:
+                cores.append(cb.draw())
+        finally:
+            self._append(new[:len(cores)], cores)
 
 
 def new_matrix(k: int, rho: int) -> EcocMatrix:

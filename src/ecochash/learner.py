@@ -21,7 +21,7 @@ import numpy as np
 from .bitcode import PackedCode, TernaryCodeword
 from .codebook import Codebook
 from .ecoc import EcocMatrix, Label
-from .errors import ConsistencyError, DimensionError
+from .errors import CodebookExhaustedError, ConsistencyError, DimensionError
 
 
 @dataclass
@@ -45,19 +45,14 @@ def init_functions(d: int, count: int, seed) -> np.ndarray:
         raise ValueError(f"d must be >= 1, got {d}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal((count, d + 1)) / np.sqrt(d + 1)
-    if count:
-        w[:, -1] = 0.0
+    w = np.random.default_rng(seed).standard_normal((count, d + 1)) / np.sqrt(d + 1)
+    w[:, -1] = 0.0
     return w
 
 
 def augment(x: np.ndarray) -> np.ndarray:
     """Homogeneous form [x; 1] as float64."""
-    xh = np.empty(len(x) + 1)
-    xh[:-1] = x
-    xh[-1] = 1.0
-    return xh
+    return np.concatenate((x, [1.0]), dtype=np.float64)
 
 
 def augment_rows(X: np.ndarray, d: int) -> np.ndarray:
@@ -99,15 +94,17 @@ def _exact_sign(w: np.ndarray, x: np.ndarray) -> bool:
     return sum(Fraction(u) * Fraction(v) for u, v in zip(w.tolist(), x.tolist())) >= 0
 
 
-def check_finite(W: np.ndarray, Xa: np.ndarray, name=lambda i: f"row {i}") -> None:
+def check_finite(W: np.ndarray | None, Xa: np.ndarray, name=lambda i: f"row {i}") -> None:
     """Raise ``exact_signs``' ValueError if ``Xa`` or ``W`` holds a NaN or infinite value.
 
-    Features are checked first, naming the first bad row by ``name(i)``.
+    Features first, naming the first bad row by ``name(i)``; ``W=None`` skips weights.
     """
-    finite = np.isfinite(Xa).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"{name(int(np.argmin(finite)))} has a feature that is NaN or infinite")
-    if not np.isfinite(W).all():
+    if not math.isfinite(np.vdot(Xa, Xa)):
+        finite = np.isfinite(Xa).all(axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"{name(int(np.argmin(finite)))} has a feature that is NaN or infinite")
+    if W is not None and not np.isfinite(W).all():
         raise ValueError("a hash function's weight is NaN or infinite")
 
 
@@ -178,13 +175,13 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 class HashModel:
     """The ordered set of hash-function weights, one row per code column.
 
-    Columns are grouped in blocks of k per cycle; ``grow_cycle`` appends a
+    Columns are grouped in blocks of k per cycle; ``grow_cycles`` appends a
     freshly initialized block whose seed is derived from (seed, cycle), so a
     rerun of the same stream reproduces the weights bit for bit.
 
     The model owns its weights: the constructor copies them into a C-ordered
     block, ``weights`` is a read-only view, and only the constructor,
-    ``grow_cycle``, ``step`` and ``step_many`` write them. Each write drops
+    ``grow_cycles``, ``step`` and ``step_many`` write them. Each write drops
     ``sq_norm_bound``, which the next read recomputes, so an edited model is
     built through the constructor. C order gives ``step`` one BLAS kernel
     whether a model was built or loaded, and ``step_many`` a (cycles, k, d+1)
@@ -212,6 +209,7 @@ class HashModel:
 
     def _own(self, w: np.ndarray) -> None:
         """Keep ``w`` as the weights, behind a read-only view, with no bound."""
+        w += 0.0  # -0.0 becomes 0.0 and no other value changes: _descend needs no -0.0
         self._w = w
         # Backed by a read-only buffer, so not even its flags can make it writeable.
         self._view = np.asarray(memoryview(w).toreadonly())
@@ -256,8 +254,14 @@ class HashModel:
         return t // self.k + 1
 
     def grow_cycle(self, cycle: int) -> None:
-        """Append the k functions owned by a newly opened cycle."""
-        self._own(np.vstack([self._w, init_functions(self.d, self.k, [self.seed, cycle])]))
+        """``grow_cycles`` of one newly opened cycle."""
+        self.grow_cycles((cycle,))
+
+    def grow_cycles(self, cycles) -> None:
+        """Append the k functions owned by each newly opened cycle, in order, with one stack."""
+        blocks = [init_functions(self.d, self.k, [self.seed, j]) for j in cycles]
+        if blocks:
+            self._own(np.vstack([self._w, *blocks]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HashModel):
@@ -279,8 +283,6 @@ def phi(model: HashModel, x: np.ndarray) -> PackedCode:
     """The full b-bit code of x under the current mapping, from ``exact_signs``."""
     bits = exact_signs(model.weights, augment_rows(np.asarray(x).reshape(1, -1), model.d),
                        w_bound=model.sq_norm_bound)[0]
-    if not len(bits):
-        return PackedCode(0, 0)
     packed = np.packbits(bits, bitorder="little").tobytes()
     return PackedCode(model.width, int.from_bytes(packed, "little"))
 
@@ -312,11 +314,7 @@ def gradient(model: HashModel, x: np.ndarray, cw: TernaryCodeword) -> dict[int, 
     """
     pos, c, z = _margins(model, x, cw)
     xh = augment(x)
-    out: dict[int, np.ndarray] = {}
-    for t, ct, g in zip(pos, c, (z > -1.0).astype(np.float64)):
-        if g != 0.0:
-            out[int(t)] = (-ct * g) * xh
-    return out
+    return {int(t): -ct * xh for t, ct, zt in zip(pos, c, z) if zt > -1.0}
 
 
 def _descend(w: np.ndarray, c: np.ndarray, xh: np.ndarray, eta: float) -> np.ndarray:
@@ -325,65 +323,67 @@ def _descend(w: np.ndarray, c: np.ndarray, xh: np.ndarray, eta: float) -> np.nda
     ``w`` is a (..., k, d+1) block of weights, ``c`` the (..., k) +1/-1 codeword
     entries and ``xh`` the (..., d+1) augmented examples. Each example's k
     scores come from one gemv, ``w @ xh``; a row whose z = -c * score exceeds
-    -1 has hinge slope 1 and moves by eta * c * [x;1]. Returns z.
+    -1 has hinge slope 1 and moves by eta * c * [x;1]. One dense product adds
+    (eta * c) * [x;1], the gradient step's float, to a violator and +-0, which
+    changes no weight but the -0.0 no model holds, to any other row; so the
+    features must be finite, as 0 * inf is NaN. Returns z.
     """
     z = -c * np.matmul(w, xh[..., None])[..., 0]
-    hit = np.nonzero(z > -1.0)
-    w[hit] -= eta * ((-c[hit])[:, None] * xh[hit[:-1]])
+    w += ((z > -1.0) * (eta * c))[..., None] * xh[..., None, :]
     return z
 
 
-def _check_step(model: HashModel, matrix: EcocMatrix, eta: float, d: int) -> None:
-    """Refuse eta, features of length ``d`` or a model of a width that ``step`` cannot take."""
+def _check_step(model: HashModel, matrix: EcocMatrix, eta: float, X: np.ndarray,
+                name=lambda i: f"row {i}") -> None:
+    """Refuse eta, (n, d) features, named by row, or a model width that ``step`` cannot take."""
     if not 0.0 <= eta < math.inf:
         raise ValueError(f"eta must be finite and >= 0, got {eta}")
-    if d != model.d:
-        raise DimensionError(f"feature length {d} does not match d={model.d}")
+    if X.shape[1] != model.d:
+        raise DimensionError(f"feature length {X.shape[1]} does not match d={model.d}")
     if model.width != matrix.width:
         raise ConsistencyError(
             f"model width {model.width} does not match matrix width {matrix.width}")
+    check_finite(None, X, name)
 
 
-def _observe(model: HashModel, matrix: EcocMatrix, cb: Codebook, y: Label) -> bool:
-    """Give ``y``, a label new to the matrix, its row; whether it opened a cycle.
-
-    A label that opens a cycle grows the model by k functions.
-    """
-    if matrix.observe_label(cb, y).new_cycle_started:
-        model.grow_cycle(matrix.m)
-        return True
-    return False
+def _admit(model: HashModel, matrix: EcocMatrix, cb: Codebook, labels) -> None:
+    """``observe_labels``, growing the model by the cycles opened even if a draw fails."""
+    m = matrix.m
+    try:
+        matrix.observe_labels(cb, labels)
+    finally:
+        model.grow_cycles(range(m + 1, matrix.m + 1))
 
 
 def step(model: HashModel, matrix: EcocMatrix, cb: Codebook,
          x: np.ndarray, y: Label, eta: float = 1.0) -> StepReport:
     """One online update: observe the label, then descend on its codeword.
 
-    A known label is one lookup of its row; only a label new to the matrix
-    goes through ``observe_label``, and one that opens a new cycle first
-    grows the model by k fresh functions. The update writes only the rows of
-    the label's cycle whose loss slope is nonzero, so every other weight
-    vector is left bitwise intact; loss and update equal ``surrogate_loss``
-    and ``gradient`` on ``matrix.find(y)`` bit for bit. ``eta`` must be
-    finite and >= 0; it, the feature length and the model's width are
+    A known label is one lookup of its row; a new one is admitted as
+    ``step_many`` admits a block's, and one that opens a cycle first grows
+    the model by k fresh functions. The update changes only the rows of the
+    label's cycle whose loss slope is nonzero, so every other weight is left
+    bitwise intact; loss and update equal ``surrogate_loss`` and ``gradient``
+    on ``matrix.find(y)`` bit for bit. ``eta`` (finite, >= 0), the features
+    (finite, of length d), the label (a ``str``) and the model's width are
     checked before anything changes. Before the update writes, every index
     with phi rows staged against the model scores them.
     """
-    _check_step(model, matrix, eta, len(x))
-    row = matrix.rows.get(y)
-    is_new = row is None
-    opened = is_new and _observe(model, matrix, cb, y)
+    xh = augment(x)
+    _check_step(model, matrix, eta, xh[None, :-1], lambda _: "the example")
+    m, is_new = matrix.m, y not in matrix.rows
     if is_new:
-        row = matrix.rows[y]
+        _admit(model, matrix, cb, (y,))
+    row = matrix.rows[y]
     start = row // matrix.rho * matrix.k
     touched = range(start, start + matrix.k)
     model._settle_staged()
-    z = _descend(model._w[touched.start:touched.stop], matrix.signs[row], augment(x), eta)
+    z = _descend(model._w[touched.start:touched.stop], matrix.signs[row], xh, eta)
     model._bound = None
     model.iteration += 1
     return StepReport(label=y, touched_columns=touched,
                       surrogate_loss_before=float(np.maximum(0.0, 1.0 + z).sum()),
-                      new_cycle_started=opened, is_new_label=is_new)
+                      new_cycle_started=matrix.m > m, is_new_label=is_new)
 
 
 @dataclass
@@ -402,15 +402,15 @@ def step_many(model: HashModel, matrix: EcocMatrix, cb: Codebook,
 
     Leaves the model, matrix and codebook bitwise as the loop of ``step``
     would, and reports each example's (1-based) cycle, loss before its
-    update, and whether it was a new label and opened a new cycle. A label
-    pass reads each example's row in stream order: a known label is one
-    lookup, and only a label new to the matrix is observed, growing the
-    model for each new cycle; the pass reads no weight. Labels of different
-    cycles train disjoint rows, so round r then applies the r-th step of
-    every cycle at once, with the gemv ``step`` makes for each. When the
-    codebook runs out at example i, the examples before it are applied and
-    CodebookExhaustedError propagates. The block's shape and ``step``'s eta,
-    feature-length and width checks are tested before anything changes.
+    update, and whether it was a new label and opened a new cycle. The
+    block's new labels are first admitted as one block, in order of first
+    appearance (``observe_labels``, then one growth), without reading a
+    weight. Labels of different cycles train disjoint rows, so round r then
+    applies the r-th step of every cycle at once, with the gemv ``step``
+    makes for each and one dense update. When the codebook runs out at
+    example i, the labels drawn before it are admitted, the examples before
+    it applied, and CodebookExhaustedError propagates. The block's shape and
+    ``step``'s checks of every row and label come before any change.
     Before each write of the weights (once at the end, or after each round
     when ``after_round`` is given), every index with phi rows staged against
     the model scores them.
@@ -427,26 +427,19 @@ def step_many(model: HashModel, matrix: EcocMatrix, cb: Codebook,
     if X.ndim != 2 or len(X) != len(labels):
         raise ValueError(f"a block of {len(labels)} labels needs that many feature rows, "
                          f"not an array of shape {X.shape}")
-    _check_step(model, matrix, eta, X.shape[1])
-    # A known label costs one lookup; only a new one reaches the matrix.
-    rows, new_at, opened_at = [], [], []
-    known = matrix.rows.get
+    _check_step(model, matrix, eta, X)
+    n = len(matrix.rows)
     try:
-        for y in labels:
-            row = known(y)
-            if row is None:
-                if _observe(model, matrix, cb, y):
-                    opened_at.append(len(rows))
-                new_at.append(len(rows))
-                row = matrix.rows[y]
-            rows.append(row)
-    finally:
-        # Also after a failed draw: the examples before it are applied.
-        rows = np.array(rows, dtype=np.intp)
-        losses = _rounds(model, matrix, rows, X, eta, after_round) if len(rows) else np.empty(0)
-    new_labels, new_cycles = np.zeros((2, len(rows)), dtype=bool)
-    new_labels[new_at] = new_cycles[opened_at] = True
-    return BlockReport(rows // matrix.rho + 1, losses, new_labels, new_cycles)
+        _admit(model, matrix, cb, labels)
+    except CodebookExhaustedError:
+        rows = list(map(matrix.rows.get, labels))
+        _rounds(model, matrix, np.array(rows[:rows.index(None)], np.intp), X, eta, after_round)
+        raise
+    rows = np.array([matrix.rows[y] for y in labels], dtype=np.intp)
+    # New rows follow every row before them, so the running maximum grows at each new label.
+    new_labels = np.diff(np.maximum.accumulate(np.r_[n - 1, rows])) > 0
+    return BlockReport(rows // matrix.rho + 1, _rounds(model, matrix, rows, X, eta, after_round),
+                       new_labels, new_labels & (rows > 0) & (rows % matrix.rho == 0))
 
 
 def _rounds(model: HashModel, matrix: EcocMatrix, rows: np.ndarray, X: np.ndarray,
@@ -468,12 +461,12 @@ def _rounds(model: HashModel, matrix: EcocMatrix, rows: np.ndarray, X: np.ndarra
     place = np.empty(len(counts), dtype=np.intp)
     place[busy] = np.arange(len(busy))
     order = np.lexsort((place[cycles], rank))
-    # A view, because the constructor and grow_cycle keep the weights C-ordered.
+    # A view, because the constructor and grow_cycles keep the weights C-ordered.
     w3 = model._w.reshape(-1, matrix.k, model.d + 1)
     w = w3[busy]
     sizes = np.bincount(rank)
     # Each round's examples in homogeneous form, gathered into one buffer.
-    xh = np.ones((sizes[0], model.d + 1))
+    xh = np.ones((len(busy), model.d + 1))
     losses = np.empty(len(rows))
     signs, ordered_rows = matrix.signs, rows[order]
     start = 0

@@ -180,3 +180,26 @@ def test_growth_law_and_invariants(k, rho, n_labels):
     # distinct labels never share an identical codeword
     rendered = {(mat.find(y).values.bits, mat.find(y).mask.bits) for y in mat.labels}
     assert len(rendered) == n_labels
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 3, 8, 65]), st.integers(1, 4), st.integers(1, 10),
+       st.lists(st.integers(0, 9), max_size=12), st.lists(st.integers(0, 9), max_size=12))
+def test_observe_labels_equals_a_loop_of_observe_label(k, rho, capacity, first, block):
+    # A block admits its labels not yet seen, in order of first appearance,
+    # with the draws, cores and signs of one observe_label per label; when the
+    # codebook runs out, the labels drawn before are admitted.
+    one, cb_one = fresh(k, rho, capacity, seed=4)
+    many, cb_many = fresh(k, rho, capacity, seed=4)
+    for labels in ([f"y{i}" for i in first], [f"y{i}" for i in block]):
+        try:
+            for y in labels:
+                one.observe_label(cb_one, y)
+        except CodebookExhaustedError:
+            with pytest.raises(CodebookExhaustedError):
+                many.observe_labels(cb_many, labels)
+        else:
+            many.observe_labels(cb_many, labels)
+        assert one == many and cb_one == cb_many
+        assert one.signs.tobytes() == many.signs.tobytes()
+        assert dict(one.cycle_of_label) == dict(many.cycle_of_label)

@@ -17,6 +17,7 @@ from ecochash.learner import (FeatureNormalizer, HashModel, augment, gradient,
                               init_functions, phi, predict_bit, step, step_many,
                               surrogate_loss)
 from ecochash.bitcode import PackedCode
+from ecochash.index import HashIndex
 from ecochash.storage import ModelBundle, load_model, save_model
 
 finite_floats = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
@@ -429,8 +430,9 @@ def assert_block_equals_loop(state, X, labels, eta):
     (model, matrix, cb), (ref_model, ref_matrix, ref_cb) = state, ref
     assert model.weights.tobytes() == ref_model.weights.tobytes()
     assert model.iteration == ref_model.iteration
-    # Labels in order and cores; draws made and the pool.
+    # Labels in order, cores and their signs; draws made and the pool.
     assert matrix == ref_matrix and cb == ref_cb
+    assert matrix.signs.tobytes() == ref_matrix.signs.tobytes()
     return error
 
 
@@ -440,18 +442,20 @@ def random_block(rng, n, d, classes, first=0):
     return X, [f"y{int(c)}" for c in first + rng.integers(classes, size=n)]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 8, 33]), st.integers(1, 4),
        st.integers(1, 6), st.integers(1, 12), st.sampled_from([0.0, 0.3, 1.0]),
-       st.lists(st.tuples(st.integers(0, 40), st.integers(0, 8)), min_size=1, max_size=4))
-def test_step_many_equals_a_loop_of_step(seed, k, rho, d, classes, eta, blocks):
+       st.lists(st.tuples(st.integers(0, 40), st.integers(0, 8)), min_size=1, max_size=4),
+       st.sampled_from([2, 5, 9, 64]))
+def test_step_many_equals_a_loop_of_step(seed, k, rho, d, classes, eta, blocks, capacity):
     # Consecutive blocks continue one model; later blocks see trained weights
-    # and labels and cycles that open mid-block. Each block's labels start
-    # from its own first label, so a block mixes labels new to the matrix,
-    # repeated inside it, with labels seen in earlier blocks.
+    # and labels and cycles that open mid-block, several in one block when
+    # rho is small. Each block's labels start from its own first label, so a
+    # block mixes labels new to the matrix, repeated inside it, with labels
+    # seen in earlier blocks. A small codebook runs out mid-block.
     rng = np.random.default_rng(seed)
     state = (HashModel.create(d, k, seed=seed), new_matrix(k, rho),
-             generate(k, min(64, 1 << (k - 1)), seed=seed + 1))
+             generate(k, min(capacity, 1 << (k - 1)), seed=seed + 1))
     for n, first in blocks:
         X, labels = random_block(rng, n, d, classes, first)
         if assert_block_equals_loop(state, X, labels, eta) is not None:
@@ -460,21 +464,29 @@ def test_step_many_equals_a_loop_of_step(seed, k, rho, d, classes, eta, blocks):
 
 @pytest.fixture
 def observed(monkeypatch):
-    """The labels ``EcocMatrix.observe_label`` is called with, in call order."""
+    """Per call of ``EcocMatrix.observe_labels``, the labels it admitted, in row order.
+
+    A call that fails records the labels it admitted before it failed.
+    """
     calls = []
-    observe = EcocMatrix.observe_label
+    observe = EcocMatrix.observe_labels
 
-    def counting(matrix, cb, y):
-        calls.append(y)
-        return observe(matrix, cb, y)
+    def counting(matrix, cb, labels):
+        n = len(matrix)
+        try:
+            return observe(matrix, cb, labels)
+        finally:
+            calls.append(matrix.labels[n:])
 
-    monkeypatch.setattr(EcocMatrix, "observe_label", counting)
+    monkeypatch.setattr(EcocMatrix, "observe_labels", counting)
     return calls
 
 
 @pytest.mark.parametrize("blocks", [False, True])
 def test_only_a_label_new_to_the_matrix_is_observed(observed, blocks):
-    # Labels repeated inside a block, and labels seen in an earlier block.
+    # Labels repeated inside a block, and labels seen in an earlier block. A
+    # block admits its new labels with one call; step admits each new label
+    # alone and looks a known one up without a call.
     k, d = 4, 3
     rng = np.random.default_rng(3)
     state = (HashModel.create(d, k, seed=1), new_matrix(k, 2), generate(k, 8, seed=2))
@@ -489,14 +501,14 @@ def test_only_a_label_new_to_the_matrix_is_observed(observed, blocks):
         else:
             for x, y in zip(X, labels):
                 step(*state, x, y)
-        assert observed == new
+        assert observed == ([new] if blocks else [[y] for y in new])
     assert state[1].labels == ["a", "b", "c", "d", "e"]
 
 
 @pytest.mark.parametrize("blocks", [False, True])
 def test_an_exhausted_codebook_is_observed_once_mid_block(observed, blocks):
-    # Three codes: "d", the fourth new label, fails its draw, and no label
-    # after it is looked up or observed.
+    # Three codes: "d", the fourth new label, fails its draw. The labels drawn
+    # before it are admitted, and no label after it.
     k, d = 3, 4
     state = (HashModel.create(d, k, seed=1), new_matrix(k, 2), generate(k, 3, seed=2))
     labels = ["a", "b", "a", "c", "b", "d", "a", "e"]
@@ -507,8 +519,9 @@ def test_an_exhausted_codebook_is_observed_once_mid_block(observed, blocks):
         else:
             for x, y in zip(X, labels):
                 step(*state, x, y)
-    assert observed == ["a", "b", "c", "d"]
+    assert observed == ([["a", "b", "c"]] if blocks else [["a"], ["b"], ["c"], []])
     assert state[1].labels == ["a", "b", "c"] and state[0].iteration == 5
+    assert state[2].draws_made == 3 and state[0].width == 2 * k
 
 
 def test_step_many_opens_cycles_mid_block_and_continues_a_trained_model():
@@ -605,6 +618,133 @@ def test_step_checks_before_it_changes_anything():
     assert len(matrix) == 0 and matrix.width == k
     assert cb.draws_made == 0 and np.array_equal(cb.pool, pool)
     assert model.iteration == 0 and np.array_equal(model.weights, weights)
+
+
+def test_step_many_opens_several_cycles_and_runs_out_in_one_block():
+    # rho = 1: the second block opens four cycles with one growth, and the
+    # third runs out of codes at its second new label, on a trained model.
+    k, d = 8, 5
+    rng = np.random.default_rng(8)
+    state = (HashModel.create(d, k, seed=2), new_matrix(k, 1), generate(k, 7, seed=3))
+    assert assert_block_equals_loop(state, *random_block(rng, 20, d, 2), 0.5) is None
+    assert assert_block_equals_loop(state, *random_block(rng, 30, d, 4, first=2), 0.5) is None
+    assert state[1].m == 6 and state[0].width == 6 * k
+    error = assert_block_equals_loop(state, *random_block(rng, 30, d, 3, first=6), 0.5)
+    assert isinstance(error, CodebookExhaustedError)
+    assert len(state[1]) == 7 and len(state[2]) == 0 and state[0].width == 7 * k
+
+
+def test_grow_cycles_equals_one_grow_cycle_per_cycle():
+    one, block = HashModel.create(4, 3, seed=5), HashModel.create(4, 3, seed=5)
+    for j in (2, 3, 4):
+        one.grow_cycle(j)
+    block.grow_cycles(range(2, 5))
+    assert one == block
+    block.grow_cycles([])
+    assert one == block
+
+
+def test_no_model_holds_negative_zero_so_a_row_left_alone_keeps_its_bits():
+    # The dense update adds +-0 to each row whose margin is met: 0 * (eta * c)
+    # times [x;1] is -0.0 wherever c * x_j < 0. That leaves every weight but
+    # -0.0 as it is, and the constructor and growth turn -0.0 into 0.0.
+    k, d = 4, 3
+    matrix, cb = new_matrix(k, 2), generate(k, 8, seed=1)
+    matrix.observe_label(cb, "a")
+    c = matrix.signs[0]
+    weights = np.full((k, d + 1), -0.0)
+    weights[:, 0] = 2.0 * c
+    model = HashModel(d=d, k=k, weights=weights)
+    assert np.array_equal(model.weights, weights)
+    assert not np.signbit(model.weights[model.weights == 0.0]).any()
+    grown = copy.deepcopy(model)
+    grown.grow_cycles([2, 3])
+    assert not np.signbit(grown.weights[grown.weights == 0.0]).any()
+    before = model.weights.copy()
+    # c * score is 2 on every row: no margin is violated, so nothing may change.
+    report = step(model, matrix, cb, np.array([1.0, -1.0, -1.0]), "a", eta=0.5)
+    assert report.surrogate_loss_before == 0.0
+    assert model.weights.tobytes() == before.tobytes()
+
+
+def test_a_row_left_alone_stays_finite_when_eta_times_x_overflows():
+    # eta * x is inf in column 0. The violated row moves to +-inf there; the
+    # row that meets its margin gets 0 * x, not 0 * inf, and keeps its bits.
+    k, d = 2, 2
+    matrix, cb = new_matrix(k, 2), generate(k, 2, seed=1)
+    matrix.observe_label(cb, "a")
+    c = matrix.signs[0]
+    weights = np.zeros((k, d + 1))
+    weights[0, -1] = 10.0 * c[0]
+    model = HashModel(d=d, k=k, weights=weights)
+    with np.errstate(over="ignore"):
+        step(model, matrix, cb, np.array([1e300, 0.0]), "a", eta=1e300)
+    assert model.weights[0].tobytes() == weights[0].tobytes()
+    assert model.weights[1, 0] == c[1] * np.inf
+
+
+def refusal_state():
+    """A trained model, its matrix and codebook, and an index with rows staged against it.
+
+    Also the features of those rows, to stage them again against a copy.
+    """
+    k, d = 8, 4
+    rng = np.random.default_rng(5)
+    state = (HashModel.create(d, k, seed=1), new_matrix(k, 2), generate(k, 16, seed=2))
+    step_many(*state, *random_block(rng, 12, d, 5), eta=0.5)
+    index, rows = HashIndex(), rng.standard_normal((6, d))
+    index.insert_many(range(6), rows, state[0])
+    return state, index, rows
+
+
+def assert_refused(call, state, index, rows, match):
+    """``call`` raises ValueError and changes neither the state nor the staged rows' bits."""
+    twin = copy.deepcopy(state)
+    ref = HashIndex()
+    ref.insert_many(range(len(rows)), rows, twin[0])
+    with pytest.raises(ValueError, match=match):
+        call()
+    (model, matrix, cb), (ref_model, ref_matrix, ref_cb) = state, twin
+    assert model == ref_model and model.weights.tobytes() == ref_model.weights.tobytes()
+    assert matrix == ref_matrix and cb == ref_cb
+    assert matrix.signs.tobytes() == ref_matrix.signs.tobytes()
+    got, want = index.arrays(), ref.arrays()
+    assert all(np.array_equal(got[name], want[name]) for name in want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_step_and_step_many_refuse_features_that_are_not_finite(bad):
+    state, index, rows = refusal_state()
+    d = state[0].d
+    x = np.zeros(d)
+    x[1] = bad
+    assert_refused(lambda: step(*state, x, "y0"), state, index, rows,
+                   "the example has a feature that is NaN or infinite")
+    X = np.zeros((5, d))
+    X[3, 2] = bad
+    # A new label too: the features are refused before it is drawn.
+    assert_refused(lambda: step_many(*state, X, ["y0", "new", "y1", "y2", "y3"]), state, index,
+                   rows, "row 3 has a feature that is NaN or infinite")
+
+
+@pytest.mark.parametrize("bad", [None, 5, 5.0, b"y0", ("y0",)])
+def test_a_label_that_is_not_a_str_is_refused(bad):
+    state, index, rows = refusal_state()
+    d = state[0].d
+    model, matrix, cb = state
+    assert_refused(lambda: step(*state, np.ones(d), bad), state, index, rows, "is not a str")
+    # Earlier labels in the block, new or known, are not admitted either.
+    assert_refused(lambda: step_many(*state, np.ones((4, d)), ["y0", "new", bad, "y1"]),
+                   state, index, rows, "is not a str")
+    assert_refused(lambda: matrix.observe_label(cb, bad), state, index, rows, "is not a str")
+    assert_refused(lambda: matrix.observe_labels(cb, ["new", bad]), state, index, rows,
+                   "is not a str")
+
+
+def test_a_numpy_str_label_is_a_str():
+    state, _, _ = refusal_state()
+    report = step(*state, np.ones(state[0].d), np.str_("fresh"))
+    assert report.is_new_label and state[1].labels[-1] == "fresh"
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (3, 5), (5,), (2, 5, 1)])
