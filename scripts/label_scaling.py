@@ -16,6 +16,10 @@ importable, so running it with ``PYTHONPATH=src`` from two checkouts
 compares them; the weights and rankings digests (full rankings of every
 probe) must then agree.
 
+``block_over_loop`` is the median, over those alternating runs, of the
+block's time over the loop's beside it, so a slowdown of a shared machine
+that falls on both sides cancels out.
+
     PYTHONPATH=src python3 scripts/label_scaling.py --labels 200 2000
 """
 
@@ -55,8 +59,9 @@ def train(centers: np.ndarray, labels: list) -> tuple:
     """One example per new label, as one ``step_many`` block and as a loop of ``step``.
 
     The two sides alternate, so a stall of the machine falls on both. Returns
-    the block's trained (model, matrix, codebook) and, per side, the median
-    microseconds per new label and the trained weights' digest.
+    the block's trained (model, matrix, codebook), per side the median
+    microseconds per new label and the trained weights' digest, and the
+    median ratio of block time to loop time over the repeats.
     """
     start = (HashModel.create(d=DIMS, k=K, seed=SEED), new_matrix(K, RHO),
              generate(K, 2 * len(labels), seed=SEED))
@@ -72,6 +77,8 @@ def train(centers: np.ndarray, labels: list) -> tuple:
             out[f"{side}_weights_sha256"] = hashlib.sha256(state[0].weights.tobytes()).hexdigest()
     for side, ts in times.items():
         out[f"new_label_{side}_us"] = 1e6 * statistics.median(ts) / len(labels)
+    out["block_over_loop"] = statistics.median(
+        b / a for a, b in zip(times["loop"], times["block"]))
     return state, out
 
 

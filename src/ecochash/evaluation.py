@@ -215,6 +215,8 @@ def run_stream_experiment(train_X, train_labels, db_X, db_labels,
                             ("database", db_X, db_labels), ("query", query_X, query_labels)):
         if len(labels) != X.shape[0]:
             raise ValueError(f"{name} labels do not match the {name} matrix")
+    if not len(train_labels):
+        raise ValueError("the training stream is empty: there is nothing to train on")
     if config.mode not in (MODE_CODEWORD, MODE_PHI):
         raise ValueError(f"unknown mode {config.mode!r}")
     if config.refresh_every < 1:

@@ -322,14 +322,18 @@ def _descend(w: np.ndarray, c: np.ndarray, xh: np.ndarray, eta: float) -> np.nda
 
     ``w`` is a (..., k, d+1) block of weights, ``c`` the (..., k) +1/-1 codeword
     entries and ``xh`` the (..., d+1) augmented examples. Each example's k
-    scores come from one gemv, ``w @ xh``; a row whose z = -c * score exceeds
-    -1 has hinge slope 1 and moves by eta * c * [x;1]. One dense product adds
-    (eta * c) * [x;1], the gradient step's float, to a violator and +-0, which
-    changes no weight but the -0.0 no model holds, to any other row; so the
-    features must be finite, as 0 * inf is NaN. Returns z.
+    scores come from one gemv, the stacked ``w @ xh``; a row whose z = -c *
+    score exceeds -1 has hinge slope 1 and moves by eta * c * [x;1]. The
+    update is one einsum with no summed index, so it depends on no reduction
+    order: each cell is one product, rounded once. A violator gets
+    (eta * c) * [x;1], the gradient step's float, and any other row a zero,
+    which einsum adds to its zeroed output as +0.0; +0 or -0 changes no
+    weight but the -0.0 no model holds. So the features must be finite, as
+    0 * inf is NaN. A product that overflows gives inf without a warning.
+    Returns z.
     """
     z = -c * np.matmul(w, xh[..., None])[..., 0]
-    w += ((z > -1.0) * (eta * c))[..., None] * xh[..., None, :]
+    w += np.einsum("...k,...d->...kd", (z > -1.0) * (eta * c), xh)
     return z
 
 
@@ -510,7 +514,10 @@ class FeatureNormalizer:
 
     @classmethod
     def fit(cls, X: np.ndarray) -> "FeatureNormalizer":
+        """The mean of the rows of a 2-D block; ValueError when it has no rows."""
         X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or not len(X):
+            raise ValueError(f"a normalizer is fitted over at least one row, not shape {X.shape}")
         return cls(mean=X.mean(axis=0), count=X.shape[0])
 
     def transform(self, x: np.ndarray) -> np.ndarray:

@@ -129,8 +129,22 @@ class ModelBundle:
 
 
 def save_model(bundle: ModelBundle, path) -> None:
-    """Write a bundle; k and rho are the matrix's and the seed is the model's."""
+    """Write a bundle; k and rho are the matrix's and the seed is the model's.
+
+    Parts that disagree, which ``load_model`` would refuse, raise ValueError
+    before the file is opened: the model's and the codebook's k and the
+    model's width must be the matrix's, and the mean's length the model's d.
+    """
     m, mat, cb, norm = bundle.model, bundle.matrix, bundle.codebook, bundle.normalizer
+    length = m.d if norm is None else np.size(norm.mean)
+    for broken, what in (
+            (m.k != mat.k or cb.k != mat.k,
+             f"the model's k={m.k} and the codebook's k={cb.k} must be the matrix's k={mat.k}"),
+            (m.width != mat.width,
+             f"model width {m.width} does not match matrix width {mat.width}"),
+            (length != m.d, f"a normalizer mean of length {length} for d={m.d}")):
+        if broken:
+            raise ValueError(f"cannot save this model: {what}")
     _save_arrays(path, MODEL_MAGIC, MODEL_VERSION, MODEL_LAYOUT, {
         "k": mat.k, "rho": mat.rho, "d": m.d, "eta": bundle.eta, "seed": m.seed,
         "iteration": m.iteration, "codebook_seed": cb.rng_seed, "draws_made": cb.draws_made,

@@ -518,6 +518,18 @@ def test_eval_full_experiment_rejects_zero_orderings(run, dataset):
     assert err.startswith("error (invalid-argument):")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("normalize", [[], ["--no-normalize"]], ids=["normalized", "raw"])
+def test_eval_full_experiment_refuses_an_empty_training_file(run, dataset, tmp_path, normalize):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(dataset["train"].read_text().splitlines()[0] + "\n")
+    _, err = run(["eval", "--full-experiment", "--train-features", empty,
+                  "--db-features", dataset["db"], "--queries", dataset["query"],
+                  "--k", 8, *normalize], expect=1)
+    assert err.splitlines() == [
+        "error (invalid-argument): the training stream is empty: there is nothing to train on"]
+
+
 def test_missing_file_is_io_error(run, tmp_path):
     _, err = run(["train", "--features", tmp_path / "absent.csv",
                   "--k", 8, "--model-out", tmp_path / "m.model"], expect=1)

@@ -12,7 +12,7 @@ from ecochash.evaluation import (CURVE_HEADER, CurvePoint, ExperimentConfig,
                                  make_gaussian_classes, mean_average_precision,
                                  retrieval_map, run_stream_experiment,
                                  write_curve_csv)
-from ecochash.index import MODE_PHI, HashIndex
+from ecochash.index import MODE_CODEWORD, MODE_PHI, HashIndex
 from ecochash import evaluation
 from ecochash.learner import BlockReport, HashModel, step, step_many
 
@@ -314,6 +314,16 @@ def test_experiment_validates_inputs():
     with pytest.raises(ValueError):
         run_stream_experiment(trX, trY, dbX, dbY, qX, qY,
                               ExperimentConfig(k=8, rho=4, refresh_every=0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", [MODE_CODEWORD, MODE_PHI])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_experiment_refuses_an_empty_training_stream(mode, normalize):
+    (trX, _), (dbX, dbY), (qX, qY) = separable_setup()
+    with pytest.raises(ValueError, match="training stream is empty"):
+        run_stream_experiment(trX[:0], [], dbX, dbY, qX, qY,
+                              ExperimentConfig(k=8, rho=4, mode=mode, normalize=normalize))
 
 
 @pytest.mark.parametrize("over", [{"orderings": 0}, {"orderings": -2},

@@ -13,7 +13,7 @@ from ecochash.bitcode import TernaryCodeword, hamming_masked, pack, ternary, unp
 from ecochash.codebook import Codebook, generate
 from ecochash.ecoc import EcocMatrix, new_matrix
 from ecochash.errors import CodebookExhaustedError, ConsistencyError, DimensionError
-from ecochash.learner import (FeatureNormalizer, HashModel, augment, gradient,
+from ecochash.learner import (FeatureNormalizer, HashModel, _descend, augment, gradient,
                               init_functions, phi, predict_bit, step, step_many,
                               surrogate_loss)
 from ecochash.bitcode import PackedCode
@@ -683,6 +683,65 @@ def test_a_row_left_alone_stays_finite_when_eta_times_x_overflows():
     assert model.weights[1, 0] == c[1] * np.inf
 
 
+def descend_reference(w, c, xh, eta):
+    """``_descend`` row by row: each block's z from its own gemv, then w + (eta * c) * [x;1]."""
+    w = w.copy().reshape(-1, *w.shape[-2:])
+    c, xh = c.reshape(len(w), -1), xh.reshape(len(w), -1)
+    z = np.empty(c.shape)
+    for b in range(len(w)):
+        z[b] = -c[b] * (w[b] @ xh[b])
+        for t in np.flatnonzero(z[b] > -1.0):
+            w[b, t] = w[b, t] + (eta * c[b, t]) * xh[b]
+    return w, z
+
+
+def descend_block(rng, shape):
+    """Weights with exact zeros and no -0.0, +1/-1 entries, and [x;1] with zeros and subnormals."""
+    *blocks, k, width = shape
+    w = 3.0 * rng.standard_normal(shape)
+    w[rng.random(shape) < 0.2] = 0.0
+    c = rng.choice([-1.0, 1.0], (*blocks, k))
+    xh = rng.standard_normal((*blocks, width))
+    tiny = np.finfo(np.float64).smallest_subnormal
+    xh[..., 0], xh[..., 1], xh[..., 2] = 0.0, 3 * tiny, -1e5 * tiny
+    xh[..., -1] = 1.0
+    return w + 0.0, c, xh
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("shape", [(6, 9), (3, 6, 9)], ids=["step-2d", "rounds-3d"])
+def test_descend_equals_a_row_by_row_reference_bitwise(shape, eta):
+    rng = np.random.default_rng([len(shape), int(10 * eta)])
+    w, c, xh = descend_block(rng, shape)
+    want_w, want_z = descend_reference(w, c, xh, eta)
+    got_w = w.copy()
+    z = _descend(got_w, c, xh, eta)
+    violated = (want_z > -1.0).reshape(c.shape)
+    # Both kinds of row are present, so each branch of the update is compared.
+    assert violated.any() and not violated.all()
+    assert z.tobytes() == want_z.reshape(c.shape).tobytes()
+    assert got_w.tobytes() == want_w.reshape(shape).tobytes()
+    assert got_w[~violated].tobytes() == w[~violated].tobytes()
+    assert not np.signbit(got_w[got_w == 0.0]).any()
+
+
+def test_descend_overflows_only_on_a_violated_row():
+    # eta * x is inf in column 0; the violated row (c * score 0) becomes inf
+    # there, and the row that meets its margin (c * score 2) keeps its bytes.
+    c = np.array([1.0, -1.0])
+    w = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -2.0]])
+    xh = np.array([1e300, 0.0, 1.0])
+    with np.errstate(over="ignore"):
+        want_w, want_z = descend_reference(w, c, xh, 1e300)
+        got_w = w.copy()
+        z = _descend(got_w, c, xh, 1e300)
+    assert z.tobytes() == want_z[0].tobytes()
+    assert got_w.tobytes() == want_w[0].tobytes()
+    assert got_w[0, 0] == np.inf and np.isfinite(got_w[0, 1:]).all()
+    assert got_w[1].tobytes() == w[1].tobytes()
+
+
 def refusal_state():
     """A trained model, its matrix and codebook, and an index with rows staged against it.
 
@@ -851,6 +910,13 @@ def test_normalizer_fit():
     out = nz.transform(np.array([3.0, 1.0]))
     assert np.allclose(out, [1.0, 0.0])
     assert np.linalg.norm(out) == pytest.approx(1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("X", [np.empty((0, 3)), np.ones(3)], ids=["no-rows", "1-d"])
+def test_normalizer_fit_refuses_a_block_without_rows(X):
+    with pytest.raises(ValueError, match="at least one row"):
+        FeatureNormalizer.fit(X)
 
 
 def test_normalizer_zero_vector_passthrough():

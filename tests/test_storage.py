@@ -214,6 +214,43 @@ def test_loaded_bundle_continues_training_identically(tmp_path):
     assert np.array_equal(loaded.matrix.cores, matrix.cores)
 
 
+def _mismatched_bundle(part):
+    """A k=8, d=4 bundle of two cycles whose ``part`` disagrees with its matrix."""
+    matrix, cb = new_matrix(8, 2), generate(8, 16, seed=2)
+    model = HashModel.create(d=4, k=8, seed=3)
+    X = np.random.default_rng(0).standard_normal((3, 4))
+    for x, y in zip(X, "abc"):
+        step(model, matrix, cb, x, y)
+    norm = FeatureNormalizer.fit(X)
+    if part == "one-cycle model":
+        model = HashModel.create(d=4, k=8, seed=3)
+    elif part == "k=4 model":
+        model = HashModel(d=4, k=4, weights=np.ones((16, 5)))
+    elif part == "mean of length 5":
+        norm = FeatureNormalizer(mean=np.zeros(5), count=3)
+    else:
+        cb = generate(16, 16, seed=2)
+    return ModelBundle(k=8, rho=2, eta=1.0, seed=3, codebook=cb, matrix=matrix,
+                       model=model, normalizer=norm)
+
+
+@pytest.mark.parametrize("part, match", [
+    ("one-cycle model", "model width 8 does not match matrix width 16"),
+    ("k=4 model", "k=4"),
+    ("mean of length 5", "mean of length 5 for d=4"),
+    ("k=16 codebook", "codebook's k=16"),
+])
+def test_save_model_refuses_parts_that_disagree_before_it_writes(tmp_path, part, match):
+    # load_model would refuse each such file, so save_model writes none.
+    bundle = _mismatched_bundle(part)
+    p, kept = tmp_path / "new.model", tmp_path / "kept.model"
+    kept.write_bytes(b"an earlier file")
+    for path in (p, kept):
+        with pytest.raises(ValueError, match=match):
+            save_model(bundle, path)
+    assert not p.exists() and kept.read_bytes() == b"an earlier file"
+
+
 @pytest.mark.parametrize("case", ["repeated code", "assigned core"])
 def test_model_rejects_a_pool_no_draws_could_leave(tmp_path, case):
     # Every draw removes its code, so such a pool would later hand two labels
