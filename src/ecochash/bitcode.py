@@ -200,10 +200,3 @@ def codes_to_words(values: Sequence[int], width: int) -> np.ndarray:
     raw = bytearray().join((v & keep).to_bytes(n_bytes, "little") for v in values)
     return np.frombuffer(raw, dtype="<u8").reshape(len(values), n_bytes // 8)
 
-
-def words_to_codes(words: np.ndarray) -> list[int]:
-    """Inverse of ``codes_to_words``: each row of an (n, words) uint64 block as an int."""
-    codes = [0] * len(words)
-    for column in np.asarray(words).T[::-1]:
-        codes = [c << WORD_BITS | w for c, w in zip(codes, column.tolist())]
-    return codes

@@ -19,13 +19,13 @@ block is slot-major, one row per item of each held cycle's slot and
 one column per phi row, plus each row's augmented features
 ``[x; 1]``, so an update recomputes a cycle's slot for every phi row with
 one matrix product and one assignment. Inserted phi rows wait unscored
-(staged) until the first read of the bits or the model's next write, and
-are then scored as one block. Every phi bit, stored or queried,
-is ``learner.exact_signs``' exact sign. A query is packed once into slots
-at the model's width; its distance to a codeword row is the popcount of
-its slot in the row's cycle XOR the core, to a phi row of its first held
-slots XOR the row's. Index files hold the two blocks as ``FILE_LAYOUT``'s
-arrays.
+(staged), with a copy of the weights, until the first read of the bits or
+an insert after the model writes, then score as one block against the copy.
+Every phi bit, stored or queried, is ``learner.exact_signs``' exact sign. A
+query is packed once into slots at the model's width; its distance to a
+codeword row is the popcount of its slot in the row's cycle XOR the core,
+to a phi row of its first held slots XOR the row's. Index files hold the
+two blocks as ``FILE_LAYOUT``'s arrays.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from itertools import accumulate
 import numpy as np
 
 from .bitcode import (WORD, PackedCode, TernaryCodeword,  # noqa: F401
-                      codes_to_words, grown, n_words, words_to_codes)
+                      codes_to_words, grown, n_words)
 from .ecoc import EcocMatrix, Label
 from .errors import ConsistencyError, DimensionError, DuplicateIdError
 # Nothing here calls ``phi`` or ``codes_to_words``; both stay module names because
@@ -241,8 +241,8 @@ class HashIndex:
         self._feats = np.ones((n_phi, feats.shape[1] + 1) if n_phi else (0, 0))
         self._feats[:, :-1] = feats
         self._x_bound = None
-        # The phi rows staged unscored, or None: (model, first column, a bound on
-        # their [x; 1]'s squared norm, the sum of each insert's).
+        # The phi rows staged unscored, or None: [model, its write count, a copy of its
+        # weights, their norm bound or None, first column, the rows' [x; 1] norm bound].
         self._staged = None
 
     def __len__(self) -> int:
@@ -287,17 +287,15 @@ class HashIndex:
     def _settle(self) -> None:
         """Score the staged phi rows with one ``exact_signs`` call and one pack.
 
-        They meet the weights they were inserted under: the model settles its
-        indexes before it next writes a weight. Their features and those
-        weights were checked finite at insert, so this never raises.
+        They score against the stage's copy of the weights, which are the
+        weights they were inserted under, whenever this runs. Their features
+        and those weights were checked finite at insert, so this never raises.
         """
         if self._staged is None:
             return
-        (model, first, x_bound), n, width = self._staged, self._n_phi, self._phi_width
+        (_, _, W, w_bound, first, x_bound), n = self._staged, self._n_phi
         self._staged = None
-        model._unstage(self)
-        signs = exact_signs(model.weights[:width], self._feats[first:n], x_bound=x_bound,
-                            w_bound=model.sq_norm_bound if width == model.width else None)
+        signs = exact_signs(W, self._feats[first:n], w_bound=w_bound, x_bound=x_bound)
         self._values[:, first:n] = _packed(signs, self._k).reshape(n - first, -1).T
 
     def __getstate__(self) -> dict:
@@ -334,10 +332,12 @@ class HashIndex:
         the index as it is.
         """
         self._settle()
-        k, width = self._k, self._phi_width
-        codewords = zip((self._cycles[:self._n_cw] + 1).tolist(),
-                        words_to_codes(self._cores[:, :self._n_cw].T.astype(WORD)))
-        n_phi, codes = self._n_phi, []
+        k, width, n_cw, n_phi = self._k, self._phi_width, self._n_cw, self._n_phi
+        # A codeword row's slot, as little-endian bytes, is its core's int.
+        cores = [int.from_bytes(row.tobytes(), "little")
+                 for row in _slot_bytes(self._cores[:, :n_cw])]
+        codewords = zip((self._cycles[:n_cw] + 1).tolist(), cores)
+        codes = []
         if n_phi:
             # Each row's slots as bytes, then their cycles' bits back to back.
             slots = _slot_bytes(self._values[:, :n_phi]).reshape(n_phi, width // k, -1)
@@ -409,15 +409,16 @@ class HashIndex:
         retained exactly as given (so pass them already normalized) to allow
         partial recomputation later.
 
-        The rows are staged, not scored: their features are copied in, and
-        every row staged against one model since the last score is scored
-        with one ``exact_signs`` call and one pack at the first read of the
-        phi bits (a query, ``refresh``, ``apply_steps``,
-        ``apply_model_update``, ``arrays`` and so ``save_index``, ``entries``,
-        a copy or pickle), at an insert under another model object, or before
-        the model next writes a weight (``step``, ``step_many``), whichever
-        comes first. So each bit is the exact sign under the weights the row
-        was inserted under, and a loop of one-row inserts pays one product.
+        The rows are staged, not scored: their features are copied in, and an
+        insert that opens a stage copies the model's weights at the block's
+        width. The staged rows are scored against that copy, with one
+        ``exact_signs`` call and one pack, at the first read of the phi bits
+        (a query, ``refresh``, ``apply_steps``, ``apply_model_update``,
+        ``arrays`` and so ``save_index``, ``entries``, a copy or pickle), or
+        at an insert under another model object or after a weight write
+        (``step``, ``step_many``), so each bit is the exact sign under the
+        weights its row was inserted under. A loop of one-row inserts pays
+        one product, and a one-row insert after each step one copy.
 
         Everything is checked before any change: one label per row; rows of
         the model's d and of the phi block's feature length (DimensionError);
@@ -449,7 +450,8 @@ class HashIndex:
             raise DimensionError(
                 f"feature length {X.shape[1]} does not match "
                 f"{self._feats.shape[1] - 1} of the existing phi entries")
-        if self._staged is not None and self._staged[0] is not model:
+        # ``is``, not ``==``: models compare by their weights' bytes.
+        if self._staged and (self._staged[0] is not model or self._staged[1] != model._writes):
             self._settle()
         # The rows are copied into the blocks' spare capacity, past the last phi
         # row, so a batch that check_finite or _append refuses leaves no row
@@ -474,10 +476,9 @@ class HashIndex:
             self._k, self._phi_width = model.k, width
             self._widest = max(self._widest, width)
             if self._staged is None:
-                self._staged = model, col, x_bound
-                model._stage(self)
-            else:
-                self._staged = model, self._staged[1], self._staged[2] + x_bound
+                self._staged = [model, model._writes, np.array(model.weights[:width]),
+                                model.sq_norm_bound if width == model.width else None, col, 0.0]
+            self._staged[-1] += x_bound
 
     def insert_unlabeled(self, id: int, x: np.ndarray, model: HashModel,
                          label: Label | None = None) -> None:

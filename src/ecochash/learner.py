@@ -13,7 +13,6 @@ ever touched.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,13 +187,9 @@ class HashModel:
     view of the block. The weights are whole cycles, (m * k, d+1) for some
     m >= 0; any other shape raises ValueError.
 
-    ``HashIndex.insert_many`` stages phi rows against the model unscored.
-    The model holds each index with staged rows by weak reference, so it
-    does not keep a dropped index alive, and has it score them
-    (``_settle_staged``) before ``step`` or ``step_many`` next writes a
-    weight: a staged row always meets the weights it was inserted under.
-    Growth leaves the weights a row needs as they are. A copy or pickle of
-    the model holds no index.
+    The model holds no index. It counts its writes of existing weights
+    (``_wrote``; growth leaves every row as it was), so ``insert_many`` can
+    tell whether the weights an index copied for its staged rows still hold.
     """
 
     def __init__(self, d: int, k: int, weights: np.ndarray, iteration: int = 0,
@@ -204,8 +199,7 @@ class HashModel:
         if k < 1 or w.ndim != 2 or w.shape[1] != d + 1 or len(w) % k:
             raise ValueError(f"weights of shape {w.shape} are not (m * k, d + 1) for k={k}, d={d}")
         self._own(w)
-        # id(index) -> a weak reference to each index with rows staged against the weights.
-        self._staged = {}
+        self._writes = 0
 
     def _own(self, w: np.ndarray) -> None:
         """Keep ``w`` as the weights, behind a read-only view, with no bound."""
@@ -235,27 +229,11 @@ class HashModel:
     def width(self) -> int:
         return self._w.shape[0]
 
-    def _stage(self, index) -> None:
-        """Have ``index`` settle its staged rows before the next write of the weights."""
-        self._staged[id(index)] = weakref.ref(index)
-
-    def _unstage(self, index) -> None:
-        """Forget ``index``, once it has scored its staged rows."""
-        self._staged.pop(id(index), None)
-
-    def _settle_staged(self) -> None:
-        """Have every index still alive score the rows it staged against the weights."""
-        while self._staged:
-            index = self._staged.popitem()[1]()
-            if index is not None:
-                index._settle()
-
-    def column_cycle(self, t: int) -> int:
-        return t // self.k + 1
-
-    def grow_cycle(self, cycle: int) -> None:
-        """``grow_cycles`` of one newly opened cycle."""
-        self.grow_cycles((cycle,))
+    def _wrote(self, steps: int) -> None:
+        """Record one write of ``steps`` training steps into the weights: the bound drops."""
+        self._bound = None
+        self.iteration += steps
+        self._writes += 1
 
     def grow_cycles(self, cycles) -> None:
         """Append the k functions owned by each newly opened cycle, in order, with one stack."""
@@ -370,8 +348,8 @@ def step(model: HashModel, matrix: EcocMatrix, cb: Codebook,
     bitwise intact; loss and update equal ``surrogate_loss`` and ``gradient``
     on ``matrix.find(y)`` bit for bit. ``eta`` (finite, >= 0), the features
     (finite, of length d), the label (a ``str``) and the model's width are
-    checked before anything changes. Before the update writes, every index
-    with phi rows staged against the model scores them.
+    checked before anything changes. The update is one write; phi rows
+    staged before it still score under the weights of their insert.
     """
     xh = augment(x)
     _check_step(model, matrix, eta, xh[None, :-1], lambda _: "the example")
@@ -381,10 +359,8 @@ def step(model: HashModel, matrix: EcocMatrix, cb: Codebook,
     row = matrix.rows[y]
     start = row // matrix.rho * matrix.k
     touched = range(start, start + matrix.k)
-    model._settle_staged()
     z = _descend(model._w[touched.start:touched.stop], matrix.signs[row], xh, eta)
-    model._bound = None
-    model.iteration += 1
+    model._wrote(1)
     return StepReport(label=y, touched_columns=touched,
                       surrogate_loss_before=float(np.maximum(0.0, 1.0 + z).sum()),
                       new_cycle_started=matrix.m > m, is_new_label=is_new)
@@ -415,9 +391,9 @@ def step_many(model: HashModel, matrix: EcocMatrix, cb: Codebook,
     example i, the labels drawn before it are admitted, the examples before
     it applied, and CodebookExhaustedError propagates. The block's shape and
     ``step``'s checks of every row and label come before any change.
-    Before each write of the weights (once at the end, or after each round
-    when ``after_round`` is given), every index with phi rows staged against
-    the model scores them.
+    The weights are written once at the end, or after each round when
+    ``after_round`` is given; phi rows an index stages between two writes
+    score under the weights of their insert.
 
     ``after_round``, when given, is called after each round with that
     round's 1-based cycles in ascending order, once their weights are in the
@@ -482,16 +458,12 @@ def _rounds(model: HashModel, matrix: EcocMatrix, rows: np.ndarray, X: np.ndarra
         losses[at] = np.maximum(0.0, 1.0 + z).sum(axis=1)
         start = stop
         if after_round is not None:
-            model._settle_staged()
             w3[busy[:size]] = w[:size]
-            model._bound = None
-            model.iteration += size
+            model._wrote(size)
             after_round((np.sort(busy[:size]) + 1).tolist())
     if after_round is None:
-        model._settle_staged()
         w3[busy] = w
-        model._bound = None
-        model.iteration += len(rows)
+        model._wrote(len(rows))
     return losses
 
 

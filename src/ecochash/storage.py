@@ -131,28 +131,38 @@ class ModelBundle:
 def save_model(bundle: ModelBundle, path) -> None:
     """Write a bundle; k and rho are the matrix's and the seed is the model's.
 
-    Parts that disagree, which ``load_model`` would refuse, raise ValueError
-    before the file is opened: the model's and the codebook's k and the
-    model's width must be the matrix's, and the mean's length the model's d.
+    Every field is first converted to its ``MODEL_LAYOUT`` dtype and put
+    through ``load_model``'s checks, so a bundle whose file would not load
+    raises ValueError before the file is opened. The file holds one k, so
+    the model's and the codebook's must be the matrix's.
     """
     m, mat, cb, norm = bundle.model, bundle.matrix, bundle.codebook, bundle.normalizer
-    length = m.d if norm is None else np.size(norm.mean)
-    for broken, what in (
-            (m.k != mat.k or cb.k != mat.k,
-             f"the model's k={m.k} and the codebook's k={cb.k} must be the matrix's k={mat.k}"),
-            (m.width != mat.width,
-             f"model width {m.width} does not match matrix width {mat.width}"),
-            (length != m.d, f"a normalizer mean of length {length} for d={m.d}")):
-        if broken:
-            raise ValueError(f"cannot save this model: {what}")
-    _save_arrays(path, MODEL_MAGIC, MODEL_VERSION, MODEL_LAYOUT, {
+    if m.k != mat.k or cb.k != mat.k:
+        raise ValueError(f"cannot save this model: the model's k={m.k} and the codebook's "
+                         f"k={cb.k} must be the matrix's k={mat.k}")
+    values = {
         "k": mat.k, "rho": mat.rho, "d": m.d, "eta": bundle.eta, "seed": m.seed,
         "iteration": m.iteration, "codebook_seed": cb.rng_seed, "draws_made": cb.draws_made,
         "pool": cb.pool, "cores": mat.cores, **encode_labels(mat.rows),
         "weights": m.weights,
         "normalizer_count": 0 if norm is None else norm.count,
         "mean": () if norm is None else norm.mean,
-    })
+    }
+    fields = {}
+    for name, dtype in MODEL_LAYOUT:
+        value = values[name]
+        try:
+            # A numpy integer would wrap into an unsigned dtype; a Python int raises.
+            fields[name] = np.ascontiguousarray(
+                int(value) if isinstance(value, np.integer) else value, dtype)
+        except OverflowError:
+            raise ValueError(f"cannot save this model: {name}={value} does not fit "
+                             f"the file's {np.dtype(dtype)}") from None
+    try:
+        _check_model(fields)
+    except ValueError as exc:
+        raise ValueError(f"cannot save this model: {exc}") from None
+    _save_arrays(path, MODEL_MAGIC, MODEL_VERSION, MODEL_LAYOUT, fields)
 
 
 def load_model(path) -> ModelBundle:
@@ -161,19 +171,31 @@ def load_model(path) -> ModelBundle:
                           "; retrain it with `ecochash train` (the same features, flags "
                           "and seed give the same model)")
     try:
-        return _bundle(fields)
+        labels, pool, cores = _check_model(fields)
     except ValueError as exc:
         raise FormatError(f"bad model: {exc}") from None
-
-
-def _bundle(fields: dict) -> ModelBundle:
-    """The bundle ``save_model`` wrote; a ValueError names the invariant that fails.
-
-    Every check is sized by the arrays, so a huge k or d allocates nothing
-    before the weight count refuses it.
-    """
     k, rho, d, eta, seed, iteration, cb_seed, draws_made, count = (
         fields[name].item() for name in _MODEL_SINGLE)
+    mean = fields["mean"]
+    # The constructors copy the pool, the cores and the weights out of the file's bytes.
+    matrix = EcocMatrix(k, rho, labels, cores)
+    model = HashModel(d=d, k=k, weights=fields["weights"].reshape(-1, d + 1),
+                      iteration=iteration, seed=seed)
+    normalizer = FeatureNormalizer(mean=mean.copy(), count=count) if mean.size else None
+    codebook = Codebook(k=k, pool=pool, rng_seed=cb_seed, draws_made=draws_made)
+    return ModelBundle(k=k, rho=rho, eta=eta, seed=seed, codebook=codebook,
+                       matrix=matrix, model=model, normalizer=normalizer)
+
+
+def _check_model(fields: dict):
+    """``(labels, pool, cores)`` of ``MODEL_LAYOUT``'s arrays, once they pass every check.
+
+    A ValueError names the invariant that fails. Every check is sized by the
+    arrays, so a huge k or d allocates nothing before the weight count
+    refuses it. The pool and cores are (codes, ceil(k/64)) blocks.
+    """
+    # Every single value is read, so each is checked to be one.
+    k, rho, d, eta, *_, count = (fields[name].item() for name in _MODEL_SINGLE)
     if min(k, rho, d) < 1 or not 0.0 <= eta < math.inf:
         raise ValueError(f"k={k}, rho={rho} and d={d} must be >= 1, "
                          f"and eta={eta} finite and >= 0")
@@ -195,22 +217,16 @@ def _bundle(fields: dict) -> ModelBundle:
             # Every draw removes its code, so a pool never repeats one nor holds a label's core.
             (len(free) < len(pool) or not free.isdisjoint(assigned),
              "the codebook pool repeats a code or holds a label's core"),
+            (weights.size % (d + 1), f"{weights.size} weights are not rows of {d + 1}"),
             (weights.size != m * k * (d + 1),
-             f"{weights.size} weights for {m * k} rows of {d + 1}"),
+             f"model width {weights.size // (d + 1)} does not match matrix width {m * k}"),
             (mean.size not in (0, d) or (count and not mean.size),
-             f"a mean of length {mean.size} with count {count} for d={d}"),
+             f"a mean of length {mean.size} for d={d} with count {count}"),
             (not (np.isfinite(weights).all() and np.isfinite(mean).all()),
              "a weight or the normalizer's mean is NaN or infinite")):
         if broken:
             raise ValueError(what)
-    # The constructors copy the pool, the cores and the weights out of the file's bytes.
-    matrix = EcocMatrix(k, rho, labels, cores)
-    model = HashModel(d=d, k=k, weights=weights.reshape(m * k, d + 1),
-                      iteration=iteration, seed=seed)
-    normalizer = FeatureNormalizer(mean=mean.copy(), count=count) if mean.size else None
-    codebook = Codebook(k=k, pool=pool, rng_seed=cb_seed, draws_made=draws_made)
-    return ModelBundle(k=k, rho=rho, eta=eta, seed=seed, codebook=codebook,
-                       matrix=matrix, model=model, normalizer=normalizer)
+    return labels, pool, cores
 
 
 def save_index(index: HashIndex, path) -> None:

@@ -7,22 +7,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ecochash.bitcode import words_to_codes
 from ecochash.codebook import (Codebook, default_capacity, generate,
                                recommended_rho, separation_stats,
                                unique_bipartition_probability)
 from ecochash.errors import CodebookExhaustedError
 
 
+def pool_codes(pool):
+    """Each row of a little-endian (codes, words) pool as an int."""
+    return [int.from_bytes(row.tobytes(), "little") for row in pool]
+
+
 def loop_min_mean_distance(pool):
     # independent oracle: O(n^2) pairwise scan over the pool's codes as ints
-    dists = [(a ^ b).bit_count() for a, b in itertools.combinations(words_to_codes(pool), 2)]
+    dists = [(a ^ b).bit_count() for a, b in itertools.combinations(pool_codes(pool), 2)]
     return min(dists), sum(dists) / len(dists)
 
 
 def test_generate_k2_capacity2_is_one_bipartition():
     pool = generate(2, 2, seed=0).pool
-    bits = set(words_to_codes(pool))
+    bits = set(pool_codes(pool))
     # with duplicates and complements rejected only these pairs survive
     assert bits in ({0b00, 0b01}, {0b00, 0b10}, {0b11, 0b01}, {0b11, 0b10})
 
@@ -53,7 +57,7 @@ def reference_generate(k, capacity, seed):
                                          (33, 200), (64, 300)])
 def test_generate_equals_per_candidate_reference(k, capacity):
     for seed in (0, 5):
-        assert words_to_codes(generate(k, capacity, seed).pool) \
+        assert pool_codes(generate(k, capacity, seed).pool) \
             == reference_generate(k, capacity, seed)
 
 
@@ -61,7 +65,7 @@ def test_generate_no_duplicates_or_complements():
     pool = generate(8, 100, seed=3).pool
     full = (1 << 8) - 1
     seen = set()
-    for c in words_to_codes(pool):
+    for c in pool_codes(pool):
         assert c not in seen
         assert (c ^ full) not in seen
         seen.add(c)

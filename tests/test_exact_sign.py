@@ -298,7 +298,7 @@ def test_the_kept_bound_covers_the_exact_norm_after_any_interleaving(seed, tmp_p
         assert exact <= bound <= exact * (1 + Fraction(1, 10 ** 9))
     assert bundle.matrix.m >= 3
     model = bundle.model
-    model.grow_cycle(bundle.matrix.m + 1)
+    model.grow_cycles((bundle.matrix.m + 1,))
     assert exact_sq_norm(model.weights) <= Fraction(model.sq_norm_bound)
 
 

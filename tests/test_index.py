@@ -247,7 +247,7 @@ def test_splice_matches_full_recompute():
     dirty = set()
     for x, y in stream:
         report = step(model, matrix, cb, x, y)
-        dirty.add(model.column_cycle(report.touched_columns.start))
+        dirty.add(report.touched_columns.start // model.k + 1)
     index.refresh(model, cycles=sorted(dirty))
     for e in index.entries:
         assert e.code.values == phi(model, e.features)
@@ -348,8 +348,9 @@ def test_recompute_writes_only_the_listed_cycles_slots(k, tmp_path):
 def test_recompute_scores_one_c_ordered_weight_block(monkeypatch):
     # For small blocks BLAS multiplies Xa @ W.T faster when W.T is C-ordered.
     # A recompute copies its cycles' weights into one such block; a row slice
-    # of the weights, or a concatenation of them, would be F-ordered. Inserted
-    # rows and queries score against the weights themselves, with no copy.
+    # of the weights, or a concatenation of them, would be F-ordered. Queries
+    # score against the weights themselves, with no copy, and staged rows
+    # against the copy their stage took at insert.
     calls = []
 
     def spy(W, Xa, *args, **kwargs):
@@ -362,14 +363,16 @@ def test_recompute_scores_one_c_ordered_weight_block(monkeypatch):
         step(model, matrix, cb, x, y)
     index = HashIndex()
     index.insert_many(range(5), [x for x, _ in stream[:5]], model)
-    assert not calls
-    # The step scores the staged rows before it writes, against the weights.
+    before = copy.deepcopy(model)
     report = step(model, matrix, cb, *stream[3])
-    assert len(calls) == 1
+    assert not calls
+    # The recompute scores the staged rows first, against their stage's copy.
     index.apply_model_update(report, model)
     index.refresh(model, cycles=[1, 3])
     index.query(model, stream[0][0])
-    assert [weights for _, weights in calls] == [True, False, False, True]
+    assert [weights for _, weights in calls] == [False, False, False, True]
+    assert np.array_equal(calls[0][0], before.weights)
+    assert not np.array_equal(calls[0][0], model.weights)
     spans = [report.touched_columns, [*range(24), *range(48, 72)]]
     for (W, _), columns in zip(calls[1:3], spans):
         assert W.T.flags.c_contiguous
@@ -891,7 +894,7 @@ def test_random_interleavings_keep_index_invariants(k, ops):
                         index.apply_model_update(report, model)
                 else:
                     index.apply_model_update(report, model)
-                    pending.discard(model.column_cycle(span.start))
+                    pending.discard(span.start // k + 1)
                     recomputed = 1
                 report = None
             elif op == "refresh":
@@ -1101,6 +1104,26 @@ def test_one_index_staged_against_two_models_in_turn():
                                                                       for x in X[3:]]
 
 
+def test_staged_rows_follow_the_models_writes_not_its_iteration():
+    # A caller may set the public iteration back after a step; the index tells
+    # the weights apart by the model's own count of its writes.
+    matrix, cb, model, stream = staged_setup()
+    X = np.array([x for x, _ in stream[:6]])
+    index = HashIndex()
+    index.insert_many(range(3), X[:3], model)
+    first, iteration = copy.deepcopy(model), model.iteration
+    for x, y in stream[4:8]:
+        step(model, matrix, cb, -x, y, eta=10.0)
+    model.iteration = iteration
+    index.insert_many(range(3, 6), X[3:], model)
+    second = copy.deepcopy(model)
+    for x, y in stream[4:8]:
+        step(model, matrix, cb, x, y, eta=10.0)
+    assert codes_of(index) == ([phi(first, x).bits for x in X[:3]]
+                               + [phi(second, x).bits for x in X[3:]])
+    assert [phi(first, x).bits for x in X] != [phi(second, x).bits for x in X]
+
+
 @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
 def test_a_copy_of_a_staged_index_with_its_model_scores_the_inserted_weights(how):
     # The model's copy holds no index, so the index's copy holds scored rows.
@@ -1147,7 +1170,7 @@ def test_a_non_finite_insert_is_refused_with_no_row_staged(bad):
         index.insert_unlabeled(9, x, target)
     assert len(index) == index.phi_count == 3
     assert same_bits(index.arrays(), before)
-    assert not target._staged
+    assert index._staged is None
     step(model, matrix, cb, *stream[4])
 
 
@@ -1167,6 +1190,8 @@ def test_one_row_inserts_before_a_step_are_scored_in_one_call(monkeypatch):
     assert calls == []
     before = copy.deepcopy(model)
     step(model, matrix, cb, *stream[0])
+    assert calls == []
+    index.arrays()
     assert calls == [1500]
     twin.insert_many(range(1500), X, before)
     assert same_bits(index.arrays(), twin.arrays())

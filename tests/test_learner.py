@@ -83,8 +83,8 @@ def test_phi_zero_width():
 def test_phi_matches_per_bit_oracle():
     rng = np.random.default_rng(0)
     model = HashModel.create(d=6, k=4, seed=3)
-    model.grow_cycle(2)
-    model.grow_cycle(3)
+    model.grow_cycles((2,))
+    model.grow_cycles((3,))
     for _ in range(20):
         x = rng.standard_normal(6)
         code = phi(model, x)
@@ -273,7 +273,7 @@ def reference_step(model, matrix, cb, x, y, eta):
     """
     obs = matrix.observe_label(cb, y)
     if obs.new_cycle_started:
-        model.grow_cycle(matrix.m)
+        model.grow_cycles((matrix.m,))
     cw = matrix.find(y)
     loss_before = surrogate_loss(model, x, cw)
     weights = model.weights.copy()
@@ -607,7 +607,7 @@ def test_step_checks_before_it_changes_anything():
     # observes the label, so no label joins the matrix and no code is drawn.
     k, d = 8, 3
     model, matrix, cb = HashModel.create(d, k, seed=1), new_matrix(k, 1), generate(k, 16, seed=2)
-    model.grow_cycle(2)
+    model.grow_cycles((2,))
     weights, pool = model.weights.copy(), cb.pool.copy()
     with pytest.raises(ConsistencyError):
         step(model, matrix, cb, np.zeros(d), "a")
@@ -637,7 +637,7 @@ def test_step_many_opens_several_cycles_and_runs_out_in_one_block():
 def test_grow_cycles_equals_one_grow_cycle_per_cycle():
     one, block = HashModel.create(4, 3, seed=5), HashModel.create(4, 3, seed=5)
     for j in (2, 3, 4):
-        one.grow_cycle(j)
+        one.grow_cycles((j,))
     block.grow_cycles(range(2, 5))
     assert one == block
     block.grow_cycles([])

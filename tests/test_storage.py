@@ -168,12 +168,14 @@ def _set(i, value):
     ("label_text", _set(3, lambda a, f: a[1]), "appears twice"),
     ("pool", _set(1, lambda a, f: a[0]), "pool repeats"),
     ("pool", _set(0, lambda a, f: f["cores"][3]), "holds a label's core"),
-    ("weights", lambda a, f: a[:-7], "weights for"),
+    ("weights", lambda a, f: a[:-7], "model width 23 does not match matrix width 24"),
+    ("weights", lambda a, f: a[:-3], "165 weights are not rows of 7"),
     ("mean", lambda a, f: a[:-1], "mean of length"),
     ("label_lengths", _set(0, lambda a, f: 3), "do not add up"),
     ("label_text", _set(1, lambda a, f: 0xFF), "utf-8"),
 ], ids=["core-bit-past-k", "shared-core", "core-count", "repeated-label", "pool-repeat",
-        "pool-holds-core", "weight-rows", "mean-length", "label-lengths", "not-utf-8"])
+        "pool-holds-core", "weight-rows", "weight-values", "mean-length", "label-lengths",
+        "not-utf-8"])
 def test_model_rejects_broken_arrays(tmp_path, name, change, match):
     p, head, fields = _model_fields(tmp_path)
     p.write_bytes(join_arrays(head, storage.MODEL_LAYOUT, fields))
@@ -221,16 +223,27 @@ def _mismatched_bundle(part):
     X = np.random.default_rng(0).standard_normal((3, 4))
     for x, y in zip(X, "abc"):
         step(model, matrix, cb, x, y)
-    norm = FeatureNormalizer.fit(X)
+    norm, eta = FeatureNormalizer.fit(X), 1.0
     if part == "one-cycle model":
         model = HashModel.create(d=4, k=8, seed=3)
     elif part == "k=4 model":
         model = HashModel(d=4, k=4, weights=np.ones((16, 5)))
     elif part == "mean of length 5":
         norm = FeatureNormalizer(mean=np.zeros(5), count=3)
-    else:
+    elif part == "k=16 codebook":
         cb = generate(16, 16, seed=2)
-    return ModelBundle(k=8, rho=2, eta=1.0, seed=3, codebook=cb, matrix=matrix,
+    elif part == "eta=-1.0":
+        eta = -1.0
+    elif part == "NaN weight":
+        weights = model.weights.copy()
+        weights[3, 1] = np.nan
+        model = HashModel(d=4, k=8, weights=weights, iteration=model.iteration, seed=3)
+    elif part == "repeated pool code":
+        cb.pool = np.concatenate([cb.pool, cb.pool[:1]])
+    else:
+        model = HashModel(d=4, k=8, weights=model.weights, iteration=model.iteration,
+                          seed=np.int64(-1) if part == "numpy seed=-1" else -1)
+    return ModelBundle(k=8, rho=2, eta=eta, seed=3, codebook=cb, matrix=matrix,
                        model=model, normalizer=norm)
 
 
@@ -239,9 +252,15 @@ def _mismatched_bundle(part):
     ("k=4 model", "k=4"),
     ("mean of length 5", "mean of length 5 for d=4"),
     ("k=16 codebook", "codebook's k=16"),
+    ("eta=-1.0", "eta=-1.0 finite and >= 0"),
+    ("NaN weight", "a weight or the normalizer's mean is NaN or infinite"),
+    ("repeated pool code", "the codebook pool repeats a code"),
+    ("seed=-1", "seed=-1 does not fit the file's uint64"),
+    ("numpy seed=-1", "seed=-1 does not fit the file's uint64"),
 ])
 def test_save_model_refuses_parts_that_disagree_before_it_writes(tmp_path, part, match):
-    # load_model would refuse each such file, so save_model writes none.
+    # load_model would refuse each such file, or a seed would not fit it, so
+    # save_model writes none, and leaves a file already at the path as it was.
     bundle = _mismatched_bundle(part)
     p, kept = tmp_path / "new.model", tmp_path / "kept.model"
     kept.write_bytes(b"an earlier file")
@@ -255,13 +274,12 @@ def test_save_model_refuses_parts_that_disagree_before_it_writes(tmp_path, part,
 def test_model_rejects_a_pool_no_draws_could_leave(tmp_path, case):
     # Every draw removes its code, so such a pool would later hand two labels
     # one core: a file that loads, trains and saves, then fails to reload.
-    bundle, _, _ = trained_bundle(steps=5)
-    cb = bundle.codebook
-    extra = cb.pool if case == "repeated code" else bundle.matrix.cores
-    cb.pool = np.concatenate([cb.pool, extra[:1]])
-    p = tmp_path / "m.model"
-    save_model(bundle, p)
-    with pytest.raises(FormatError):
+    # save_model refuses such a bundle, so the file is written here.
+    p, head, fields = _model_fields(tmp_path, steps=5)
+    extra = fields["pool" if case == "repeated code" else "cores"]
+    fields["pool"] = np.concatenate([fields["pool"], extra[:1]])
+    p.write_bytes(join_arrays(head, storage.MODEL_LAYOUT, fields))
+    with pytest.raises(FormatError, match="the codebook pool repeats a code or holds"):
         load_model(p)
 
 
@@ -354,17 +372,10 @@ def test_model_rejects_wrong_version(tmp_path):
 @pytest.mark.parametrize("where, value", [
     ("weight", np.nan), ("weight", -np.inf), ("mean", np.nan), ("mean", np.inf)])
 def test_model_rejects_non_finite_numbers(tmp_path, where, value):
-    bundle, _, _ = trained_bundle(steps=5)
-    if where == "weight":
-        m = bundle.model
-        weights = m.weights.copy()
-        weights[1] = value
-        bundle.model = HashModel(d=m.d, k=m.k, weights=weights, iteration=m.iteration,
-                                 seed=m.seed)
-    else:
-        bundle.normalizer.mean[1] = value
-    p = tmp_path / "m.model"
-    save_model(bundle, p)
+    # save_model refuses such a bundle, so the file is written here.
+    p, head, fields = _model_fields(tmp_path, steps=5)
+    fields["weights" if where == "weight" else "mean"][1] = value
+    p.write_bytes(join_arrays(head, storage.MODEL_LAYOUT, fields))
     with pytest.raises(FormatError, match="NaN or infinite"):
         load_model(p)
 
@@ -568,7 +579,7 @@ def phi_only_index(k):
     """Six phi rows at three cycles of k bits, and no codeword rows."""
     model = HashModel.create(d=3, k=k, seed=1)
     for cycle in (2, 3):
-        model.grow_cycle(cycle)
+        model.grow_cycles((cycle,))
     index = HashIndex()
     index.insert_many(range(6), np.random.default_rng(4).standard_normal((6, 3)), model)
     return index
