@@ -4,7 +4,7 @@ from .bitcode import (PackedCode, TernaryCodeword, hamming, hamming_masked,
                       pack, ternary, unpack)
 from .codebook import (Codebook, default_capacity, generate, recommended_rho,
                        separation_stats, unique_bipartition_probability)
-from .ecoc import EcocMatrix, ObserveResult, new_matrix
+from .ecoc import EcocMatrix, new_matrix
 from .errors import (CodebookExhaustedError, ConsistencyError, DimensionError,
                      DuplicateIdError, EcocHashError, FormatError,
                      UndefinedAPError, UnknownLabelError)
@@ -27,7 +27,7 @@ __all__ = [
     "ternary", "unpack",
     "Codebook", "default_capacity", "generate", "recommended_rho",
     "separation_stats", "unique_bipartition_probability",
-    "EcocMatrix", "ObserveResult", "new_matrix",
+    "EcocMatrix", "new_matrix",
     "EcocHashError", "DimensionError", "CodebookExhaustedError",
     "UnknownLabelError", "DuplicateIdError", "ConsistencyError",
     "UndefinedAPError", "FormatError",

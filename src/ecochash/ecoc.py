@@ -12,7 +12,6 @@ full-width ternary codeword as the reference form.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -29,10 +28,11 @@ def _sign_rows(cores: np.ndarray, k: int) -> np.ndarray:
     return np.unpackbits(cores.view(np.uint8), axis=-1, count=k, bitorder="little") * 2.0 - 1.0
 
 
-@dataclass
-class ObserveResult:
-    new_cycle_started: bool
-    is_new_label: bool
+def _check_labels(labels: Iterable) -> None:
+    """Raise ValueError naming the first label that is not a ``str``."""
+    for y in labels:
+        if not isinstance(y, str):
+            raise ValueError(f"label {y!r} is not a str")
 
 
 class EcocMatrix:
@@ -45,7 +45,8 @@ class EcocMatrix:
     row ``rows[y]`` of two read-only blocks: ``cores`` (ceil(k/64) words) and
     ``signs``, the core as k float64 +1/-1 entries for training, derived from
     ``cores`` and never saved. ``cycle_of_label`` is a read-only view of each
-    label's cycle. The constructor copies what it is given.
+    label's cycle. The constructor copies what it is given and refuses, with
+    ValueError, a label that is not a ``str``, as ``observe_labels`` does.
     """
 
     def __init__(self, k: int, rho: int, labels: Iterable[Label] = (), cores=()) -> None:
@@ -57,9 +58,11 @@ class EcocMatrix:
         self.rows: dict[Label, int] = {}
         self._cycles: dict[Label, int] = {}
         self.cycle_of_label: Mapping[Label, int] = MappingProxyType(self._cycles)
+        labels = list(dict.fromkeys(labels))
+        _check_labels(labels)
         # Both blocks grow by doubling; ``cores`` and ``signs`` view their filled rows.
         self._cores, self._signs = np.empty((0, n_words(k)), WORD), np.empty((0, k))
-        self._append(list(dict.fromkeys(labels)), cores)
+        self._append(labels, cores)
 
     def _append(self, labels: list[Label], cores) -> None:
         """Give new labels the next rows, writing their cores as one block."""
@@ -125,11 +128,9 @@ class EcocMatrix:
             raise ValueError(f"cycle {j} out of range [1, {self.m}]")
         return range((j - 1) * self.k, j * self.k)
 
-    def observe_label(self, cb: Codebook, y: Label) -> ObserveResult:
-        """``observe_labels`` of one label: whether it was new and opened a cycle."""
-        n, m = len(self.rows), self.m
+    def observe_label(self, cb: Codebook, y: Label) -> None:
+        """``observe_labels`` of one label."""
         self.observe_labels(cb, (y,))
-        return ObserveResult(self.m > m, len(self.rows) > n)
 
     def observe_labels(self, cb: Codebook, labels: Iterable[Label]) -> None:
         """Give each label not yet seen a core and a row, in order of first appearance.
@@ -139,9 +140,7 @@ class EcocMatrix:
         the model to the new ``m``. If the codebook runs out, those drawn are kept.
         """
         new = [y for y in dict.fromkeys(labels) if y not in self.rows]
-        for y in new:
-            if not isinstance(y, str):
-                raise ValueError(f"label {y!r} is not a str")
+        _check_labels(new)
         cores = []
         try:
             for _ in new:

@@ -7,25 +7,25 @@ hash functions move. Every recomputed-and-stored bit is counted in the
 ledger whether or not its value flipped, since the maintenance cost of an
 index is the recomputation itself; flips are tallied separately.
 
-Rows live in two blocks that grow by doubling, beside ``ids`` and
-``labels`` lists in insertion order; a flag per row says which block it
-is in, and its column there is its rank among that block's rows. Every row
-shares one k, set by the index's first row (a phi row takes its model's
-k), and a cycle's k bits are one slot (``_slot``): an item of 1, 2, 4 or
-8 bytes, or whole words past k = 64. A codeword row is its label's cycle
-and its core as that slot, so opening a cycle changes no row; as an entry,
-it is its core in its cycle's columns, at the length cycle * k. The phi
-block is slot-major, one row per item of each held cycle's slot and
-one column per phi row, plus each row's augmented features
-``[x; 1]``, so an update recomputes a cycle's slot for every phi row with
-one matrix product and one assignment. Inserted phi rows wait unscored
-(staged), with a copy of the weights, until the first read of the bits or
-an insert after the model writes, then score as one block against the copy.
-Every phi bit, stored or queried, is ``learner.exact_signs``' exact sign. A
-query is packed once into slots at the model's width; its distance to a
-codeword row is the popcount of its slot in the row's cycle XOR the core,
-to a phi row of its first held slots XOR the row's. Index files hold the
-two blocks as ``FILE_LAYOUT``'s arrays.
+Rows live in two blocks that grow by doubling, beside ``ids`` and ``labels``
+lists in insertion order; a flag per row says which block it is in, and its
+column there is its rank among that block's rows. Every row shares one k,
+set by the index's first row (a phi row takes its model's k), and a cycle's
+k bits are one slot (``_slot``): an item of 1, 2, 4 or 8 bytes, or whole
+words past k = 64. A codeword row is its label's cycle and its core as that
+slot, so opening a cycle changes no row; as an entry, it is its core in its
+cycle's columns, at the length cycle * k. The phi block is slot-major, one
+row per item of each held cycle's slot and one column per phi row, plus each
+row's augmented features ``[x; 1]``, so an update recomputes a cycle's slot
+for every phi row with one matrix product and one assignment. Inserted phi
+rows wait unscored (staged), with a copy of the weights, until the first
+read of the bits or an insert after the model writes, then score as one
+block against the copy. Every phi bit, stored or queried, is
+``learner.exact_signs``' exact sign, stored ones screened by the index's one
+running ||[X; 1]||^2 bound. A query is packed once into slots at the model's
+width; its distance to a codeword row is the popcount of its slot in the
+row's cycle XOR the core, to a phi row of its first held slots XOR the
+row's. Index files hold the two blocks as ``FILE_LAYOUT``'s arrays.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from .bitcode import (WORD, PackedCode, TernaryCodeword,  # noqa: F401
                       codes_to_words, grown, n_words)
-from .ecoc import EcocMatrix, Label
+from .ecoc import EcocMatrix, Label, _check_labels
 from .errors import ConsistencyError, DimensionError, DuplicateIdError
 # Nothing here calls ``phi`` or ``codes_to_words``; both stay module names because
 # the benchmark's tracer (perfbench/tracing.py) reads them from this ``__dict__``.
@@ -178,8 +178,8 @@ def _whole(cycles) -> bool:
 
 
 def _check_top_n(top_n: int | None) -> None:
-    if top_n is not None and top_n < 0:
-        raise ValueError(f"top_n must be >= 0, got {top_n}")
+    if top_n is not None and not (isinstance(top_n, (int, np.integer)) and top_n >= 0):
+        raise ValueError(f"top_n must be an integer >= 0, got {top_n!r}")
 
 
 class HashIndex:
@@ -240,10 +240,9 @@ class HashIndex:
         self._values = np.array(values.T, order="C")
         self._feats = np.ones((n_phi, feats.shape[1] + 1) if n_phi else (0, 0))
         self._feats[:, :-1] = feats
-        self._x_bound = None
-        # The phi rows staged unscored, or None: [model, its write count, a copy of its
-        # weights, their norm bound or None, first column, the rows' [x; 1] norm bound].
-        self._staged = None
+        # The phi rows' ||[X; 1]||_F^2 bound, and the rows staged unscored, or None:
+        # (model, its write count, a copy of its weights, first column).
+        self._x_bound, self._staged = _sq_norm_bound(self._feats[:n_phi]), None
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -256,11 +255,9 @@ class HashIndex:
     def feature_sq_norm_bound(self) -> float:
         """An upper bound on the squared Frobenius norm of the phi rows' [x; 1].
 
-        Features never change once admitted, so the bound is kept until the
-        next insert adds rows; never saved.
+        Computed once over the rows an index starts with, then each insert adds
+        its rows' bound, rounded up so the sum stays a bound; never saved.
         """
-        if self._x_bound is None:
-            self._x_bound = _sq_norm_bound(self._feats[:self._n_phi])
         return self._x_bound
 
     @property
@@ -293,9 +290,9 @@ class HashIndex:
         """
         if self._staged is None:
             return
-        (_, _, W, w_bound, first, x_bound), n = self._staged, self._n_phi
+        (_, _, W, first), n = self._staged, self._n_phi
         self._staged = None
-        signs = exact_signs(W, self._feats[first:n], w_bound=w_bound, x_bound=x_bound)
+        signs = exact_signs(W, self._feats[first:n], x_bound=self._x_bound)
         self._values[:, first:n] = _packed(signs, self._k).reshape(n - first, -1).T
 
     def __getstate__(self) -> dict:
@@ -409,25 +406,27 @@ class HashIndex:
         retained exactly as given (so pass them already normalized) to allow
         partial recomputation later.
 
-        The rows are staged, not scored: their features are copied in, and an
-        insert that opens a stage copies the model's weights at the block's
-        width. The staged rows are scored against that copy, with one
-        ``exact_signs`` call and one pack, at the first read of the phi bits
-        (a query, ``refresh``, ``apply_steps``, ``apply_model_update``,
-        ``arrays`` and so ``save_index``, ``entries``, a copy or pickle), or
-        at an insert under another model object or after a weight write
-        (``step``, ``step_many``), so each bit is the exact sign under the
-        weights its row was inserted under. A loop of one-row inserts pays
-        one product, and a one-row insert after each step one copy.
+        The rows are staged, not scored: their features are copied in, their
+        bound added to ``feature_sq_norm_bound``, and an insert that opens a
+        stage copies the model's weights at the block's width. The staged rows
+        are scored against that copy, with one ``exact_signs`` call and one
+        pack, at the first read of the phi bits (a query, ``refresh``,
+        ``apply_steps``, ``apply_model_update``, ``arrays`` and so
+        ``save_index``, ``entries``, a copy or pickle), or at an insert under
+        another model object or after a weight write (``step``,
+        ``step_many``), so each bit is the exact sign under the weights its
+        row was inserted under. A loop of one-row inserts pays one product,
+        and a one-row insert after each step one copy.
 
-        Everything is checked before any change: one label per row; rows of
-        the model's d and of the phi block's feature length (DimensionError);
-        finite features (ValueError naming the row id) and finite weights
-        (ValueError); ids in [0, 2^64), new and distinct (DuplicateIdError).
-        Scoring staged rows then never raises. A phi block behind the
-        model's new cycles takes the rows at its own width, and the next
-        ``refresh`` or ``apply_model_update`` catches them up with the rest. A
-        model narrower than the block, or of another k than the index's rows,
+        Everything is checked before any change: one label per row; labels
+        that are a ``str`` or None (ValueError); rows of the model's d and of
+        the phi block's feature length (DimensionError); finite features
+        (ValueError naming the row id) and finite weights (ValueError); ids
+        in [0, 2^64), new and distinct (DuplicateIdError). Scoring staged
+        rows then never raises. A phi block behind the model's new cycles
+        takes the rows at its own width, and the next ``refresh`` or
+        ``apply_model_update`` catches them up with the rest. A model
+        narrower than the block, or of another k than the index's rows,
         raises ConsistencyError.
         """
         ids = [int(i) for i in ids]
@@ -437,6 +436,7 @@ class HashIndex:
         if X.ndim != 2 or len(X) != n or len(labels) != n:
             raise ValueError(f"{n} ids, {len(labels)} labels and a block of shape {X.shape} "
                              "do not make one row each")
+        _check_labels(y for y in labels if y is not None)
         width, col = self._phi_width or model.width, self._n_phi
         if width > model.width:
             raise ConsistencyError(f"phi entries have width {width}, the model {model.width}")
@@ -471,14 +471,12 @@ class HashIndex:
             check_finite(model.weights[:width], Xa, lambda i: f"row id {ids[i]}")
         self._append(ids, labels, True)
         self._n_phi += n
-        self._x_bound = None
         if n:
+            self._x_bound = math.nextafter(self._x_bound + x_bound, math.inf)
             self._k, self._phi_width = model.k, width
             self._widest = max(self._widest, width)
             if self._staged is None:
-                self._staged = [model, model._writes, np.array(model.weights[:width]),
-                                model.sq_norm_bound if width == model.width else None, col, 0.0]
-            self._staged[-1] += x_bound
+                self._staged = (model, model._writes, np.array(model.weights[:width]), col)
 
     def insert_unlabeled(self, id: int, x: np.ndarray, model: HashModel,
                          label: Label | None = None) -> None:
@@ -515,8 +513,7 @@ class HashIndex:
         # faster; its norm bound is read from it, as vdot would copy Wt.T.
         Wt = np.concatenate([model.weights[(j - 1) * k:j * k].T for j in cycles], axis=1,
                             out=np.empty((model.d + 1, k * len(cycles))))
-        new = exact_signs(Wt.T, self._feats[:n], w_bound=_sq_norm_bound(Wt),
-                          x_bound=self.feature_sq_norm_bound)
+        new = exact_signs(Wt.T, self._feats[:n], w_bound=_sq_norm_bound(Wt), x_bound=self._x_bound)
         new = _packed(new, k).reshape(n, -1).T
         extra = model.width // k * per - len(self._values)
         if extra > 0:

@@ -203,19 +203,22 @@ def _check_model(fields: dict):
     m = max(1, -(-len(labels) // rho))
     pool = fields["pool"].reshape(-1, n_words(k))
     cores = fields["cores"].reshape(-1, n_words(k))
-    # Each code as its bytes (np.unique(axis=0) would build a dtype field per word).
-    void = np.dtype((np.void, 8 * n_words(k)))
-    free, assigned = set(pool.view(void).ravel().tolist()), cores.view(void).ravel().tolist()
-    weights, mean = fields["weights"], fields["mean"]
+    codes, weights, mean = np.concatenate([pool, cores]), fields["weights"], fields["mean"]
+    # Each code tagged 0 in the pool and by its cycle as a core, then sorted stably by
+    # code, so equal codes meet with their tags in order. (lexsort allocates per word:
+    # empty blocks, which a corrupt k makes as wide as it likes, are not sorted.)
+    tags = np.concatenate([np.zeros(len(pool), int), np.arange(len(cores)) // rho + 1])
+    order = np.lexsort(codes.T) if len(codes) else []
+    codes, tags = codes[order], tags[order]
+    repeat, tag = (codes[1:] == codes[:-1]).all(axis=1), tags[:-1]
     for broken, what in (
             (len(cores) != len(labels), f"{len(cores)} cores for {len(labels)} labels"),
             (len(set(labels)) < len(labels), "a label appears twice"),
-            (k % 64 and (np.concatenate([pool, cores])[:, -1] >> np.uint64(k % 64)).any(),
-             f"a code has bits past k={k}"),
-            (len(set((r // rho, code) for r, code in enumerate(assigned))) < len(assigned),
+            (k % 64 and (codes[:, -1] >> np.uint64(k % 64)).any(), f"a code has bits past k={k}"),
+            ((repeat & (tag > 0) & (tag == tags[1:])).any(),
              "two labels of one cycle share a core"),
             # Every draw removes its code, so a pool never repeats one nor holds a label's core.
-            (len(free) < len(pool) or not free.isdisjoint(assigned),
+            ((repeat & (tag == 0)).any(),
              "the codebook pool repeats a code or holds a label's core"),
             (weights.size % (d + 1), f"{weights.size} weights are not rows of {d + 1}"),
             (weights.size != m * k * (d + 1),

@@ -38,8 +38,8 @@ def test_new_matrix_rejects_bad_args():
 
 def test_first_label_fully_active():
     mat, cb = fresh(4, 2)
-    res = mat.observe_label(cb, "a")
-    assert res.is_new_label and not res.new_cycle_started
+    assert mat.observe_label(cb, "a") is None
+    assert "a" in mat and mat.m == 1
     assert mat.n_in_cycle == 1
     cw = mat.find("a")
     assert cw.length == 4
@@ -52,8 +52,8 @@ def test_third_label_opens_second_cycle():
     mat.observe_label(cb, "a")
     mat.observe_label(cb, "b")
     assert mat.width == 4
-    res = mat.observe_label(cb, "c")
-    assert res.new_cycle_started and res.is_new_label
+    mat.observe_label(cb, "c")
+    assert "c" in mat and len(mat) == 3
     assert mat.m == 2
     assert mat.width == 8
     assert list(mat.find("c").active_positions()) == [4, 5, 6, 7]
@@ -80,8 +80,8 @@ def test_reobserve_pads_and_flags_false():
     first = mat.find("a")
     mat.observe_label(cb, "b")
     mat.observe_label(cb, "c")
-    res = mat.observe_label(cb, "a")
-    assert not res.is_new_label and not res.new_cycle_started
+    mat.observe_label(cb, "a")
+    assert len(mat) == 3 and mat.m == 2
     cw = mat.find("a")
     assert cw.length == 8
     # same active bits, just padded
@@ -155,8 +155,9 @@ def test_growth_law_and_invariants(k, rho, n_labels):
         return
     cycles_started = 0
     for i in range(n_labels):
-        res = mat.observe_label(cb, f"y{i}")
-        cycles_started += res.new_cycle_started
+        m = mat.m
+        mat.observe_label(cb, f"y{i}")
+        cycles_started += mat.m > m
     # m = ceil(L / rho), counting the initial cycle as already open
     assert mat.m == math.ceil(n_labels / rho)
     assert cycles_started == mat.m - 1
@@ -203,3 +204,13 @@ def test_observe_labels_equals_a_loop_of_observe_label(k, rho, capacity, first, 
         assert one == many and cb_one == cb_many
         assert one.signs.tobytes() == many.signs.tobytes()
         assert dict(one.cycle_of_label) == dict(many.cycle_of_label)
+
+
+@pytest.mark.parametrize("bad", [1, None, b"a", ("a",)])
+def test_the_constructor_refuses_a_label_that_is_not_a_str(bad):
+    # An int label once built a matrix that save_model could not write.
+    labels, cores = ["a", bad], [[1], [2]]
+    with pytest.raises(ValueError, match="is not a str"):
+        EcocMatrix(8, 2, labels, cores)
+    assert labels == ["a", bad] and cores == [[1], [2]]
+    assert EcocMatrix(8, 2, ["a", np.str_("b")], cores).labels == ["a", "b"]

@@ -367,6 +367,34 @@ def test_a_row_inserted_after_a_refresh_is_refreshed_against_a_fresh_bound():
     assert exact_feature_sq_norm(index) <= Fraction(index.feature_sq_norm_bound)
 
 
+def test_the_feature_bound_stays_a_bound_over_many_small_inserts(tmp_path):
+    """One row with ||[x; 1]||^2 near 2^54, where a float's spacing is 4, then 1,000
+    one-row inserts of [0; 1], whose bounds of about 1 a float sum would round away:
+    a plain running sum ends about 960 below the exact norm."""
+    model = HashModel.create(d=4, k=K, seed=3)
+    index = HashIndex()
+    index.insert_unlabeled(0, np.array([2.0 ** 27, 3.0, -5.0, 0.5]), model)
+    for i in range(1, 1001):
+        index.insert_unlabeled(i, np.zeros(4), model)
+
+    def covered():
+        exact = exact_feature_sq_norm(index)
+        bound = Fraction(index.feature_sq_norm_bound)
+        return exact <= bound <= exact * (1 + Fraction(1, 10 ** 9))
+
+    assert covered()
+    assert [d for _, d in index.query(model, np.zeros(4), top_n=2)] == [0, 0]  # settles
+    assert covered()
+    index.refresh(model, cycles=[1])
+    assert covered()
+    save_index(index, tmp_path / "i.index")
+    index = load_index(tmp_path / "i.index")
+    assert covered() and index.phi_count == 1001
+    want = oracle(model.weights, augment_rows(index.arrays()["features"], 4))
+    assert codes(index) == [int.from_bytes(np.packbits(b, bitorder="little").tobytes(),
+                                           "little") for b in want]
+
+
 def test_an_overflowed_weight_is_refused_whatever_bound_was_kept():
     matrix, cb = new_matrix(1, 1), generate(1, 1, seed=0)
     model = HashModel(d=2, k=1, weights=np.zeros((1, 3)))

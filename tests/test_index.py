@@ -150,6 +150,34 @@ def test_insert_labeled_many_refuses_a_bad_block_before_any_change():
         assert same_bits(index.arrays(), before)
 
 
+@pytest.mark.parametrize("bad", [5, 5.0, b"c0", ("c0",)])
+def test_insert_many_refuses_a_label_that_is_not_a_str_before_any_change(bad, tmp_path):
+    # None means unlabeled; an int label was once indexed, and then arrays() and
+    # save_index raised AttributeError.
+    _, model, stream, index = labeled_setup(8)
+    before = copied_arrays(index)
+    with pytest.raises(ValueError, match="is not a str"):
+        index.insert_many([1, 2], [x for x, _ in stream[:2]], model, labels=[None, bad])
+    assert same_bits(index.arrays(), before) and (len(index), index.phi_count) == (4, 3)
+    save_index(index, tmp_path / "i.index")
+    assert same_bits(load_index(tmp_path / "i.index").arrays(), before)
+
+
+@pytest.mark.parametrize("bad", [5, 5.0, b"c0", ("c0",)])
+def test_insert_unlabeled_refuses_a_label_that_is_not_a_str_before_any_change(bad, tmp_path):
+    _, model, stream, index = labeled_setup(8)
+    before = copy.deepcopy(index)
+    # A staged row on each side: the refusal leaves the stage as it was.
+    for target in (index, before):
+        target.insert_unlabeled(1, stream[0][0], model)
+    with pytest.raises(ValueError, match="is not a str"):
+        index.insert_unlabeled(2, stream[1][0], model, label=bad)
+    assert same_bits(index.arrays(), before.arrays()) and index.labels[-1] is None
+    index.insert_unlabeled(2, stream[1][0], model, label="c1")
+    save_index(index, tmp_path / "i.index")
+    assert load_index(tmp_path / "i.index").labels[-2:] == [None, "c1"]
+
+
 def test_insert_labeled_many_of_an_empty_block_changes_nothing():
     matrix, _, _, index = labeled_setup(8)
     for target in (index, HashIndex()):
@@ -826,6 +854,13 @@ def test_negative_top_n_is_rejected():
     # Raised at the call, before anything is iterated.
     with pytest.raises(ValueError):
         index.query_many(model, [x_q], top_n=-1)
+    # A top_n that is not an integer is refused the same way, not by the slice.
+    for bad in (2.5, 2.0, "2", np.float64(2)):
+        with pytest.raises(ValueError, match="top_n must be an integer >= 0"):
+            index.query(model, x_q, top_n=bad)
+        with pytest.raises(ValueError, match="top_n must be an integer >= 0"):
+            index.query_many(model, [x_q], top_n=bad)
+    assert index.query(model, x_q, top_n=np.int64(2)) == index.query(model, x_q)[:2]
 
 
 def test_eager_final_state_equals_populate_after():

@@ -271,8 +271,9 @@ def reference_step(model, matrix, cb, x, y, eta):
 
     Returns the updated model, built through the constructor, and the loss.
     """
-    obs = matrix.observe_label(cb, y)
-    if obs.new_cycle_started:
+    m = matrix.m
+    matrix.observe_label(cb, y)
+    if matrix.m > m:
         model.grow_cycles((matrix.m,))
     cw = matrix.find(y)
     loss_before = surrogate_loss(model, x, cw)

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ecochash.codebook import generate
+from ecochash.codebook import Codebook, generate
 from ecochash.ecoc import EcocMatrix, new_matrix
 from ecochash.errors import ConsistencyError, FormatError
 from ecochash.evaluation import derive_seed, make_gaussian_classes
@@ -192,6 +192,21 @@ def test_model_rejects_broken_arrays(tmp_path, name, change, match):
         tracemalloc.stop()
 
 
+def test_a_huge_k_without_codes_allocates_nothing(tmp_path):
+    # Empty code blocks are (0, ceil(k/64)) words wide; the repeat checks must not
+    # allocate by that width before the weight count refuses the file.
+    p, head, fields = _model_fields(tmp_path)
+    fields.update(k=[(1 << 32) - 1], pool=[], cores=[], label_lengths=[], label_text=[])
+    p.write_bytes(join_arrays(head, storage.MODEL_LAYOUT, fields))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="does not match matrix width 4294967295"):
+            load_model(p)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
 def test_loaded_bundle_continues_training_identically(tmp_path):
     # The bundle's own k, rho and seed disagree with its parts, as when a run
     # seed is stored beside a model seeded from a sub-seed; the parts win.
@@ -281,6 +296,32 @@ def test_model_rejects_a_pool_no_draws_could_leave(tmp_path, case):
     p.write_bytes(join_arrays(head, storage.MODEL_LAYOUT, fields))
     with pytest.raises(FormatError, match="the codebook pool repeats a code or holds"):
         load_model(p)
+
+
+@pytest.mark.parametrize("rho, pool, match", [
+    (1, [[2, 6]], None),  # one core in two cycles
+    (2, [[2, 6]], "two labels of one cycle share a core"),
+    (1, [[1, 5], [2, 6], [1, 5]], "the codebook pool repeats a code"),
+    (1, [[2, 6], [1, 5]], "holds a label's core"),
+    (1, [[1, 7], [5, 5]], None),  # pool codes that share one word of two with a core
+])
+def test_repeats_are_found_across_every_word_of_a_code(tmp_path, rho, pool, match):
+    # k=70 codes are two words; "b" repeats "a"'s core, and "c" differs from it
+    # in its second word only.
+    labels, cores = ["a", "b", "c"], [[1, 5], [1, 5], [1, 6]]
+    if rho == 2:
+        labels, cores = labels[:2], cores[:2]
+    matrix = EcocMatrix(70, rho, labels, cores)
+    model = HashModel(d=2, k=70, weights=np.zeros((70 * matrix.m, 3)))
+    cb = Codebook(k=70, pool=np.array(pool, dtype=np.uint64), rng_seed=0, draws_made=0)
+    bundle = ModelBundle(k=70, rho=rho, eta=1.0, seed=0, codebook=cb, matrix=matrix,
+                         model=model)
+    if match is None:
+        save_model(bundle, tmp_path / "m.model")
+        assert load_model(tmp_path / "m.model").matrix == matrix
+    else:
+        with pytest.raises(ValueError, match=match):
+            save_model(bundle, tmp_path / "m.model")
 
 
 def test_features_binary_rejects_corrupt_dimension(tmp_path):
