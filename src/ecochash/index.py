@@ -127,7 +127,7 @@ def _slot(k: int) -> tuple[np.dtype, int]:
 
 
 def _packed(signs: np.ndarray, k: int) -> np.ndarray:
-    """(rows, cycles * k) signs as (rows, cycles, items) slots, cycle j's bits in slot j.
+    """(rows, cycles * k) signs as (rows, cycles * items) slot items, cycle j's in slot j.
 
     One packbits call packs the signs: flat as they are when k fills its
     slot, so the slots are the bits back to back, else from one copy into a
@@ -143,7 +143,7 @@ def _packed(signs: np.ndarray, k: int) -> np.ndarray:
         padded[:, :, :k] = signs.reshape(rows, cycles, k)
         # Positional arguments: keywords cost packbits about a microsecond a call.
         packed = np.packbits(padded, 2, "little")
-    return packed.view(item).reshape(rows, cycles, per)
+    return packed.view(item).reshape(rows, cycles * per)
 
 
 def _slot_bytes(block: np.ndarray) -> np.ndarray:
@@ -156,20 +156,30 @@ def _hamming(qs: np.ndarray, rows: np.ndarray, dtype) -> np.ndarray:
 
     ``rows`` is an item-major (items, columns) block of at least one slot item;
     ``qs`` is (items, queries, columns) or (items, queries, 1), the queries'
-    item w for each column or for all of them. Items go in chunks of about
-    2^16 cells, so one query takes one pass and a block of queries stays small.
+    item w for each column or for all of them, or for one query (items,
+    columns) or (items, 1), which gives (columns,). Items go in chunks of
+    about 2^16 cells, so a block of queries stays small; items that fit in
+    one chunk take one XOR-popcount-reduce pass.
     """
-    items, queries, _ = qs.shape
-    step = max(1, _BLOCK_CELLS // (queries * rows.shape[1] or 1))
-    dists = None
-    for w in range(0, items, step):
-        count = np.bitwise_xor(qs[w:w + step], rows[w:w + step, None])
-        # numpy counts the bits of a uint16 about twice as slowly as of a uint32.
-        count = np.bitwise_count(count.astype(np.uint32) if count.itemsize == 2 else count)
-        part = (np.add.reduce(count, axis=0, dtype=dtype) if len(count) > 1
-                else count[0].astype(dtype, copy=False))
-        dists = part if dists is None else dists + part
+    cells = rows.shape[1]
+    if qs.ndim == 3:
+        cells, rows = cells * qs.shape[1], rows[:, None]
+    step = max(1, _BLOCK_CELLS // (cells or 1))
+    if len(qs) <= step:
+        return _xor_count(qs, rows, dtype)
+    dists = _xor_count(qs[:step], rows[:step], dtype)
+    for w in range(step, len(qs), step):
+        dists += _xor_count(qs[w:w + step], rows[w:w + step], dtype)
     return dists
+
+
+def _xor_count(qs: np.ndarray, rows: np.ndarray, dtype) -> np.ndarray:
+    """The sum over the first axis of popcount(qs ^ rows), in ``dtype``."""
+    count = np.bitwise_xor(qs, rows)
+    # numpy counts the bits of a uint16 about twice as slowly as of a uint32.
+    count = np.bitwise_count(count.astype(np.uint32) if count.itemsize == 2 else count)
+    return (np.add.reduce(count, axis=0, dtype=dtype) if len(count) > 1
+            else count[0].astype(dtype, copy=False))
 
 
 def _whole(cycles) -> bool:
@@ -293,7 +303,7 @@ class HashIndex:
         (_, _, W, first), n = self._staged, self._n_phi
         self._staged = None
         signs = exact_signs(W, self._feats[first:n], x_bound=self._x_bound)
-        self._values[:, first:n] = _packed(signs, self._k).reshape(n - first, -1).T
+        self._values[:, first:n] = _packed(signs, self._k).T
 
     def __getstate__(self) -> dict:
         # A copy or pickle holds scored rows only, so no model goes with it.
@@ -514,7 +524,7 @@ class HashIndex:
         Wt = np.concatenate([model.weights[(j - 1) * k:j * k].T for j in cycles], axis=1,
                             out=np.empty((model.d + 1, k * len(cycles))))
         new = exact_signs(Wt.T, self._feats[:n], w_bound=_sq_norm_bound(Wt), x_bound=self._x_bound)
-        new = _packed(new, k).reshape(n, -1).T
+        new = _packed(new, k).T
         extra = model.width // k * per - len(self._values)
         if extra > 0:
             self._values = np.pad(self._values, ((0, extra), (0, 0)))
@@ -604,10 +614,12 @@ class HashIndex:
 
         Each query's code is ``phi``'s, from one ``exact_signs`` call over the
         block; a NaN or infinite value raises ValueError naming its query row,
-        counted from ``first``. Returns a (queries, entries) array, entries in
-        insertion order, of the narrowest unsigned dtype that holds the
-        largest distance a row can have: k for a codeword row, the phi width
-        for a phi row.
+        counted from ``first``. A block of one row, as ``query`` and
+        ``all_distances`` pass, takes the one-row case: its slot items meet
+        each block of rows as one (items,) row, in a 2-D XOR-popcount pass. Returns a (queries, entries) array,
+        entries in insertion order, of the narrowest unsigned dtype that holds
+        the largest distance a row can have: k for a codeword row, the phi
+        width for a phi row.
         """
         width = model.width
         if self._widest > width:
@@ -623,22 +635,29 @@ class HashIndex:
         dtype = _distance_dtype(max(k, self._phi_width))
         if not len(self):
             return np.zeros((queries, 0), dtype=dtype)
-        # Each query packed once, into (queries, cycles, items) slots at the model's width.
-        slots = _packed(signs, k)
+        per = _slot(k)[1]
+        # Each query packed once, into (queries, items) slot items at the model's width;
+        # a lone query as one (items,) row, so each block meets it in a 2-D pass.
+        qs = _packed(signs, k)
+        if queries == 1:
+            qs = qs[0]
         if n_cw:
             # Each codeword row meets the query's slot in the row's cycle.
-            cw_d = _hamming(np.take(slots.transpose(2, 0, 1), self._cycles[:n_cw], axis=2),
+            cw_qs = (qs.reshape(-1, per).T if queries == 1
+                     else qs.reshape(queries, -1, per).transpose(2, 0, 1))
+            cw_d = _hamming(np.take(cw_qs, self._cycles[:n_cw], axis=-1),
                             self._cores[:, :n_cw], dtype)
         if n_phi:
             # Phi rows meet the query's slots of the cycles they hold, slot-major as they are.
-            q = slots[:, :self._phi_width // k].reshape(queries, -1).T
-            phi_d = _hamming(q[:, :, None], self._values[:, :n_phi], dtype)
+            held = self._phi_width // k * per
+            phi_qs = qs[:held, None] if queries == 1 else qs[:, :held].T[:, :, None]
+            phi_d = _hamming(phi_qs, self._values[:, :n_phi], dtype)
         if n_cw and n_phi:
             is_phi = self._is_phi[:len(self)]
             dists = np.empty((queries, len(self)), dtype=dtype)
             dists[:, is_phi], dists[:, ~is_phi] = phi_d, cw_d
             return dists
-        return cw_d if n_cw else phi_d
+        return (cw_d if n_cw else phi_d).reshape(queries, -1)
 
     def rank_blocks(self, model: HashModel, X):
         """``(orders, dists)``, both (queries, entries), per block of rows of ``X``.
@@ -667,7 +686,7 @@ class HashIndex:
 
     def _hits(self, order, dists, top_n: int | None) -> list[tuple[int, int]]:
         order = order[:top_n]
-        return [(self._ids[i], d) for i, d in zip(order.tolist(), dists[order].tolist())]
+        return list(zip(map(self._ids.__getitem__, order.tolist()), dists[order].tolist()))
 
     def query(self, model: HashModel, x_q: np.ndarray,
               top_n: int | None = None) -> list[tuple[int, int]]:
@@ -675,6 +694,8 @@ class HashIndex:
 
         Ties break by insertion order. Returns (id, distance) pairs,
         truncated to top_n when given; a negative top_n raises ValueError.
+        The distances are ``all_distances``', from the one-row case of the
+        ranking kernel, and its checks and errors are those of ``query_many``.
         """
         _check_top_n(top_n)
         dists = self.all_distances(model, x_q)

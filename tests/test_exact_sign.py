@@ -9,10 +9,12 @@ whatever BLAS does.
 import copy
 import pickle
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
 
+from ecochash.bitcode import PackedCode, hamming_masked
 from ecochash.codebook import generate
 from ecochash.ecoc import new_matrix
 from ecochash.errors import DimensionError, DuplicateIdError
@@ -20,14 +22,16 @@ from ecochash.index import HashIndex
 from ecochash.learner import (HashModel, augment_rows, exact_signs, phi,
                               predict_bit, step)
 from ecochash.storage import ModelBundle, load_index, load_model, save_index, save_model
+from test_index import mixed_index, query_error
 
 D, K = 6, 8
 
 
 def oracle(W, Xa) -> np.ndarray:
     """Signs of the exact dot products, sgn(0) = +1, by Fraction sums."""
-    return np.array([[sum(Fraction(a) * Fraction(b) for a, b in zip(w, xa)) >= 0
-                      for w in np.asarray(W).tolist()] for xa in np.asarray(Xa).tolist()],
+    W = [list(map(Fraction, w)) for w in np.asarray(W).tolist()]
+    return np.array([[sum(map(mul, w, xa)) >= 0 for w in W]
+                     for xa in (list(map(Fraction, xa)) for xa in np.asarray(Xa).tolist())],
                     dtype=bool).reshape(len(Xa), len(W))
 
 
@@ -83,7 +87,12 @@ def test_kernel_matches_the_fraction_oracle_in_every_layout():
             assert np.array_equal(exact_signs(w, xa), want)
 
 
-@pytest.mark.parametrize("scale", [5e-324, 1e-300, 1e-160, 1e-140, 1e140, 1e150, 1e300])
+# Features and weights at these scales make products underflow to subnormals or
+# zero, or make scores and norms overflow.
+SCALES = [5e-324, 1e-300, 1e-160, 1e-140, 1e140, 1e150, 1e300]
+
+
+@pytest.mark.parametrize("scale", SCALES)
 def test_kernel_is_exact_where_products_over_or_underflow(scale):
     rng = np.random.default_rng(2)
     W = rng.standard_normal((5, D + 1))
@@ -116,6 +125,48 @@ def test_phi_and_predict_bit_follow_the_oracle():
         assert predict_bit(model.weights[0], x) == (1 if bits[0] else -1)
     with pytest.raises(ValueError, match="NaN"):
         phi(model, np.full(D, np.nan))
+
+
+def halves(index):
+    """An index's codeword rows and its phi rows, each as an index of its own."""
+    fields = index.arrays()
+    phi_rows = fields["is_phi"].astype(bool)
+
+    def half(keep, **empty):
+        return HashIndex(dict(fields, ids=fields["ids"][keep], is_phi=fields["is_phi"][keep],
+                              label_of=fields["label_of"][keep], **empty))
+
+    return (half(~phi_rows, phi_width=0, values=np.zeros(0, np.uint8), features=np.zeros(0)),
+            half(phi_rows, cycles=np.zeros(0, np.uint32), cores=np.zeros(0, np.uint8)))
+
+
+def oracle_ranking(index, bits):
+    """(id, distance) by masked Hamming distance from the code ``bits``, ties in insertion order."""
+    q = PackedCode(len(bits), int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
+                                             "little"))
+    rows = sorted((hamming_masked(q, e.code.pad_to(q.length)), pos, e.id)
+                  for pos, e in enumerate(index.entries))
+    return [(id_, d) for d, _, id_ in rows]
+
+
+# Slots of 1, 2, 4, 4 and 8 bytes, and two words; the model is four cycles wide.
+@pytest.mark.parametrize("k", [8, 12, 24, 32, 64, 70])
+def test_a_one_row_query_ranks_as_the_block_kernel_and_the_oracle(k):
+    """``query`` and ``query_many`` of one row take the one-row case, of more the block kernel."""
+    model, mixed, _ = mixed_index(n_labels=3, k=k, d=D)
+    codeword_only, phi_only = halves(mixed)
+    assert len(codeword_only) and len(phi_only) and len(mixed) == len(codeword_only) + len(phi_only)
+    rng = np.random.default_rng(k)
+    for scale in [1.0, *SCALES]:
+        X = hard_points(model.weights, rng, n=2) * scale
+        want = oracle(model.weights, augment_rows(X, D))
+        # The block kernel ranks the whole block at once.
+        assert list(mixed.query_many(model, X)) == [oracle_ranking(mixed, bits) for bits in want]
+        for index in (codeword_only, phi_only, mixed):
+            for x, bits in zip(X, want):
+                ranked = index.query(model, x)
+                assert list(index.query_many(model, [x])) == [ranked]
+                assert ranked == oracle_ranking(index, bits)
 
 
 def codes(index):
@@ -233,8 +284,14 @@ def test_non_finite_rows_are_refused_by_insert_unlabeled_and_queries():
         index.insert_unlabeled(7, np.array([0.0, np.nan, 0, 0, 0, 0]), model)
     assert len(index) == 0
     index.insert_unlabeled(7, np.zeros(D), model)
-    with pytest.raises(ValueError, match="query row 0 "):
-        index.query(model, np.full(D, np.inf))
+    # Every query route, one row or a block, raises one class with one message.
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.zeros(D)
+        x[3] = bad
+        assert query_error(index, model, x) == (
+            ValueError, "query row 0 has a feature that is NaN or infinite")
+    assert query_error(index, model, np.zeros(D + 1)) == (
+        DimensionError, f"feature length {D + 1} does not match d={D}")
     queries = np.zeros((3, D))
     queries[2, 0] = np.nan
     with pytest.raises(ValueError, match="query row 2 "):

@@ -582,6 +582,24 @@ def test_query_top_n():
     assert index.query(model, stream[0][0], top_n=3) == full[:3]
 
 
+def query_error(index, model, x):
+    """The (class, message) of the error every query route raises for ``x``.
+
+    ``query`` and ``all_distances`` take the one-row case, ``query_many`` of
+    one row too, and ``query_many`` of two copies the block kernel; all four
+    must raise one class with one message.
+    """
+    raised = set()
+    for route in (lambda: index.query(model, x), lambda: index.all_distances(model, x),
+                  lambda: list(index.query_many(model, [x])),
+                  lambda: list(index.query_many(model, [x, x]))):
+        with pytest.raises(Exception) as info:
+            route()
+        raised.add((info.type, str(info.value)))
+    assert len(raised) == 1, raised
+    return raised.pop()
+
+
 def test_query_rejects_wider_entry():
     matrix, cb, model, stream = small_stream(n_labels=4, k=4, rho=1)
     step(model, matrix, cb, stream[0][0], "c0")
@@ -589,8 +607,13 @@ def test_query_rejects_wider_entry():
     index = HashIndex()
     index.insert_labeled(0, "c1", matrix)
     narrow = HashModel.create(d=6, k=4, seed=0)
-    with pytest.raises(ConsistencyError):
-        index.query(narrow, stream[0][0])
+    assert query_error(index, narrow, stream[0][0]) == (
+        ConsistencyError, "an entry is wider (8) than the query (4)")
+    # A phi entry wider than the model, too.
+    index = HashIndex()
+    index.insert_unlabeled(0, stream[0][0], model)
+    assert query_error(index, narrow, stream[0][0]) == (
+        ConsistencyError, "an entry is wider (8) than the query (4)")
 
 
 def test_query_rejects_a_model_of_another_k():
@@ -607,10 +630,8 @@ def test_query_rejects_a_model_of_another_k():
         step(model, other, other_cb, x, y)
     assert (matrix.width, model.width) == (32, 48)
     x = stream[0][0]
-    with pytest.raises(ConsistencyError):
-        index.query(model, x)
-    with pytest.raises(ConsistencyError):
-        list(index.query_many(model, [x]))
+    assert query_error(index, model, x) == (
+        ConsistencyError, "the index's rows have k=8, the model k=16")
     with pytest.raises(ConsistencyError):
         retrieval_map(index, model, [x], ["c0"])
 
