@@ -156,13 +156,6 @@ def ternary(entries: Sequence[int]) -> TernaryCodeword:
     return TernaryCodeword(n, PackedCode(n, values), PackedCode(n, mask))
 
 
-def hamming(a: PackedCode, b: PackedCode) -> int:
-    """Number of positions where two equal-length codes disagree."""
-    if a.length != b.length:
-        raise DimensionError(f"length mismatch: {a.length} vs {b.length}")
-    return (a.bits ^ b.bits).bit_count()
-
-
 def hamming_masked(query: PackedCode, cw: TernaryCodeword) -> int:
     """Disagreements between a binary code and a ternary codeword.
 

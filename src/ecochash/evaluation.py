@@ -52,33 +52,12 @@ def block_average_precision(relevance) -> np.ndarray:
         return np.add.reduceat(precisions, starts) / totals
 
 
-def average_precision(relevance) -> float:
-    """AP of one ranked result list, relevance flags given in rank order.
-
-    Raises UndefinedAPError when no entry is relevant, since the metric has
-    no value there; callers decide whether such queries are skipped.
-    """
-    ap = block_average_precision(np.asarray(relevance, dtype=bool).reshape(1, -1))[0]
-    if np.isnan(ap):
-        raise UndefinedAPError("no relevant entry in the ranking")
-    return float(ap)
-
-
 def mean_defined(aps: np.ndarray) -> float:
     """Mean of the per-query APs that are not NaN; raises if none is."""
     defined = aps[~np.isnan(aps)]
     if not len(defined):
         raise UndefinedAPError(f"all {len(aps)} queries had zero relevant entries")
     return float(np.mean(defined))
-
-
-def mean_average_precision(relevance_lists) -> float:
-    """Mean AP over queries, skipping those with nothing relevant."""
-    rows = [np.asarray(r, dtype=bool).ravel() for r in relevance_lists]
-    block = np.zeros((len(rows), max(map(len, rows), default=0)), dtype=bool)
-    for padded, r in zip(block, rows):
-        padded[:len(r)] = r
-    return mean_defined(block_average_precision(block))
 
 
 def query_average_precisions(index: HashIndex, model: HashModel, queries,

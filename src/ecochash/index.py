@@ -275,6 +275,11 @@ class HashIndex:
         """Each entry's label, None where it has none, in insertion order."""
         return list(self._labels)
 
+    def _check_k(self, model: HashModel) -> None:
+        """A ConsistencyError unless the index has no rows or its rows have the model's k."""
+        if self._k not in (0, model.k):
+            raise ConsistencyError(f"the index's rows have k={self._k}, the model k={model.k}")
+
     def _append(self, ids: list[int], labels: list, is_phi: bool) -> None:
         """Give each id the next row, with its label; a bad id raises before any change."""
         new = set()
@@ -450,8 +455,7 @@ class HashIndex:
         width, col = self._phi_width or model.width, self._n_phi
         if width > model.width:
             raise ConsistencyError(f"phi entries have width {width}, the model {model.width}")
-        if self._k not in (0, model.k):
-            raise ConsistencyError(f"the index's rows have k={self._k}, the model k={model.k}")
+        self._check_k(model)
         if width < 1:
             raise ValueError("model has no hash functions")
         if X.shape[1] != model.d:
@@ -514,8 +518,7 @@ class HashIndex:
         n, k = self._n_phi, self._k
         if not n or not cycles:
             return 0
-        if model.k != k:
-            raise ConsistencyError(f"the index's rows have k={k}, the model k={model.k}")
+        self._check_k(model)
         self._settle()
         cycles, per = sorted(cycles), _slot(k)[1]
         # The cycles' weights as one C-ordered (d+1, columns) block, so the product
@@ -552,9 +555,8 @@ class HashIndex:
         rows, or a list that leaves a cycle past the rows' width out raises
         ConsistencyError before any change.
         """
+        self._check_k(model)
         k, m = model.k, model.width // model.k
-        if self._k not in (0, k):
-            raise ConsistencyError(f"the index's rows have k={self._k}, the model k={k}")
         listed = set(cycles)
         if (len(listed) != len(cycles) or not _whole(listed)
                 or listed and not 1 <= min(listed) <= max(listed) <= m):
@@ -625,8 +627,7 @@ class HashIndex:
         if self._widest > width:
             raise ConsistencyError(
                 f"an entry is wider ({self._widest}) than the query ({width})")
-        if self._k not in (0, model.k):
-            raise ConsistencyError(f"the index's rows have k={self._k}, the model k={model.k}")
+        self._check_k(model)
         self._settle()
         signs = exact_signs(model.weights, augment_rows(X, model.d),
                             lambda i: f"query row {first + i}", w_bound=model.sq_norm_bound)

@@ -86,11 +86,14 @@ def _sq_norm_bound(A: np.ndarray) -> float:
 def _exact_sign(w: np.ndarray, x: np.ndarray) -> bool:
     """Whether the exact real dot product of two finite vectors is >= 0.
 
-    Every float is a rational, so a ``Fraction`` sum of the products is exact.
+    Every float is p / q with q a power of two (``as_integer_ratio``), so each
+    product is an integer over a power of two. Brought to the largest of those
+    denominators, the numerators are integers whose sum has the dot product's sign.
     """
-    # Imported here: this path is rare, and fractions imports decimal, a few ms.
-    from fractions import Fraction
-    return sum(Fraction(u) * Fraction(v) for u, v in zip(w.tolist(), x.tolist())) >= 0
+    terms = [(p * r, q * s) for (p, q), (r, s) in
+             zip(map(float.as_integer_ratio, w.tolist()), map(float.as_integer_ratio, x.tolist()))]
+    den = max(q for _, q in terms)
+    return sum(p * (den // q) for p, q in terms) >= 0
 
 
 def check_finite(W: np.ndarray | None, Xa: np.ndarray, name=lambda i: f"row {i}") -> None:
@@ -112,19 +115,27 @@ def exact_signs(W: np.ndarray, Xa: np.ndarray, name=lambda i: f"row {i}",
     """(rows, functions) bools: bit [i, t] is whether W[t] . Xa[i] >= 0, exactly.
 
     ``Xa`` holds augmented rows [x; 1]. One product ``Xa @ W.T`` scores every cell.
-    A computed dot product of n terms is within gamma_n * |w| * |x| of the
+    A computed sum of n products is within gamma_n * sum_t |w_t x_t| of the
     true one, in any summation order, FMA included (Higham, *Accuracy and
     Stability of Numerical Algorithms*, section 3.1), plus n subnormals
-    where products underflow. So a cell whose computed score is larger than
-    twice that bound has the true sign. One screen over the Frobenius norms
-    settles the whole block at once; only when it fails is each cell tested
-    against its own norms, and only the cells still uncertain are recomputed
-    exactly. A NaN or infinite value raises ValueError, naming a feature row
-    by ``name(i)``. ``w_bound`` is an upper bound on ||W||_F^2, such as a
-    model's ``sq_norm_bound``, and ``x_bound`` one on ||Xa||_F^2, such as an
-    index's ``feature_sq_norm_bound``; by default one pass over the block
-    computes each. A Fortran-ordered ``W`` makes ``W.T`` C-ordered, the
-    layout BLAS multiplies fastest for small blocks.
+    where products underflow. That sum of |products| is at most |w| * |x|,
+    so one screen over the Frobenius norms settles the whole block at once.
+    Only when it fails does a second product, |Xa| @ |W|.T, sum each cell's
+    |products|. The same bound holds for it, so the true sum is at most its
+    computed one, plus n subnormals, over 1 - gamma_n. One ``slack``,
+    2nu / (1 - nu), then covers gamma_n / (1 - gamma_n) and the test's own
+    roundings, and one ``floor``, 2n subnormals, the underflow of both
+    products: a cell whose |score| exceeds slack * |sum| + floor has the
+    score's sign, whatever order either product summed in. A sum of
+    nonnegative terms never shrinks, so |Xa| @ |W|.T overflows only where
+    the true sum of |products| is within rounding of the largest float;
+    an inf or NaN leaves its cell uncertain. Only the cells still uncertain
+    are recomputed exactly, as integer sums (``_exact_sign``). A NaN or infinite value raises ValueError, naming a
+    feature row by ``name(i)``. ``w_bound`` is an upper bound on ||W||_F^2,
+    such as a model's ``sq_norm_bound``, and ``x_bound`` one on
+    ||Xa||_F^2, such as an index's ``feature_sq_norm_bound``; by default one
+    pass over the block computes each. A Fortran-ordered ``W`` makes ``W.T``
+    C-ordered, the layout BLAS multiplies fastest for small blocks.
     """
     terms = W.shape[1]
     slack = 2.0 * terms * _U / (1.0 - terms * _U)
@@ -147,23 +158,12 @@ def exact_signs(W: np.ndarray, Xa: np.ndarray, name=lambda i: f"row {i}",
     check_finite(W, Xa, name)
     with np.errstate(over="ignore", invalid="ignore"):
         S = np.dot(Xa, W.T)
-        rx = np.sqrt(np.einsum("ij,ij->i", Xa, Xa) + terms * _TINY)
-        rw = np.sqrt(np.einsum("ij,ij->i", W, W) + terms * _TINY)
-        # NaN (an overflowed score or norm) compares False, so its cell is uncertain.
-        uncertain = ~(np.abs(S) > slack * np.outer(rx, rw) + floor)
+        # NaN (an overflowed score) compares False, so its cell is uncertain.
+        uncertain = ~(np.abs(S) > slack * np.dot(np.abs(Xa), np.abs(W).T) + floor)
     signs = S >= 0.0
     for i, t in zip(*np.nonzero(uncertain)):
         signs[i, t] = _exact_sign(W[t], Xa[i])
     return signs
-
-
-def predict_bit(w: np.ndarray, x: np.ndarray) -> int:
-    """sgn(w . [x;1]) with sgn(0) = +1, the sign of the exact dot product."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (len(x) + 1,):
-        raise DimensionError(f"weight length {w.shape} does not match feature length {len(x)}+1")
-    sign = exact_signs(w.reshape(1, -1), augment_rows(np.asarray(x).reshape(1, -1), len(x)))
-    return 1 if sign[0, 0] else -1
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:

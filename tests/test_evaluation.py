@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from ecochash.errors import UndefinedAPError
 from ecochash.evaluation import (CURVE_HEADER, CurvePoint, ExperimentConfig,
-                                 average_precision, block_average_precision,
-                                 derive_seed,
-                                 make_gaussian_classes, mean_average_precision,
+                                 block_average_precision, derive_seed,
+                                 make_gaussian_classes, mean_defined,
                                  retrieval_map, run_stream_experiment,
                                  write_curve_csv)
 from ecochash.index import MODE_CODEWORD, MODE_PHI, HashIndex
@@ -30,18 +29,31 @@ def textbook_ap(relevance):
     return acc / total_rel
 
 
+def one_row_ap(relevance):
+    """AP of one ranked list: a block of one row, with its undefined case raising."""
+    return mean_defined(block_average_precision([relevance]))
+
+
+def padded(lists):
+    """Relevance lists of unequal length, padded with False into one block."""
+    block = np.zeros((len(lists), max(map(len, lists), default=0)), dtype=bool)
+    for row, rel in zip(block, lists):
+        row[:len(rel)] = rel
+    return block
+
+
 def test_ap_examples():
-    assert average_precision([1, 1, 1]) == 1.0
-    assert average_precision([0, 0, 1]) == pytest.approx(1 / 3)
-    assert average_precision([1, 0, 1]) == pytest.approx((1.0 + 2 / 3) / 2)
-    assert average_precision([0, 1, 0, 0]) == pytest.approx(0.5)
+    assert one_row_ap([1, 1, 1]) == 1.0
+    assert one_row_ap([0, 0, 1]) == pytest.approx(1 / 3)
+    assert one_row_ap([1, 0, 1]) == pytest.approx((1.0 + 2 / 3) / 2)
+    assert one_row_ap([0, 1, 0, 0]) == pytest.approx(0.5)
 
 
 def test_ap_all_irrelevant_is_undefined():
     with pytest.raises(UndefinedAPError):
-        average_precision([0, 0, 0])
+        one_row_ap([0, 0, 0])
     with pytest.raises(UndefinedAPError):
-        average_precision([])
+        one_row_ap([])
 
 
 def test_ap_matches_textbook_oracle():
@@ -50,18 +62,18 @@ def test_ap_matches_textbook_oracle():
         rel = rng.integers(0, 2, size=rng.integers(1, 30))
         if not rel.any():
             continue
-        assert average_precision(rel) == pytest.approx(textbook_ap(list(rel)))
+        assert one_row_ap(rel) == pytest.approx(textbook_ap(list(rel)))
 
 
 def test_map_pools_queries():
-    assert mean_average_precision([[1, 1], [1, 1]]) == 1.0
-    assert mean_average_precision([[1, 0], [0, 1]]) == pytest.approx(0.75)
+    assert mean_defined(block_average_precision([[1, 1], [1, 1]])) == 1.0
+    assert mean_defined(block_average_precision([[1, 0], [0, 1]])) == pytest.approx(0.75)
 
 
 def test_map_skips_undefined_queries():
-    assert mean_average_precision([[1, 1], [0, 0]]) == 1.0
+    assert mean_defined(block_average_precision([[1, 1], [0, 0]])) == 1.0
     with pytest.raises(UndefinedAPError):
-        mean_average_precision([[0, 0], [0]])
+        mean_defined(block_average_precision(padded([[0, 0], [0]])))
 
 
 relevance_lists = st.lists(st.lists(st.booleans(), max_size=40), max_size=12)
@@ -70,24 +82,20 @@ relevance_lists = st.lists(st.lists(st.booleans(), max_size=40), max_size=12)
 @settings(max_examples=200, deadline=None)
 @given(relevance_lists)
 def test_block_ap_matches_textbook_oracle(lists):
-    # Lists of unequal length, padded with False into one block.
-    block = np.zeros((len(lists), max(map(len, lists), default=0)), dtype=bool)
-    for row, rel in zip(block, lists):
-        row[:len(rel)] = rel
-    aps = block_average_precision(block)
+    aps = block_average_precision(padded(lists))
     assert aps.shape == (len(lists),)
     for ap, rel in zip(aps, lists):
         if any(rel):
             assert ap == pytest.approx(textbook_ap(rel), rel=1e-12)
-            assert ap == average_precision(rel)
+            assert ap == one_row_ap(rel)
         else:
             assert np.isnan(ap)
     defined = [textbook_ap(rel) for rel in lists if any(rel)]
     if defined:
-        assert mean_average_precision(lists) == pytest.approx(np.mean(defined), rel=1e-12)
+        assert mean_defined(aps) == pytest.approx(np.mean(defined), rel=1e-12)
     else:
         with pytest.raises(UndefinedAPError):
-            mean_average_precision(lists)
+            mean_defined(aps)
 
 
 @settings(max_examples=50, deadline=None)
@@ -118,7 +126,7 @@ def test_random_ranking_ap_near_class_prior():
     for _ in range(300):
         rel = base.copy()
         rng.shuffle(rel)
-        aps.append(average_precision(rel))
+        aps.append(one_row_ap(rel))
     assert 0.08 <= np.mean(aps) <= 0.13
 
 

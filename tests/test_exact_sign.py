@@ -13,14 +13,16 @@ from operator import mul
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ecochash import learner
 from ecochash.bitcode import PackedCode, hamming_masked
 from ecochash.codebook import generate
 from ecochash.ecoc import new_matrix
 from ecochash.errors import DimensionError, DuplicateIdError
 from ecochash.index import HashIndex
-from ecochash.learner import (HashModel, augment_rows, exact_signs, phi,
-                              predict_bit, step)
+from ecochash.learner import HashModel, _exact_sign, augment_rows, exact_signs, phi, step
 from ecochash.storage import ModelBundle, load_index, load_model, save_index, save_model
 from test_index import mixed_index, query_error
 
@@ -102,6 +104,27 @@ def test_kernel_is_exact_where_products_over_or_underflow(scale):
         assert np.array_equal(exact_signs(w, Xa), oracle(w, Xa))
 
 
+# Pairs of equal-length vectors of finite floats over the whole exponent range,
+# subnormals and both zeros included.
+finite = st.floats(allow_nan=False, allow_infinity=False)
+vector_pairs = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(*[st.lists(finite, min_size=n, max_size=n)] * 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_pairs)
+@example(([1e16, -1.0, -1e16], [1.0, 1.0, 1.0]))  # a left-to-right float sum reads 0
+@example(([5e-324, -5e-324, 0.0], [0.5, 0.25, -0.0]))
+@example(([-0.0, 0.0], [-0.0, -1.0]))
+@example(([1e300, -1e-300, 1e300], [1e300, 1e300, -1e300]))
+@example(([1e-300, 2.2250738585072014e-308], [1e-300, -1.0]))
+@example(([1.7976931348623157e308, -1.7976931348623157e308, 5e-324], [2.0, 2.0, 1.0]))
+def test_the_integer_rung_matches_the_fraction_oracle(pair):
+    w, x = map(np.array, pair)
+    want = sum(Fraction(u) * Fraction(v) for u, v in zip(*pair)) >= 0
+    assert _exact_sign(w, x) == want
+
+
 def test_kernel_refuses_non_finite_values():
     W = np.ones((3, D + 1))
     Xa = augment_rows(np.zeros((4, D)), D)
@@ -114,7 +137,7 @@ def test_kernel_refuses_non_finite_values():
             exact_signs(np.where(np.eye(3, D + 1) > 0, bad, W), Xa)
 
 
-def test_phi_and_predict_bit_follow_the_oracle():
+def test_phi_and_one_row_signs_follow_the_oracle():
     _, _, model, _ = trained_model()
     rng = np.random.default_rng(3)
     X = hard_points(model.weights, rng)
@@ -122,7 +145,8 @@ def test_phi_and_predict_bit_follow_the_oracle():
     for x, bits in zip(X, want):
         code = phi(model, x)
         assert [code.bit(t) > 0 for t in range(model.width)] == bits.tolist()
-        assert predict_bit(model.weights[0], x) == (1 if bits[0] else -1)
+        one = exact_signs(model.weights[:1], augment_rows(x.reshape(1, -1), D))
+        assert one.tolist() == [[bits[0]]]
     with pytest.raises(ValueError, match="NaN"):
         phi(model, np.full(D, np.nan))
 
@@ -167,6 +191,50 @@ def test_a_one_row_query_ranks_as_the_block_kernel_and_the_oracle(k):
                 ranked = index.query(model, x)
                 assert list(index.query_many(model, [x])) == [ranked]
                 assert ranked == oracle_ranking(index, bits)
+
+
+def exact_calls(monkeypatch) -> list:
+    """A list that grows by one entry per cell ``exact_signs`` sends to the integer rung."""
+    calls = []
+    monkeypatch.setattr(learner, "_exact_sign",
+                        lambda w, x: calls.append(None) or _exact_sign(w, x))
+    return calls
+
+
+@pytest.mark.parametrize("scale", [1e160, *SCALES])
+def test_queries_at_extreme_scales_rank_and_code_as_the_oracle(scale, monkeypatch):
+    """Random queries whose ||[x; 1]||^2 overflows (1e160) or whose scores are tiny
+    beside the 1 of [x; 1] (1e-160) are settled by the componentwise screen: no
+    cell goes to the integer rung. The newest cycle has bias 0, so its scores at
+    1e-160 are about 1e-160 themselves."""
+    calls = exact_calls(monkeypatch)
+    model, index, _ = mixed_index(n_labels=3, k=K, d=D)
+    model.grow_cycles((model.width // K + 1,))
+    X = np.random.default_rng(11).standard_normal((4, D)) * scale
+    want = oracle(model.weights, augment_rows(X, D))
+    assert list(index.query_many(model, X)) == [oracle_ranking(index, bits) for bits in want]
+    for x, bits in zip(X, want):
+        assert index.query(model, x) == oracle_ranking(index, bits)
+        code = phi(model, x)
+        assert [code.bit(t) > 0 for t in range(model.width)] == bits.tolist()
+    if scale in (1e160, 1e-160):
+        assert not calls
+
+
+def test_a_cell_whose_sum_of_products_overflows_reaches_the_integer_rung(monkeypatch):
+    """Weights and features near 1e200 make every product overflow, so no float
+    screen can settle a cell; each goes to the integer rung and gets the oracle's sign."""
+    calls = exact_calls(monkeypatch)
+    rng = np.random.default_rng(12)
+    model = HashModel(d=D, k=K, weights=1e200 * rng.standard_normal((K, D + 1)))
+    X = 1e200 * rng.standard_normal((3, D))
+    want = oracle(model.weights, augment_rows(X, D))
+    assert want.any() and not want.all()
+    assert np.array_equal(exact_signs(model.weights, augment_rows(X, D)), want)
+    assert len(calls) == want.size
+    for x, bits in zip(X, want):
+        code = phi(model, x)
+        assert [code.bit(t) > 0 for t in range(model.width)] == bits.tolist()
 
 
 def codes(index):

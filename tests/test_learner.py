@@ -13,8 +13,8 @@ from ecochash.bitcode import TernaryCodeword, hamming_masked, pack, ternary, unp
 from ecochash.codebook import Codebook, generate
 from ecochash.ecoc import EcocMatrix, new_matrix
 from ecochash.errors import CodebookExhaustedError, ConsistencyError, DimensionError
-from ecochash.learner import (FeatureNormalizer, HashModel, _descend, augment, gradient,
-                              init_functions, phi, predict_bit, step, step_many,
+from ecochash.learner import (FeatureNormalizer, HashModel, _descend, augment, augment_rows,
+                              exact_signs, gradient, init_functions, phi, step, step_many,
                               surrogate_loss)
 from ecochash.bitcode import PackedCode
 from ecochash.index import HashIndex
@@ -49,30 +49,43 @@ def test_init_moments():
     assert abs(body.mean()) < 0.02
 
 
-def test_predict_bit_examples():
+def one_row_bit(w, x):
+    """Bit 0 of phi for a one-function model of weights ``w``, checked against
+    ``exact_signs`` on the one-row block [x; 1], as +1 or -1."""
+    model = HashModel(d=len(x), k=1, weights=np.reshape(w, (1, -1)))
+    sign = exact_signs(model.weights, augment_rows(np.reshape(x, (1, -1)), len(x)))
+    bit = phi(model, x).bit(0)
+    assert sign.shape == (1, 1) and bit == (1 if sign[0, 0] else -1)
+    return bit
+
+
+def test_one_row_sign_examples():
     x = np.array([1.0, 2.0])
-    assert predict_bit(np.array([1.0, 0.0, 0.0]), x) == 1
-    assert predict_bit(np.array([-1.0, 0.0, 0.0]), x) == -1
+    assert one_row_bit(np.array([1.0, 0.0, 0.0]), x) == 1
+    assert one_row_bit(np.array([-1.0, 0.0, 0.0]), x) == -1
     # zero score lands on +1
-    assert predict_bit(np.zeros(3), x) == 1
+    assert one_row_bit(np.zeros(3), x) == 1
     # bias term is the last weight
-    assert predict_bit(np.array([0.0, 0.0, -0.5]), x) == -1
+    assert one_row_bit(np.array([0.0, 0.0, -0.5]), x) == -1
 
 
 @given(st.lists(finite_floats, min_size=1, max_size=8), st.data())
-def test_predict_bit_matches_dot_oracle(xs, data):
+def test_one_row_sign_matches_dot_oracle(xs, data):
     ws = data.draw(st.lists(finite_floats, min_size=len(xs) + 1, max_size=len(xs) + 1))
     x = np.array(xs)
     w = np.array(ws)
     # The exact real dot product: a float sum can round an underflowing
     # product to zero (w = [-5e-324, 0], x = [0.5] reads +1 there, not -1).
     dot = sum(Fraction(wi) * Fraction(xi) for wi, xi in zip(ws, xs + [1.0]))
-    assert predict_bit(w, x) == (1 if dot >= 0 else -1)
+    assert one_row_bit(w, x) == (1 if dot >= 0 else -1)
 
 
-def test_predict_bit_dimension_error():
+def test_phi_dimension_error():
+    model = HashModel(d=2, k=1, weights=np.zeros((1, 3)))
     with pytest.raises(DimensionError):
-        predict_bit(np.zeros(3), np.zeros(3))
+        phi(model, np.zeros(3))
+    with pytest.raises(DimensionError):
+        augment_rows(np.zeros((1, 3)), 2)
 
 
 def test_phi_zero_width():
@@ -89,7 +102,10 @@ def test_phi_matches_per_bit_oracle():
         x = rng.standard_normal(6)
         code = phi(model, x)
         assert code.length == 12
-        assert unpack(code) == [predict_bit(model.weights[t], x) for t in range(12)]
+        # Each bit on its own: exact_signs of one function on the one-row block.
+        xa = augment_rows(x.reshape(1, -1), 6)
+        assert unpack(code) == [1 if exact_signs(model.weights[t:t + 1], xa)[0, 0] else -1
+                                for t in range(12)]
 
 
 def test_surrogate_zero_when_margins_met():
