@@ -8,8 +8,8 @@ ledger whether or not its value flipped, since the maintenance cost of an
 index is the recomputation itself; flips are tallied separately.
 
 Rows live in two blocks that grow by doubling, beside ``ids`` and ``labels``
-lists in insertion order; a flag per row says which block it is in, and its
-column there is its rank among that block's rows. Every row shares one k,
+lists in insertion order; a flag byte per row says which block it is in, and
+its column there is its rank among that block's rows. Every row shares one k,
 set by the index's first row (a phi row takes its model's k), and a cycle's
 k bits are one slot (``_slot``): an item of 1, 2, 4 or 8 bytes, or whole
 words past k = 64. A codeword row is its label's cycle and its core as that
@@ -32,7 +32,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
+from operator import is_not
 
 import numpy as np
 
@@ -52,6 +54,8 @@ MODE_PHI = "phi"
 _BLOCK_CELLS = 1 << 16
 # Slot items of 1, 2, 4 and 8 bytes, built once: a dtype from a string costs about a microsecond.
 _ITEMS = tuple(np.dtype(f"<u{1 << i}") for i in range(4))
+# Whether a label is given; as a filter, cheaper than a generator over the labels.
+_GIVEN = partial(is_not, None)
 
 
 @dataclass
@@ -238,7 +242,8 @@ class HashIndex:
             if broken:
                 raise ValueError(what)
         self.ledger = UpdateLedger(*totals)
-        self._ids, self._id_set, self._is_phi = ids, set(ids), is_phi.astype(bool)
+        self._ids, self._id_set = ids, set(ids)
+        self._is_phi = bytearray(is_phi.astype(bool).tobytes())
         self._labels = [None if i < 0 else table[i] for i in label_of.tolist()]
         # The end of the last column any row uses; a query may not be narrower.
         self._widest = max(k * int(cycles.max(initial=0)), phi_width)
@@ -282,19 +287,23 @@ class HashIndex:
 
     def _append(self, ids: list[int], labels: list, is_phi: bool) -> None:
         """Give each id the next row, with its label; a bad id raises before any change."""
-        new = set()
-        for id in ids:
-            if not 0 <= id < 1 << 64:
-                raise ValueError(f"id {id} is outside [0, 2^64)")
-            if id in self._id_set or id in new:
-                raise DuplicateIdError(f"id {id} is already indexed")
-            new.add(id)
-        start = len(self._ids)
-        self._is_phi = grown(self._is_phi, start + len(ids))
-        self._is_phi[start:start + len(ids)] = is_phi
+        id_set = self._id_set
+        before = len(id_set)
+        try:
+            # Each id joins the set as it passes, so a repeat within the block is caught too.
+            for id in ids:
+                if not 0 <= id < 1 << 64:
+                    raise ValueError(f"id {id} is outside [0, 2^64)")
+                if id in id_set:
+                    raise DuplicateIdError(f"id {id} is already indexed")
+                id_set.add(id)
+        except ValueError:
+            # The ids that joined before the bad one, in order, leave again.
+            id_set.difference_update(ids[:len(id_set) - before])
+            raise
+        self._is_phi += (b"\1" if is_phi else b"\0") * len(ids)
         self._ids += ids
         self._labels += labels
-        self._id_set |= new
 
     def _settle(self) -> None:
         """Score the staged phi rows with one ``exact_signs`` call and one pack.
@@ -322,7 +331,7 @@ class HashIndex:
         at = {y: i for i, y in enumerate(dict.fromkeys(y for y in self._labels if y is not None))}
         return {
             "ids": np.array(self._ids, dtype=np.uint64),
-            "is_phi": self._is_phi[:len(self)],
+            "is_phi": np.frombuffer(bytes(self._is_phi), bool),
             **encode_labels(at),
             "label_of": np.array([at.get(y, -1) for y in self._labels], dtype=np.int32),
             "k": self._k,
@@ -358,7 +367,7 @@ class HashIndex:
                      for row in np.packbits(bits, 1, "little")]
         phis = zip(codes, self._feats[:n_phi, :-1])
         out = []
-        for id, label, is_phi in zip(self._ids, self._labels, self._is_phi[:len(self)].tolist()):
+        for id, label, is_phi in zip(self._ids, self._labels, self._is_phi):
             if is_phi:
                 values, x = next(phis)
                 length, mode, mask, x = width, MODE_PHI, (1 << width) - 1, x.copy()
@@ -451,7 +460,7 @@ class HashIndex:
         if X.ndim != 2 or len(X) != n or len(labels) != n:
             raise ValueError(f"{n} ids, {len(labels)} labels and a block of shape {X.shape} "
                              "do not make one row each")
-        _check_labels(y for y in labels if y is not None)
+        _check_labels(filter(_GIVEN, labels))
         width, col = self._phi_width or model.width, self._n_phi
         if width > model.width:
             raise ConsistencyError(f"phi entries have width {width}, the model {model.width}")
@@ -478,7 +487,11 @@ class HashIndex:
             self._feats = grown(self._feats, col + n, fill=1.0)
             self._values = grown(self._values, col + n, axis=1)
         Xa = self._feats[col:col + n]
-        Xa[:, :-1] = X
+        if n == 1:
+            # One row is written as a row: a 2-D slice write costs about twice as much.
+            Xa[0, :-1] = X
+        else:
+            Xa[:, :-1] = X
         # Finite bounds show the rows and the model's weights finite without a pass.
         x_bound = _sq_norm_bound(Xa)
         if not x_bound < math.inf or not model.sq_norm_bound < math.inf:
@@ -654,7 +667,7 @@ class HashIndex:
             phi_qs = qs[:held, None] if queries == 1 else qs[:, :held].T[:, :, None]
             phi_d = _hamming(phi_qs, self._values[:, :n_phi], dtype)
         if n_cw and n_phi:
-            is_phi = self._is_phi[:len(self)]
+            is_phi = np.frombuffer(bytes(self._is_phi), bool)
             dists = np.empty((queries, len(self)), dtype=dtype)
             dists[:, is_phi], dists[:, ~is_phi] = phi_d, cw_d
             return dists

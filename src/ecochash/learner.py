@@ -50,8 +50,11 @@ def init_functions(d: int, count: int, seed) -> np.ndarray:
 
 
 def augment(x: np.ndarray) -> np.ndarray:
-    """Homogeneous form [x; 1] as float64."""
-    return np.concatenate((x, [1.0]), dtype=np.float64)
+    """Homogeneous form [x; 1] of one row as float64, by 1-D writes (cheaper than concatenate)."""
+    xh = np.empty(len(x) + 1)
+    xh[:-1] = x
+    xh[-1] = 1.0
+    return xh
 
 
 def augment_rows(X: np.ndarray, d: int) -> np.ndarray:
@@ -61,6 +64,9 @@ def augment_rows(X: np.ndarray, d: int) -> np.ndarray:
     """
     if X.shape[1:] != (d,):
         raise DimensionError(f"feature length {X.shape[-1]} does not match d={d}")
+    if len(X) == 1:
+        # A one-row block is its row's 1-D form: 2-D slice writes cost about twice as much.
+        return augment(X[0])[None]
     Xa = np.empty((len(X), d + 1))
     Xa[:, :-1] = X
     Xa[:, -1] = 1.0
@@ -99,10 +105,11 @@ def _exact_sign(w: np.ndarray, x: np.ndarray) -> bool:
 def check_finite(W: np.ndarray | None, Xa: np.ndarray, name=lambda i: f"row {i}") -> None:
     """Raise ``exact_signs``' ValueError if ``Xa`` or ``W`` holds a NaN or infinite value.
 
-    Features first, naming the first bad row by ``name(i)``; ``W=None`` skips weights.
+    Features first, a row or a block, naming the first bad row by ``name(i)``;
+    ``W=None`` skips weights.
     """
     if not math.isfinite(np.vdot(Xa, Xa)):
-        finite = np.isfinite(Xa).all(axis=1)
+        finite = np.isfinite(Xa).all(axis=-1)
         if not finite.all():
             raise ValueError(
                 f"{name(int(np.argmin(finite)))} has a feature that is NaN or infinite")
@@ -147,7 +154,8 @@ def exact_signs(W: np.ndarray, Xa: np.ndarray, name=lambda i: f"row {i}",
     # A finite product of the squared norms bounds every score and partial sum,
     # so then the matmul cannot overflow.
     norms = math.sqrt(x_bound * w_bound)
-    if norms < math.inf:
+    screened = norms < math.inf
+    if screened:
         S = np.dot(Xa, W.T)
         bound = slack * norms + floor
         signs = S > bound
@@ -157,11 +165,14 @@ def exact_signs(W: np.ndarray, Xa: np.ndarray, name=lambda i: f"row {i}",
             return signs
     check_finite(W, Xa, name)
     with np.errstate(over="ignore", invalid="ignore"):
-        S = np.dot(Xa, W.T)
+        # A screen that ran and failed leaves its product, which could not overflow.
+        if not screened:
+            S = np.dot(Xa, W.T)
         # NaN (an overflowed score) compares False, so its cell is uncertain.
         uncertain = ~(np.abs(S) > slack * np.dot(np.abs(Xa), np.abs(W).T) + floor)
     signs = S >= 0.0
-    for i, t in zip(*np.nonzero(uncertain)):
+    # One flat scan: np.nonzero on a 2-D block costs several times as much.
+    for i, t in zip(*np.divmod(np.flatnonzero(uncertain), len(W))):
         signs[i, t] = _exact_sign(W[t], Xa[i])
     return signs
 
@@ -302,26 +313,32 @@ def _descend(w: np.ndarray, c: np.ndarray, xh: np.ndarray, eta: float) -> np.nda
     entries and ``xh`` the (..., d+1) augmented examples. Each example's k
     scores come from one gemv, the stacked ``w @ xh``; a row whose z = -c *
     score exceeds -1 has hinge slope 1 and moves by eta * c * [x;1]. The
-    update is one einsum with no summed index, so it depends on no reduction
-    order: each cell is one product, rounded once. A violator gets
-    (eta * c) * [x;1], the gradient step's float, and any other row a zero,
-    which einsum adds to its zeroed output as +0.0; +0 or -0 changes no
-    weight but the -0.0 no model holds. So the features must be finite, as
-    0 * inf is NaN. A product that overflows gives inf without a warning.
-    Returns z.
+    update is the outer product of s = (eta * c, or 0 off the violators) and
+    [x;1]: for one (k, d+1) block, ``step``'s, a (k, 1) by (1, d+1) BLAS
+    product, whose one-term sums no reduction order can change; for stacked
+    blocks, the rounds', one einsum with no summed index. Either way each
+    cell is one product, rounded once, so the two forms write the same
+    bits. A violator gets (eta * c) * [x;1], the gradient step's float, and
+    any other row a zero, +0.0 or -0.0; either changes no weight but the
+    -0.0 no model holds. So the features must be finite, as 0 * inf is NaN.
+    A product that overflows gives inf without a warning. Returns z.
     """
-    z = -c * np.matmul(w, xh[..., None])[..., 0]
-    w += np.einsum("...k,...d->...kd", (z > -1.0) * (eta * c), xh)
+    one = w.ndim == 2
+    # np.dot of one block is the gemv the stacked matmul makes per block, without its views.
+    z = -c * (np.dot(w, xh) if one else np.matmul(w, xh[..., None])[..., 0])
+    s = (z > -1.0) * (eta * c)
+    # At step's size the K=1 product costs about half the einsum.
+    w += np.dot(s[:, None], xh[None]) if one else np.einsum("...k,...d->...kd", s, xh)
     return z
 
 
 def _check_step(model: HashModel, matrix: EcocMatrix, eta: float, X: np.ndarray,
                 name=lambda i: f"row {i}") -> None:
-    """Refuse eta, (n, d) features, named by row, or a model width that ``step`` cannot take."""
+    """Refuse eta, (d,) or (n, d) features, named by row, or a model width ``step`` cannot take."""
     if not 0.0 <= eta < math.inf:
         raise ValueError(f"eta must be finite and >= 0, got {eta}")
-    if X.shape[1] != model.d:
-        raise DimensionError(f"feature length {X.shape[1]} does not match d={model.d}")
+    if X.shape[-1] != model.d:
+        raise DimensionError(f"feature length {X.shape[-1]} does not match d={model.d}")
     if model.width != matrix.width:
         raise ConsistencyError(
             f"model width {model.width} does not match matrix width {matrix.width}")
@@ -351,19 +368,22 @@ def step(model: HashModel, matrix: EcocMatrix, cb: Codebook,
     checked before anything changes. The update is one write; phi rows
     staged before it still score under the weights of their insert.
     """
+    x = np.array(x, np.float64, copy=None, ndmin=1)
+    _check_step(model, matrix, eta, x, lambda _: "the example")
     xh = augment(x)
-    _check_step(model, matrix, eta, xh[None, :-1], lambda _: "the example")
-    m, is_new = matrix.m, y not in matrix.rows
+    is_new = y not in matrix.rows
     if is_new:
         _admit(model, matrix, cb, (y,))
-    row = matrix.rows[y]
-    start = row // matrix.rho * matrix.k
-    touched = range(start, start + matrix.k)
-    z = _descend(model._w[touched.start:touched.stop], matrix.signs[row], xh, eta)
+    row, k = matrix.rows[y], matrix.k
+    start = row // matrix.rho * k
+    z = _descend(model._w[start:start + k], matrix.signs[row], xh, eta)
     model._wrote(1)
-    return StepReport(label=y, touched_columns=touched,
-                      surrogate_loss_before=float(np.maximum(0.0, 1.0 + z).sum()),
-                      new_cycle_started=matrix.m > m, is_new_label=is_new)
+    # np.add.reduce is the sum ndarray.sum takes, without its Python wrapper.
+    return StepReport(label=y, touched_columns=range(start, start + k),
+                      surrogate_loss_before=float(np.add.reduce(np.maximum(0.0, 1.0 + z))),
+                      # As in step_many: a new label opens a cycle at each rho-th row but the first.
+                      new_cycle_started=is_new and row > 0 and row % matrix.rho == 0,
+                      is_new_label=is_new)
 
 
 @dataclass

@@ -7,6 +7,7 @@ whatever BLAS does.
 """
 
 import copy
+import math
 import pickle
 from fractions import Fraction
 from operator import mul
@@ -235,6 +236,46 @@ def test_a_cell_whose_sum_of_products_overflows_reaches_the_integer_rung(monkeyp
     for x, bits in zip(X, want):
         code = phi(model, x)
         assert [code.bit(t) > 0 for t in range(model.width)] == bits.tolist()
+
+
+class CountingNumpy:
+    """numpy, but counting the calls of ``dot``."""
+
+    def __init__(self):
+        self.dots = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def dot(self, *args):
+        self.dots += 1
+        return np.dot(*args)
+
+
+@pytest.mark.parametrize("case", ["one-hard-row", "norms-overflow"])
+def test_the_fallback_scores_once_and_matches_the_oracle(case, monkeypatch):
+    """A block with one row on a hyperplane fails the finite screen, whose product the
+    fallback reuses; a block whose norms overflow skips the screen and takes one
+    product there. Either way |Xa| @ |W|.T is the only other product, and the
+    uncertain cells, found in one flat scan, get the oracle's signs."""
+    rng = np.random.default_rng(13)
+    W = rng.standard_normal((2 * K, D + 1))
+    X = rng.standard_normal((40, D))
+    if case == "one-hard-row":
+        w = W[5]
+        X[7] -= (w[:-1] @ X[7] + w[-1]) / (w[:-1] @ w[:-1]) * w[:-1]
+    else:
+        X[3] *= 1e160
+    Xa = augment_rows(X, D)
+    assert math.isfinite(learner._sq_norm_bound(Xa)) == (case == "one-hard-row")
+    want = oracle(W, Xa)
+    calls = exact_calls(monkeypatch)
+    counting = CountingNumpy()
+    monkeypatch.setattr(learner, "np", counting)
+    assert np.array_equal(exact_signs(W, Xa), want)
+    assert counting.dots == 2
+    if case == "one-hard-row":
+        assert calls
 
 
 def codes(index):

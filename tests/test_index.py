@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 import tempfile
 import weakref
 from pathlib import Path
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from ecochash.bitcode import hamming_masked
 from ecochash.codebook import generate
 from ecochash.ecoc import new_matrix
-from ecochash.errors import ConsistencyError, DuplicateIdError, UnknownLabelError
+from ecochash.errors import (ConsistencyError, DimensionError, DuplicateIdError,
+                             UnknownLabelError)
 from ecochash.evaluation import retrieval_map
 from ecochash.index import MODE_CODEWORD, MODE_PHI, HashIndex
 from ecochash.learner import HashModel, StepReport, exact_signs, phi, step, step_many
@@ -161,6 +163,38 @@ def test_insert_many_refuses_a_label_that_is_not_a_str_before_any_change(bad, tm
     assert same_bits(index.arrays(), before) and (len(index), index.phi_count) == (4, 3)
     save_index(index, tmp_path / "i.index")
     assert same_bits(load_index(tmp_path / "i.index").arrays(), before)
+
+
+@pytest.mark.parametrize("case", ["duplicate id", "length d-1", "length d+1", "other k",
+                                  "other d"])
+def test_insert_unlabeled_refuses_a_bad_row_with_its_class_and_message(case):
+    _, model, stream, index = labeled_setup(8)
+    d, id, x, target = model.d, 2, stream[1][0], model
+    before = copy.deepcopy(index)
+    # A staged row on each side: the refusal leaves the stage as it was.
+    for twin in (index, before):
+        twin.insert_unlabeled(1, stream[0][0], model)
+    if case == "duplicate id":
+        id, error, match = 101, DuplicateIdError, "id 101 is already indexed"
+    elif case.startswith("length"):
+        x = x[:-1] if case == "length d-1" else np.append(x, 0.5)
+        error, match = DimensionError, f"feature length {len(x)} does not match d={d}"
+    elif case == "other k":
+        # As wide as the rows, so the k check is the one that fails.
+        target = HashModel(d, 4, np.zeros((model.width, d + 1)))
+        error, match = ConsistencyError, "the index's rows have k=8, the model k=4"
+    else:
+        target, x = HashModel(d + 1, 8, np.zeros((model.width, d + 2))), np.append(x, 0.5)
+        error = DimensionError
+        match = f"feature length {d + 1} does not match {d} of the existing phi entries"
+    with pytest.raises(error, match=re.escape(match)) as info:
+        index.insert_unlabeled(id, x, target)
+    assert info.type is error
+    assert index.feature_sq_norm_bound == before.feature_sq_norm_bound
+    assert same_bits(index.arrays(), before.arrays())
+    for twin in (index, before):
+        twin.insert_unlabeled(2, stream[1][0], model)
+    assert same_bits(index.arrays(), before.arrays())
 
 
 @pytest.mark.parametrize("bad", [5, 5.0, b"c0", ("c0",)])

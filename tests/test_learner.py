@@ -727,7 +727,10 @@ def descend_block(rng, shape):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
-@pytest.mark.parametrize("shape", [(6, 9), (3, 6, 9)], ids=["step-2d", "rounds-3d"])
+# step's (k, d+1) block takes the K=1 product and the rounds' stack the einsum, each
+# also at the size the benchmark's workloads run (k=32, d=64).
+@pytest.mark.parametrize("shape", [(6, 9), (3, 6, 9), (32, 65), (10, 32, 65)],
+                         ids=["step-2d", "rounds-3d", "step-k32", "rounds-k32"])
 def test_descend_equals_a_row_by_row_reference_bitwise(shape, eta):
     rng = np.random.default_rng([len(shape), int(10 * eta)])
     w, c, xh = descend_block(rng, shape)
@@ -773,13 +776,14 @@ def refusal_state():
     return state, index, rows
 
 
-def assert_refused(call, state, index, rows, match):
-    """``call`` raises ValueError and changes neither the state nor the staged rows' bits."""
+def assert_refused(call, state, index, rows, match, error=ValueError):
+    """``call`` raises ``error`` itself and changes neither the state nor the staged rows' bits."""
     twin = copy.deepcopy(state)
     ref = HashIndex()
     ref.insert_many(range(len(rows)), rows, twin[0])
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(error, match=match) as info:
         call()
+    assert info.type is error
     (model, matrix, cb), (ref_model, ref_matrix, ref_cb) = state, twin
     assert model == ref_model and model.weights.tobytes() == ref_model.weights.tobytes()
     assert matrix == ref_matrix and cb == ref_cb
@@ -801,6 +805,39 @@ def test_step_and_step_many_refuse_features_that_are_not_finite(bad):
     # A new label too: the features are refused before it is drawn.
     assert_refused(lambda: step_many(*state, X, ["y0", "new", "y1", "y2", "y3"]), state, index,
                    rows, "row 3 has a feature that is NaN or infinite")
+
+
+@pytest.mark.parametrize("case", ["eta -1", "eta nan", "eta inf", "length d-1", "length d+1",
+                                  "width", "eta before length", "length before width",
+                                  "width before features"])
+def test_step_refuses_each_bad_argument_with_its_class_and_message(case):
+    # Each of step's checks, and their order: eta, the feature length, the
+    # model's width against the matrix's, then finite features.
+    state, index, rows = refusal_state()
+    model, matrix, cb = state
+    d, eta, x = model.d, 1.0, np.ones(model.d)
+    error, match = DimensionError, f"feature length {d + 1} does not match d={d}"
+    if case.startswith("eta"):
+        eta = {"eta -1": -1.0, "eta nan": np.nan, "eta inf": np.inf,
+               "eta before length": -1.0}[case]
+        x = np.ones(d + 1) if case == "eta before length" else x
+        error, match = ValueError, f"eta must be finite and >= 0, got {eta}"
+    elif case == "length d-1":
+        x, match = np.ones(d - 1), f"feature length {d - 1} does not match d={d}"
+    elif case == "length d+1":
+        x = np.ones(d + 1)
+    else:
+        # Two new labels open a cycle the model has not grown: the widths differ.
+        matrix.observe_labels(cb, ["w0", "w1"])
+        assert matrix.width == model.width + model.k
+        x = np.ones(d + 1) if case == "length before width" else x
+        if case == "width before features":
+            x[0] = np.nan
+        if case != "length before width":
+            error = ConsistencyError
+            match = f"model width {model.width} does not match matrix width {matrix.width}"
+    assert_refused(lambda: step(*state, x, "y0", eta=eta), state, index, rows,
+                   re.escape(match), error)
 
 
 @pytest.mark.parametrize("bad", [None, 5, 5.0, b"y0", ("y0",)])
