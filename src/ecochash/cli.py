@@ -64,27 +64,26 @@ def _transform(normalizer: FeatureNormalizer | None, X: np.ndarray) -> np.ndarra
         X, dtype=np.float64)
 
 
-def _cmd_codebook_stats(args) -> int:
+def _codebook(args) -> tuple[int, int, cb_mod.Codebook]:
+    """The seed, the rho and a fresh codebook that --seed, --rho, --k and --capacity give."""
     seed = _resolve_seed(args.seed)
     rho = args.rho if args.rho is not None else cb_mod.recommended_rho(args.k)
-    capacity = args.capacity
-    if capacity is None:
-        capacity = cb_mod.default_capacity(k=args.k)
-    cb = cb_mod.generate(args.k, capacity, seed)
+    capacity = args.capacity if args.capacity is not None else cb_mod.default_capacity(k=args.k)
+    return seed, rho, cb_mod.generate(args.k, capacity, seed)
+
+
+def _cmd_codebook_stats(args) -> int:
+    _, rho, cb = _codebook(args)
     stats = cb_mod.separation_stats(cb)
     prob = cb_mod.unique_bipartition_probability(rho, args.k)
     print("k,capacity,rho,min_distance,mean_distance,unique_bipartition_probability")
-    print(f"{args.k},{capacity},{rho},{stats.min_distance},"
+    print(f"{args.k},{len(cb)},{rho},{stats.min_distance},"
           f"{stats.mean_distance:.6f},{prob:.6g}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    seed = _resolve_seed(args.seed)
-    rho = args.rho if args.rho is not None else cb_mod.recommended_rho(args.k)
-    capacity = args.capacity
-    if capacity is None:
-        capacity = cb_mod.default_capacity(k=args.k)
+    seed, rho, cb = _codebook(args)
     ids, labels, X = storage.read_features(args.features)
     labeled = [(i, y) for i, y in enumerate(labels) if y is not None]
     if not labeled:
@@ -98,7 +97,6 @@ def _cmd_train(args) -> int:
     skipped = len(labels) - len(labeled)
     if skipped:
         print(f"skipping {skipped} unlabeled rows", file=sys.stderr)
-    cb = cb_mod.generate(args.k, capacity, seed)
     matrix = new_matrix(args.k, rho)
     model = HashModel.create(X.shape[1], args.k, seed=seed)
     t0 = time.perf_counter()

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bitcode import WORD, PackedCode, TernaryCodeword, grown, n_words
 from .codebook import Codebook
-from .errors import UnknownLabelError
+from .errors import ConsistencyError, UnknownLabelError
 
 Label = str
 
@@ -135,10 +135,13 @@ class EcocMatrix:
     def observe_labels(self, cb: Codebook, labels: Iterable[Label]) -> None:
         """Give each label not yet seen a core and a row, in order of first appearance.
 
-        A label that is not a ``str`` raises ValueError before any change. The
-        cores are drawn in turn, then written as one block, and the caller grows
-        the model to the new ``m``. If the codebook runs out, those drawn are kept.
+        A codebook of another k raises ConsistencyError, then a label that is
+        not a ``str`` ValueError, before any change. The cores are drawn in
+        turn, then written as one block, and the caller grows the model to the
+        new ``m``. If the codebook runs out, those drawn are kept.
         """
+        if cb.k != self.k:
+            raise ConsistencyError(f"codebook k={cb.k} does not match matrix k={self.k}")
         new = [y for y in dict.fromkeys(labels) if y not in self.rows]
         _check_labels(new)
         cores = []

@@ -280,10 +280,21 @@ class HashIndex:
         """Each entry's label, None where it has none, in insertion order."""
         return list(self._labels)
 
-    def _check_k(self, model: HashModel) -> None:
-        """A ConsistencyError unless the index has no rows or its rows have the model's k."""
+    def _check_model(self, model: HashModel, widest: int) -> None:
+        """Refuse, before any change, a model the rows a call concerns cannot meet.
+
+        In this order: a model narrower than ``widest`` (the phi width for inserts and
+        maintenance, the widest row for queries), then one of another k than the rows',
+        raise ConsistencyError; then one whose d is not the phi rows' feature length,
+        DimensionError.
+        """
+        if widest > model.width:
+            raise ConsistencyError(f"an entry is wider ({widest}) than the model ({model.width})")
         if self._k not in (0, model.k):
             raise ConsistencyError(f"the index's rows have k={self._k}, the model k={model.k}")
+        if self._n_phi and model.d + 1 != self._feats.shape[1]:
+            raise DimensionError(f"feature length {model.d} does not match "
+                                 f"{self._feats.shape[1] - 1} of the existing phi entries")
 
     def _append(self, ids: list[int], labels: list, is_phi: bool) -> None:
         """Give each id the next row, with its label; a bad id raises before any change."""
@@ -442,16 +453,16 @@ class HashIndex:
         row was inserted under. A loop of one-row inserts pays one product,
         and a one-row insert after each step one copy.
 
-        Everything is checked before any change: one label per row; labels
-        that are a ``str`` or None (ValueError); rows of the model's d and of
-        the phi block's feature length (DimensionError); finite features
-        (ValueError naming the row id) and finite weights (ValueError); ids
-        in [0, 2^64), new and distinct (DuplicateIdError). Scoring staged
-        rows then never raises. A phi block behind the model's new cycles
-        takes the rows at its own width, and the next ``refresh`` or
-        ``apply_model_update`` catches them up with the rest. A model
-        narrower than the block, or of another k than the index's rows,
-        raises ConsistencyError.
+        Everything is checked before any change, in this order: one label per
+        row; labels that are a ``str`` or None (ValueError); ``_check_model``
+        against the phi width (the model's width and k, ConsistencyError, then
+        its d against the phi rows', DimensionError); a model with hash
+        functions (ValueError); rows of the model's d (DimensionError); finite
+        features (ValueError naming the row id) and finite weights
+        (ValueError); ids in [0, 2^64), new and distinct (DuplicateIdError).
+        Scoring staged rows then never raises. A phi block behind the model's
+        new cycles takes the rows at its own width, and the next ``refresh``
+        or ``apply_model_update`` catches them up with the rest.
         """
         ids = [int(i) for i in ids]
         X = np.asarray(X, dtype=np.float64)
@@ -461,18 +472,12 @@ class HashIndex:
             raise ValueError(f"{n} ids, {len(labels)} labels and a block of shape {X.shape} "
                              "do not make one row each")
         _check_labels(filter(_GIVEN, labels))
+        self._check_model(model, self._phi_width)
         width, col = self._phi_width or model.width, self._n_phi
-        if width > model.width:
-            raise ConsistencyError(f"phi entries have width {width}, the model {model.width}")
-        self._check_k(model)
         if width < 1:
             raise ValueError("model has no hash functions")
         if X.shape[1] != model.d:
             raise DimensionError(f"feature length {X.shape[1]} does not match d={model.d}")
-        if col and X.shape[1] + 1 != self._feats.shape[1]:
-            raise DimensionError(
-                f"feature length {X.shape[1]} does not match "
-                f"{self._feats.shape[1] - 1} of the existing phi entries")
         # ``is``, not ``==``: models compare by their weights' bytes.
         if self._staged and (self._staged[0] is not model or self._staged[1] != model._writes):
             self._settle()
@@ -526,12 +531,11 @@ class HashIndex:
         before the call, so growing a code is not charged as flipping it. Both
         counts go to the ledger, with the phi rows as entries touched once per
         each of ``updates``; a call that recomputes nothing leaves it as it
-        was. A model of another k raises ConsistencyError.
+        was. The callers have checked the model (``_check_model``).
         """
         n, k = self._n_phi, self._k
         if not n or not cycles:
             return 0
-        self._check_k(model)
         self._settle()
         cycles, per = sorted(cycles), _slot(k)[1]
         # The cycles' weights as one C-ordered (d+1, columns) block, so the product
@@ -563,21 +567,21 @@ class HashIndex:
         columns, so one recompute of them all leaves the index, ledger
         included, as one ``apply_model_update`` per cycle would: phi_count * k
         bits and phi_count entries per cycle, flips only in the cycles the
-        rows held. Returns the bits. A duplicated cycle, one that is not an
-        integer in [1, width / k], a model of another k or narrower than the
-        rows, or a list that leaves a cycle past the rows' width out raises
+        rows held. Returns the bits. After ``_check_model`` against the phi
+        width, a duplicated cycle, one that is not an integer in [1, width /
+        k], or a list that leaves a cycle past the rows' width out raises
         ConsistencyError before any change.
         """
-        self._check_k(model)
+        self._check_model(model, self._phi_width)
         k, m = model.k, model.width // model.k
         listed = set(cycles)
         if (len(listed) != len(cycles) or not _whole(listed)
                 or listed and not 1 <= min(listed) <= max(listed) <= m):
             raise ConsistencyError(f"cycles {cycles} are not distinct integers in [1, {m}]")
         held = self._phi_width // k
-        if self._n_phi and (held > m or not listed.issuperset(range(held + 1, m + 1))):
-            raise ConsistencyError(f"stale cycles: entries have width {self._phi_width}, "
-                                   f"the model {model.width}, and {cycles} are listed")
+        if self._n_phi and not listed.issuperset(range(held + 1, m + 1)):
+            raise ConsistencyError(f"stale cycles: the phi rows hold {held} of the model's {m} "
+                                   f"cycles, and {cycles} are listed")
         return self._recompute(model, cycles, len(cycles))
 
     def apply_model_update(self, report: StepReport, model: HashModel) -> int:
@@ -598,7 +602,7 @@ class HashIndex:
         expected = model.width - k if report.new_cycle_started else model.width
         if self._n_phi and self._phi_width != expected:
             raise ConsistencyError(
-                f"stale report: entries have width {self._phi_width}, expected {expected}")
+                f"stale report: the phi rows are {self._phi_width} wide, expected {expected}")
         return self.apply_steps(model, [hi // k])
 
     def refresh(self, model: HashModel, cycles=()) -> int:
@@ -608,14 +612,12 @@ class HashIndex:
         changed since the last refresh; when nothing changed, the call
         recomputes nothing and returns 0. Columns appended to the model
         since the last refresh are always caught up, so afterwards every
-        entry sits at the model's width. A cycle that is not an integer in
-        [1, width / k] raises ValueError, and a model narrower than the
-        entries ConsistencyError, before any change.
+        entry sits at the model's width. After ``_check_model`` against the
+        phi width, a cycle that is not an integer in [1, width / k] raises
+        ValueError before any change.
         """
         old_width = self._phi_width
-        if old_width > model.width:
-            raise ConsistencyError(
-                f"entries have width {self._phi_width}, model has {model.width}")
+        self._check_model(model, old_width)
         k = model.k
         total_cycles = model.width // k
         todo = sorted(set(cycles))
@@ -636,11 +638,7 @@ class HashIndex:
         the largest distance a row can have: k for a codeword row, the phi
         width for a phi row.
         """
-        width = model.width
-        if self._widest > width:
-            raise ConsistencyError(
-                f"an entry is wider ({self._widest}) than the query ({width})")
-        self._check_k(model)
+        self._check_model(model, self._widest)
         self._settle()
         signs = exact_signs(model.weights, augment_rows(X, model.d),
                             lambda i: f"query row {first + i}", w_bound=model.sq_norm_bound)

@@ -369,6 +369,32 @@ def test_query_with_a_model_of_another_k_is_a_consistency_error(run, dataset, tr
     assert (out, err.split(":")[0]) == ("", "error (consistency)")
 
 
+@pytest.mark.parametrize("command", ["query", "eval"])
+def test_a_model_of_another_d_against_a_phi_index_is_a_dimension_error(run, tmp_path,
+                                                                     command):
+    # A d=4 phi index, and a model trained on d=6 features of its k and width,
+    # asked with its own d=6 queries: the rows cannot meet the model.
+    files = {}
+    for d in (4, 6):
+        X, labels = make_gaussian_classes(3, d, 90, separation=4.0, seed=d)
+        for name, sl in (("train", slice(0, 60)), ("query", slice(60, 90))):
+            files[d, name] = tmp_path / f"{name}{d}.csv"
+            write_features(files[d, name], list(range(sl.start, sl.stop)),
+                           labels[sl], X[sl])
+        run(["train", "--features", files[d, "train"], "--k", 8, "--seed", 7,
+             "--model-out", tmp_path / f"m{d}.model"])
+    index = tmp_path / "phi4.index"
+    run(["index", "--model", tmp_path / "m4.model", "--features", files[4, "train"],
+         "--mode", "phi", "--index-out", index])
+    assert load_model(tmp_path / "m6.model").model.width == load_index(index).arrays()[
+        "phi_width"]
+    out, err = run([command, "--model", tmp_path / "m6.model", "--index", index,
+                    "--queries", files[6, "query"]], expect=1)
+    assert out == ""
+    assert err == ("error (dimension): feature length 6 does not match 4 of the existing "
+                   "phi entries\n")
+
+
 def test_dimension_mismatch_against_a_normalizer(run, dataset, trained, indexed, tmp_path):
     wide = wider_queries(dataset, tmp_path)
     for mode in ("phi", "codeword"):

@@ -642,12 +642,12 @@ def test_query_rejects_wider_entry():
     index.insert_labeled(0, "c1", matrix)
     narrow = HashModel.create(d=6, k=4, seed=0)
     assert query_error(index, narrow, stream[0][0]) == (
-        ConsistencyError, "an entry is wider (8) than the query (4)")
+        ConsistencyError, "an entry is wider (8) than the model (4)")
     # A phi entry wider than the model, too.
     index = HashIndex()
     index.insert_unlabeled(0, stream[0][0], model)
     assert query_error(index, narrow, stream[0][0]) == (
-        ConsistencyError, "an entry is wider (8) than the query (4)")
+        ConsistencyError, "an entry is wider (8) than the model (4)")
 
 
 def test_query_rejects_a_model_of_another_k():
@@ -668,6 +668,59 @@ def test_query_rejects_a_model_of_another_k():
         ConsistencyError, "the index's rows have k=8, the model k=16")
     with pytest.raises(ConsistencyError):
         retrieval_map(index, model, [x], ["c0"])
+
+
+@pytest.mark.parametrize("call", ["refresh", "apply_steps", "apply_model_update", "query",
+                                  "query_many", "retrieval_map", "insert_unlabeled"])
+def test_a_model_of_another_d_is_refused_before_any_change(call):
+    # Phi rows of d=4 and a codeword row, and a model of d=6 with their k and width:
+    # every call that takes the model refuses it with one class and one message.
+    matrix, cb, model, stream = small_stream(n_labels=4, k=8, rho=2, d=4, steps=8)
+    for x, y in stream:
+        step(model, matrix, cb, x, y)
+    index = HashIndex()
+    index.insert_many([0, 1, 2], [x for x, _ in stream[:3]], model, ["c0", None, "c2"])
+    index.insert_labeled(3, "c1", matrix)
+    other = HashModel(6, 8, np.random.default_rng(1).standard_normal((model.width, 7)))
+    assert (model.width, other.width) == (16, 16)
+    before = copy.deepcopy(index)
+    # A staged row on each side: the refusal leaves the stage as it was.
+    for twin in (index, before):
+        twin.insert_unlabeled(4, stream[3][0], model)
+    q = np.linspace(-1.0, 1.0, 6)
+    calls = {
+        "refresh": lambda: index.refresh(other, [1]),
+        "apply_steps": lambda: index.apply_steps(other, [1, 2]),
+        "apply_model_update": lambda: index.apply_model_update(
+            StepReport("c0", range(8, 16), 0.0, False, False), other),
+        "query": lambda: index.query(other, q),
+        "query_many": lambda: list(index.query_many(other, [q, q])),
+        "retrieval_map": lambda: retrieval_map(index, other, [q], ["c0"]),
+        # The row has the index's length, so only the model is at fault.
+        "insert_unlabeled": lambda: index.insert_unlabeled(9, stream[4][0], other),
+    }
+    with pytest.raises(DimensionError, match=re.escape(
+            "feature length 6 does not match 4 of the existing phi entries")) as info:
+        calls[call]()
+    assert info.type is DimensionError
+    assert index.feature_sq_norm_bound == before.feature_sq_norm_bound
+    assert vars(index.ledger) == vars(before.ledger)
+    assert same_bits(index.arrays(), before.arrays())
+
+
+def test_refresh_with_a_model_of_another_k_on_codeword_rows_is_refused():
+    # Codeword rows only: nothing to recompute, but the model's k is still not the rows'.
+    matrix, cb, small, stream = small_stream(n_labels=4, k=8, rho=1)
+    index = HashIndex()
+    for i, (x, y) in enumerate(stream[:4]):
+        step(small, matrix, cb, x, y)
+        index.insert_labeled(i, y, matrix)
+    other = HashModel(6, 4, np.zeros((matrix.width, 7)))
+    before = copied_arrays(index)
+    with pytest.raises(ConsistencyError, match=re.escape(
+            "the index's rows have k=8, the model k=4")):
+        index.refresh(other)
+    assert same_bits(index.arrays(), before)
 
 
 def test_query_allows_stale_narrow_entries():

@@ -835,9 +835,43 @@ def test_step_refuses_each_bad_argument_with_its_class_and_message(case):
             x[0] = np.nan
         if case != "length before width":
             error = ConsistencyError
-            match = f"model width {model.width} does not match matrix width {matrix.width}"
+            match = (f"model k={model.k}, width {model.width} does not match "
+                     f"matrix k={matrix.k}, width {matrix.width}")
     assert_refused(lambda: step(*state, x, "y0", eta=eta), state, index, rows,
                    re.escape(match), error)
+
+
+def test_a_model_of_another_k_is_refused_before_any_change():
+    # A k=8 model two cycles wide against a k=16 matrix of one cycle: the widths
+    # agree, but the model's cycles are not the matrix's.
+    rng = np.random.default_rng(6)
+    d = 4
+    state = (HashModel(d, 8, rng.standard_normal((16, d + 1))), new_matrix(16, 2),
+             generate(16, 16, seed=2))
+    step_many(HashModel.create(d, 16, seed=1), *state[1:], *random_block(rng, 3, d, 1))
+    assert (state[0].width, state[1].width) == (16, 16)
+    index, rows = HashIndex(), rng.standard_normal((6, d))
+    index.insert_many(range(6), rows, state[0])
+    match = re.escape("model k=8, width 16 does not match matrix k=16, width 16")
+    for y in ("y0", "new"):
+        assert_refused(lambda: step(*state, np.ones(d), y), state, index, rows, match,
+                       ConsistencyError)
+        assert_refused(lambda: step_many(*state, np.ones((2, d)), ["y0", y]), state, index,
+                       rows, match, ConsistencyError)
+
+
+def test_a_codebook_of_another_k_is_refused_before_any_change():
+    state, index, rows = refusal_state()
+    model, matrix, _ = state
+    state = (model, matrix, generate(16, 16, seed=2))
+    match = re.escape("codebook k=16 does not match matrix k=8")
+    assert_refused(lambda: step(*state, np.ones(model.d), "new"), state, index, rows, match,
+                   ConsistencyError)
+    assert_refused(lambda: step_many(*state, np.ones((2, model.d)), ["y0", "new"]), state,
+                   index, rows, match, ConsistencyError)
+    for labels in (["new"], ["y0"]):
+        assert_refused(lambda: matrix.observe_labels(state[2], labels), state, index, rows,
+                       match, ConsistencyError)
 
 
 @pytest.mark.parametrize("bad", [None, 5, 5.0, b"y0", ("y0",)])
