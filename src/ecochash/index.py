@@ -293,7 +293,7 @@ class HashIndex:
         if self._k not in (0, model.k):
             raise ConsistencyError(f"the index's rows have k={self._k}, the model k={model.k}")
         if self._n_phi and model.d + 1 != self._feats.shape[1]:
-            raise DimensionError(f"feature length {model.d} does not match "
+            raise DimensionError(f"model d={model.d} does not match feature length "
                                  f"{self._feats.shape[1] - 1} of the existing phi entries")
 
     def _append(self, ids: list[int], labels: list, is_phi: bool) -> None:
@@ -590,10 +590,11 @@ class HashIndex:
         ``apply_steps``' one-cycle case: recomputes exactly the touched cycle
         (which, for a step that opened a new cycle, is the freshly appended
         one, so entries grow here) and returns the number of recomputed bit
-        entries: phi_count * k. A report whose columns are not one cycle's k
-        columns of the model, or that the rows' width does not match, raises
-        ConsistencyError before any change.
+        entries: phi_count * k. After ``_check_model``, a report whose columns
+        are not one cycle's k columns of the model, or that the rows' width
+        does not match, raises ConsistencyError before any change.
         """
+        self._check_model(model, self._phi_width)
         touched, k = report.touched_columns, model.k
         hi = touched.start + k
         if touched.start % k or touched != range(touched.start, hi) or hi > model.width:

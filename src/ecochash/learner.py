@@ -128,19 +128,17 @@ def exact_signs(W: np.ndarray, Xa: np.ndarray, name=lambda i: f"row {i}",
     where products underflow. That sum of |products| is at most |w| * |x|,
     so one screen over the Frobenius norms settles the whole block at once.
     Only when it fails does a second product, |Xa| @ |W|.T, sum each cell's
-    |products|, over the rows that hold a cell the screen left in doubt (all
-    rows when the norms overflow, so no screen ran). The same bound holds for
-    it, so the true sum is at most its computed one, plus n subnormals, over
-    1 - gamma_n. One ``slack``, 2nu / (1 - nu), then covers gamma_n / (1 -
-    gamma_n) and the test's own roundings, and one ``floor``, 2n subnormals,
-    the underflow of both products: a cell whose |score| exceeds slack *
-    |sum| + floor has the score's sign, whatever order either product summed
-    in. A sum of nonnegative terms never shrinks, so |Xa| @ |W|.T overflows
-    only where the true sum of |products| is within rounding of the largest
-    float; an inf or NaN leaves its cell uncertain. Only the cells still
-    uncertain are recomputed exactly, as integer sums (``_exact_sign``). A
-    NaN or infinite value raises ValueError, naming a feature row by
-    ``name(i)``. ``w_bound`` is an upper bound on ||W||_F^2,
+    |products|. The same bound holds for it, so the true sum is at most its
+    computed one, plus n subnormals, over 1 - gamma_n. One ``slack``,
+    2nu / (1 - nu), then covers gamma_n / (1 - gamma_n) and the test's own
+    roundings, and one ``floor``, 2n subnormals, the underflow of both
+    products: a cell whose |score| exceeds slack * |sum| + floor has the
+    score's sign, whatever order either product summed in. A sum of
+    nonnegative terms never shrinks, so |Xa| @ |W|.T overflows only where
+    the true sum of |products| is within rounding of the largest float;
+    an inf or NaN leaves its cell uncertain. Only the cells still uncertain
+    are recomputed exactly, as integer sums (``_exact_sign``). A NaN or infinite value raises ValueError, naming a
+    feature row by ``name(i)``. ``w_bound`` is an upper bound on ||W||_F^2,
     such as a model's ``sq_norm_bound``, and ``x_bound`` one on
     ||Xa||_F^2, such as an index's ``feature_sq_norm_bound``; by default one
     pass over the block computes each. A Fortran-ordered ``W`` makes ``W.T``
@@ -167,20 +165,15 @@ def exact_signs(W: np.ndarray, Xa: np.ndarray, name=lambda i: f"row {i}",
             return signs
     check_finite(W, Xa, name)
     with np.errstate(over="ignore", invalid="ignore"):
-        # A screen that ran and failed leaves its product, which could not overflow, and
-        # settled each row with no cell in [-bound, bound]; without one, every row is in doubt.
-        if screened:
-            rows = np.flatnonzero((np.abs(S) <= bound).any(axis=1))
-            S_in, Xa_in = S[rows], Xa[rows]
-        else:
-            S = S_in = np.dot(Xa, W.T)
-            Xa_in, rows = Xa, range(len(Xa))
+        # A screen that ran and failed leaves its product, which could not overflow.
+        if not screened:
+            S = np.dot(Xa, W.T)
         # NaN (an overflowed score) compares False, so its cell is uncertain.
-        uncertain = ~(np.abs(S_in) > slack * np.dot(np.abs(Xa_in), np.abs(W).T) + floor)
+        uncertain = ~(np.abs(S) > slack * np.dot(np.abs(Xa), np.abs(W).T) + floor)
     signs = S >= 0.0
     # One flat scan: np.nonzero on a 2-D block costs several times as much.
     for i, t in zip(*np.divmod(np.flatnonzero(uncertain), len(W))):
-        signs[rows[i], t] = _exact_sign(W[t], Xa_in[i])
+        signs[i, t] = _exact_sign(W[t], Xa[i])
     return signs
 
 

@@ -391,8 +391,8 @@ def test_a_model_of_another_d_against_a_phi_index_is_a_dimension_error(run, tmp_
     out, err = run([command, "--model", tmp_path / "m6.model", "--index", index,
                     "--queries", files[6, "query"]], expect=1)
     assert out == ""
-    assert err == ("error (dimension): feature length 6 does not match 4 of the existing "
-                   "phi entries\n")
+    assert err == ("error (dimension): model d=6 does not match feature length 4 of the "
+                   "existing phi entries\n")
 
 
 def test_dimension_mismatch_against_a_normalizer(run, dataset, trained, indexed, tmp_path):

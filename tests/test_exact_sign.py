@@ -278,42 +278,6 @@ def test_the_fallback_scores_once_and_matches_the_oracle(case, monkeypatch):
         assert calls
 
 
-class RecordingNumpy(CountingNumpy):
-    """numpy, but keeping the left operand of each call of ``dot``."""
-
-    def __init__(self):
-        super().__init__()
-        self.lefts = []
-
-    def dot(self, a, b):
-        self.lefts.append(np.array(a))
-        return super().dot(a, b)
-
-
-@pytest.mark.parametrize("case", ["one-hard-row", "two-hard-rows", "norms-overflow"])
-def test_the_fallback_sums_products_only_over_rows_in_doubt(case, monkeypatch):
-    """After a failed screen, only the rows that hold a cell in [-bound, bound]
-    enter |Xa| @ |W|.T, and their uncertain cells map back to their own rows;
-    without a screen (norms that overflow) every row does."""
-    rng = np.random.default_rng(14)
-    W = rng.standard_normal((2 * K, D + 1))
-    X = rng.standard_normal((40, D))
-    hard = {"one-hard-row": [7], "two-hard-rows": [7, 22], "norms-overflow": range(40)}[case]
-    if case == "norms-overflow":
-        X[3] *= 1e160
-    else:
-        for i, t in zip(hard, (5, 12)):
-            w = W[t]
-            X[i] -= (w[:-1] @ X[i] + w[-1]) / (w[:-1] @ w[:-1]) * w[:-1]
-    Xa = augment_rows(X, D)
-    want = oracle(W, Xa)
-    recording = RecordingNumpy()
-    monkeypatch.setattr(learner, "np", recording)
-    assert np.array_equal(exact_signs(W, Xa), want)
-    assert len(recording.lefts) == 2
-    assert np.array_equal(recording.lefts[1], np.abs(Xa[list(hard)]))
-
-
 def codes(index):
     return [e.code.values.bits for e in index.entries]
 

@@ -186,7 +186,7 @@ def test_insert_unlabeled_refuses_a_bad_row_with_its_class_and_message(case):
     else:
         target, x = HashModel(d + 1, 8, np.zeros((model.width, d + 2))), np.append(x, 0.5)
         error = DimensionError
-        match = f"feature length {d + 1} does not match {d} of the existing phi entries"
+        match = f"model d={d + 1} does not match feature length {d} of the existing phi entries"
     with pytest.raises(error, match=re.escape(match)) as info:
         index.insert_unlabeled(id, x, target)
     assert info.type is error
@@ -700,7 +700,7 @@ def test_a_model_of_another_d_is_refused_before_any_change(call):
         "insert_unlabeled": lambda: index.insert_unlabeled(9, stream[4][0], other),
     }
     with pytest.raises(DimensionError, match=re.escape(
-            "feature length 6 does not match 4 of the existing phi entries")) as info:
+            "model d=6 does not match feature length 4 of the existing phi entries")) as info:
         calls[call]()
     assert info.type is DimensionError
     assert index.feature_sq_norm_bound == before.feature_sq_norm_bound
@@ -721,6 +721,31 @@ def test_refresh_with_a_model_of_another_k_on_codeword_rows_is_refused():
             "the index's rows have k=8, the model k=4")):
         index.refresh(other)
     assert same_bits(index.arrays(), before)
+
+
+@pytest.mark.parametrize("call", ["refresh", "apply_steps", "apply_model_update"])
+def test_maintenance_refuses_a_model_narrower_than_the_phi_rows_with_one_message(call):
+    # Phi rows two cycles wide and a one-cycle model of their k and d: each
+    # maintenance call refuses it with the same message, before its own checks.
+    matrix, cb, model, stream = small_stream(n_labels=4, k=8, rho=2, d=4, steps=8)
+    for x, y in stream:
+        step(model, matrix, cb, x, y)
+    index = HashIndex()
+    index.insert_many([0, 1], [x for x, _ in stream[:2]], model)
+    narrow = HashModel(4, 8, model.weights[:8])
+    assert (model.width, narrow.width) == (16, 8)
+    before = copy.deepcopy(index)
+    calls = {
+        "refresh": lambda: index.refresh(narrow, [1]),
+        "apply_steps": lambda: index.apply_steps(narrow, [1]),
+        "apply_model_update": lambda: index.apply_model_update(
+            StepReport("c0", range(0, 8), 0.0, False, False), narrow),
+    }
+    with pytest.raises(ConsistencyError, match=re.escape(
+            "an entry is wider (16) than the model (8)")):
+        calls[call]()
+    assert vars(index.ledger) == vars(before.ledger)
+    assert same_bits(index.arrays(), before.arrays())
 
 
 def test_query_allows_stale_narrow_entries():
